@@ -596,7 +596,8 @@ pub fn t10_spec() -> SweepSpec {
 pub fn t10_robustness_matrix(opts: &ExpOptions) -> Result<String, String> {
     let mut report =
         Report::new("T10 — upper bounds hold async, anonymous, bounded messages (§1.3)");
-    let grid = CellGrid::from_spec(&t10_spec())?;
+    let spec = t10_spec();
+    let grid = CellGrid::from_spec(&spec)?;
     let mut meta = Vec::new();
     for kind in SchedulerKind::sweep(MASTER_SEED) {
         for anonymous in [false, true] {
@@ -604,7 +605,7 @@ pub fn t10_robustness_matrix(opts: &ExpOptions) -> Result<String, String> {
             meta.push(("scheme-b", kind, anonymous));
         }
     }
-    let sweep = grid.dispatch_supervised(opts, "t10");
+    let sweep = grid.dispatch(&spec, opts);
     if sweep.interrupted {
         return Err(format!(
             "t10 interrupted mid-sweep; resume from the journal to finish ({})",
@@ -1433,9 +1434,10 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     // detects the corruption and pays messages (flooding) instead of
     // coverage. The engine corrupts a private copy of the shared advice,
     // so one instance serves every cell.
-    let corruption = CellGrid::from_spec(&t20_corruption_spec())?;
+    let corruption_spec = t20_corruption_spec();
+    let corruption = CellGrid::from_spec(&corruption_spec)?;
     let n = corruption.requests()[0].instance.graph.num_nodes() as u64;
-    let corruption_sweep = corruption.dispatch_supervised(opts, "t20-corruption");
+    let corruption_sweep = corruption.dispatch(&corruption_spec, opts);
     if corruption_sweep.interrupted {
         return Err(format!(
             "t20 corruption sweep interrupted; resume from the journal to finish ({})",
@@ -1500,8 +1502,9 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     // Sweep 2: message-drop rate × retry budget × trial. Acks double the
     // fault-free cost; each retry multiplies the per-edge survival
     // probability.
-    let drop_grid = CellGrid::from_spec(&t20_drops_spec())?;
-    let drop_sweep = drop_grid.dispatch_supervised(opts, "t20-drops");
+    let drop_spec = t20_drops_spec();
+    let drop_grid = CellGrid::from_spec(&drop_spec)?;
+    let drop_sweep = drop_grid.dispatch(&drop_spec, opts);
     if drop_sweep.interrupted {
         return Err(format!(
             "t20 drop sweep interrupted; resume from the journal to finish ({})",
@@ -1562,7 +1565,7 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
         .map(|c| c.faults.crashes.len())
         .collect();
     let crash_grid = CellGrid::from_spec(&crash_spec)?;
-    let crash_sweep = crash_grid.dispatch_supervised(opts, "t20-crashes");
+    let crash_sweep = crash_grid.dispatch(&crash_spec, opts);
     if crash_sweep.interrupted {
         return Err(format!(
             "t20 crash sweep interrupted; resume from the journal to finish ({})",
@@ -1816,14 +1819,15 @@ fn decade_bucket(x: u64) -> String {
 pub fn scale_curve(opts: &ExpOptions) -> Result<String, String> {
     let mut report =
         Report::new("SCALE — engine scaling on subdivided cliques (Theorem 2.2 graphs)");
-    let grid = CellGrid::from_spec(&scale_spec(opts.large))?;
+    let spec = scale_spec(opts.large);
+    let grid = CellGrid::from_spec(&spec)?;
     let mut meta = Vec::new();
     for b in scale_orders(opts.large) {
         let nodes = subdivided_clique_nodes(b);
         meta.push(("tree-wakeup", b, nodes));
         meta.push(("flood", b, nodes));
     }
-    let sweep = grid.dispatch_supervised(opts, "scale");
+    let sweep = grid.dispatch(&spec, opts);
     if sweep.interrupted {
         return Err(format!(
             "scale interrupted mid-sweep; resume from the journal to finish ({})",

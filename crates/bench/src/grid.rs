@@ -1,11 +1,15 @@
 //! Declarative experiment grids over the runtime pool.
 //!
-//! An experiment here is a *grid of cells*: each cell names one
-//! `(instance, scheme, config)` combination, and the whole grid is handed
-//! to [`oraclesize_runtime::run_batch`] in one call. The pool executes
-//! cells on `--threads` workers while the grid keeps cell order — reports,
-//! tables, and the emitted `BENCH_T*.json` artifacts are byte-identical at
-//! any thread count (the runtime's determinism contract).
+//! An experiment here is a *grid of cells* described by a [`SweepSpec`]:
+//! each cell names one `(instance, scheme, config)` combination,
+//! [`CellGrid::from_spec`] materializes them, and [`CellGrid::dispatch`]
+//! hands the whole grid to
+//! [`run_supervised_batch`](oraclesize_runtime::run_supervised_batch)
+//! with the options [`SweepOptions::from_spec`] lowers from the spec. The
+//! pool executes cells on `--threads` workers while the grid keeps cell
+//! order — reports, tables, and the emitted `BENCH_T*.json` artifacts are
+//! byte-identical at any thread count (the runtime's determinism
+//! contract).
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -18,8 +22,8 @@ use oraclesize_graph::families::{self, Family};
 use oraclesize_graph::{gadgets, PortGraph};
 use oraclesize_runtime::spec::{artifact_json, from_ppm, grid_json};
 use oraclesize_runtime::{
-    run_supervised_batch, ChaosPlan, Json, Pool, RunReport, RunRequest, SchedStats,
-    SuperviseConfig, SweepOptions, SweepRun, SweepSpec,
+    run_supervised_batch, ChaosPlan, Json, Pool, RunReport, RunRequest, SchedStats, SweepOptions,
+    SweepRun, SweepSpec,
 };
 use oraclesize_sim::protocol::{FloodOnce, Protocol};
 use oraclesize_sim::Instance;
@@ -39,23 +43,16 @@ pub struct ExpOptions {
     pub threads: usize,
     /// Where to write `BENCH_<ID>.json` artifacts; `None` disables them.
     pub json_dir: Option<PathBuf>,
-    /// Where checkpoint journals live (`<dir>/<tag>.journal`, one per
-    /// grid); `None` disables checkpointing.
+    /// Where checkpoint journals live (`<dir>/<spec name>.journal`, one
+    /// per grid); `None` disables checkpointing.
     pub journal_dir: Option<PathBuf>,
     /// Resume from existing journals instead of starting fresh.
     pub resume: bool,
-    /// Retry budget for failed cells (see
-    /// [`SuperviseConfig::max_retries`]).
-    pub max_retries: u32,
-    /// Per-cell watchdog step budget (see
-    /// [`SuperviseConfig::cell_timeout`]).
-    pub cell_timeout: Option<u64>,
-    /// Failure injection for chaos drills; inert outside tests and the
-    /// chaos-smoke harness.
+    /// Failure injection for chaos drills; inert outside tests.
     pub chaos: ChaosPlan,
     /// Fixed scheduler sub-task size (the `--chunk` override); `None`
-    /// sizes chunks from the grid's cost hints. Granularity only — never
-    /// results.
+    /// keeps the spec's own chunk knob, or sizes chunks from the grid's
+    /// cost hints. Granularity only — never results.
     pub chunk: Option<usize>,
     /// Merged scheduling telemetry for every grid dispatched under these
     /// options. Shared behind an `Arc` so the experiment driver can read
@@ -77,29 +74,6 @@ impl ExpOptions {
     /// The pool these options describe.
     pub fn pool(&self) -> Pool {
         Pool::new(self.threads.max(1))
-    }
-
-    /// The supervised-sweep options these options describe, with the
-    /// journal (when a `journal_dir` is set) at `<dir>/<tag>.journal`.
-    pub fn sweep_options(&self, tag: &str) -> SweepOptions {
-        SweepOptions {
-            supervise: SuperviseConfig {
-                max_retries: self.max_retries,
-                cell_timeout: self.cell_timeout,
-                ..SuperviseConfig::default()
-            },
-            journal: self
-                .journal_dir
-                .as_ref()
-                .map(|dir| dir.join(format!("{tag}.journal"))),
-            resume: self.resume,
-            seeds: None,
-            chaos: self.chaos.clone(),
-            chunk: self.chunk,
-            // Cost hints belong to the grid being dispatched; the grid
-            // fills them in at dispatch time.
-            costs: None,
-        }
     }
 
     /// Folds one dispatch's scheduling telemetry into the shared tally.
@@ -131,27 +105,8 @@ pub struct CellGrid {
 }
 
 impl CellGrid {
-    /// An empty grid.
-    #[deprecated(
-        since = "0.1.0",
-        note = "describe the sweep as a SweepSpec and build the grid with CellGrid::from_spec"
-    )]
-    pub fn new() -> Self {
-        CellGrid::default()
-    }
-
-    /// Appends one cell. The label is for the JSON artifact only; tables
-    /// derive their columns from the same iteration that built the grid.
-    /// The cell's scheduling cost hint comes from the request's instance
-    /// size ([`RunRequest::cost_hint`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare cells in a SweepSpec and build the grid with CellGrid::from_spec"
-    )]
-    pub fn cell(&mut self, label: impl Into<String>, request: RunRequest) {
-        self.add_cell(label.into(), request);
-    }
-
+    /// Appends one cell; its scheduling cost hint comes from the
+    /// request's instance size ([`RunRequest::cost_hint`]).
     fn add_cell(&mut self, label: String, request: RunRequest) {
         self.labels.push(label);
         self.costs.push(request.cost_hint());
@@ -247,29 +202,24 @@ impl CellGrid {
         self.requests.is_empty()
     }
 
-    /// Dispatches every cell across the options' pool, returning reports
-    /// in cell order.
-    ///
-    /// Execution goes through the supervised path (panic isolation,
-    /// retries, watchdog) without a journal; for checkpointed dispatch
-    /// use [`CellGrid::dispatch_supervised`]. Reports are identical
-    /// either way for deterministic cells.
-    pub fn dispatch(&self, opts: &ExpOptions) -> Vec<RunReport> {
-        let mut sweep_opts = opts.sweep_options("");
-        sweep_opts.journal = None;
-        sweep_opts.costs = Some(self.costs.clone());
-        let run = run_supervised_batch(&opts.pool(), &self.requests, &sweep_opts);
-        opts.record_stats(&run.sched);
-        run.reports()
-    }
-
-    /// Dispatches with the full failure model: cells already checkpointed
-    /// in `<journal_dir>/<tag>.journal` are skipped on resume, and every
+    /// Dispatches this grid — built from `spec` — across the options'
+    /// pool under the spec's run options: cells already checkpointed in
+    /// `<journal_dir>/<spec name>.journal` are skipped on resume, and every
     /// newly completed cell is checkpointed when the journal's in-order
-    /// cursor reaches it.
-    pub fn dispatch_supervised(&self, opts: &ExpOptions, tag: &str) -> SweepRun {
-        let mut sweep_opts = opts.sweep_options(tag);
-        sweep_opts.costs = Some(self.costs.clone());
+    /// cursor reaches it. Reports come back in cell order.
+    pub fn dispatch(&self, spec: &SweepSpec, opts: &ExpOptions) -> SweepRun {
+        let mut sweep_opts = SweepOptions {
+            journal: opts
+                .journal_dir
+                .as_ref()
+                .map(|dir| dir.join(format!("{}.journal", spec.name))),
+            resume: opts.resume,
+            chaos: opts.chaos.clone(),
+            ..SweepOptions::from_spec(spec)
+        };
+        if opts.chunk.is_some() {
+            sweep_opts.chunk = opts.chunk;
+        }
         let run = run_supervised_batch(&opts.pool(), &self.requests, &sweep_opts);
         opts.record_stats(&run.sched);
         run
@@ -374,7 +324,6 @@ pub fn emit_json(opts: &ExpOptions, id: &str, body: Json) -> Result<Option<PathB
 mod tests {
     use super::*;
     use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec};
-    use oraclesize_sim::{SimConfig, TraceSpec};
 
     fn tiny_spec() -> SweepSpec {
         let mut spec = SweepSpec::new("t0", 2006);
@@ -404,8 +353,13 @@ mod tests {
         spec
     }
 
-    fn tiny_grid() -> CellGrid {
-        CellGrid::from_spec(&tiny_spec()).expect("tiny spec materializes")
+    /// Lowers and dispatches the tiny spec, returning the grid and its
+    /// reports.
+    fn tiny_run(opts: &ExpOptions) -> (CellGrid, Vec<RunReport>) {
+        let spec = tiny_spec();
+        let grid = CellGrid::from_spec(&spec).expect("tiny spec materializes");
+        let reports = grid.dispatch(&spec, opts).reports();
+        (grid, reports)
     }
 
     #[test]
@@ -454,48 +408,20 @@ mod tests {
 
     #[test]
     fn grid_json_is_thread_count_invariant() {
-        let grid = tiny_grid();
-        let serial = grid.to_json(&grid.dispatch(&ExpOptions::default()));
-        let threaded = grid.to_json(&grid.dispatch(&ExpOptions {
+        let (grid, serial) = tiny_run(&ExpOptions::default());
+        let (_, threaded) = tiny_run(&ExpOptions {
             threads: 4,
             ..Default::default()
-        }));
-        assert_eq!(serial.render(), threaded.render());
+        });
+        let serial = grid.to_json(&serial);
+        assert_eq!(serial.render(), grid.to_json(&threaded).render());
         assert!(oraclesize_runtime::json::parses(&serial.render()));
     }
 
     #[test]
-    // Tracing is a debugging knob, not part of the sweep description, so
-    // this test keeps the legacy construction path (which also pins the
-    // shim's behavior).
-    #[allow(deprecated)]
-    fn traced_cells_get_a_trace_record_untraced_cells_do_not() {
-        let inst = Instance::build(Arc::new(families::cycle(6)), 0, &EmptyOracle);
-        let mut grid = CellGrid::new();
-        grid.cell(
-            "plain",
-            RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), SimConfig::default()),
-        );
-        grid.cell(
-            "traced",
-            RunRequest::new(
-                inst,
-                Arc::new(FloodOnce),
-                SimConfig::broadcast().capture_trace(TraceSpec::Full),
-            ),
-        );
-        let json = grid
-            .to_json(&grid.dispatch(&ExpOptions::default()))
-            .render();
-        // Exactly one cell carries the trace sub-object.
-        assert_eq!(json.matches("\"trace\": {").count(), 1, "{json}");
-        assert!(json.contains("\"delivered\": "), "{json}");
-    }
-
-    #[test]
     fn emit_json_respects_unset_dir() {
-        let grid = tiny_grid();
-        let json = grid.to_json(&grid.dispatch(&ExpOptions::default()));
+        let (grid, reports) = tiny_run(&ExpOptions::default());
+        let json = grid.to_json(&reports);
         assert_eq!(emit_json(&ExpOptions::default(), "t0", json), Ok(None));
     }
 
@@ -506,8 +432,8 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..Default::default()
         };
-        let grid = tiny_grid();
-        let json = grid.to_json(&grid.dispatch(&opts));
+        let (grid, reports) = tiny_run(&opts);
+        let json = grid.to_json(&reports);
         let path = emit_json(&opts, "t0", json).expect("emit").expect("path");
         assert_eq!(path.file_name().unwrap(), "BENCH_T0.json");
         let body = std::fs::read_to_string(&path).unwrap();
@@ -526,26 +452,28 @@ mod tests {
     }
 
     #[test]
-    fn supervised_dispatch_checkpoints_and_resumes() {
+    fn dispatch_checkpoints_under_the_spec_name_and_resumes() {
         let dir = std::env::temp_dir().join(format!("oraclesize-grid-sup-{}", std::process::id()));
-        let grid = tiny_grid();
-        let baseline = grid.dispatch(&ExpOptions::default());
-        let killed = grid.dispatch_supervised(
+        let spec = tiny_spec();
+        let grid = CellGrid::from_spec(&spec).expect("tiny spec materializes");
+        let (_, baseline) = tiny_run(&ExpOptions::default());
+        let killed = grid.dispatch(
+            &spec,
             &ExpOptions {
                 journal_dir: Some(dir.clone()),
                 chaos: ChaosPlan::new().die_before(2),
                 ..Default::default()
             },
-            "t0",
         );
         assert!(killed.interrupted);
-        let resumed = grid.dispatch_supervised(
+        assert!(dir.join("t0.journal").exists());
+        let resumed = grid.dispatch(
+            &spec,
             &ExpOptions {
                 journal_dir: Some(dir.clone()),
                 resume: true,
                 ..Default::default()
             },
-            "t0",
         );
         assert!(!resumed.interrupted);
         assert_eq!(resumed.reports(), baseline);

@@ -7,8 +7,6 @@ use oraclesize_sim::protocol::Protocol;
 use oraclesize_sim::trace::{NullSink, RingSink, TraceEvent, TraceSpec, TraceStats, VecSink};
 use oraclesize_sim::{Instance, RunMetrics};
 
-use crate::pool::Pool;
-
 /// One cell of an experiment grid: which instance to run, with which
 /// scheme, under which configuration.
 ///
@@ -81,8 +79,7 @@ pub struct CellOutcome {
 /// engine's abort error (stringified, keeping the report `Eq`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
-    /// The cell index this report answers (same as its position in the
-    /// vector [`run_batch`] returns).
+    /// The sweep-wide cell index this report answers.
     pub cell: usize,
     /// Outcome, or the rendered [`SimError`] if the run aborted.
     pub result: Result<CellOutcome, String>,
@@ -185,22 +182,21 @@ pub fn run_cell_report(cell: usize, request: &RunRequest) -> RunReport {
     }
 }
 
-/// Runs every request across the pool and returns reports **in cell
-/// order**. Identical output at any thread count (see the crate-level
-/// determinism contract).
-pub fn run_batch(pool: &Pool, requests: &[RunRequest]) -> Vec<RunReport> {
-    pool.run(requests.len(), |cell| {
-        run_cell_report(cell, &requests[cell])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::Pool;
+    use crate::supervise::{run_supervised_batch, SweepOptions};
     use oraclesize_core::oracle::EmptyOracle;
     use oraclesize_graph::families;
     use oraclesize_sim::protocol::FloodOnce;
     use oraclesize_sim::{FaultPlan, SimConfig};
+
+    /// A plain serial-or-pooled sweep: supervised with no retries and no
+    /// journal.
+    fn sweep(pool: &Pool, requests: &[RunRequest]) -> Vec<RunReport> {
+        run_supervised_batch(pool, requests, &SweepOptions::default()).reports()
+    }
 
     #[test]
     fn batch_reports_carry_cell_indices() {
@@ -208,7 +204,7 @@ mod tests {
         let reqs: Vec<RunRequest> = (0..6)
             .map(|_| RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), SimConfig::default()))
             .collect();
-        let reports = run_batch(&Pool::new(3), &reqs);
+        let reports = sweep(&Pool::new(3), &reqs);
         assert_eq!(reports.len(), 6);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.cell, i);
@@ -259,7 +255,7 @@ mod tests {
         }
         let inst = Instance::build(Arc::new(families::path(3)), 0, &EmptyOracle);
         let cfg = SimConfig::wakeup();
-        let reports = run_batch(
+        let reports = sweep(
             &Pool::default(),
             &[RunRequest::new(inst, Arc::new(AllStart), cfg)],
         );
@@ -271,7 +267,7 @@ mod tests {
     fn full_trace_requests_fill_cell_outcomes() {
         let inst = Instance::build(Arc::new(families::cycle(5)), 0, &EmptyOracle);
         let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-        let reports = run_batch(
+        let reports = sweep(
             &Pool::new(2),
             &[RunRequest::new(inst, Arc::new(FloodOnce), cfg)],
         );
@@ -292,7 +288,7 @@ mod tests {
             .with_faults(FaultPlan::message_faults(3, 1.0, 0.0, 0.0))
             .capture_trace(TraceSpec::Ring { capacity: 8 });
         let clean = SimConfig::broadcast().capture_trace(TraceSpec::Ring { capacity: 8 });
-        let reports = run_batch(
+        let reports = sweep(
             &Pool::new(1),
             &[
                 RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), doomed),

@@ -4,13 +4,12 @@
 //! Recovery code that is only ever exercised by real outages is recovery
 //! code that does not work. This module injects the three failures the
 //! supervision layer claims to survive — a worker panic at a chosen cell,
-//! a stall that trips the watchdog, and a torn journal write — so
-//! proptests and the CI `chaos-smoke` job can drill the paths on every
-//! run.
+//! a stall that trips the watchdog, and a torn journal write — so the
+//! proptests can drill the paths on every run.
 //!
-//! **Test/bin-only API.** Nothing here belongs in production call sites:
-//! the only consumers are tests, the `chaos_smoke` binary, and the
-//! supervision layer's injection hook. Plans are inert by default, and an
+//! **Test-only API.** Nothing here belongs in production call sites: the
+//! only consumers are tests, the service worker's `--die-mid-shard`
+//! drill, and the supervision layer's injection hook. Plans are inert by default, and an
 //! inert plan costs two `BTreeMap` lookups per attempt.
 //!
 //! Everything is keyed on `(cell, attempt)` — no randomness, no clocks —

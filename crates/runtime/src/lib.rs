@@ -15,9 +15,10 @@
 //!   per-worker deques and back-half stealing ([`sched::Scheduler`]), and
 //!   out-of-band scheduling telemetry ([`sched::SchedStats`]) for report
 //!   footers,
-//! * [`batch`] — [`RunRequest`] → [`RunReport`]: the cell description and
-//!   the comparable, fully deterministic result record. Cells are built
-//!   over [`oraclesize_sim::Instance`], the `Arc`-shared immutable
+//! * [`batch`] — [`RunRequest`] → [`RunReport`]: the cell description,
+//!   the comparable, fully deterministic result record, and the one-cell
+//!   runner [`run_cell_report`]. Cells are built over
+//!   [`oraclesize_sim::Instance`], the `Arc`-shared immutable
 //!   `(graph, advice)` pair,
 //! * [`sink`] — [`MetricsSink`]: aggregation that folds reports **in cell
 //!   order**, never completion order, so any thread count produces
@@ -25,32 +26,36 @@
 //! * [`json`] — a minimal, deterministic JSON writer (insertion-ordered
 //!   objects, integers only) used for the `BENCH_T*.json` artifacts,
 //! * [`trace`] — deterministic JSONL rendering of engine traces
-//!   ([`trace::JsonlSink`], [`trace::event_json`]) for the `trace`
-//!   subcommand and the CI trace-smoke job,
+//!   ([`trace::JsonlSink`], [`trace::event_json`]) for the `trace` and
+//!   `trace-diff` subcommands,
 //! * [`spec`] — the canonical serializable [`SweepSpec`] job description:
 //!   every sweep (bench grid, CLI flags, service submission) lowers into
-//!   one spec type, and the artifact renderer lives beside it,
+//!   one spec type, [`SweepOptions::from_spec`] lowers it into run
+//!   options, and the artifact renderer lives beside it,
 //! * [`journal`] — the append-only checkpoint file that makes sweeps
 //!   resumable: completed cells are recorded as they finish and skipped
 //!   after a crash,
-//! * [`supervise`] — panic isolation, bounded retries with simulated
-//!   backoff, a per-cell watchdog, and the journal-backed
-//!   [`run_supervised_batch`] dispatch,
+//! * [`supervise`] — the one batch executor, [`run_supervised_batch`]:
+//!   panic isolation, bounded retries with simulated backoff, a per-cell
+//!   watchdog, journal-backed resume, and shard ranges for service
+//!   workers,
 //! * [`chaos`] — deterministic failure injection (worker panics, stalls,
-//!   torn journal writes) for tests and the CI chaos-smoke job only.
+//!   torn journal writes) for tests only.
 //!
 //! # Determinism contract
 //!
-//! For a fixed request list, [`run_batch`] returns the same `Vec<RunReport>`
-//! — byte for byte — at any thread count. This holds because (a) every
-//! engine run is seeded and self-contained, (b) reports are written into
-//! per-cell slots, not appended, and (c) sinks consume reports in cell
-//! order. The property tests in `tests/determinism.rs` pin this down.
+//! For a fixed request list, [`run_supervised_batch`] returns the same
+//! reports — byte for byte — at any thread count and under any chunk
+//! plan. This holds because (a) every engine run is seeded and
+//! self-contained, (b) reports are written into per-cell slots, not
+//! appended, and (c) sinks consume reports in cell order. The property
+//! tests in `tests/determinism.rs` pin this down.
 //!
-//! The contract extends across crash/resume boundaries: a supervised
-//! sweep killed at any cell and resumed any number of times yields the
-//! same reports — and therefore byte-identical merged artifacts — as an
-//! uninterrupted run (`tests/resume.rs`, plus the bench crate's
+//! The contract extends across crash/resume boundaries and shards: a
+//! sweep killed at any cell and resumed any number of times, or split
+//! into shard ranges, yields the same reports — and therefore
+//! byte-identical merged artifacts — as an uninterrupted run
+//! (`tests/resume.rs`, `tests/shard.rs`, plus the bench crate's
 //! artifact-level proptests).
 //!
 //! # Examples
@@ -59,7 +64,7 @@
 //! use std::sync::Arc;
 //! use oraclesize_core::oracle::EmptyOracle;
 //! use oraclesize_graph::families;
-//! use oraclesize_runtime::{Pool, RunRequest, run_batch};
+//! use oraclesize_runtime::{run_supervised_batch, Pool, RunRequest, SweepOptions};
 //! use oraclesize_sim::protocol::FloodOnce;
 //! use oraclesize_sim::{Instance, SimConfig};
 //!
@@ -69,8 +74,8 @@
 //! let requests: Vec<RunRequest> = (0..4)
 //!     .map(|_| RunRequest::new(Arc::clone(&instance), protocol.clone(), SimConfig::default()))
 //!     .collect();
-//! let reports = run_batch(&Pool::new(2), &requests);
-//! assert!(reports.iter().all(|r| r.outcome().unwrap().completed));
+//! let run = run_supervised_batch(&Pool::new(2), &requests, &SweepOptions::default());
+//! assert!(run.reports().iter().all(|r| r.outcome().unwrap().completed));
 //! ```
 
 #![warn(missing_docs)]
@@ -86,7 +91,7 @@ pub mod spec;
 pub mod supervise;
 pub mod trace;
 
-pub use batch::{run_batch, run_cell_report, CellOutcome, RunReport, RunRequest};
+pub use batch::{run_cell_report, CellOutcome, RunReport, RunRequest};
 pub use chaos::ChaosPlan;
 pub use journal::Journal;
 pub use json::Json;
@@ -95,7 +100,7 @@ pub use sched::{Chunk, ChunkPlan, SchedStats};
 pub use sink::{drain, Aggregate, MetricsSink, ReportCollector};
 pub use spec::{AdviceSpec, CellSpec, FaultSpec, InstanceSpec, KnobSpec, SchedulerSpec, SweepSpec};
 pub use supervise::{
-    run_cell_supervised, run_supervised_batch, run_supervised_shard, CellStatus, OrderedCommitter,
-    SuperviseConfig, SupervisedReport, SweepOptions, SweepRun,
+    run_cell_supervised, run_supervised_batch, CellStatus, OrderedCommitter, SuperviseConfig,
+    SupervisedReport, SweepOptions, SweepRun,
 };
 pub use trace::JsonlSink;

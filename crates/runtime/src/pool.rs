@@ -55,24 +55,6 @@ impl Pool {
         self.threads
     }
 
-    /// Runs `f(0), f(1), …, f(jobs − 1)` across the pool and returns the
-    /// results **in index order**, scheduling under an automatically
-    /// balanced chunk plan. Shorthand for [`Pool::run_chunked`] when the
-    /// caller has no cost hints and no use for scheduling telemetry.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any job (the scope joins all workers
-    /// first).
-    pub fn run<T, F>(&self, jobs: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_chunked(&ChunkPlan::balanced(jobs, self.threads), f)
-            .0
-    }
-
     /// Runs every sub-task of `plan` across the pool and returns the
     /// results **in index order** plus the dispatch's scheduling
     /// telemetry.
@@ -171,29 +153,34 @@ impl Pool {
 mod tests {
     use super::*;
 
+    /// Runs `f` over `0..jobs` under the balanced plan.
+    fn run<T: Send>(pool: Pool, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        pool.run_chunked(&ChunkPlan::balanced(jobs, pool.threads()), f)
+            .0
+    }
+
     #[test]
     fn results_are_in_index_order() {
         for threads in [1, 2, 3, 8] {
-            let pool = Pool::new(threads);
-            let out = pool.run(37, |i| i * i);
+            let out = run(Pool::new(threads), 37, |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn zero_jobs_is_fine() {
-        assert!(Pool::new(4).run(0, |i| i).is_empty());
+        assert!(run(Pool::new(4), 0, |i| i).is_empty());
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert_eq!(Pool::new(0).run(3, |i| i), vec![0, 1, 2]);
+        assert_eq!(run(Pool::new(0), 3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn more_threads_than_jobs() {
-        assert_eq!(Pool::new(16).run(2, |i| i + 1), vec![1, 2]);
+        assert_eq!(run(Pool::new(16), 2, |i| i + 1), vec![1, 2]);
     }
 
     #[test]

@@ -923,4 +923,33 @@ mod tests {
             "{\"experiment\": \"t10\", \"seed\": 2006, \"body\": {\"cells\": []}}"
         );
     }
+
+    #[test]
+    fn grid_json_gives_only_traced_cells_a_trace_record() {
+        use crate::batch::{run_cell_report, RunRequest};
+        use oraclesize_core::oracle::EmptyOracle;
+        use oraclesize_graph::families;
+        use oraclesize_sim::protocol::FloodOnce;
+        use oraclesize_sim::{Instance, SimConfig, TraceSpec};
+        use std::sync::Arc;
+
+        let inst = Instance::build(Arc::new(families::cycle(6)), 0, &EmptyOracle);
+        let configs = [
+            SimConfig::default(),
+            SimConfig::broadcast().capture_trace(TraceSpec::Full),
+        ];
+        let reports: Vec<RunReport> = configs
+            .into_iter()
+            .enumerate()
+            .map(|(cell, config)| {
+                let request = RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), config);
+                run_cell_report(cell, &request)
+            })
+            .collect();
+        let labels = ["plain".to_string(), "traced".to_string()];
+        let json = grid_json(&labels, &reports).render();
+        // Exactly one cell carries the trace sub-object.
+        assert_eq!(json.matches("\"trace\": {").count(), 1, "{json}");
+        assert!(json.contains("\"delivered\": "), "{json}");
+    }
 }

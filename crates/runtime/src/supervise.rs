@@ -1,10 +1,10 @@
-//! The supervision layer: panic isolation, bounded retries, a per-cell
-//! watchdog, and journal-backed resume for batch sweeps.
+//! The supervision layer: the runtime's one batch executor,
+//! [`run_supervised_batch`], with panic isolation, bounded retries, a
+//! per-cell watchdog, and journal-backed resume.
 //!
-//! [`run_batch`](crate::batch::run_batch) assumes every cell runs to a
-//! report; a panicking protocol or a runaway cell takes the whole sweep
-//! down with it. [`run_supervised_batch`] wraps the same pool dispatch in
-//! a failure model:
+//! A bare pool dispatch assumes every cell runs to a report; a panicking
+//! protocol or a runaway cell would take the whole sweep down with it.
+//! [`run_supervised_batch`] wraps each cell in a failure model:
 //!
 //! * **panic isolation** — each attempt runs under `catch_unwind`; a
 //!   panic becomes an `Err("panic: …")` report for that attempt instead
@@ -20,27 +20,31 @@
 //!   cells are checkpointed as they finish and skipped on the next run.
 //!
 //! Dispatch goes through the work-stealing scheduler
-//! ([`crate::sched`]): cells are grouped into chunks (sized by the grid
-//! layer's cost hints or a `--chunk` override), but supervision is
+//! ([`crate::sched`]): cells are grouped into chunks (sized by the
+//! requests' cost hints or a `--chunk` override), but supervision is
 //! strictly **per sub-task** — isolation, retries, and the watchdog wrap
 //! each cell inside a chunk individually, so one failing cell never
 //! drags its chunk-mates into a retry. Journal records stay per-cell and
 //! are committed **in cell order** through an in-order committer:
 //! out-of-order completions buffer until every lower-indexed cell has
 //! settled, so the journal's bytes are identical at any thread count and
-//! under any steal schedule — a guarantee the CI smoke jobs diff, not a
-//! timing accident.
+//! under any steal schedule — a guarantee the tests and the CI
+//! determinism job diff, not a timing accident.
+//!
+//! The same executor runs a server-leased shard: [`SweepOptions::shard`]
+//! picks a sweep-wide cell range, and seeds, cost hints, reports and
+//! journal records all keep sweep-wide cell indices.
 //!
 //! Every cell ends in a [`CellStatus`]: `Completed` (clean first
 //! attempt), `Resumed` (replayed from the journal), `Degraded { retries }`
 //! (recovered after failures), or `Aborted` (retry budget exhausted).
-//! The *reports* a supervised sweep produces are bit-identical to an
-//! unsupervised `run_batch` whenever the cells themselves are
-//! deterministic — retries re-run the same pure function — so merged
-//! artifacts stay byte-identical across crash/resume boundaries and
-//! supervision levels alike.
+//! The *reports* are those of [`run_cell_report`] whenever the cells
+//! themselves are deterministic — retries re-run the same pure function
+//! — so merged artifacts stay byte-identical across crash/resume
+//! boundaries and supervision levels alike.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -50,6 +54,7 @@ use crate::chaos::{ChaosPlan, Injection};
 use crate::journal::Journal;
 use crate::pool::Pool;
 use crate::sched::{ChunkPlan, SchedStats};
+use crate::spec::SweepSpec;
 
 /// How one cell of a supervised sweep concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +104,8 @@ impl Default for SuperviseConfig {
 /// A cell report plus its supervision verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisedReport {
-    /// The report the sweep's merge step consumes — identical to what an
-    /// unsupervised run would produce for a deterministic cell.
+    /// The report the sweep's merge step consumes — identical to
+    /// [`run_cell_report`]'s for a deterministic cell.
     pub report: RunReport,
     /// How the cell concluded.
     pub status: CellStatus,
@@ -121,46 +126,77 @@ pub struct SweepOptions {
     /// cells it already holds. `false`: start fresh (truncating any
     /// existing file).
     pub resume: bool,
-    /// Per-cell seeds recorded in (and checked against) journal records;
-    /// defaults to the cell index when absent. A seed mismatch on resume
-    /// re-runs the cell instead of replaying a stale record.
+    /// Per-cell seeds recorded in (and checked against) journal records,
+    /// indexed by sweep-wide cell; defaults to the cell index when
+    /// absent. A seed mismatch on resume re-runs the cell instead of
+    /// replaying a stale record.
     pub seeds: Option<Vec<u64>>,
     /// Failure injection (inert by default; see [`crate::chaos`]).
     pub chaos: ChaosPlan,
     /// Fixed sub-task chunk size (the CLI `--chunk` override). `None`
-    /// sizes chunks from [`SweepOptions::costs`] (or uniformly when no
-    /// hints are set). Chunking never changes reports — only scheduling
-    /// granularity.
+    /// sizes chunks from the cells' cost hints. Chunking never changes
+    /// reports — only scheduling granularity.
     pub chunk: Option<usize>,
-    /// Per-cell cost hints from the grid layer (e.g. node counts), used
-    /// to size chunks so cheap cells amortize scheduling overhead while
-    /// expensive cells get chunks of their own.
+    /// Per-cell cost hints, indexed by sweep-wide cell, used to size
+    /// chunks so cheap cells amortize scheduling overhead while expensive
+    /// cells get chunks of their own. `None` takes each request's
+    /// [`RunRequest::cost_hint`].
     pub costs: Option<Vec<u64>>,
+    /// The sweep-wide cell range to run — a server-leased shard. `None`
+    /// runs every cell.
+    pub shard: Option<Range<usize>>,
 }
 
 impl SweepOptions {
-    /// The seed recorded for the shard-local cell `local` (sweep-wide
-    /// index `base + local`) in journal records. `seeds`, like `costs`,
-    /// is indexed by shard-local position; the default seed is the
-    /// sweep-wide cell index.
-    fn shard_seed(&self, local: usize, base: usize) -> u64 {
-        self.seeds
-            .as_ref()
-            .and_then(|s| s.get(local).copied())
-            .unwrap_or((base + local) as u64)
+    /// The run options a spec describes: the supervision policy and chunk
+    /// override from its knobs, and the per-cell seeds its journal
+    /// records carry. This is the only place a spec becomes run options;
+    /// callers add their execution-only choices (journal, resume, chaos,
+    /// shard) on top.
+    pub fn from_spec(spec: &SweepSpec) -> SweepOptions {
+        SweepOptions {
+            supervise: SuperviseConfig {
+                max_retries: spec.knobs.max_retries as u32,
+                cell_timeout: spec.knobs.cell_timeout,
+                ..SuperviseConfig::default()
+            },
+            seeds: Some(spec.cells.iter().map(|c| c.seed).collect()),
+            chunk: spec.knobs.chunk.map(|c| c as usize),
+            ..SweepOptions::default()
+        }
     }
 
-    /// The chunk plan these options describe for a `cells`-cell sweep
-    /// dispatched on `pool`: the explicit `chunk` size when set, cost-hint
-    /// sizing when hints are present, a balanced uniform cut otherwise.
-    pub fn chunk_plan(&self, cells: usize, pool: &Pool) -> ChunkPlan {
+    /// The cells a `total`-cell sweep runs under these options: the
+    /// shard range clamped to the sweep, or every cell.
+    fn cells(&self, total: usize) -> Range<usize> {
+        match &self.shard {
+            Some(r) => {
+                let end = r.end.min(total);
+                r.start.min(end)..end
+            }
+            None => 0..total,
+        }
+    }
+
+    /// The seed journal records carry for sweep-wide cell `cell`.
+    fn seed(&self, cell: usize) -> u64 {
+        self.seeds
+            .as_ref()
+            .and_then(|s| s.get(cell).copied())
+            .unwrap_or(cell as u64)
+    }
+
+    /// The chunk plan for running `cells` of `requests` on `pool`: the
+    /// explicit `chunk` size when set, cost-hint sizing otherwise.
+    fn chunk_plan(&self, requests: &[RunRequest], cells: Range<usize>, pool: &Pool) -> ChunkPlan {
         if let Some(size) = self.chunk {
-            return ChunkPlan::uniform(cells, size);
+            return ChunkPlan::uniform(cells.len(), size);
         }
-        match &self.costs {
-            Some(costs) if costs.len() == cells => ChunkPlan::from_costs(costs, pool.threads()),
-            _ => ChunkPlan::balanced(cells, pool.threads()),
-        }
+        let costs: Vec<u64> = match &self.costs {
+            Some(costs) if costs.len() == requests.len() => costs[cells].to_vec(),
+            _ => requests[cells].iter().map(RunRequest::cost_hint).collect(),
+        };
+        ChunkPlan::from_costs(&costs, pool.threads())
     }
 }
 
@@ -404,61 +440,53 @@ impl OrderedCommitter {
     }
 }
 
-/// Runs every request across the pool under supervision, checkpointing
-/// and resuming through the journal when one is configured.
+/// Runs a sweep's cells across the pool under supervision, checkpointing
+/// and resuming through the journal when one is configured. This is the
+/// runtime's only batch executor: local sweeps, bench grids, the CLI and
+/// service workers all dispatch through it.
+///
+/// `requests` is the whole sweep. With [`SweepOptions::shard`] set, only
+/// the cells in that range run and the returned cells cover just that
+/// range; every report, journal record, seed and chaos decision still
+/// uses the sweep-wide cell index.
 ///
 /// Cells already present in the journal (matching seed, valid digest)
 /// return [`CellStatus::Resumed`] without executing; everything else runs
 /// through [`run_cell_supervised`] and — when it completes or degrades —
 /// is appended to the journal. Aborted cells are *not* journaled: their
-/// failure may be transient, so a resume re-runs them.
+/// failure may be transient, so a resume re-runs them. A whole-sweep run
+/// writes the classic journal format; a proper shard writes a
+/// range-pinned segment (see
+/// [`Journal::create_segment`](crate::journal::Journal::create_segment))
+/// so segments from different shards can later be merged into exactly the
+/// records a single-journal run would have produced.
 ///
 /// Journal problems never fail the sweep; they surface as warnings and
 /// the sweep simply runs without checkpoints.
 pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOptions) -> SweepRun {
-    run_supervised_shard(pool, requests, 0, requests.len(), opts)
-}
-
-/// [`run_supervised_batch`] for one shard of a larger sweep: `requests`
-/// holds the `[base, base + requests.len())` cells of a `total_cells`-cell
-/// grid, and every report, journal record, and chaos decision uses the
-/// sweep-wide cell index. `opts.seeds` and `opts.costs` stay shard-local
-/// (aligned with `requests`), matching how a worker slices a grid.
-///
-/// With a journal configured, a whole-sweep shard (`base == 0` and a
-/// full-length slice) writes the classic journal format; a proper shard
-/// writes a range-pinned segment (see
-/// [`Journal::create_segment`](crate::journal::Journal::create_segment))
-/// so segments from different shards can later be merged into exactly the
-/// records a single-journal run would have produced.
-pub fn run_supervised_shard(
-    pool: &Pool,
-    requests: &[RunRequest],
-    base: usize,
-    total_cells: usize,
-    opts: &SweepOptions,
-) -> SweepRun {
-    let span = requests.len();
-    let whole = base == 0 && span == total_cells;
+    let total = requests.len();
+    let cells = opts.cells(total);
+    let (base, span) = (cells.start, cells.len());
+    let whole = span == total;
     let mut warnings = Vec::new();
     let mut done: Vec<Option<RunReport>> = (0..span).map(|_| None).collect();
     let mut journal = None;
     if let Some(path) = &opts.journal {
         let opened = if opts.resume {
             let resumed = if whole {
-                Journal::resume(path, total_cells)
+                Journal::resume(path, total)
             } else {
-                Journal::resume_segment(path, total_cells, base, base + span)
+                Journal::resume_segment(path, total, cells.start, cells.end)
             };
             resumed.map(|(j, loaded)| {
                 warnings.extend(loaded.warnings);
                 for rec in loaded.records {
                     // The loader already bounds rec.cell to the shard.
-                    let Some(local) = rec.cell.checked_sub(base).filter(|l| *l < span) else {
+                    if !cells.contains(&rec.cell) {
                         continue;
-                    };
-                    if rec.seed == opts.shard_seed(local, base) {
-                        done[local] = Some(rec.report);
+                    }
+                    if rec.seed == opts.seed(rec.cell) {
+                        done[rec.cell - base] = Some(rec.report);
                     } else {
                         warnings.push(format!(
                             "journal {}: cell {} was journaled under seed {}, expected {}; \
@@ -466,16 +494,16 @@ pub fn run_supervised_shard(
                             path.display(),
                             rec.cell,
                             rec.seed,
-                            opts.shard_seed(local, base)
+                            opts.seed(rec.cell)
                         ));
                     }
                 }
                 j
             })
         } else if whole {
-            Journal::create(path, total_cells)
+            Journal::create(path, total)
         } else {
-            Journal::create_segment(path, total_cells, base, base + span)
+            Journal::create_segment(path, total, cells.start, cells.end)
         };
         match opened {
             Ok(j) => journal = Some(j),
@@ -491,8 +519,8 @@ pub fn run_supervised_shard(
     // loop, and watchdog clamp all live inside this closure — so a panic
     // or timeout in one sub-task never retries or aborts the rest of its
     // chunk. Every path settles the cell with the committer so the
-    // commit cursor always reaches the end of the shard.
-    let plan = opts.chunk_plan(span, pool);
+    // commit cursor always reaches the end of the range.
+    let plan = opts.chunk_plan(requests, cells.clone(), pool);
     let (cells_out, sched): (Vec<SupervisedReport>, SchedStats) =
         pool.run_chunked(&plan, |local| {
             let cell = base + local;
@@ -524,12 +552,12 @@ pub fn run_supervised_shard(
                     backoff_ticks: 0,
                 };
             }
-            let sup = run_cell_supervised(cell, &requests[local], &opts.supervise, &opts.chaos);
+            let sup = run_cell_supervised(cell, &requests[cell], &opts.supervise, &opts.chaos);
             let record = matches!(
                 sup.status,
                 CellStatus::Completed | CellStatus::Degraded { .. }
             )
-            .then(|| (opts.shard_seed(local, base), sup.report.clone()));
+            .then(|| (opts.seed(cell), sup.report.clone()));
             settle(record);
             sup
         });
@@ -547,5 +575,50 @@ pub fn run_supervised_shard(
         warnings,
         interrupted,
         sched,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{CellSpec, FaultSpec, KnobSpec};
+
+    #[test]
+    fn from_spec_carries_knobs_and_seeds() {
+        let mut spec = SweepSpec::new("knobs", 2006);
+        for seed in [7u64, 3, 11] {
+            spec.cells.push(CellSpec {
+                label: format!("cell-{seed}"),
+                instance: 0,
+                scheme: "flood".to_string(),
+                retries: None,
+                mode: "broadcast".to_string(),
+                scheduler: None,
+                anonymous: false,
+                max_message_bits: None,
+                quiescence_polls: None,
+                seed,
+                faults: FaultSpec::default(),
+            });
+        }
+        spec.knobs = KnobSpec {
+            max_retries: 2,
+            cell_timeout: Some(100_000),
+            chunk: Some(3),
+        };
+        let opts = SweepOptions::from_spec(&spec);
+        assert_eq!(opts.supervise.max_retries, 2);
+        assert_eq!(opts.supervise.cell_timeout, Some(100_000));
+        assert_eq!(
+            opts.supervise.backoff_base,
+            SuperviseConfig::default().backoff_base
+        );
+        assert_eq!(opts.chunk, Some(3));
+        assert_eq!(opts.seeds, Some(vec![7, 3, 11]));
+        // Execution-only choices stay at their defaults.
+        assert_eq!(opts.journal, None);
+        assert!(!opts.resume);
+        assert_eq!(opts.shard, None);
+        assert_eq!(opts.costs, None);
     }
 }

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::{
-    drain, run_batch, Aggregate, ChunkPlan, MetricsSink, Pool, ReportCollector, RunRequest,
+    drain, run_supervised_batch, Aggregate, MetricsSink, Pool, ReportCollector, RunReport,
+    RunRequest, SweepOptions,
 };
 use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
@@ -51,6 +52,12 @@ fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
         .collect()
 }
 
+/// The sweep's reports at the executor's defaults: no retries, no
+/// journal, cost-hinted chunks.
+fn sweep(pool: &Pool, requests: &[RunRequest]) -> Vec<RunReport> {
+    run_supervised_batch(pool, requests, &SweepOptions::default()).reports()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -63,9 +70,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let requests = grid(fam, n, seed, 12);
-        let serial = run_batch(&Pool::new(1), &requests);
+        let serial = sweep(&Pool::new(1), &requests);
         for threads in [2usize, 8, 16] {
-            let parallel = run_batch(&Pool::new(threads), &requests);
+            let parallel = sweep(&Pool::new(threads), &requests);
             prop_assert_eq!(&serial, &parallel, "threads = {}", threads);
 
             let mut agg_s = Aggregate::new();
@@ -91,13 +98,11 @@ proptest! {
         threads in proptest::sample::select(vec![2usize, 8, 16]),
     ) {
         let requests = grid(Family::Torus, 16, seed, 18);
-        let serial = run_batch(&Pool::new(1), &requests);
-        let pool = Pool::new(threads);
-        let plan = ChunkPlan::uniform(requests.len(), chunk);
-        let (chunked, stats) =
-            pool.run_chunked(&plan, |i| oraclesize_runtime::run_cell_report(i, &requests[i]));
-        prop_assert_eq!(&serial, &chunked, "threads = {}, chunk = {}", threads, chunk);
-        prop_assert_eq!(stats.tasks as usize, requests.len());
+        let serial = sweep(&Pool::new(1), &requests);
+        let opts = SweepOptions { chunk: Some(chunk), ..SweepOptions::default() };
+        let chunked = run_supervised_batch(&Pool::new(threads), &requests, &opts);
+        prop_assert_eq!(&serial, &chunked.reports(), "threads = {}, chunk = {}", threads, chunk);
+        prop_assert_eq!(chunked.sched.tasks as usize, requests.len());
     }
 }
 
@@ -106,10 +111,10 @@ proptest! {
 #[test]
 fn fixed_grid_is_thread_count_invariant() {
     let requests = grid(Family::Cycle, 16, 2006, 24);
-    let serial = run_batch(&Pool::new(1), &requests);
+    let serial = sweep(&Pool::new(1), &requests);
     assert_eq!(serial.len(), 24);
     assert!(serial.iter().any(|r| r.outcome().is_some()));
     for threads in [2, 3, 8, 16] {
-        assert_eq!(serial, run_batch(&Pool::new(threads), &requests));
+        assert_eq!(serial, sweep(&Pool::new(threads), &requests));
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::{
-    chaos, run_batch, run_supervised_batch, CellStatus, ChaosPlan, Pool, RunRequest,
+    chaos, run_supervised_batch, CellStatus, ChaosPlan, Pool, RunReport, RunRequest,
     SuperviseConfig, SweepOptions,
 };
 use oraclesize_sim::protocol::FloodOnce;
@@ -53,6 +53,11 @@ fn temp_journal(tag: &str) -> PathBuf {
     dir.join(format!("{tag}.journal"))
 }
 
+/// The uninterrupted serial run every failure path must converge to.
+fn clean_reports(requests: &[RunRequest]) -> Vec<RunReport> {
+    run_supervised_batch(&Pool::new(1), requests, &SweepOptions::default()).reports()
+}
+
 fn options(journal: Option<PathBuf>) -> SweepOptions {
     SweepOptions {
         journal,
@@ -60,24 +65,10 @@ fn options(journal: Option<PathBuf>) -> SweepOptions {
     }
 }
 
-#[test]
-fn unsupervised_and_supervised_reports_agree() {
-    let requests = grid(Family::Cycle, 12, 42, 10);
-    let baseline = run_batch(&Pool::new(1), &requests);
-    let sweep = run_supervised_batch(&Pool::new(3), &requests, &SweepOptions::default());
-    assert!(!sweep.interrupted);
-    assert!(sweep.warnings.is_empty());
-    assert_eq!(sweep.reports(), baseline);
-    assert!(sweep
-        .cells
-        .iter()
-        .all(|c| c.status == CellStatus::Completed));
-}
-
 /// The in-order committer's guarantee: journal *bytes* — not just loaded
 /// records — are identical at any thread count and chunk size, even
 /// though workers finish cells out of order under stealing. The CI
-/// steal-smoke job diffs exactly these bytes against a serial run.
+/// determinism-smoke job diffs exactly these bytes against a serial run.
 #[test]
 fn journal_bytes_are_identical_across_thread_counts_and_chunks() {
     let requests = grid(Family::Torus, 12, 99, 14);
@@ -114,7 +105,7 @@ fn journal_bytes_are_identical_across_thread_counts_and_chunks() {
 #[test]
 fn injected_panic_recovers_as_degraded() {
     let requests = grid(Family::Path, 8, 7, 6);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = clean_reports(&requests);
     let opts = SweepOptions {
         supervise: SuperviseConfig {
             max_retries: 2,
@@ -167,7 +158,7 @@ fn panic_past_retry_budget_aborts_only_that_cell() {
 #[test]
 fn stall_trips_the_watchdog_and_recovers_on_retry() {
     let requests = grid(Family::Cycle, 10, 3, 4);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = clean_reports(&requests);
     let opts = SweepOptions {
         supervise: SuperviseConfig {
             max_retries: 1,
@@ -210,7 +201,7 @@ fn watchdog_timeout_aborts_runaway_cells() {
 #[test]
 fn kill_and_resume_replays_journaled_cells() {
     let requests = grid(Family::RandomSparse, 14, 99, 9);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = clean_reports(&requests);
     let path = temp_journal("kill-resume");
     let killed = run_supervised_batch(
         &Pool::new(1),
@@ -247,7 +238,7 @@ fn kill_and_resume_replays_journaled_cells() {
 #[test]
 fn torn_journal_record_reruns_the_cell_on_resume() {
     let requests = grid(Family::Path, 10, 17, 6);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = clean_reports(&requests);
     let path = temp_journal("torn");
     let killed = run_supervised_batch(
         &Pool::new(1),
@@ -371,7 +362,7 @@ proptest! {
     ) {
         let cells = 10;
         let requests = grid(fam, n, seed, cells);
-        let baseline = run_batch(&Pool::new(1), &requests);
+        let baseline = clean_reports(&requests);
         let path = temp_journal(&format!("prop-{seed}-{kill_a}-{kill_b}"));
         // First flight: fresh journal, killed at kill_a.
         let first = run_supervised_batch(&Pool::new(threads), &requests, &SweepOptions {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::trace::render_jsonl;
-use oraclesize_runtime::{run_batch, Pool, RunRequest};
+use oraclesize_runtime::{run_supervised_batch, Pool, RunRequest, SweepOptions};
 use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
 use proptest::prelude::*;
@@ -50,7 +50,7 @@ fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest
 /// Runs the batch and renders every cell's trace as one JSONL artifact.
 fn render_batch(pool: &Pool, requests: &[RunRequest]) -> String {
     let mut out = String::new();
-    for report in run_batch(pool, requests) {
+    for report in run_supervised_batch(pool, requests, &SweepOptions::default()).reports() {
         if let Some(outcome) = report.outcome() {
             out.push_str(&render_jsonl(report.cell as u64, &outcome.trace));
         }

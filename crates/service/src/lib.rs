@@ -15,9 +15,9 @@
 //!   and merges results in cell order through the runtime's
 //!   `OrderedCommitter`,
 //! * [`worker`] — runs shards through
-//!   [`run_supervised_shard`](oraclesize_runtime::run_supervised_shard)
-//!   with per-shard segment journals, so a replacement worker resumes a
-//!   dead one's checkpoints,
+//!   [`run_supervised_batch`](oraclesize_runtime::run_supervised_batch)
+//!   with a shard range and per-shard segment journals, so a replacement
+//!   worker resumes a dead one's checkpoints,
 //! * [`client`] — submits a spec and polls until the merged artifact
 //!   comes back.
 //!
@@ -40,9 +40,7 @@ use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
 use oraclesize_runtime::spec::{artifact_json, grid_json};
-use oraclesize_runtime::{
-    run_supervised_batch, KnobSpec, Pool, RunReport, SuperviseConfig, SweepOptions, SweepSpec,
-};
+use oraclesize_runtime::{run_supervised_batch, Pool, RunReport, SweepOptions, SweepSpec};
 
 pub use client::submit;
 pub use server::{Server, ServerConfig};
@@ -63,15 +61,6 @@ pub fn render_artifact(spec: &SweepSpec, reports: &[RunReport]) -> String {
     )
 }
 
-/// The supervision policy a spec's knobs describe.
-pub(crate) fn supervise_config(knobs: &KnobSpec) -> SuperviseConfig {
-    SuperviseConfig {
-        max_retries: knobs.max_retries as u32,
-        cell_timeout: knobs.cell_timeout,
-        ..Default::default()
-    }
-}
-
 /// Runs a spec start-to-finish in this process — the reference the
 /// distributed path must match byte for byte.
 ///
@@ -80,15 +69,7 @@ pub(crate) fn supervise_config(knobs: &KnobSpec) -> SuperviseConfig {
 /// Returns the grid lowering error for a spec this build cannot run.
 pub fn run_local(spec: &SweepSpec, threads: usize) -> Result<String, String> {
     let grid = CellGrid::from_spec(spec)?;
-    let opts = SweepOptions {
-        supervise: supervise_config(&spec.knobs),
-        journal: None,
-        resume: false,
-        seeds: Some(spec.cells.iter().map(|c| c.seed).collect()),
-        chaos: Default::default(),
-        chunk: spec.knobs.chunk.map(|c| c as usize),
-        costs: Some(grid.costs().to_vec()),
-    };
+    let opts = SweepOptions::from_spec(spec);
     let run = run_supervised_batch(&Pool::new(threads.max(1)), grid.requests(), &opts);
     Ok(render_artifact(spec, &run.reports()))
 }

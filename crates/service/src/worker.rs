@@ -1,10 +1,12 @@
 //! The sweep worker: pulls shards from a server, runs them through the
 //! supervised runtime, and streams per-cell results back.
 //!
-//! A shard runs via [`run_supervised_shard`] with the sweep-wide cell
-//! base, so reports, journal records, and seeds all use global cell
-//! indices — the same execution path a local sweep takes, which is what
-//! makes the server's merged artifact byte-identical to a local run.
+//! A shard runs via [`run_supervised_batch`] over the whole grid with
+//! [`SweepOptions::shard`] set to the leased range, on top of the spec's
+//! own [`SweepOptions::from_spec`] lowering — so reports, journal
+//! records, and seeds all use global cell indices. It is the same
+//! executor and the same options a local sweep uses, which is what makes
+//! the server's merged artifact byte-identical to a local run.
 //!
 //! With a journal directory configured, each shard checkpoints to its
 //! own segment file (`job-<digest>-shard-<lo>-<hi>.journal`), always
@@ -20,10 +22,10 @@ use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
 use oraclesize_runtime::journal::report_json;
-use oraclesize_runtime::{run_supervised_shard, ChaosPlan, Pool, SweepOptions, SweepSpec};
+use oraclesize_runtime::{run_supervised_batch, ChaosPlan, Pool, SweepOptions, SweepSpec};
 
+use crate::connect_with_retries;
 use crate::proto::{recv, send, CellRecord, Message};
-use crate::{connect_with_retries, supervise_config};
 
 /// How one worker connects and runs.
 #[derive(Debug, Clone)]
@@ -139,7 +141,6 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     claimed += 1;
                     let dying = config.die_mid_shard == Some(claimed);
                     let opts = SweepOptions {
-                        supervise: supervise_config(&parsed.knobs),
                         journal: config
                             .journal_dir
                             .as_ref()
@@ -148,17 +149,15 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                         // empty journal, a requeued one replays its
                         // predecessor's checkpoints.
                         resume: true,
-                        seeds: Some(parsed.cells[lo..hi].iter().map(|c| c.seed).collect()),
                         chaos: if dying {
                             ChaosPlan::new().die_before(lo + (hi - lo) / 2)
                         } else {
                             ChaosPlan::new()
                         },
-                        chunk: parsed.knobs.chunk.map(|c| c as usize),
-                        costs: Some(grid.costs()[lo..hi].to_vec()),
+                        shard: Some(lo..hi),
+                        ..SweepOptions::from_spec(parsed)
                     };
-                    let run =
-                        run_supervised_shard(&pool, &grid.requests()[lo..hi], lo, total, &opts);
+                    let run = run_supervised_batch(&pool, grid.requests(), &opts);
                     for w in &run.warnings {
                         eprintln!("work[{}]: {w}", config.name);
                     }

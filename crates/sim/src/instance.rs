@@ -78,8 +78,8 @@ const _: fn() = || {
 ///
 /// Every higher-level entry point reduces to this call:
 /// `oraclesize_core::execute` builds the instance from an oracle first;
-/// `oraclesize_runtime::run_batch` fans instances out across a worker
-/// pool; the engine-level [`engine::run`](crate::engine::run::run) is the
+/// `oraclesize_runtime::run_supervised_batch` fans instances out across a
+/// worker pool; the engine-level [`engine::run`](crate::engine::run::run) is the
 /// same executor without the instance wrapper. Tracing follows
 /// [`SimConfig::trace`]; to stream events into your own sink, use
 /// [`run_streamed`].

@@ -49,7 +49,7 @@ use oraclesize_graph::families::Family;
 use oraclesize_runtime::spec::to_ppm;
 use oraclesize_runtime::{
     drain, run_supervised_batch, Aggregate, CellSpec, FaultSpec, InstanceSpec, JsonlSink, KnobSpec,
-    Pool, SchedulerSpec, SuperviseConfig, SweepOptions, SweepSpec,
+    Pool, SchedulerSpec, SweepOptions, SweepSpec,
 };
 use oraclesize_service::{Server, ServerConfig, WorkerConfig, WorkerOutcome};
 use oraclesize_sim::protocol::{FloodOnce, Protocol};
@@ -1109,23 +1109,13 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let grid = CellGrid::from_spec(&spec)?;
     let g = Arc::clone(&grid.requests()[0].instance.graph);
 
+    // The spec's knobs carry the retry/watchdog/chunk flags, and its
+    // per-cell seeds land in journal records, so a resume against a
+    // different `--seed` re-runs cells instead of replaying them.
     let sweep_opts = SweepOptions {
-        supervise: SuperviseConfig {
-            max_retries: args.max_retries,
-            cell_timeout: args.cell_timeout,
-            ..SuperviseConfig::default()
-        },
         journal: args.journal.as_ref().map(std::path::PathBuf::from),
         resume: args.resume,
-        // Journal records carry the per-cell seed, so a resume against a
-        // different `--seed` re-runs cells instead of replaying them.
-        seeds: Some(spec.cells.iter().map(|c| c.seed).collect()),
-        chaos: Default::default(),
-        chunk: args.chunk,
-        // Every cell runs the same task on the same graph, so there is
-        // no cost skew for hints to capture — the balanced plan is
-        // already optimal.
-        costs: None,
+        ..SweepOptions::from_spec(&spec)
     };
     let sweep = run_supervised_batch(&Pool::new(args.threads), grid.requests(), &sweep_opts);
     let reports = sweep.reports();

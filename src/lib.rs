@@ -64,7 +64,7 @@ pub mod prelude {
     pub use oraclesize_core::{execute, OracleRun};
     pub use oraclesize_graph::families;
     pub use oraclesize_graph::{PortGraph, PortGraphBuilder, RootedTree};
-    pub use oraclesize_runtime::{run_batch, JsonlSink, Pool, RunRequest};
+    pub use oraclesize_runtime::{run_supervised_batch, JsonlSink, Pool, RunRequest, SweepOptions};
     pub use oraclesize_sim::protocol::FloodOnce;
     pub use oraclesize_sim::{
         advice_size, run, run_streamed, Instance, Oracle, RunMetrics, SchedulerKind, SimConfig,
