@@ -22,20 +22,25 @@
 //! shorter than the announced length and the loader drops the record with
 //! a warning — the cell simply re-runs. Each record also carries an
 //! FNV-1a 64 digest of its rendered `report` object, so bit rot inside a
-//! record is caught the same way.
+//! record is caught the same way. The file is framed as bytes and each
+//! record is UTF-8-checked on its own, so a flipped byte costs one
+//! record; the warning names the record's first error with its path.
+//!
+//! [`record_json`] / [`record_from_json`] are the one codec for a cell
+//! result: the sweep service ships the same records in its result frames.
 //!
 //! Only *untraced* reports are journaled: a record stores metrics and
 //! fault counts, not event streams, so any cell that captured a trace (or
 //! a ring post-mortem) is re-run on resume rather than replayed lossily.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use oraclesize_sim::faults::FaultCounts;
 use oraclesize_sim::RunMetrics;
 
 use crate::batch::{CellOutcome, RunReport};
-use crate::json::{self, Json};
+use crate::json::{self, Fields, Json};
 
 /// Magic prefix of the header line; the suffix pins the cell count so a
 /// journal from a differently-shaped sweep is never silently replayed.
@@ -115,33 +120,32 @@ fn metrics_json(m: &RunMetrics) -> Json {
         .field("queue_allocs", m.faults.queue_allocs)
 }
 
-fn metrics_from_json(j: &Json) -> Option<RunMetrics> {
-    let get = |key: &str| j.get(key)?.as_u64();
-    Some(RunMetrics {
-        messages: get("messages")?,
-        informed_messages: get("informed_messages")?,
-        payload_bits: get("payload_bits")?,
-        max_message_bits: get("max_message_bits")?,
-        rounds: get("rounds")?,
-        steps: get("steps")?,
-        informed_nodes: get("informed_nodes")?,
+fn metrics_from_json(f: Fields) -> Result<RunMetrics, String> {
+    f.end(RunMetrics {
+        messages: f.u64("messages")?,
+        informed_messages: f.u64("informed_messages")?,
+        payload_bits: f.u64("payload_bits")?,
+        max_message_bits: f.u64("max_message_bits")?,
+        rounds: f.u64("rounds")?,
+        steps: f.u64("steps")?,
+        informed_nodes: f.u64("informed_nodes")?,
         faults: FaultCounts {
-            dropped: get("dropped")?,
-            duplicated: get("duplicated")?,
-            payload_flips: get("payload_flips")?,
-            suppressed_sends: get("suppressed_sends")?,
-            to_crashed: get("to_crashed")?,
-            advice_mutations: get("advice_mutations")?,
-            payload_copies: get("payload_copies")?,
-            queue_allocs: get("queue_allocs")?,
+            dropped: f.u64("dropped")?,
+            duplicated: f.u64("duplicated")?,
+            payload_flips: f.u64("payload_flips")?,
+            suppressed_sends: f.u64("suppressed_sends")?,
+            to_crashed: f.u64("to_crashed")?,
+            advice_mutations: f.u64("advice_mutations")?,
+            payload_copies: f.u64("payload_copies")?,
+            queue_allocs: f.u64("queue_allocs")?,
         },
     })
 }
 
-/// Renders a report as the journal's (and the sweep service's wire)
-/// record body: `{"ok": {…}}` for completed runs, `{"err": "…"}` for
-/// failures. Traces are never encoded — see [`journalable`].
-pub fn report_json(report: &RunReport) -> Json {
+/// A report as a record body: `{"ok": {…}}` for completed runs,
+/// `{"err": "…"}` for failures. Traces are never encoded — see
+/// [`journalable`].
+fn report_json(report: &RunReport) -> Json {
     match &report.result {
         Ok(o) => Json::obj().field(
             "ok",
@@ -156,32 +160,31 @@ pub fn report_json(report: &RunReport) -> Json {
     }
 }
 
-/// Decodes a [`report_json`] body back into a report for `cell`.
-/// Returns `None` on any shape violation — callers treat that as a
-/// corrupt record.
-pub fn report_from_json(cell: usize, j: &Json) -> Option<RunReport> {
-    let result = if let Some(ok) = j.get("ok") {
-        Ok(CellOutcome {
-            oracle_bits: ok.get("oracle_bits")?.as_u64()?,
-            completed: ok.get("completed")?.as_bool()?,
-            uninformed: usize::try_from(ok.get("uninformed")?.as_u64()?).ok()?,
-            crashed_nodes: usize::try_from(ok.get("crashed_nodes")?.as_u64()?).ok()?,
-            metrics: metrics_from_json(ok.get("metrics")?)?,
+fn report_from_json(cell: usize, f: Fields) -> Result<RunReport, String> {
+    let result = match f.opt_object("ok")? {
+        Some(o) => Ok(o.end(CellOutcome {
+            oracle_bits: o.u64("oracle_bits")?,
+            completed: o.bool("completed")?,
+            uninformed: o.usize("uninformed")?,
+            crashed_nodes: o.usize("crashed_nodes")?,
+            metrics: metrics_from_json(o.object("metrics")?)?,
             trace: Vec::new(),
             trace_stats: Default::default(),
-        })
-    } else {
-        Err(j.get("err")?.as_str()?.to_string())
+        })?),
+        None => Err(f.str("err")?),
     };
-    Some(RunReport {
+    f.end(RunReport {
         cell,
         result,
         post_mortem: Vec::new(),
     })
 }
 
-/// Renders one record line (without its length prefix).
-fn record_line(cell: usize, seed: u64, report: &RunReport) -> String {
+/// One completed-cell record: `{"cell", "seed", "digest", "report"}`,
+/// where `digest` is the FNV-1a 64 of the rendered `report` body. This
+/// is the single codec for a cell result, on disk (one journal line) and
+/// on the wire (the sweep service's result batches).
+pub fn record_json(cell: usize, seed: u64, report: &RunReport) -> Json {
     let body = report_json(report);
     let digest = fnv1a64(body.render().as_bytes());
     Json::obj()
@@ -189,20 +192,29 @@ fn record_line(cell: usize, seed: u64, report: &RunReport) -> String {
         .field("seed", seed)
         .field("digest", digest)
         .field("report", body)
-        .render()
 }
 
-fn decode_record(line: &str) -> Option<JournalRecord> {
-    let j = json::parse(line)?;
-    let cell = usize::try_from(j.get("cell")?.as_u64()?).ok()?;
-    let seed = j.get("seed")?.as_u64()?;
-    let digest = j.get("digest")?.as_u64()?;
-    let body = j.get("report")?;
-    if fnv1a64(body.render().as_bytes()) != digest {
-        return None;
+/// Decodes a [`record_json`] value at `path`, checking the body against
+/// its digest.
+///
+/// # Errors
+///
+/// The first bad field, with its path, or a digest mismatch.
+pub fn record_from_json(j: &Json, path: &str) -> Result<JournalRecord, String> {
+    let f = Fields::new(j, path)?;
+    let cell = f.usize("cell")?;
+    let seed = f.u64("seed")?;
+    let digest = f.u64("digest")?;
+    if fnv1a64(f.value("report")?.render().as_bytes()) != digest {
+        return Err(format!("{path}.report: digest mismatch"));
     }
-    let report = report_from_json(cell, body)?;
-    Some(JournalRecord { cell, seed, report })
+    let report = report_from_json(cell, f.object("report")?)?;
+    f.end(JournalRecord { cell, seed, report })
+}
+
+fn decode_record(line: &[u8]) -> Result<JournalRecord, String> {
+    let j = std::str::from_utf8(line).ok().and_then(json::parse);
+    record_from_json(&j.ok_or("record: not canonical JSON")?, "record")
 }
 
 /// An open journal accepting appends. Create with [`Journal::create`]
@@ -320,7 +332,7 @@ impl Journal {
         if !journalable(report) {
             return Ok(());
         }
-        let line = record_line(cell, seed, report);
+        let line = record_json(cell, seed, report).render();
         let framed = format!("{}\n{line}\n", line.len());
         self.file.write_all(framed.as_bytes())?;
         self.file.flush()
@@ -380,93 +392,89 @@ fn load_with(
     cells: usize,
     range: Option<(usize, usize)>,
 ) -> std::io::Result<LoadedJournal> {
-    let mut text = String::new();
-    match std::fs::File::open(path) {
-        Ok(mut f) => {
-            f.read_to_string(&mut text)?;
-        }
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(LoadedJournal::default());
         }
         Err(e) => return Err(e),
-    }
+    };
     let mut out = LoadedJournal::default();
     let display = path.display();
-    let Some((header, mut rest)) = text.split_once('\n') else {
+    let Some((header, mut rest)) = split_line(&bytes) else {
         out.warnings
             .push(format!("journal {display}: missing header; starting fresh"));
         return Ok(out);
     };
-    if header != header_for(cells, range) {
+    if header != header_for(cells, range).as_bytes() {
         let shape = match range {
             None => format!("a {cells}-cell sweep"),
             Some((lo, hi)) => format!("segment {lo}..{hi} of a {cells}-cell sweep"),
         };
         out.warnings.push(format!(
-            "journal {display}: header {header:?} does not match {shape}; ignoring journal"
+            "journal {display}: header {:?} does not match {shape}; ignoring journal",
+            String::from_utf8_lossy(header)
         ));
         return Ok(out);
     }
     let (lo, hi) = range.unwrap_or((0, cells));
-    loop {
-        if rest.is_empty() {
-            break;
-        }
-        let Some((len_line, tail)) = rest.split_once('\n') else {
+    // Framing is by byte length and each record is UTF-8-checked on its
+    // own, so a flipped byte costs one record, never the whole load.
+    while !rest.is_empty() {
+        let Some((len_line, tail)) = split_line(rest) else {
             out.warnings.push(format!(
-                "journal {display}: torn length prefix {:?} at end of file; dropping it",
-                truncate_for_warning(rest)
+                "journal {display}: torn length prefix {} at end of file; dropping it",
+                excerpt(rest)
             ));
             break;
         };
-        let Ok(len) = len_line.trim().parse::<usize>() else {
+        let Some(len) = std::str::from_utf8(len_line)
+            .ok()
+            .and_then(|l| l.trim().parse::<usize>().ok())
+        else {
             out.warnings.push(format!(
-                "journal {display}: bad length prefix {:?}; dropping it and the rest of the file",
-                truncate_for_warning(len_line)
+                "journal {display}: bad length prefix {}; dropping it and the rest of the file",
+                excerpt(len_line)
             ));
             break;
         };
-        if tail.len() < len + 1 {
+        let Some(after) = tail.get(len..).and_then(|a| a.strip_prefix(b"\n")) else {
             out.warnings.push(format!(
-                "journal {display}: torn final record ({} of {} bytes); dropping it",
-                tail.len(),
-                len
-            ));
-            break;
-        }
-        let (line, after) = tail.split_at(len);
-        let Some(after) = after.strip_prefix('\n') else {
-            out.warnings.push(format!(
-                "journal {display}: record framing broken after {} bytes; \
+                "journal {display}: torn or misframed record ({len} bytes announced, {} left); \
                  dropping the rest of the file",
-                len
+                tail.len()
             ));
             break;
         };
+        let line = &tail[..len];
         rest = after;
         match decode_record(line) {
-            Some(rec) if rec.cell >= lo && rec.cell < hi => out.records.push(rec),
-            Some(rec) => out.warnings.push(format!(
+            Ok(rec) if rec.cell >= lo && rec.cell < hi => out.records.push(rec),
+            Ok(rec) => out.warnings.push(format!(
                 "journal {display}: record for cell {} outside cells {lo}..{hi}; dropping it",
                 rec.cell
             )),
-            None => out.warnings.push(format!(
-                "journal {display}: corrupt record {:?}; dropping it",
-                truncate_for_warning(line)
+            Err(e) => out.warnings.push(format!(
+                "journal {display}: corrupt record {} ({e}); dropping it",
+                excerpt(line)
             )),
         }
     }
     Ok(out)
 }
 
-fn truncate_for_warning(s: &str) -> String {
+/// Splits off the first `\n`-terminated line.
+fn split_line(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let nl = bytes.iter().position(|&b| b == b'\n')?;
+    Some((&bytes[..nl], &bytes[nl + 1..]))
+}
+
+/// A quoted, length-capped rendering of raw bytes for a warning line.
+fn excerpt(bytes: &[u8]) -> String {
     const LIMIT: usize = 48;
-    if s.len() <= LIMIT {
-        s.to_string()
-    } else {
-        let cut = (0..=LIMIT).rev().find(|&i| s.is_char_boundary(i));
-        format!("{}…", &s[..cut.unwrap_or(0)])
-    }
+    let text = String::from_utf8_lossy(&bytes[..bytes.len().min(LIMIT)]);
+    let more = if bytes.len() > LIMIT { "…" } else { "" };
+    format!("{text:?}{more}")
 }
 
 #[cfg(test)]
@@ -591,6 +599,48 @@ mod tests {
             "{}",
             loaded.warnings[0]
         );
+    }
+
+    #[test]
+    fn invalid_utf8_drops_only_its_record() {
+        let path = temp_path("utf8");
+        let mut j = Journal::create(&path, 4).unwrap();
+        for cell in 0..3 {
+            j.append(cell, 1, &sample_report(cell)).unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        // One high-bit flip inside the middle record's ASCII.
+        let at = bytes.windows(9).position(|w| w == b"\"cell\": 1").unwrap();
+        bytes[at + 2] ^= 0x80;
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = load(&path, 4).unwrap();
+        let cells: Vec<usize> = loaded.records.iter().map(|r| r.cell).collect();
+        assert_eq!(cells, [0, 2]);
+        assert_eq!(loaded.warnings.len(), 1);
+        assert!(
+            loaded.warnings[0].contains("corrupt record"),
+            "{:?}",
+            loaded.warnings
+        );
+    }
+
+    #[test]
+    fn length_prefix_inside_a_multibyte_char_is_a_warning() {
+        let path = temp_path("multibyte");
+        let mut j = Journal::create(&path, 2).unwrap();
+        let mut report = err_report(0);
+        report.result = Err("budget ééé".to_string());
+        j.append(0, 1, &report).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (header, rest) = text.split_once('\n').unwrap();
+        let (len, line) = rest.split_once('\n').unwrap();
+        // Announce a length that ends between the two bytes of an 'é'.
+        let cut = line.find('é').unwrap() + 1;
+        assert!(cut < len.parse().unwrap());
+        std::fs::write(&path, format!("{header}\n{cut}\n{line}")).unwrap();
+        let loaded = load(&path, 2).unwrap();
+        assert!(loaded.records.is_empty());
+        assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
     }
 
     #[test]

@@ -1,11 +1,18 @@
-//! A minimal, deterministic JSON writer.
+//! The workspace's one JSON writer and one JSON reader.
 //!
 //! The `BENCH_T*.json` artifacts must be byte-identical across thread
-//! counts and machines, so this writer is deliberately austere: objects
+//! counts and machines, so the writer is deliberately austere: objects
 //! keep insertion order, numbers are integers only (every engine metric is
 //! a count), and rendering appends no whitespace beyond single spaces
 //! after separators.
+//!
+//! The reader is [`parse`], which accepts exactly that subset, plus
+//! [`Fields`], the strict object reader every decoder (specs, journal
+//! records, wire messages) goes through. Both treat their input as
+//! untrusted: nesting is capped, parsing is linear, and every failure is
+//! a value, never a panic.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 
 /// A JSON value restricted to what deterministic artifacts need.
@@ -168,100 +175,105 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The deepest document
+/// the workspace writes (a SARIF log) nests about 10 levels; the cap
+/// keeps a hostile `[[[[…` from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses the exact subset [`Json::render`] emits back into a [`Json`]
-/// value — the read half of the checkpoint journal. Returns `None` on
-/// anything outside the subset (floats, negative numbers, trailing
-/// garbage), which loaders treat as a torn or corrupt record, never a
-/// panic.
+/// value. Returns `None` on anything outside the subset (floats,
+/// negative numbers, trailing garbage, nesting deeper than
+/// [`MAX_DEPTH`]), which callers treat as a torn or corrupt input, never
+/// a panic. Linear in the input size.
 pub fn parse(s: &str) -> Option<Json> {
     fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] as char).is_whitespace() {
+        while b.get(i).is_some_and(u8::is_ascii_whitespace) {
             i += 1;
         }
         i
     }
-    fn string(b: &[u8], i: usize) -> Option<(String, usize)> {
+    fn string(s: &str, i: usize) -> Option<(String, usize)> {
+        let b = s.as_bytes();
         if b.get(i) != Some(&b'"') {
             return None;
         }
         let mut out = String::new();
         let mut i = i + 1;
-        while i < b.len() {
-            match b[i] {
-                b'\\' => {
-                    let esc = *b.get(i + 1)?;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(b.get(i + 2..i + 6)?).ok()?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            i += 4;
-                        }
-                        _ => return None,
-                    }
-                    i += 2;
+        loop {
+            // Copy the unescaped run up to the next quote or backslash
+            // (both ASCII, so the slice ends on a char boundary).
+            let run = b[i..].iter().position(|&c| c == b'"' || c == b'\\')?;
+            out.push_str(&s[i..i + run]);
+            i += run;
+            if b[i] == b'"' {
+                return Some((out, i + 1));
+            }
+            match *b.get(i + 1)? {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let code = u32::from_str_radix(s.get(i + 2..i + 6)?, 16).ok()?;
+                    out.push(char::from_u32(code)?);
+                    i += 4;
                 }
-                b'"' => return Some((out, i + 1)),
-                _ => {
-                    // Multi-byte characters were written verbatim; copy the
-                    // whole scalar back out.
-                    let tail = std::str::from_utf8(&b[i..]).ok()?;
-                    let c = tail.chars().next()?;
-                    out.push(c);
-                    i += c.len_utf8();
-                }
+                _ => return None,
+            }
+            i += 2;
+        }
+    }
+    /// Walks the `,`-separated items after the opening bracket at `i` up
+    /// to `close`; `item` parses one item and returns where it ended.
+    fn list(
+        b: &[u8],
+        i: usize,
+        close: u8,
+        mut item: impl FnMut(usize) -> Option<usize>,
+    ) -> Option<usize> {
+        let mut i = skip_ws(b, i + 1);
+        if b.get(i) == Some(&close) {
+            return Some(i + 1);
+        }
+        loop {
+            i = skip_ws(b, item(i)?);
+            match *b.get(i)? {
+                b',' => i += 1,
+                c if c == close => return Some(i + 1),
+                _ => return None,
             }
         }
-        None
     }
-    fn value(b: &[u8], i: usize) -> Option<(Json, usize)> {
+    fn value(s: &str, i: usize, depth: usize) -> Option<(Json, usize)> {
+        let b = s.as_bytes();
         let i = skip_ws(b, i);
         match b.get(i)? {
-            b'{' => {
-                let mut fields = Vec::new();
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Some((Json::Object(fields), i + 1));
-                }
-                loop {
-                    let (key, next) = string(b, skip_ws(b, i))?;
-                    i = skip_ws(b, next);
-                    if b.get(i) != Some(&b':') {
-                        return None;
-                    }
-                    let (val, next) = value(b, i + 1)?;
-                    fields.push((key, val));
-                    i = skip_ws(b, next);
-                    match b.get(i)? {
-                        b',' => i = skip_ws(b, i + 1),
-                        b'}' => return Some((Json::Object(fields), i + 1)),
-                        _ => return None,
-                    }
-                }
-            }
+            b'{' | b'[' if depth >= MAX_DEPTH => None,
             b'[' => {
                 let mut items = Vec::new();
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Some((Json::Array(items), i + 1));
-                }
-                loop {
-                    let (item, next) = value(b, i)?;
+                let end = list(b, i, b']', |i| {
+                    let (item, next) = value(s, i, depth + 1)?;
                     items.push(item);
-                    i = skip_ws(b, next);
-                    match b.get(i)? {
-                        b',' => i = skip_ws(b, i + 1),
-                        b']' => return Some((Json::Array(items), i + 1)),
-                        _ => return None,
-                    }
-                }
+                    Some(next)
+                })?;
+                Some((Json::Array(items), end))
             }
-            b'"' => string(b, i).map(|(s, next)| (Json::Str(s), next)),
+            b'{' => {
+                let mut fields = Vec::new();
+                let end = list(b, i, b'}', |i| {
+                    let (key, next) = string(s, skip_ws(b, i))?;
+                    let colon = skip_ws(b, next);
+                    if b.get(colon) != Some(&b':') {
+                        return None;
+                    }
+                    let (val, next) = value(s, colon + 1, depth + 1)?;
+                    fields.push((key, val));
+                    Some(next)
+                })?;
+                Some((Json::Object(fields), end))
+            }
+            b'"' => string(s, i).map(|(s, next)| (Json::Str(s), next)),
             b't' => b[i..]
                 .starts_with(b"true")
                 .then(|| (Json::Bool(true), i + 4)),
@@ -270,100 +282,152 @@ pub fn parse(s: &str) -> Option<Json> {
                 .then(|| (Json::Bool(false), i + 5)),
             b'n' => b[i..].starts_with(b"null").then(|| (Json::Null, i + 4)),
             c if c.is_ascii_digit() => {
-                let mut j = i;
-                while j < b.len() && b[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let n: u64 = std::str::from_utf8(&b[i..j]).ok()?.parse().ok()?;
-                Some((Json::U64(n), j))
+                let j = i + b[i..].iter().take_while(|c| c.is_ascii_digit()).count();
+                Some((Json::U64(s[i..j].parse().ok()?), j))
             }
             _ => None,
         }
     }
-    let b = s.as_bytes();
-    let (v, end) = value(b, 0)?;
-    (skip_ws(b, end) == b.len()).then_some(v)
+    let (v, end) = value(s, 0, 0)?;
+    (skip_ws(s.as_bytes(), end) == s.len()).then_some(v)
 }
 
-/// A tolerant structural check used by tests and the CI smoke job: `true`
-/// iff `s` parses as a JSON value covering the subset this writer emits.
-pub fn parses(s: &str) -> bool {
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] as char).is_whitespace() {
-            i += 1;
+/// A strict reader over one JSON object — the decode half shared by
+/// specs, journal records and wire messages.
+///
+/// Each getter marks its field read, and [`Fields::end`] rejects the first
+/// field nobody read, so unknown and duplicate keys fail the same way.
+/// Nested objects open at `{path}.{key}` ([`Fields::object`]).
+/// Every error is a first-error string naming the object's path:
+/// `{path}: expected an object`, `{path}: missing field "key"`,
+/// `{path}.key: expected an unsigned integer` (a string, a boolean, an
+/// array) and `{path}: unknown field "key"`.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    path: String,
+    fields: &'a [(String, Json)],
+    read: Vec<Cell<bool>>,
+}
+
+impl<'a> Fields<'a> {
+    /// Opens `j` as the object at `path`.
+    ///
+    /// # Errors
+    ///
+    /// When `j` is not an object.
+    pub fn new(j: &'a Json, path: impl Into<String>) -> Result<Fields<'a>, String> {
+        let path = path.into();
+        match j {
+            Json::Object(fields) => Ok(Fields {
+                path,
+                fields,
+                read: vec![Cell::new(false); fields.len()],
+            }),
+            _ => Err(format!("{path}: expected an object")),
         }
-        i
     }
-    fn value(b: &[u8], i: usize) -> Option<usize> {
-        let i = skip_ws(b, i);
-        match b.get(i)? {
-            b'{' => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Some(i + 1);
-                }
-                loop {
-                    i = string(b, skip_ws(b, i))?;
-                    i = skip_ws(b, i);
-                    if b.get(i) != Some(&b':') {
-                        return None;
-                    }
-                    i = value(b, i + 1)?;
-                    i = skip_ws(b, i);
-                    match b.get(i)? {
-                        b',' => i += 1,
-                        b'}' => return Some(i + 1),
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Some(i + 1);
-                }
-                loop {
-                    i = value(b, i)?;
-                    i = skip_ws(b, i);
-                    match b.get(i)? {
-                        b',' => i += 1,
-                        b']' => return Some(i + 1),
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => string(b, i),
-            b't' => b[i..].starts_with(b"true").then_some(i + 4),
-            b'f' => b[i..].starts_with(b"false").then_some(i + 5),
-            b'n' => b[i..].starts_with(b"null").then_some(i + 4),
-            c if c.is_ascii_digit() || *c == b'-' => {
-                let mut i = i + 1;
-                while i < b.len()
-                    && (b[i].is_ascii_digit() || matches!(b[i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    i += 1;
-                }
-                Some(i)
-            }
+
+    /// The object's path, for naming nested objects.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    /// An optional field of any type (its first occurrence).
+    pub fn opt_value(&self, key: &str) -> Option<&'a Json> {
+        let i = self.fields.iter().position(|(k, _)| k == key)?;
+        self.read[i].set(true);
+        Some(&self.fields[i].1)
+    }
+
+    fn opt<T>(
+        &self,
+        key: &str,
+        what: &str,
+        cast: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.opt_value(key)
+            .map(|v| cast(v).ok_or_else(|| format!("{}.{key}: expected {what}", self.path)))
+            .transpose()
+    }
+
+    fn req<T>(&self, key: &str, found: Result<Option<T>, String>) -> Result<T, String> {
+        found?.ok_or_else(|| format!("{}: missing field {key:?}", self.path))
+    }
+
+    /// A required field of any type.
+    pub fn value(&self, key: &str) -> Result<&'a Json, String> {
+        self.req(key, Ok(self.opt_value(key)))
+    }
+
+    /// A required unsigned integer.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.req(key, self.opt_u64(key))
+    }
+
+    /// A required unsigned integer that fits a `usize` (a cell index or
+    /// count).
+    pub fn usize(&self, key: &str) -> Result<usize, String> {
+        let found = self.opt(key, "an unsigned integer", |j| {
+            usize::try_from(j.as_u64()?).ok()
+        });
+        self.req(key, found)
+    }
+
+    /// An optional unsigned integer.
+    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.opt(key, "an unsigned integer", Json::as_u64)
+    }
+
+    /// A required string.
+    pub fn str(&self, key: &str) -> Result<String, String> {
+        self.req(key, self.opt_str(key))
+    }
+
+    /// An optional string.
+    pub fn opt_str(&self, key: &str) -> Result<Option<String>, String> {
+        self.opt(key, "a string", |j| j.as_str().map(str::to_string))
+    }
+
+    /// A required boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.req(key, self.opt(key, "a boolean", Json::as_bool))
+    }
+
+    /// A required nested object, opened at `{path}.{key}`.
+    pub fn object(&self, key: &str) -> Result<Fields<'a>, String> {
+        self.req(key, self.opt_object(key))
+    }
+
+    /// An optional nested object, opened at `{path}.{key}`.
+    pub fn opt_object(&self, key: &str) -> Result<Option<Fields<'a>>, String> {
+        self.opt_value(key)
+            .map(|j| Fields::new(j, format!("{}.{key}", self.path)))
+            .transpose()
+    }
+
+    /// A required array.
+    pub fn array(&self, key: &str) -> Result<&'a [Json], String> {
+        let items = self.opt(key, "an array", |j| match j {
+            Json::Array(items) => Some(items.as_slice()),
             _ => None,
+        });
+        self.req(key, items)
+    }
+
+    /// Finishes the object, handing back the `value` decoded from it.
+    ///
+    /// # Errors
+    ///
+    /// An unknown field: the first one never read.
+    pub fn end<T>(&self, value: T) -> Result<T, String> {
+        match self.read.iter().position(|r| !r.get()) {
+            Some(i) => Err(format!(
+                "{}: unknown field {:?}",
+                self.path, self.fields[i].0
+            )),
+            None => Ok(value),
         }
     }
-    fn string(b: &[u8], i: usize) -> Option<usize> {
-        if b.get(i) != Some(&b'"') {
-            return None;
-        }
-        let mut i = i + 1;
-        while i < b.len() {
-            match b[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(i + 1),
-                _ => i += 1,
-            }
-        }
-        None
-    }
-    let b = s.as_bytes();
-    value(b, 0).map(|end| skip_ws(b, end) == b.len()) == Some(true)
 }
 
 #[cfg(test)]
@@ -386,17 +450,52 @@ mod tests {
     }
 
     #[test]
-    fn parses_accepts_own_output() {
+    fn parse_round_trips_multibyte_labels_and_every_escape() {
         let j = Json::obj()
-            .field("a", 3u64)
-            .field("b", Json::Array(vec![Json::Null, Json::Str("x".into())]));
-        assert!(parses(&j.render()));
+            .field("label", "ring/κ=3 → 𝔽₂ ✓")
+            .field("escapes", "q\" b\\ n\n r\r t\t c\u{1} d\u{1f}")
+            .field("cells", vec![Json::U64(u64::MAX), Json::Null]);
+        assert_eq!(parse(&j.render()), Some(j));
+        assert_eq!(parse("\"\\u00e9\""), Some(Json::Str("é".to_string())));
     }
 
     #[test]
-    fn parses_rejects_garbage() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"open", "{} extra"] {
-            assert!(!parses(bad), "{bad:?} should not parse");
+    fn parse_rejects_garbage() {
+        for bad in [
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "\"open",
+            "{} extra",
+            "-1",
+            "1.5",
+        ] {
+            assert_eq!(parse(bad), None, "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        assert_eq!(parse(&"[".repeat(100_000)), None);
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_some());
+        assert_eq!(parse(&deep(MAX_DEPTH + 1)), None);
+    }
+
+    #[test]
+    fn fields_reject_missing_mistyped_unknown_and_duplicate_keys() {
+        let j = parse("{\"a\": 1, \"b\": \"x\", \"a\": 2}").unwrap();
+        let f = Fields::new(&j, "obj").unwrap();
+        assert_eq!(f.u64("a"), Ok(1));
+        assert_eq!(f.str("b"), Ok("x".to_string()));
+        assert_eq!(f.bool("c").unwrap_err(), "obj: missing field \"c\"");
+        assert_eq!(f.end(()).unwrap_err(), "obj: unknown field \"a\"");
+        let err = Fields::new(&j, "obj").unwrap().u64("b").unwrap_err();
+        assert_eq!(err, "obj.b: expected an unsigned integer");
+        let err = Fields::new(&Json::Null, "x").unwrap_err();
+        assert_eq!(err, "x: expected an object");
+        let err = Fields::new(&j, "obj").unwrap().object("b").unwrap_err();
+        assert_eq!(err, "obj.b: expected an object");
     }
 }

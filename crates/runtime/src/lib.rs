@@ -23,8 +23,9 @@
 //! * [`sink`] — [`MetricsSink`]: aggregation that folds reports **in cell
 //!   order**, never completion order, so any thread count produces
 //!   byte-identical output,
-//! * [`json`] — a minimal, deterministic JSON writer (insertion-ordered
-//!   objects, integers only) used for the `BENCH_T*.json` artifacts,
+//! * [`json`] — the one JSON writer (insertion-ordered objects, integers
+//!   only; the `BENCH_T*.json` artifacts) and the one reader ([`json::parse`]
+//!   plus the strict [`json::Fields`] object reader every decoder shares),
 //! * [`trace`] — deterministic JSONL rendering of engine traces
 //!   ([`trace::JsonlSink`], [`trace::event_json`]) for the `trace` and
 //!   `trace-diff` subcommands,

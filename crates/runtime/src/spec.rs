@@ -19,7 +19,7 @@
 use oraclesize_sim::{AdviceAdversary, FaultPlan, SchedulerKind, SimConfig};
 
 use crate::batch::RunReport;
-use crate::json::Json;
+use crate::json::{Fields, Json};
 use crate::sink::{drain, Aggregate, MetricsSink};
 use crate::trace::stats_json;
 
@@ -284,42 +284,25 @@ impl AdviceSpec {
         }
     }
 
-    fn from_json(j: &Json, path: &str) -> Result<AdviceSpec, String> {
-        let f = fields(j, path)?;
-        let kind = req_str(f, "kind", path)?;
-        match kind.as_str() {
-            "none" => {
-                check_unknown(f, &["kind"], path)?;
-                Ok(AdviceSpec::None)
-            }
-            "flip-bits" => {
-                check_unknown(f, &["kind", "prob_ppm"], path)?;
-                Ok(AdviceSpec::FlipBits {
-                    prob_ppm: req_u64(f, "prob_ppm", path)?,
-                })
-            }
-            "truncate" => {
-                check_unknown(f, &["kind", "keep_ppm"], path)?;
-                Ok(AdviceSpec::Truncate {
-                    keep_ppm: req_u64(f, "keep_ppm", path)?,
-                })
-            }
-            "swap-pair" => {
-                check_unknown(f, &["kind", "a", "b"], path)?;
-                Ok(AdviceSpec::SwapPair {
-                    a: req_u64(f, "a", path)?,
-                    b: req_u64(f, "b", path)?,
-                })
-            }
-            "garbage" => {
-                check_unknown(f, &["kind", "prob_ppm", "bits"], path)?;
-                Ok(AdviceSpec::Garbage {
-                    prob_ppm: req_u64(f, "prob_ppm", path)?,
-                    bits: req_u64(f, "bits", path)?,
-                })
-            }
-            other => Err(format!("{path}.kind: unknown adversary {other:?}")),
-        }
+    fn from_json(f: Fields) -> Result<AdviceSpec, String> {
+        f.end(match f.str("kind")?.as_str() {
+            "none" => AdviceSpec::None,
+            "flip-bits" => AdviceSpec::FlipBits {
+                prob_ppm: f.u64("prob_ppm")?,
+            },
+            "truncate" => AdviceSpec::Truncate {
+                keep_ppm: f.u64("keep_ppm")?,
+            },
+            "swap-pair" => AdviceSpec::SwapPair {
+                a: f.u64("a")?,
+                b: f.u64("b")?,
+            },
+            "garbage" => AdviceSpec::Garbage {
+                prob_ppm: f.u64("prob_ppm")?,
+                bits: f.u64("bits")?,
+            },
+            other => return Err(format!("{}.kind: unknown adversary {other:?}", f.path())),
+        })
     }
 }
 
@@ -400,46 +383,31 @@ impl SweepSpec {
     ///
     /// Returns a first-error message naming the offending field path.
     pub fn from_json(j: &Json) -> Result<SweepSpec, String> {
-        let f = fields(j, "spec")?;
-        check_unknown(
-            f,
-            &[
-                "version",
-                "name",
-                "master_seed",
-                "instances",
-                "cells",
-                "knobs",
-            ],
-            "spec",
-        )?;
-        let version = req_u64(f, "version", "spec")?;
+        let f = Fields::new(j, "spec")?;
+        let version = f.u64("version")?;
         if version != 1 {
             return Err(format!(
                 "spec.version: unsupported version {version} (this build reads 1)"
             ));
         }
-        let name = req_str(f, "name", "spec")?;
-        let master_seed = req_u64(f, "master_seed", "spec")?;
-        let instances = req_array(f, "instances", "spec")?
-            .iter()
-            .enumerate()
-            .map(|(i, j)| instance_from_json(j, &format!("instances[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let cells = req_array(f, "cells", "spec")?
-            .iter()
-            .enumerate()
-            .map(|(i, j)| cell_from_json(j, &format!("cells[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let knobs = knobs_from_json(req_field(f, "knobs", "spec")?, "knobs")?;
-        let spec = SweepSpec {
+        let spec = f.end(SweepSpec {
             version,
-            name,
-            master_seed,
-            instances,
-            cells,
-            knobs,
-        };
+            name: f.str("name")?,
+            master_seed: f.u64("master_seed")?,
+            instances: f
+                .array("instances")?
+                .iter()
+                .enumerate()
+                .map(|(i, j)| instance_from_json(j, format!("instances[{i}]")))
+                .collect::<Result<_, _>>()?,
+            cells: f
+                .array("cells")?
+                .iter()
+                .enumerate()
+                .map(|(i, j)| cell_from_json(j, format!("cells[{i}]")))
+                .collect::<Result<_, _>>()?,
+            knobs: knobs_from_json(f.value("knobs")?)?,
+        })?;
         spec.validate()?;
         Ok(spec)
     }
@@ -475,20 +443,15 @@ fn instance_json(inst: &InstanceSpec) -> Json {
         .field("oracle", inst.oracle.as_str())
 }
 
-fn instance_from_json(j: &Json, path: &str) -> Result<InstanceSpec, String> {
-    let f = fields(j, path)?;
-    check_unknown(
-        f,
-        &["family", "n", "seed", "p_ppm", "source", "oracle"],
-        path,
-    )?;
-    Ok(InstanceSpec {
-        family: req_str(f, "family", path)?,
-        n: req_u64(f, "n", path)?,
-        seed: req_u64(f, "seed", path)?,
-        p_ppm: opt_u64(f, "p_ppm", path)?,
-        source: req_u64(f, "source", path)?,
-        oracle: req_str(f, "oracle", path)?,
+fn instance_from_json(j: &Json, path: String) -> Result<InstanceSpec, String> {
+    let f = Fields::new(j, path)?;
+    f.end(InstanceSpec {
+        family: f.str("family")?,
+        n: f.u64("n")?,
+        seed: f.u64("seed")?,
+        p_ppm: f.opt_u64("p_ppm")?,
+        source: f.u64("source")?,
+        oracle: f.str("oracle")?,
     })
 }
 
@@ -520,49 +483,26 @@ fn cell_json(cell: &CellSpec) -> Json {
         .field("faults", fault_json(&cell.faults))
 }
 
-fn cell_from_json(j: &Json, path: &str) -> Result<CellSpec, String> {
-    let f = fields(j, path)?;
-    check_unknown(
-        f,
-        &[
-            "label",
-            "instance",
-            "scheme",
-            "retries",
-            "mode",
-            "scheduler",
-            "anonymous",
-            "max_message_bits",
-            "quiescence_polls",
-            "seed",
-            "faults",
-        ],
-        path,
-    )?;
-    let scheduler = match get(f, "scheduler") {
-        None => None,
-        Some(j) => {
-            let spath = format!("{path}.scheduler");
-            let sf = fields(j, &spath)?;
-            check_unknown(sf, &["kind", "seed"], &spath)?;
-            Some(SchedulerSpec {
-                kind: req_str(sf, "kind", &spath)?,
-                seed: req_u64(sf, "seed", &spath)?,
-            })
-        }
-    };
-    Ok(CellSpec {
-        label: req_str(f, "label", path)?,
-        instance: req_u64(f, "instance", path)?,
-        scheme: req_str(f, "scheme", path)?,
-        retries: opt_u64(f, "retries", path)?,
-        mode: req_str(f, "mode", path)?,
-        scheduler,
-        anonymous: req_bool(f, "anonymous", path)?,
-        max_message_bits: opt_u64(f, "max_message_bits", path)?,
-        quiescence_polls: opt_u64(f, "quiescence_polls", path)?,
-        seed: req_u64(f, "seed", path)?,
-        faults: fault_from_json(req_field(f, "faults", path)?, &format!("{path}.faults"))?,
+fn cell_from_json(j: &Json, path: String) -> Result<CellSpec, String> {
+    let f = Fields::new(j, path)?;
+    f.end(CellSpec {
+        label: f.str("label")?,
+        instance: f.u64("instance")?,
+        scheme: f.str("scheme")?,
+        retries: f.opt_u64("retries")?,
+        mode: f.str("mode")?,
+        scheduler: match f.opt_object("scheduler")? {
+            None => None,
+            Some(s) => Some(s.end(SchedulerSpec {
+                kind: s.str("kind")?,
+                seed: s.u64("seed")?,
+            })?),
+        },
+        anonymous: f.bool("anonymous")?,
+        max_message_bits: f.opt_u64("max_message_bits")?,
+        quiescence_polls: f.opt_u64("quiescence_polls")?,
+        seed: f.u64("seed")?,
+        faults: fault_from_json(f.object("faults")?)?,
     })
 }
 
@@ -581,119 +521,36 @@ fn fault_json(faults: &FaultSpec) -> Json {
         .field("advice", faults.advice.to_json())
 }
 
-fn fault_from_json(j: &Json, path: &str) -> Result<FaultSpec, String> {
-    let f = fields(j, path)?;
-    check_unknown(
-        f,
-        &[
-            "seed",
-            "drop_ppm",
-            "duplicate_ppm",
-            "bit_flip_ppm",
-            "crashes",
-            "advice",
-        ],
-        path,
-    )?;
-    let crashes = req_array(f, "crashes", path)?
-        .iter()
-        .enumerate()
-        .map(|(i, j)| match j {
-            Json::Array(pair) => match pair.as_slice() {
-                [Json::U64(v), Json::U64(k)] => Ok((*v, *k)),
-                _ => Err(format!("{path}.crashes[{i}]: expected a [node, k] pair")),
-            },
-            _ => Err(format!("{path}.crashes[{i}]: expected a [node, k] pair")),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(FaultSpec {
-        seed: req_u64(f, "seed", path)?,
-        drop_ppm: req_u64(f, "drop_ppm", path)?,
-        duplicate_ppm: req_u64(f, "duplicate_ppm", path)?,
-        bit_flip_ppm: req_u64(f, "bit_flip_ppm", path)?,
-        crashes,
-        advice: AdviceSpec::from_json(req_field(f, "advice", path)?, &format!("{path}.advice"))?,
+fn fault_from_json(f: Fields) -> Result<FaultSpec, String> {
+    f.end(FaultSpec {
+        seed: f.u64("seed")?,
+        drop_ppm: f.u64("drop_ppm")?,
+        duplicate_ppm: f.u64("duplicate_ppm")?,
+        bit_flip_ppm: f.u64("bit_flip_ppm")?,
+        crashes: f
+            .array("crashes")?
+            .iter()
+            .enumerate()
+            .map(|(i, j)| match j {
+                Json::Array(pair) => match pair.as_slice() {
+                    [Json::U64(v), Json::U64(k)] => Ok((*v, *k)),
+                    _ => Err(i),
+                },
+                _ => Err(i),
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|i| format!("{}.crashes[{i}]: expected a [node, k] pair", f.path()))?,
+        advice: AdviceSpec::from_json(f.object("advice")?)?,
     })
 }
 
-fn knobs_from_json(j: &Json, path: &str) -> Result<KnobSpec, String> {
-    let f = fields(j, path)?;
-    check_unknown(f, &["max_retries", "cell_timeout", "chunk"], path)?;
-    Ok(KnobSpec {
-        max_retries: req_u64(f, "max_retries", path)?,
-        cell_timeout: opt_u64(f, "cell_timeout", path)?,
-        chunk: opt_u64(f, "chunk", path)?,
+fn knobs_from_json(j: &Json) -> Result<KnobSpec, String> {
+    let f = Fields::new(j, "knobs")?;
+    f.end(KnobSpec {
+        max_retries: f.u64("max_retries")?,
+        cell_timeout: f.opt_u64("cell_timeout")?,
+        chunk: f.opt_u64("chunk")?,
     })
-}
-
-// ---- strict field access -------------------------------------------------
-
-fn fields<'a>(j: &'a Json, path: &str) -> Result<&'a [(String, Json)], String> {
-    match j {
-        Json::Object(f) => Ok(f),
-        _ => Err(format!("{path}: expected an object")),
-    }
-}
-
-fn check_unknown(fields: &[(String, Json)], known: &[&str], path: &str) -> Result<(), String> {
-    for (k, _) in fields {
-        if !known.iter().any(|n| n == k) {
-            return Err(format!("{path}: unknown field {k:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn req_field<'a>(fields: &'a [(String, Json)], key: &str, path: &str) -> Result<&'a Json, String> {
-    get(fields, key).ok_or_else(|| format!("{path}: missing field {key:?}"))
-}
-
-fn req_array<'a>(
-    fields: &'a [(String, Json)],
-    key: &str,
-    path: &str,
-) -> Result<&'a [Json], String> {
-    match get(fields, key) {
-        Some(Json::Array(items)) => Ok(items),
-        Some(_) => Err(format!("{path}.{key}: expected an array")),
-        None => Err(format!("{path}: missing field {key:?}")),
-    }
-}
-
-fn req_u64(fields: &[(String, Json)], key: &str, path: &str) -> Result<u64, String> {
-    match get(fields, key) {
-        Some(Json::U64(v)) => Ok(*v),
-        Some(_) => Err(format!("{path}.{key}: expected an unsigned integer")),
-        None => Err(format!("{path}: missing field {key:?}")),
-    }
-}
-
-fn opt_u64(fields: &[(String, Json)], key: &str, path: &str) -> Result<Option<u64>, String> {
-    match get(fields, key) {
-        Some(Json::U64(v)) => Ok(Some(*v)),
-        Some(_) => Err(format!("{path}.{key}: expected an unsigned integer")),
-        None => Ok(None),
-    }
-}
-
-fn req_str(fields: &[(String, Json)], key: &str, path: &str) -> Result<String, String> {
-    match get(fields, key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("{path}.{key}: expected a string")),
-        None => Err(format!("{path}: missing field {key:?}")),
-    }
-}
-
-fn req_bool(fields: &[(String, Json)], key: &str, path: &str) -> Result<bool, String> {
-    match get(fields, key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("{path}.{key}: expected a boolean")),
-        None => Err(format!("{path}: missing field {key:?}")),
-    }
 }
 
 // ---- artifact rendering --------------------------------------------------
@@ -862,18 +719,11 @@ mod tests {
 
     #[test]
     fn nested_unknown_fields_name_the_cell() {
-        let mut j = rich_spec().to_json();
-        if let Json::Object(fields) = &mut j {
-            for (k, v) in fields.iter_mut() {
-                if k == "cells" {
-                    if let Json::Array(cells) = v {
-                        let cell = cells[1].clone().field("typo", true);
-                        cells[1] = cell;
-                    }
-                }
-            }
-        }
-        let err = SweepSpec::from_json(&j).unwrap_err();
+        let rendered = rich_spec().render().replace(
+            "\"label\": \"flood\"",
+            "\"typo\": true, \"label\": \"flood\"",
+        );
+        let err = SweepSpec::parse(&rendered).unwrap_err();
         assert_eq!(err, "cells[1]: unknown field \"typo\"");
     }
 

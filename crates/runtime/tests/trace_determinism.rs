@@ -86,7 +86,7 @@ fn fixed_traced_grid_is_thread_count_invariant() {
     let serial = render_batch(&Pool::new(1), &requests);
     assert!(serial.lines().count() > 12, "traces should be non-trivial");
     for line in serial.lines() {
-        assert!(oraclesize_runtime::json::parses(line), "{line}");
+        assert!(oraclesize_runtime::json::parse(line).is_some(), "{line}");
     }
     for threads in [2, 8] {
         assert_eq!(serial, render_batch(&Pool::new(threads), &requests));

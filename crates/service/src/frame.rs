@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   "OSWP" (Oracle Size Wire Protocol)
-//! 4       2     version frame format version; this build speaks 1
+//! 4       2     version frame format version; this build speaks 2
 //! 6       2     kind    message kind (see [`crate::proto`])
 //! 8       4     len     payload length in bytes (capped at 64 MiB)
 //! 12      8     digest  FNV-1a 64 of the payload
@@ -21,6 +21,10 @@
 //! at the read site instead of as a JSON parse failure three layers up.
 //! It guards against corruption, not adversaries; the service is meant
 //! for loopback and trusted lab networks.
+//!
+//! Version 2 ships result records as journal records (with their report
+//! digests). A frame goes out in one `write`: a header write then a
+//! payload write would stall on Nagle's algorithm and delayed ACKs.
 
 use std::io::{self, Read, Write};
 
@@ -30,7 +34,7 @@ use oraclesize_runtime::journal::fnv1a64;
 pub const MAGIC: [u8; 4] = *b"OSWP";
 
 /// The frame format version this build writes and accepts.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Hard cap on payload size. Far above any real sweep message (a
 /// 10⁵-cell result batch renders in the low tens of megabytes) while
@@ -44,7 +48,7 @@ fn bad(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-/// Writes one frame and flushes it.
+/// Writes one frame with a single `write_all` and flushes it.
 ///
 /// # Errors
 ///
@@ -60,14 +64,14 @@ pub fn write_frame(w: &mut impl Write, kind: u16, payload: &[u8]) -> io::Result<
                 payload.len()
             ))
         })?;
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&VERSION.to_be_bytes());
-    header[6..8].copy_from_slice(&kind.to_be_bytes());
-    header[8..12].copy_from_slice(&len.to_be_bytes());
-    header[12..20].copy_from_slice(&fnv1a64(payload).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&VERSION.to_be_bytes());
+    frame.extend_from_slice(&kind.to_be_bytes());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(&fnv1a64(payload).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -123,6 +127,24 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             std::io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        struct Counting(usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0);
+        write_frame(&mut w, 3, b"{\"job\": 1}").unwrap();
+        write_frame(&mut w, 4, &[b' '; 4096]).unwrap();
+        assert_eq!(w.0, 2);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The sweep protocol: typed messages over [`crate::frame`] frames.
 //!
 //! Payloads are rendered with the runtime's deterministic [`Json`]
-//! writer and parsed with its strict reader, so a malformed peer is
-//! rejected at decode time with a named first error — the same policy
+//! writer and decoded with its strict object reader ([`Fields`]), so a
+//! malformed peer — a missing, mis-typed or unknown field — is rejected
+//! at decode time with a named first error, the same policy
 //! [`SweepSpec::parse`](oraclesize_runtime::SweepSpec::parse) applies to
-//! submitted jobs.
+//! submitted jobs. Error paths start at `payload` (`payload.records[3]`).
 //!
 //! | kind | message | direction |
 //! |------|--------------|---------------------|
@@ -19,28 +20,19 @@
 //! | 9 | [`Message::Ack`] | server → worker |
 //! | 10 | [`Message::Error`] | server → anyone |
 //!
-//! Result records carry report bodies in the checkpoint journal's
-//! `{"ok": …}` / `{"err": …}` encoding
-//! ([`oraclesize_runtime::journal::report_json`]), which is lossless for
-//! every untraced report — exactly the reports a service sweep produces.
+//! Result records are checkpoint-journal records, encoded and decoded by
+//! [`journal::record_json`] / [`journal::record_from_json`]: a cell
+//! result has one codec on disk and on the wire, digest included. It is
+//! lossless for every untraced report — exactly the reports a service
+//! sweep produces.
 
 use std::io::{self, Read, Write};
 
+use oraclesize_runtime::journal::{self, JournalRecord};
+use oraclesize_runtime::json::{self, Fields};
 use oraclesize_runtime::Json;
 
 use crate::frame::{read_frame, write_frame};
-
-/// One record of a [`Message::Result`] batch: a sweep-wide cell index,
-/// the seed the cell ran under, and its journal-encoded report body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellRecord {
-    /// Sweep-wide cell index.
-    pub cell: u64,
-    /// The seed recorded for the cell (the spec's `cells[*].seed`).
-    pub seed: u64,
-    /// [`oraclesize_runtime::journal::report_json`] body.
-    pub report: Json,
-}
 
 /// A protocol message. See the module table for kinds and directions.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,8 +106,8 @@ pub enum Message {
         job: u64,
         /// Shard id being returned.
         shard: u64,
-        /// One record per cell of the shard, in cell order.
-        records: Vec<CellRecord>,
+        /// One journal record per cell of the shard, in cell order.
+        records: Vec<JournalRecord>,
     },
     /// The server merged a result batch.
     Ack {
@@ -200,12 +192,7 @@ impl Message {
             } => {
                 let records: Vec<Json> = records
                     .iter()
-                    .map(|r| {
-                        Json::obj()
-                            .field("cell", r.cell)
-                            .field("seed", r.seed)
-                            .field("report", r.report.clone())
-                    })
+                    .map(|r| journal::record_json(r.cell, r.seed, &r.report))
                     .collect();
                 Json::obj()
                     .field("job", *job)
@@ -227,108 +214,63 @@ impl Message {
     /// Returns a first-error message for an unknown kind, unparseable
     /// payload, or a missing/mis-typed field.
     pub fn decode(kind: u16, payload: &[u8]) -> Result<Message, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let j = oraclesize_runtime::json::parse(text)
-            .ok_or_else(|| "payload is not canonical JSON".to_string())?;
-        Ok(match kind {
+        let j = std::str::from_utf8(payload)
+            .ok()
+            .and_then(json::parse)
+            .ok_or("payload is not canonical JSON")?;
+        let f = Fields::new(&j, "payload")?;
+        f.end(match kind {
             1 => Message::Submit {
-                spec: req(&j, "spec")?.clone(),
-                resume: req_bool(&j, "resume")?,
+                spec: f.value("spec")?.clone(),
+                resume: f.bool("resume")?,
             },
             2 => Message::Accepted {
-                job: req_u64(&j, "job")?,
-                cells: req_u64(&j, "cells")?,
+                job: f.u64("job")?,
+                cells: f.u64("cells")?,
             },
-            3 => Message::Poll {
-                job: req_u64(&j, "job")?,
-            },
+            3 => Message::Poll { job: f.u64("job")? },
             4 => Message::Status {
-                job: req_u64(&j, "job")?,
-                state: req_str(&j, "state")?,
-                done: req_u64(&j, "done")?,
-                total: req_u64(&j, "total")?,
-                artifact: match j.get("artifact") {
-                    Some(a) => Some(
-                        a.as_str()
-                            .ok_or_else(|| "status.artifact: expected a string".to_string())?
-                            .to_string(),
-                    ),
-                    None => None,
-                },
+                job: f.u64("job")?,
+                state: f.str("state")?,
+                done: f.u64("done")?,
+                total: f.u64("total")?,
+                artifact: f.opt_str("artifact")?,
             },
             5 => Message::Want {
-                worker: req_str(&j, "worker")?,
+                worker: f.str("worker")?,
             },
             6 => Message::Shard {
-                job: req_u64(&j, "job")?,
-                shard: req_u64(&j, "shard")?,
-                lo: req_u64(&j, "lo")?,
-                hi: req_u64(&j, "hi")?,
-                total: req_u64(&j, "total")?,
-                spec: req(&j, "spec")?.clone(),
+                job: f.u64("job")?,
+                shard: f.u64("shard")?,
+                lo: f.u64("lo")?,
+                hi: f.u64("hi")?,
+                total: f.u64("total")?,
+                spec: f.value("spec")?.clone(),
             },
             7 => Message::NoWork {
-                done: req_bool(&j, "done")?,
+                done: f.bool("done")?,
             },
-            8 => {
-                let records = match req(&j, "records")? {
-                    Json::Array(items) => items
-                        .iter()
-                        .enumerate()
-                        .map(|(i, r)| {
-                            Ok(CellRecord {
-                                cell: req_u64(r, "cell")
-                                    .map_err(|e| format!("records[{i}].{e}"))?,
-                                seed: req_u64(r, "seed")
-                                    .map_err(|e| format!("records[{i}].{e}"))?,
-                                report: req(r, "report")
-                                    .map_err(|e| format!("records[{i}].{e}"))?
-                                    .clone(),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                    _ => return Err("records: expected an array".to_string()),
-                };
-                Message::Result {
-                    job: req_u64(&j, "job")?,
-                    shard: req_u64(&j, "shard")?,
-                    records,
-                }
-            }
+            8 => Message::Result {
+                job: f.u64("job")?,
+                shard: f.u64("shard")?,
+                records: f
+                    .array("records")?
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| journal::record_from_json(r, &format!("payload.records[{i}]")))
+                    .collect::<Result<_, _>>()?,
+            },
             9 => Message::Ack {
-                job: req_u64(&j, "job")?,
-                done: req_u64(&j, "done")?,
-                total: req_u64(&j, "total")?,
+                job: f.u64("job")?,
+                done: f.u64("done")?,
+                total: f.u64("total")?,
             },
             10 => Message::Error {
-                text: req_str(&j, "text")?,
+                text: f.str("text")?,
             },
             other => return Err(format!("unknown frame kind {other}")),
         })
     }
-}
-
-fn req<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("{key}: missing field"))
-}
-
-fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
-    req(j, key)?
-        .as_u64()
-        .ok_or_else(|| format!("{key}: expected an unsigned integer"))
-}
-
-fn req_str(j: &Json, key: &str) -> Result<String, String> {
-    Ok(req(j, key)?
-        .as_str()
-        .ok_or_else(|| format!("{key}: expected a string"))?
-        .to_string())
-}
-
-fn req_bool(j: &Json, key: &str) -> Result<bool, String> {
-    req(j, key)?
-        .as_bool()
-        .ok_or_else(|| format!("{key}: expected a boolean"))
 }
 
 /// Frames and sends one message.
@@ -360,69 +302,12 @@ pub fn recv(r: &mut impl Read) -> io::Result<Message> {
 mod tests {
     use super::*;
 
-    fn round_trip(msg: Message) {
-        let mut buf = Vec::new();
-        send(&mut buf, &msg).unwrap();
-        assert_eq!(recv(&mut buf.as_slice()).unwrap(), msg);
-    }
-
-    #[test]
-    fn every_message_round_trips() {
-        round_trip(Message::Submit {
-            spec: Json::obj().field("version", 1u64),
-            resume: true,
-        });
-        round_trip(Message::Accepted { job: 9, cells: 16 });
-        round_trip(Message::Poll { job: 9 });
-        round_trip(Message::Status {
-            job: 9,
-            state: "running".to_string(),
-            done: 3,
-            total: 16,
-            artifact: None,
-        });
-        round_trip(Message::Status {
-            job: 9,
-            state: "done".to_string(),
-            done: 16,
-            total: 16,
-            artifact: Some("{\"experiment\": \"t0\"}\n".to_string()),
-        });
-        round_trip(Message::Want {
-            worker: "w-1".to_string(),
-        });
-        round_trip(Message::Shard {
-            job: 9,
-            shard: 2,
-            lo: 4,
-            hi: 8,
-            total: 16,
-            spec: Json::obj().field("version", 1u64),
-        });
-        round_trip(Message::NoWork { done: false });
-        round_trip(Message::Result {
-            job: 9,
-            shard: 2,
-            records: vec![CellRecord {
-                cell: 4,
-                seed: 4,
-                report: Json::obj().field("err", "step limit"),
-            }],
-        });
-        round_trip(Message::Ack {
-            job: 9,
-            done: 8,
-            total: 16,
-        });
-        round_trip(Message::Error {
-            text: "spec.version: unsupported".to_string(),
-        });
-    }
-
     #[test]
     fn decode_names_the_first_error() {
         let err = Message::decode(3, b"{\"jobs\": 1}").unwrap_err();
-        assert_eq!(err, "job: missing field");
+        assert_eq!(err, "payload: missing field \"job\"");
+        let err = Message::decode(3, b"{\"job\": 1, \"jobs\": 1}").unwrap_err();
+        assert_eq!(err, "payload: unknown field \"jobs\"");
         let err = Message::decode(99, b"{}").unwrap_err();
         assert_eq!(err, "unknown frame kind 99");
         let err = Message::decode(1, b"not json").unwrap_err();

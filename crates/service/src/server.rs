@@ -22,7 +22,7 @@
 //! resumes a resubmitted job from that file (worker shard segments
 //! provide the finer-grained resume — see [`crate::worker`]). Duplicate
 //! results (a requeued shard finishing twice) are dropped first-wins,
-//! matching [`journal::merge_segments`] semantics.
+//! matching [`oraclesize_runtime::journal::merge_segments`] semantics.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -32,10 +32,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
-use oraclesize_runtime::journal::{self, Journal};
+use oraclesize_runtime::journal::{Journal, JournalRecord};
 use oraclesize_runtime::{ChunkPlan, Json, OrderedCommitter, RunReport, SweepSpec};
 
-use crate::proto::{recv, send, CellRecord, Message};
+use crate::proto::{recv, send, Message};
 use crate::render_artifact;
 
 /// Where and how a [`Server`] runs.
@@ -216,24 +216,20 @@ impl State {
     }
 
     /// Merges a returned shard's records (first result per cell wins).
-    fn merge(&mut self, conn: u64, job_id: u64, shard: u64, records: &[CellRecord]) -> Message {
+    fn merge(&mut self, conn: u64, job_id: u64, shard: u64, recs: Vec<JournalRecord>) -> Message {
         let Some(job) = self.jobs.get_mut(&job_id) else {
             return Message::Error {
                 text: format!("unknown job {job_id:016x}"),
             };
         };
         job.leased.retain(|(c, s)| !(*c == conn && s.id == shard));
-        for rec in records {
-            let cell = rec.cell as usize;
+        for rec in recs {
+            let cell = rec.cell;
             if cell >= job.total || job.results[cell].is_some() {
                 continue;
             }
-            let Some(report) = journal::report_from_json(cell, &rec.report) else {
-                eprintln!("serve: job {job_id:016x}: malformed report for cell {cell}; dropped");
-                continue;
-            };
-            job.results[cell] = Some(report.clone());
-            job.committer.settle(cell, Some((rec.seed, report)));
+            job.results[cell] = Some(rec.report.clone());
+            job.committer.settle(cell, Some((rec.seed, rec.report)));
             job.done_cells += 1;
         }
         let reply = Message::Ack {
@@ -317,16 +313,16 @@ impl State {
 
     /// One protocol exchange; the second value is a job to mark
     /// delivered once the reply lands.
-    fn reply(&mut self, conn: u64, msg: &Message, config: &ServerConfig) -> (Message, Option<u64>) {
+    fn reply(&mut self, conn: u64, msg: Message, config: &ServerConfig) -> (Message, Option<u64>) {
         match msg {
-            Message::Submit { spec, resume } => (self.submit(spec, *resume, config), None),
-            Message::Poll { job } => self.status(*job),
+            Message::Submit { spec, resume } => (self.submit(&spec, resume, config), None),
+            Message::Poll { job } => self.status(job),
             Message::Want { .. } => (self.lease(conn), None),
             Message::Result {
                 job,
                 shard,
                 records,
-            } => (self.merge(conn, *job, *shard, records), None),
+            } => (self.merge(conn, job, shard, records), None),
             other => (
                 Message::Error {
                     text: format!("unexpected message kind {}", other.kind()),
@@ -355,10 +351,20 @@ fn finalize_if_done(job: &mut Job, job_id: u64) -> bool {
 /// Serves one connection (a worker, a submitting client, or both in
 /// turn — the protocol is stateless per frame).
 fn handle(conn: u64, mut stream: TcpStream, state: Arc<Mutex<State>>, config: Arc<ServerConfig>) {
-    // EOF is the normal end of a session; any other recv error is the
-    // peer's problem — either way the loop ends and the leases come back.
-    while let Ok(msg) = recv(&mut stream) {
-        let (reply, delivered) = lock(&state).reply(conn, &msg, &config);
+    // EOF is the normal end of a session; any other recv error (a frame
+    // or record that fails to decode) is logged. Either way the loop ends
+    // and the leases come back.
+    loop {
+        let msg = match recv(&mut stream) {
+            Ok(msg) => msg,
+            Err(e) => {
+                if e.kind() != io::ErrorKind::UnexpectedEof {
+                    eprintln!("serve: conn {conn}: {e}; releasing its leases");
+                }
+                break;
+            }
+        };
+        let (reply, delivered) = lock(&state).reply(conn, msg, &config);
         if send(&mut stream, &reply).is_err() {
             break;
         }

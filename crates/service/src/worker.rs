@@ -21,11 +21,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
-use oraclesize_runtime::journal::report_json;
+use oraclesize_runtime::journal::JournalRecord;
 use oraclesize_runtime::{run_supervised_batch, ChaosPlan, Pool, SweepOptions, SweepSpec};
 
 use crate::connect_with_retries;
-use crate::proto::{recv, send, CellRecord, Message};
+use crate::proto::{recv, send, Message};
 
 /// How one worker connects and runs.
 #[derive(Debug, Clone)]
@@ -171,14 +171,13 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                             shards: shards_done,
                         });
                     }
-                    let records: Vec<CellRecord> = run
+                    let records: Vec<JournalRecord> = run
                         .cells
-                        .iter()
-                        .enumerate()
-                        .map(|(local, cell)| CellRecord {
-                            cell: (lo + local) as u64,
-                            seed: parsed.cells[lo + local].seed,
-                            report: report_json(&cell.report),
+                        .into_iter()
+                        .map(|c| JournalRecord {
+                            cell: c.report.cell,
+                            seed: parsed.cells[c.report.cell].seed,
+                            report: c.report,
                         })
                         .collect();
                     let result = Message::Result {

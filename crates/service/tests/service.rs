@@ -1,10 +1,16 @@
 //! End-to-end service tests: a real server and real workers on loopback,
 //! pinned against the local execution path byte for byte.
 
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
-use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec, SweepSpec};
+use oraclesize_runtime::journal::fnv1a64;
+use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec, Json, SweepSpec};
+use oraclesize_service::frame::write_frame;
+use oraclesize_service::proto::{recv, send, Message};
 use oraclesize_service::{
     run_local, run_worker, submit, Server, ServerConfig, WorkerConfig, WorkerOutcome,
 };
@@ -197,6 +203,62 @@ fn resubmitting_to_a_journaled_server_resumes_server_side() {
     assert_eq!(client.join().unwrap().expect("submit"), local);
     server_thread.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Result` frame holding a corrupt record ends the connection, and
+/// the server re-leases the shard instead of dropping its cells.
+#[test]
+fn corrupt_result_record_requeues_the_shard() {
+    let spec = tiny_spec("svc-corrupt", 6);
+    let local = run_local(&spec, 2).unwrap();
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        journal_dir: None,
+        jobs: 1,
+        workers_hint: 1,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+    let (done_tx, done_rx) = mpsc::channel();
+    let (spec_text, submit_addr) = (spec.render(), addr.clone());
+    let client = thread::spawn(move || done_tx.send(submit(&submit_addr, &spec_text, true, 5)));
+
+    // Lease a shard by hand, then return it with a malformed report.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let (job, shard, lo) = loop {
+        let want = Message::Want {
+            worker: "raw".to_string(),
+        };
+        send(&mut stream, &want).unwrap();
+        match recv(&mut stream).unwrap() {
+            Message::Shard { job, shard, lo, .. } => break (job, shard, lo),
+            _ => thread::sleep(Duration::from_millis(5)),
+        }
+    };
+    let body = Json::obj().field("ok", 5u64);
+    let record = Json::obj()
+        .field("cell", lo)
+        .field("seed", spec.cells[lo as usize].seed)
+        .field("digest", fnv1a64(body.render().as_bytes()))
+        .field("report", body);
+    let payload = Json::obj()
+        .field("job", job)
+        .field("shard", shard)
+        .field("records", vec![record])
+        .render();
+    write_frame(&mut stream, 8, payload.as_bytes()).unwrap();
+    // The server refuses the frame by closing the connection.
+    assert!(recv(&mut stream).is_err());
+
+    let worker = thread::spawn(move || run_worker(&worker_config(&addr, "steady", None)));
+    let artifact = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the job finishes after the shard is re-leased");
+    assert_eq!(artifact.expect("submit"), local);
+    client.join().unwrap().unwrap();
+    worker.join().unwrap().expect("worker");
+    server_thread.join().unwrap();
 }
 
 #[test]
