@@ -130,8 +130,17 @@ impl BitString {
                 "value {value} does not fit in {width} bits"
             );
         }
-        for i in 0..width {
-            self.push((value >> i) & 1 == 1);
+        if width == 0 {
+            return;
+        }
+        // The value shifted to the current bit offset spans at most 71 bits,
+        // so one u128 window covers every byte it touches.
+        let first = self.len / 8;
+        let window = ((value as u128) << (self.len % 8)).to_le_bytes();
+        self.len += width as usize;
+        self.bytes.resize(self.len.div_ceil(8), 0);
+        for (dst, src) in self.bytes[first..].iter_mut().zip(window) {
+            *dst |= src;
         }
     }
 
@@ -152,8 +161,25 @@ impl BitString {
     /// assert_eq!(a.to_string(), "10011");
     /// ```
     pub fn extend_from(&mut self, other: &BitString) {
-        for b in other.iter() {
-            self.push(b);
+        let shift = self.len % 8;
+        if shift == 0 {
+            self.bytes.extend_from_slice(&other.bytes);
+            self.len += other.len;
+            return;
+        }
+        // Each byte of `other` straddles two bytes here: its low part fills
+        // the open byte, its high part carries into the next one. A final
+        // carry with no byte to land in is made of `other`'s zero tail bits.
+        let open = self.bytes.len() - 1;
+        self.len += other.len;
+        self.bytes.resize(self.len.div_ceil(8), 0);
+        let mut carry = 0;
+        for (dst, &b) in self.bytes[open..]
+            .iter_mut()
+            .zip(other.bytes.iter().chain([&0]))
+        {
+            *dst |= (b << shift) | carry;
+            carry = b >> (8 - shift);
         }
     }
 

@@ -136,28 +136,20 @@ impl Codec for EliasGamma {
         assert!(value < u64::MAX, "EliasGamma encodes value+1 internally");
         let v = value + 1;
         let n = 63 - v.leading_zeros(); // ⌊log2 v⌋
-        for _ in 0..n {
-            out.push(false);
-        }
+        out.push_uint(0, n);
         // v has n+1 significant bits; emit them MSB-first so the leading 1
         // terminates the zero run.
-        for i in (0..=n).rev() {
-            out.push((v >> i) & 1 == 1);
-        }
+        out.push_uint(reverse_low(v, n + 1), n + 1);
     }
 
     fn decode(&self, reader: &mut BitReader<'_>) -> Option<u64> {
-        let mut n = 0u32;
-        while !reader.read_bit()? {
-            n += 1;
-            if n > 63 {
-                return None;
-            }
+        // An all-zero word (64 zeros, or zeros to the end) counts as 64.
+        let n = reader.peek_word().trailing_zeros();
+        if n > 63 {
+            return None;
         }
-        let mut v = 1u64;
-        for _ in 0..n {
-            v = (v << 1) | reader.read_bit()? as u64;
-        }
+        reader.read_uint(n)?; // the zero run
+        let v = reverse_low(reader.read_uint(n + 1)?, n + 1);
         Some(v - 1)
     }
 
@@ -183,9 +175,8 @@ impl Codec for EliasDelta {
         let v = value + 1;
         let n = 63 - v.leading_zeros(); // ⌊log2 v⌋
         EliasGamma.encode(n as u64, out);
-        for i in (0..n).rev() {
-            out.push((v >> i) & 1 == 1);
-        }
+        // The n bits below the implicit leading 1, MSB-first.
+        out.push_uint(reverse_low(v, n), n);
     }
 
     fn decode(&self, reader: &mut BitReader<'_>) -> Option<u64> {
@@ -193,10 +184,8 @@ impl Codec for EliasDelta {
         if n > 63 {
             return None;
         }
-        let mut v = 1u64;
-        for _ in 0..n {
-            v = (v << 1) | reader.read_bit()? as u64;
-        }
+        let n = n as u32;
+        let v = (1 << n) | reverse_low(reader.read_uint(n)?, n);
         Some(v - 1)
     }
 
@@ -209,6 +198,12 @@ impl Codec for EliasDelta {
     fn max_value(&self) -> u64 {
         u64::MAX - 1
     }
+}
+
+/// The low `width` bits of `bits` in reverse order: MSB-first codes are
+/// written and read as one LSB-first integer through this.
+fn reverse_low(bits: u64, width: u32) -> u64 {
+    bits.reverse_bits().checked_shr(64 - width).unwrap_or(0)
 }
 
 /// The Theorem 3.1 weight code: each bit `b_i` of the binary representation

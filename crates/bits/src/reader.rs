@@ -67,12 +67,7 @@ impl<'a> BitReader<'a> {
         if self.remaining() < width as usize {
             return None;
         }
-        let mut v = 0u64;
-        for i in 0..width {
-            if self.s.get(self.pos + i as usize).expect("length checked") {
-                v |= 1 << i;
-            }
-        }
+        let v = self.peek_word() & u64::MAX.checked_shr(64 - width).unwrap_or(0);
         self.pos += width as usize;
         Some(v)
     }
@@ -80,6 +75,26 @@ impl<'a> BitReader<'a> {
     /// Peeks at the next bit without consuming it.
     pub fn peek_bit(&self) -> Option<bool> {
         self.s.get(self.pos)
+    }
+
+    /// The next `min(64, remaining)` bits as an integer, first bit least
+    /// significant and zero beyond the end; consumes nothing.
+    pub(crate) fn peek_word(&self) -> u64 {
+        // The word starts at bit `pos % 8` of its first byte, so it spans at
+        // most nine bytes: load them into one u128 window and shift. Bits
+        // past `len` are zero in the packed bytes, and past those the window
+        // is zero-filled.
+        let bytes = self.s.as_packed_bytes();
+        let first = self.pos / 8;
+        let window = match bytes.get(first..first + 16) {
+            Some(full) => full.try_into().expect("sixteen bytes"),
+            None => {
+                let mut window = [0u8; 16];
+                window[..bytes.len() - first].copy_from_slice(&bytes[first..]);
+                window
+            }
+        };
+        (u128::from_le_bytes(window) >> (self.pos % 8)) as u64
     }
 }
 

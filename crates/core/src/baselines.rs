@@ -8,7 +8,10 @@
 //!   and recomputes the same BFS tree locally; wakeup then takes `n − 1`
 //!   messages. This brackets Theorem 2.1 from the other side: the paper's
 //!   point is that `Θ(n log n)` bits — exponentially less than the full
-//!   map — already suffice.
+//!   map — already suffice. Only the leading `γ(own index)` differs from
+//!   node to node, so [`FullMapOracle`] encodes the map once per graph and
+//!   copies it behind each node's index; every node still receives, and is
+//!   charged for, the whole map.
 
 use oraclesize_bits::codec::{Codec, EliasGamma, FixedWidth};
 use oraclesize_bits::{ceil_log2, BitString};
@@ -29,14 +32,21 @@ pub struct FullMap {
     pub adj: Vec<Vec<(usize, usize)>>,
 }
 
-/// Encodes the whole network plus `own`/`source` indices.
+/// Encodes the whole network plus `own`/`source` indices:
+/// `γ(own)` followed by the part every node shares.
 pub fn encode_full_map(g: &PortGraph, source: NodeId, own: NodeId) -> BitString {
+    with_own_index(own, &encode_full_map_tail(g, source))
+}
+
+/// The node-independent part of a full-map string: `γ(source)`, `γ(n)`,
+/// `γ(max_deg)`, then each node's `γ(degree)` and fixed-width
+/// `(neighbor, arrival port)` pairs.
+fn encode_full_map_tail(g: &PortGraph, source: NodeId) -> BitString {
     let n = g.num_nodes() as u64;
     let max_deg = (0..g.num_nodes()).map(|v| g.degree(v)).max().unwrap_or(0) as u64;
     let node_w = ceil_log2(n.max(2)).max(1);
     let port_w = ceil_log2(max_deg.max(2)).max(1);
     let mut out = BitString::new();
-    EliasGamma.encode(own as u64, &mut out);
     EliasGamma.encode(source as u64, &mut out);
     EliasGamma.encode(n, &mut out);
     EliasGamma.encode(max_deg, &mut out);
@@ -53,6 +63,14 @@ pub fn encode_full_map(g: &PortGraph, source: NodeId, own: NodeId) -> BitString 
     out
 }
 
+/// `γ(own)` followed by `tail`: one node's whole full-map string.
+fn with_own_index(own: NodeId, tail: &BitString) -> BitString {
+    let mut out = BitString::with_capacity(EliasGamma.encoded_len(own as u64) + tail.len());
+    EliasGamma.encode(own as u64, &mut out);
+    out.extend_from(tail);
+    out
+}
+
 /// Decodes a map produced by [`encode_full_map`]. Returns `None` on
 /// malformed input.
 pub fn decode_full_map(advice: &BitString) -> Option<FullMap> {
@@ -61,7 +79,10 @@ pub fn decode_full_map(advice: &BitString) -> Option<FullMap> {
     let source = EliasGamma.decode(&mut r)? as usize;
     let n = EliasGamma.decode(&mut r)?;
     let max_deg = EliasGamma.decode(&mut r)?;
-    if n == 0 || n > 1_000_000 {
+    // Every node's degree code takes at least one bit, so a header claiming
+    // more nodes than bits remain is malformed (and cannot force a large
+    // allocation below).
+    if n == 0 || n > r.remaining() as u64 {
         return None;
     }
     let node_codec = FixedWidth::new(ceil_log2(n.max(2)).max(1));
@@ -100,8 +121,9 @@ pub struct FullMapOracle;
 
 impl Oracle for FullMapOracle {
     fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+        let tail = encode_full_map_tail(g, source);
         (0..g.num_nodes())
-            .map(|v| encode_full_map(g, source, v))
+            .map(|v| with_own_index(v, &tail))
             .collect()
     }
 
@@ -226,6 +248,48 @@ mod tests {
         let enc = encode_full_map(&g, 0, 1);
         let cut: BitString = enc.iter().take(enc.len() - 3).collect();
         assert!(decode_full_map(&cut).is_none());
+    }
+
+    #[test]
+    fn oracle_advice_is_the_single_node_encoding() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut graphs: Vec<PortGraph> = Family::ALL
+            .iter()
+            .map(|fam| fam.build(17, &mut rng))
+            .collect();
+        graphs.push(oraclesize_graph::gadgets::random_subdivided_complete(9, 12, &mut rng).0);
+        for g in &graphs {
+            let source = g.num_nodes() / 2;
+            assert_ne!(source, 0);
+            let advice = FullMapOracle.advise(g, source);
+            assert_eq!(advice.len(), g.num_nodes());
+            for (v, a) in advice.iter().enumerate() {
+                assert_eq!(*a, encode_full_map(g, source, v), "node {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_decode_rejects_a_node_count_the_body_cannot_hold() {
+        let mut forged = BitString::new();
+        for header in [0, 0, 1 << 40, 1] {
+            EliasGamma.encode(header, &mut forged);
+        }
+        forged.push_uint(0, 32);
+        assert!(decode_full_map(&forged).is_none());
+    }
+
+    #[test]
+    fn map_roundtrips_past_a_million_nodes() {
+        let n = 1_000_405;
+        let g = families::cycle(n);
+        let map = decode_full_map(&encode_full_map(&g, 7, n - 1)).unwrap();
+        assert_eq!((map.own_index, map.source), (n - 1, 7));
+        assert_eq!(map.adj.len(), n);
+        for v in [0, 1, n / 2, n - 1] {
+            let expected: Vec<_> = (0..2).map(|p| g.neighbor_via(v, p)).collect();
+            assert_eq!(map.adj[v], expected, "node {v}");
+        }
     }
 
     #[test]
