@@ -1807,11 +1807,13 @@ fn decade_bucket(x: u64) -> String {
 /// cliques at `n ≈ 10³..10⁶`, tree-advice vs no-advice flooding, dispatched
 /// through the supervised grid pipeline.
 ///
-/// This is the tentpole benchmark for the flat-CSR graph + SoA node state +
-/// arena message queues layout: the `n = 10⁶` cell (under `--large`) must
-/// finish in seconds, with `n − 1` messages on the tree scheme and zero
-/// per-delivery allocation on the fault-free path (`queue_allocs == 0`,
-/// asserted by the engine tests).
+/// Every cell is a synchronous, fault-free, untraced run of a
+/// forward-once scheme, so the curve measures the flat-CSR graph and the
+/// engine's frontier kernel (DESIGN.md §11), not the per-message engine:
+/// the `n = 10⁶` cell (under `--large`) must finish in seconds, with
+/// `n − 1` messages on the tree scheme. The per-message engine has no
+/// large-`n` guard here; its zero per-delivery allocation is asserted by
+/// the engine tests.
 ///
 /// # Errors
 ///

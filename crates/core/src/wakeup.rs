@@ -12,7 +12,7 @@ use oraclesize_bits::lists::{decode_port_list, encode_port_list};
 use oraclesize_bits::BitString;
 use oraclesize_graph::spanning::TreeAlgorithm;
 use oraclesize_graph::{NodeId, Port, PortGraph};
-use oraclesize_sim::protocol::{Message, NodeBehavior, NodeView, Outgoing, Protocol};
+use oraclesize_sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,63 +70,33 @@ impl Oracle for SpanningTreeOracle {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TreeWakeup;
 
-struct TreeWakeupState {
-    child_ports: Vec<Port>,
-    is_source: bool,
-    fired: bool,
+/// The child ports a node's Theorem 2.1 advice names, dropping any port
+/// `≥ degree`. Malformed advice degrades to leaf behavior: the scheme
+/// stays legal (silent until woken) and simply fails to forward, which the
+/// experiments detect as incomplete wakeup.
+fn child_ports(advice: &BitString, degree: usize) -> Vec<Port> {
+    decode_port_list(advice)
+        .unwrap_or_default()
+        .into_iter()
+        .filter(|&p| (p as usize) < degree)
+        .map(|p| p as usize)
+        .collect()
 }
 
-impl TreeWakeupState {
-    fn fire(&mut self) -> Vec<Outgoing> {
-        if self.fired {
-            return Vec::new();
-        }
-        self.fired = true;
-        self.child_ports
-            .iter()
-            .map(|&p| Outgoing::new(p, Message::empty()))
-            .collect()
-    }
-}
-
-impl NodeBehavior for TreeWakeupState {
-    fn on_start(&mut self) -> Vec<Outgoing> {
-        if self.is_source {
-            self.fire()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn on_receive(&mut self, _port: Port, message: Message) -> Vec<Outgoing> {
-        if message.carries_source {
-            self.fire()
-        } else {
-            Vec::new()
-        }
-    }
-}
+/// The scheme's rule: forward once, on the advice's child ports.
+const RULE: ForwardOnce = ForwardOnce::AdvicePorts(child_ports);
 
 impl Protocol for TreeWakeup {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        // Malformed advice degrades to leaf behavior: the scheme stays
-        // legal (silent until woken) and simply fails to forward, which the
-        // experiments detect as incomplete wakeup.
-        let child_ports: Vec<Port> = decode_port_list(&view.advice)
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|&p| (p as usize) < view.degree)
-            .map(|p| p as usize)
-            .collect();
-        Box::new(TreeWakeupState {
-            child_ports,
-            is_source: view.is_source,
-            fired: false,
-        })
+        RULE.node(&view)
     }
 
     fn name(&self) -> &'static str {
         "tree-wakeup"
+    }
+
+    fn forward_once(&self) -> Option<ForwardOnce> {
+        Some(RULE)
     }
 }
 

@@ -49,7 +49,9 @@ pub fn subdivide_edges(g: &PortGraph, subdivided: &[EdgeRef]) -> PortGraph {
     let mut labels: Vec<u64> = (0..n).map(|v| g.label(v)).collect();
     let max_label = labels.iter().copied().max().unwrap_or(0);
 
-    let mut seen = std::collections::BTreeSet::new();
+    // One flag per base arc. The graph is simple, so the canonical arc
+    // `(u, port_u)` with `u < v` names the edge `{u, v}` uniquely.
+    let mut seen = vec![false; g.num_edges() * 2];
     for (i, e) in subdivided.iter().enumerate() {
         // Canonical-orientation port lookup instead of a neighbor scan:
         // O(1) per edge where `edge_between` is O(deg).
@@ -57,7 +59,11 @@ pub fn subdivide_edges(g: &PortGraph, subdivided: &[EdgeRef]) -> PortGraph {
             && e.port_u < g.degree(e.u)
             && g.neighbor_via(e.u, e.port_u) == (e.v, e.port_v);
         assert!(present, "edge {e:?} not present in base graph");
-        assert!(seen.insert((e.u, e.v)), "edge {e:?} subdivided twice");
+        let arc = offsets[e.u] + e.port_u;
+        assert!(
+            !std::mem::replace(&mut seen[arc], true),
+            "edge {e:?} subdivided twice"
+        );
         let w = n + i;
         // Orient by label as the paper does.
         let (a, pa, b, pb) = if g.label(e.u) < g.label(e.v) {

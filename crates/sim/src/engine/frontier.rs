@@ -1,0 +1,97 @@
+//! The forward-once frontier kernel: a synchronous, fault-free, untraced
+//! run of a [`ForwardOnce`] scheme, computed level by level without
+//! instantiating a single node.
+//!
+//! [`run_with_sink`](crate::engine::run_with_sink) takes this path when
+//! the config is synchronous, the fault plan is inert, the sink is
+//! disabled and the protocol returns a rule. Under those conditions a
+//! forward-once run is a breadth-first expansion: the nodes woken by the
+//! round-`r` deliveries are exactly the new nodes behind the ports the
+//! level-`r` nodes send on, and each of them sends once, one round later.
+//! Every message carries the source message (only informed nodes send),
+//! none carries payload, and no delivery is lost or duplicated — so the
+//! outcome is the per-message engine's, field for field.
+
+use oraclesize_bits::{BitSet, BitString};
+use oraclesize_graph::{NodeId, PortGraph};
+
+use crate::engine::outcome::{RunOutcome, SimError};
+use crate::metrics::RunMetrics;
+use crate::protocol::ForwardOnce;
+use crate::trace::TraceStats;
+
+/// Runs `rule` from `source` to quiescence.
+///
+/// # Errors
+///
+/// [`SimError::StepLimit`] exactly when the run would deliver more than
+/// `max_steps` messages.
+pub(crate) fn run_forward_once(
+    g: &PortGraph,
+    source: NodeId,
+    advice: &[BitString],
+    rule: ForwardOnce,
+    max_steps: u64,
+) -> Result<RunOutcome, SimError> {
+    let n = g.num_nodes();
+    let mut informed = BitSet::new(n);
+    informed.set(source, true);
+    let mut frontier: Vec<NodeId> = vec![source];
+    let mut next: Vec<NodeId> = Vec::new();
+    let mut messages: u64 = 0;
+    let mut rounds: u64 = 0;
+    let mut level: u64 = 0;
+    while !frontier.is_empty() {
+        let mut sent: u64 = 0;
+        for &v in &frontier {
+            let neighbors = g.neighbors(v);
+            let mut wake = |u: NodeId| {
+                if !informed.get(u) {
+                    informed.set(u, true);
+                    next.push(u);
+                }
+            };
+            match rule {
+                ForwardOnce::AllButArrival => {
+                    // The excluded arrival neighbour sent the waking message,
+                    // so it is informed already: expanding over every
+                    // neighbour reaches the same nodes.
+                    sent += (neighbors.len() - usize::from(v != source)) as u64;
+                    neighbors.iter().for_each(|&u| wake(u));
+                }
+                ForwardOnce::AdvicePorts(decode) => {
+                    let ports = decode(&advice[v], neighbors.len());
+                    sent += ports.len() as u64;
+                    ports.iter().for_each(|&p| wake(neighbors[p]));
+                }
+            }
+        }
+        if sent > 0 {
+            // Level-`r` sends are delivered in round `r`.
+            rounds = level;
+            messages += sent;
+            if messages > max_steps {
+                return Err(SimError::StepLimit { limit: max_steps });
+            }
+        }
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
+        level += 1;
+    }
+    let informed_nodes = informed.count_ones() as u64;
+    Ok(RunOutcome {
+        metrics: RunMetrics {
+            messages,
+            informed_messages: messages,
+            rounds,
+            steps: messages,
+            informed_nodes,
+            ..RunMetrics::default()
+        },
+        informed: informed.to_bools(),
+        crashed: vec![false; n],
+        trace: Vec::new(),
+        trace_stats: TraceStats::default(),
+        outputs: vec![None; n],
+    })
+}

@@ -1,6 +1,6 @@
 //! The executor: delivers messages, enforces the task rules, accounts.
 //!
-//! The engine is split along its three concerns:
+//! The engine is split along its concerns:
 //!
 //! * [`config`] — what to run: [`TaskMode`], [`SimConfig`] and its
 //!   builder;
@@ -8,6 +8,9 @@
 //!   fault injection, and the zero-clone delivery hot path (payloads move
 //!   out of the send queue; a clone happens only when a duplication fault
 //!   manufactures an extra delivery);
+//! * `frontier` — the forward-once frontier kernel that synchronous,
+//!   fault-free, untraced runs of flood-like schemes take instead of the
+//!   per-message loop;
 //! * [`outcome`] — what came back: [`RunOutcome`], [`Completion`], and
 //!   the [`SimError`] abort reasons;
 //! * [`run`](mod@run) — the driver loop tying them together, emitting
@@ -20,6 +23,7 @@
 
 pub mod config;
 pub mod delivery;
+mod frontier;
 pub mod outcome;
 pub mod run;
 

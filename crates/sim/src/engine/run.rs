@@ -14,6 +14,7 @@ use oraclesize_graph::{NodeId, PortGraph};
 
 use crate::engine::config::SimConfig;
 use crate::engine::delivery::{InFlight, NetState};
+use crate::engine::frontier::run_forward_once;
 use crate::engine::outcome::{RunOutcome, SimError};
 use crate::protocol::{NodeBehavior, NodeView, Protocol};
 use crate::scheduler::Scheduler;
@@ -24,8 +25,9 @@ use crate::trace::{
 /// Executes `protocol` on `g` from `source` with the given per-node advice.
 ///
 /// Nodes are instantiated in node-id order; `on_start` is invoked in that
-/// order before any delivery. Execution runs to quiescence (no in-flight
-/// messages) and returns the outcome. The trace requested by
+/// order before any delivery. (A run that takes the frontier kernel, see
+/// [`run_with_sink`], instantiates none.) Execution runs to quiescence (no
+/// in-flight messages) and returns the outcome. The trace requested by
 /// [`SimConfig::trace`](crate::engine::SimConfig::trace) is collected into
 /// [`RunOutcome::trace`] (all events for [`TraceSpec::Full`], the retained
 /// tail for [`TraceSpec::Ring`], nothing — and no allocation — for
@@ -76,6 +78,14 @@ pub fn run(
 /// # Errors / Panics
 ///
 /// As [`run`].
+///
+/// # Frontier kernel
+///
+/// A synchronous run under an inert fault plan, into a disabled sink, of a
+/// protocol with a [`ForwardOnce`](crate::protocol::ForwardOnce) rule
+/// never calls [`Protocol::create`]: the frontier kernel computes the same
+/// [`RunOutcome`] level by level (DESIGN.md §11). Every other run takes
+/// the per-message path.
 pub fn run_with_sink(
     g: &PortGraph,
     source: NodeId,
@@ -91,6 +101,12 @@ pub fn run_with_sink(
             expected: n,
             got: advice.len(),
         });
+    }
+
+    if config.synchronous && config.faults.is_inert() && !sink.enabled() {
+        if let Some(rule) = protocol.forward_once() {
+            return run_forward_once(g, source, advice, rule, config.max_steps);
+        }
     }
 
     let mut net = NetState::new(g, config, source, sink);

@@ -2,30 +2,39 @@ use super::*;
 use crate::faults::FaultPlan;
 use crate::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol, Silent};
 use crate::scheduler::SchedulerKind;
-use crate::testkit::no_advice;
+use crate::testkit::{no_advice, PerMessage};
 use crate::trace::{DropFault, NullSink, Phase, TraceEvent, TraceSpec, TraceStats, VecSink};
 use oraclesize_bits::BitString;
 use oraclesize_graph::{families, Port};
 
+/// Flooding on both engine paths: `FloodOnce` itself takes the frontier
+/// kernel wherever a run qualifies; behind [`PerMessage`] it always takes
+/// the per-message path.
+const FLOODS: [&dyn Protocol; 2] = [&FloodOnce, &PerMessage(&FloodOnce)];
+
 #[test]
 fn flooding_cycle_informs_all() {
     let g = families::cycle(5);
-    let out = run(&g, 0, &no_advice(5), &FloodOnce, &SimConfig::default()).unwrap();
-    assert!(out.all_informed());
-    // Source sends 2, each of the 4 others forwards 1.
-    assert_eq!(out.metrics.messages, 6);
-    assert_eq!(out.metrics.informed_nodes, 5);
-    assert!(out.metrics.rounds >= 2);
+    for flood in FLOODS {
+        let out = run(&g, 0, &no_advice(5), flood, &SimConfig::default()).unwrap();
+        assert!(out.all_informed());
+        // Source sends 2, each of the 4 others forwards 1.
+        assert_eq!(out.metrics.messages, 6);
+        assert_eq!(out.metrics.informed_nodes, 5);
+        assert!(out.metrics.rounds >= 2);
+    }
 }
 
 #[test]
 fn flooding_complete_costs_quadratic() {
     let n = 10;
     let g = families::complete_rotational(n);
-    let out = run(&g, 0, &no_advice(n), &FloodOnce, &SimConfig::default()).unwrap();
-    assert!(out.all_informed());
-    // Source: n−1, every other node: n−2.
-    assert_eq!(out.metrics.messages as usize, (n - 1) + (n - 1) * (n - 2));
+    for flood in FLOODS {
+        let out = run(&g, 0, &no_advice(n), flood, &SimConfig::default()).unwrap();
+        assert!(out.all_informed());
+        // Source: n−1, every other node: n−2.
+        assert_eq!(out.metrics.messages as usize, (n - 1) + (n - 1) * (n - 2));
+    }
 }
 
 #[test]
@@ -96,8 +105,10 @@ fn wakeup_mode_rejects_spontaneous_transmissions() {
 #[test]
 fn flood_is_a_legal_wakeup_scheme() {
     let g = families::cycle(6);
-    let out = run(&g, 0, &no_advice(6), &FloodOnce, &SimConfig::wakeup()).unwrap();
-    assert!(out.all_informed());
+    for flood in FLOODS {
+        let out = run(&g, 0, &no_advice(6), flood, &SimConfig::wakeup()).unwrap();
+        assert!(out.all_informed());
+    }
 }
 
 #[test]
@@ -327,11 +338,13 @@ fn untraced_runs_allocate_nothing_on_the_trace_path() {
     // the never-allocated `Vec::new()` and the stats all-zero — the
     // allocation-free discipline mirroring `payload_copies == 0`.
     let g = families::complete_rotational(16);
-    let out = run(&g, 0, &no_advice(16), &FloodOnce, &SimConfig::default()).unwrap();
-    assert_eq!(out.trace.capacity(), 0);
-    assert_eq!(out.trace_stats, TraceStats::default());
-    assert_eq!(out.metrics.faults.payload_copies, 0);
-    assert_eq!(out.metrics.faults.queue_allocs, 0);
+    for flood in FLOODS {
+        let out = run(&g, 0, &no_advice(16), flood, &SimConfig::default()).unwrap();
+        assert_eq!(out.trace.capacity(), 0);
+        assert_eq!(out.trace_stats, TraceStats::default());
+        assert_eq!(out.metrics.faults.payload_copies, 0);
+        assert_eq!(out.metrics.faults.queue_allocs, 0);
+    }
 }
 
 #[test]
@@ -469,10 +482,12 @@ fn fault_free_delivery_never_copies_payloads_or_grows_queues() {
     // an inert plan (and even with an active plan that never duplicates)
     // both the clone counter and the forced-slot counter must stay zero.
     let g = families::complete_rotational(16);
-    let out = run(&g, 0, &no_advice(16), &FloodOnce, &SimConfig::default()).unwrap();
-    assert!(out.metrics.messages > 0);
-    assert_eq!(out.metrics.faults.payload_copies, 0);
-    assert_eq!(out.metrics.faults.queue_allocs, 0);
+    for flood in FLOODS {
+        let out = run(&g, 0, &no_advice(16), flood, &SimConfig::default()).unwrap();
+        assert!(out.metrics.messages > 0);
+        assert_eq!(out.metrics.faults.payload_copies, 0);
+        assert_eq!(out.metrics.faults.queue_allocs, 0);
+    }
 
     let dropping = SimConfig::broadcast()
         .with_scheduler(SchedulerKind::Fifo)
@@ -594,14 +609,16 @@ fn faulty_runs_are_reproducible_per_seed() {
 #[test]
 fn inert_plan_with_nonzero_seed_changes_nothing() {
     let g = families::complete_rotational(8);
-    let baseline = run(&g, 2, &no_advice(8), &FloodOnce, &SimConfig::default()).unwrap();
     let cfg = SimConfig::broadcast().with_faults(FaultPlan {
         seed: 999,
         ..Default::default()
     });
-    let with_inert = run(&g, 2, &no_advice(8), &FloodOnce, &cfg).unwrap();
-    assert_eq!(baseline.metrics, with_inert.metrics);
-    assert_eq!(baseline.informed, with_inert.informed);
+    for flood in FLOODS {
+        let baseline = run(&g, 2, &no_advice(8), flood, &SimConfig::default()).unwrap();
+        let with_inert = run(&g, 2, &no_advice(8), flood, &cfg).unwrap();
+        assert_eq!(baseline.metrics, with_inert.metrics);
+        assert_eq!(baseline.informed, with_inert.informed);
+    }
 }
 
 #[test]
@@ -655,5 +672,25 @@ fn error_display_nonempty() {
     ];
     for e in errs {
         assert!(!e.to_string().is_empty());
+    }
+}
+
+#[test]
+fn step_limit_trips_exactly_past_the_total() {
+    // 5 + 5·4 = 25 deliveries flood K6: a budget of 25 completes, 24
+    // aborts, on both engine paths alike.
+    let g = families::complete_rotational(6);
+    for flood in FLOODS {
+        let exact = SimConfig::broadcast().with_max_steps(25);
+        assert_eq!(
+            run(&g, 0, &no_advice(6), flood, &exact)
+                .unwrap()
+                .metrics
+                .steps,
+            25
+        );
+        let short = SimConfig::broadcast().with_max_steps(24);
+        let err = run(&g, 0, &no_advice(6), flood, &short).unwrap_err();
+        assert_eq!(err, SimError::StepLimit { limit: 24 });
     }
 }

@@ -63,7 +63,7 @@ pub use history::{History, HistoryProtocol};
 pub use instance::{run, run_streamed, Instance};
 pub use metrics::RunMetrics;
 pub use oracle::{advice_size, Oracle};
-pub use protocol::{Message, NodeBehavior, NodeView, Outgoing, Protocol};
+pub use protocol::{ForwardOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
 pub use scheduler::SchedulerKind;
 pub use trace::{TraceEvent, TraceSink, TraceSpec, TraceStats};
 

@@ -117,6 +117,97 @@ pub trait Protocol {
     fn name(&self) -> &'static str {
         "unnamed"
     }
+
+    /// The scheme's forward-once rule, if it has one (see [`ForwardOnce`]).
+    /// A protocol that returns a rule lets synchronous, fault-free,
+    /// untraced runs skip [`create`](Protocol::create) and take the
+    /// engine's frontier kernel. The default, `None`, keeps every run on
+    /// the per-message path.
+    fn forward_once(&self) -> Option<ForwardOnce> {
+        None
+    }
+}
+
+/// The whole behaviour of a *forward-once* scheme, as data.
+///
+/// A protocol that returns a rule from [`Protocol::forward_once`] creates
+/// [`rule.node(view)`](ForwardOnce::node) for every node, so its
+/// per-message runs and the engine's frontier kernel follow the same rule.
+#[derive(Debug, Clone, Copy)]
+pub enum ForwardOnce {
+    /// Every port but the arrival port; the source uses every port
+    /// ([`FloodOnce`]).
+    AllButArrival,
+    /// The ports this function decodes from the node's advice and degree:
+    /// each below the degree, in send order, repeats included.
+    AdvicePorts(fn(&BitString, usize) -> Vec<Port>),
+}
+
+impl ForwardOnce {
+    /// The node this rule describes: the source sends one empty message on
+    /// each of its rule ports in [`on_start`](NodeBehavior::on_start); any
+    /// other node does the same on its first source-carrying delivery;
+    /// nothing else is ever sent, the quiescence hook stays silent, and
+    /// the node has no output.
+    pub fn node(self, view: &NodeView) -> Box<dyn NodeBehavior> {
+        let ports = match self {
+            ForwardOnce::AllButArrival => Vec::new(),
+            ForwardOnce::AdvicePorts(decode) => decode(&view.advice, view.degree),
+        };
+        Box::new(ForwardOnceNode {
+            rule: self,
+            ports,
+            degree: view.degree,
+            is_source: view.is_source,
+            fired: false,
+        })
+    }
+}
+
+/// A node of a forward-once scheme (see [`ForwardOnce::node`]).
+struct ForwardOnceNode {
+    rule: ForwardOnce,
+    /// The decoded ports of an [`AdvicePorts`](ForwardOnce::AdvicePorts)
+    /// rule.
+    ports: Vec<Port>,
+    degree: usize,
+    is_source: bool,
+    fired: bool,
+}
+
+impl ForwardOnceNode {
+    /// The node's one round of sends; `arrival` is `None` at the source.
+    fn fire(&mut self, arrival: Option<Port>) -> Vec<Outgoing> {
+        if std::mem::replace(&mut self.fired, true) {
+            return Vec::new();
+        }
+        let send = |p| Outgoing::new(p, Message::empty());
+        match self.rule {
+            ForwardOnce::AllButArrival => (0..self.degree)
+                .filter(|&p| Some(p) != arrival)
+                .map(send)
+                .collect(),
+            ForwardOnce::AdvicePorts(_) => self.ports.iter().copied().map(send).collect(),
+        }
+    }
+}
+
+impl NodeBehavior for ForwardOnceNode {
+    fn on_start(&mut self) -> Vec<Outgoing> {
+        if self.is_source {
+            self.fire(None)
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn on_receive(&mut self, port: Port, message: Message) -> Vec<Outgoing> {
+        if message.carries_source {
+            self.fire(Some(port))
+        } else {
+            Vec::new()
+        }
+    }
 }
 
 /// The trivial oracle-free broadcast baseline: the source floods on all
@@ -125,48 +216,17 @@ pub trait Protocol {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FloodOnce;
 
-struct FloodState {
-    degree: usize,
-    is_source: bool,
-    forwarded: bool,
-}
-
-impl NodeBehavior for FloodState {
-    fn on_start(&mut self) -> Vec<Outgoing> {
-        if self.is_source && !self.forwarded {
-            self.forwarded = true;
-            (0..self.degree)
-                .map(|p| Outgoing::new(p, Message::empty()))
-                .collect()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn on_receive(&mut self, port: Port, message: Message) -> Vec<Outgoing> {
-        if message.carries_source && !self.forwarded {
-            self.forwarded = true;
-            (0..self.degree)
-                .filter(|&p| p != port)
-                .map(|p| Outgoing::new(p, Message::empty()))
-                .collect()
-        } else {
-            Vec::new()
-        }
-    }
-}
-
 impl Protocol for FloodOnce {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        Box::new(FloodState {
-            degree: view.degree,
-            is_source: view.is_source,
-            forwarded: false,
-        })
+        ForwardOnce::AllButArrival.node(&view)
     }
 
     fn name(&self) -> &'static str {
         "flood-once"
+    }
+
+    fn forward_once(&self) -> Option<ForwardOnce> {
+        Some(ForwardOnce::AllButArrival)
     }
 }
 

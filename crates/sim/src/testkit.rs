@@ -6,10 +6,26 @@
 
 use oraclesize_bits::BitString;
 
+use crate::protocol::{NodeBehavior, NodeView, Protocol};
+
 /// Advice for the trivial (empty) oracle: `n` empty strings, total size 0
 /// bits. The advice every oracle-free baseline runs with.
 pub fn no_advice(n: usize) -> Vec<BitString> {
     vec![BitString::new(); n]
+}
+
+/// A protocol behind a wrapper that forwards only
+/// [`create`](Protocol::create). The wrapper has no
+/// [`forward_once`](Protocol::forward_once) rule, so every run of it takes
+/// the engine's per-message path — the reference the frontier kernel is
+/// tested against.
+#[derive(Clone, Copy)]
+pub struct PerMessage<'a>(pub &'a dyn Protocol);
+
+impl Protocol for PerMessage<'_> {
+    fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
+        self.0.create(view)
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,9 @@
 //!   they happen, so a sink with bounded memory (a ring, a line writer)
 //!   traces arbitrarily long runs without accumulating a vector;
 //! * [`NullSink`] / [`VecSink`] / [`RingSink`] — the stock sinks;
+//! * [`InvariantSink`] — an online checker of the trace contract
+//!   (every message resolved once, wakes only of uninformed nodes, the
+//!   wakeup rule, rollup counts);
 //! * [`TraceStats`] — constant-size per-run tallies, cheap enough to wire
 //!   into every grid cell;
 //! * [`diff`] — first-divergence comparison of two rendered trace files.
@@ -43,9 +46,11 @@
 //! [`Rollup`]: TraceEvent::Rollup
 
 pub mod diff;
+pub mod invariant;
 pub mod sink;
 
 pub use diff::{diff_lines, Divergence, TraceDiff};
+pub use invariant::{InvariantSink, Violation};
 pub use sink::{NullSink, RingSink, TraceSink, VecSink};
 
 use oraclesize_graph::{NodeId, Port};

@@ -2,9 +2,10 @@
 
 use oraclesize_bits::BitString;
 use oraclesize_graph::families::{self, Family};
-use oraclesize_sim::engine::{run, SimConfig};
+use oraclesize_sim::engine::{run, run_with_sink, RunOutcome, SimConfig, SimError};
 use oraclesize_sim::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
-use oraclesize_sim::trace::TraceSpec;
+use oraclesize_sim::testkit::PerMessage;
+use oraclesize_sim::trace::{InvariantSink, TraceSpec};
 use oraclesize_sim::{FaultPlan, SchedulerKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,6 +29,23 @@ fn arb_scheduler() -> impl Strategy<Value = SchedulerKind> {
 fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
     (any::<u64>(), 0.0f64..0.9, 0.0f64..0.9, 0.0f64..0.9)
         .prop_map(|(seed, drop, dup, flip)| FaultPlan::message_faults(seed, drop, dup, flip))
+}
+
+/// Runs `protocol` on the per-message path under an [`InvariantSink`],
+/// failing on the first broken trace invariant.
+fn checked_run(
+    g: &oraclesize_graph::PortGraph,
+    source: usize,
+    protocol: &dyn Protocol,
+    cfg: &SimConfig,
+) -> Result<RunOutcome, SimError> {
+    let mut sink = InvariantSink::new(g.num_nodes(), source, cfg.mode);
+    let advice = oraclesize_sim::testkit::no_advice(g.num_nodes());
+    let out = run_with_sink(g, source, &advice, protocol, cfg, &mut sink);
+    if let Err(v) = sink.verdict(out.is_ok()) {
+        panic!("{v}");
+    }
+    out
 }
 
 proptest! {
@@ -57,6 +75,8 @@ proptest! {
             + (0..nodes).filter(|&v| v != source).map(|v| g.degree(v) - 1).sum::<usize>();
         prop_assert_eq!(out.metrics.messages as usize, expected);
         prop_assert_eq!(out.deliveries().count() as u64, out.metrics.steps);
+        let checked = checked_run(&g, source, &FloodOnce, &cfg).unwrap();
+        prop_assert_eq!(checked.metrics, out.metrics);
     }
 
     #[test]
@@ -122,11 +142,18 @@ proptest! {
             .with_synchronous(synchronous)
             .with_faults(plan);
         let advice = oraclesize_sim::testkit::no_advice(nodes);
-        let out = run(&g, seed as usize % nodes, &advice, &FloodOnce, &cfg).unwrap();
-        let m = &out.metrics;
-        prop_assert!(m.informed_messages <= m.messages,
-            "informed {} > messages {}", m.informed_messages, m.messages);
-        prop_assert_eq!(m.steps, m.messages - m.faults.dropped + m.faults.duplicated);
+        let source = seed as usize % nodes;
+        let checked = checked_run(&g, source, &FloodOnce, &cfg).unwrap();
+        // Both engine paths: an all-zero plan is inert, so a synchronous
+        // run of bare `FloodOnce` may take the frontier kernel.
+        for flood in [&FloodOnce as &dyn Protocol, &PerMessage(&FloodOnce)] {
+            let out = run(&g, source, &advice, flood, &cfg).unwrap();
+            let m = &out.metrics;
+            prop_assert!(m.informed_messages <= m.messages,
+                "informed {} > messages {}", m.informed_messages, m.messages);
+            prop_assert_eq!(m.steps, m.messages - m.faults.dropped + m.faults.duplicated);
+            prop_assert_eq!(checked.metrics, out.metrics);
+        }
     }
 
     #[test]
@@ -151,6 +178,8 @@ proptest! {
         prop_assert_eq!(a.metrics, b.metrics);
         prop_assert_eq!(a.informed, b.informed);
         prop_assert_eq!(a.crashed, b.crashed);
+        let checked = checked_run(&g, 0, &FloodOnce, &cfg).unwrap();
+        prop_assert_eq!(checked.metrics, a.metrics);
     }
 
     #[test]
