@@ -753,11 +753,12 @@ pub fn t12_gossip() -> String {
                 &SimConfig::default(),
             )
             .expect("gossip runs");
-            let complete = run.outcome.outputs.iter().all(|o| {
-                o.as_ref()
-                    .and_then(decode_gossip_output)
-                    .is_some_and(|set| set.len() == nodes)
-            });
+            let complete = run.outcome.outputs.len() == nodes
+                && run.outcome.outputs.iter().all(|o| {
+                    o.as_ref()
+                        .and_then(decode_gossip_output)
+                        .is_some_and(|set| set.len() == nodes)
+                });
             ok &= complete && run.outcome.metrics.messages == gossip_message_bound(nodes);
             table.row([
                 fam.name().to_string(),
@@ -1756,7 +1757,8 @@ fn subdivided_clique_nodes(b: usize) -> usize {
 /// The SCALE curve as a spec: wakeup on fully subdivided cliques,
 /// tree-advice vs no-advice flooding; `large` appends the million-node
 /// order. Subdividing *every* edge of `K*_b` gives the densest `G_{n,S}`,
-/// built deterministically (no RNG: the edge list is CSR iteration
+/// built deterministically in closed form by
+/// `families::subdivided_clique` (no RNG: the edge list is CSR iteration
 /// order).
 pub fn scale_spec(large: bool) -> SweepSpec {
     let mut spec = SweepSpec::new("scale", MASTER_SEED);

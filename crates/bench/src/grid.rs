@@ -19,7 +19,7 @@ use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_core::robust::{RetryBroadcast, RobustTreeWakeup, RobustWakeupOracle};
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_graph::families::{self, Family};
-use oraclesize_graph::{gadgets, PortGraph};
+use oraclesize_graph::PortGraph;
 use oraclesize_runtime::spec::{artifact_json, from_ppm, grid_json};
 use oraclesize_runtime::{
     run_supervised_batch, ChaosPlan, Json, Pool, RunReport, RunRequest, SchedStats, SweepOptions,
@@ -257,11 +257,7 @@ fn build_family(
                 &mut StdRng::seed_from_u64(seed),
             ))
         }
-        "subdivided-clique" => {
-            let base = families::complete_rotational(n);
-            let edges: Vec<_> = base.edges().collect();
-            Ok(gadgets::subdivide_edges(&base, &edges))
-        }
+        "subdivided-clique" => Ok(families::subdivided_clique(n)),
         other => Err(format!("family: unknown family {other:?}")),
     }
 }

@@ -304,6 +304,7 @@ mod tests {
                 "{}",
                 fam.name()
             );
+            assert_eq!(run.outcome.outputs.len(), g.num_nodes());
             for (v, out) in run.outcome.outputs.iter().enumerate() {
                 let learned =
                     decode_gossip_output(out.as_ref().expect("gossip emits output")).unwrap();
@@ -325,6 +326,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(run.outcome.metrics.messages, 38, "{}", kind.name());
+            assert_eq!(run.outcome.outputs.len(), 20);
             for out in &run.outcome.outputs {
                 let learned = decode_gossip_output(out.as_ref().unwrap()).unwrap();
                 assert_eq!(learned.len(), 20);

@@ -49,7 +49,13 @@ impl Oracle for SpanningTreeOracle {
         let n = g.num_nodes() as u64;
         (0..g.num_nodes())
             .map(|v| {
-                let ports: Vec<u64> = tree.children(v).iter().map(|&(_, p)| p as u64).collect();
+                let children = tree.children(v);
+                if children.is_empty() {
+                    // A leaf's advice is the empty list, which encodes to
+                    // no bits.
+                    return BitString::new();
+                }
+                let ports: Vec<u64> = children.iter().map(|&(_, p)| p as u64).collect();
                 encode_port_list(&ports, n.max(2))
             })
             .collect()

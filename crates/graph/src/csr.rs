@@ -17,20 +17,30 @@ pub struct CsrRows<T> {
 impl<T: Copy + Default> CsrRows<T> {
     /// Packs `(row, item)` pairs into `n` rows by stable counting sort:
     /// items land in their row in input order, using exactly two passes
-    /// and three allocations regardless of row count.
-    pub fn from_pairs(n: usize, pairs: &[(usize, T)]) -> Self {
+    /// over `pairs` and two allocations regardless of row count.
+    pub fn from_pairs<I>(n: usize, pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, T)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        // `offsets[r + 1]` first holds the start of row `r`, then serves as
+        // its fill cursor, and ends at the row's end: no separate cursor.
         let mut offsets = vec![0usize; n + 1];
-        for &(row, _) in pairs {
-            offsets[row + 1] += 1;
+        let mut len = 0;
+        for (row, _) in pairs.clone() {
+            len += 1;
+            if row + 2 <= n {
+                offsets[row + 2] += 1;
+            }
         }
-        for i in 0..n {
+        for i in 1..n {
             offsets[i + 1] += offsets[i];
         }
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut items = vec![T::default(); pairs.len()];
-        for &(row, item) in pairs {
-            items[cursor[row]] = item;
-            cursor[row] += 1;
+        let mut items = vec![T::default(); len];
+        for (row, item) in pairs {
+            items[offsets[row + 1]] = item;
+            offsets[row + 1] += 1;
         }
         CsrRows { offsets, items }
     }
@@ -58,7 +68,7 @@ mod tests {
     #[test]
     fn packs_rows_in_input_order() {
         let pairs = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd'), (2, 'e')];
-        let rows = CsrRows::from_pairs(4, &pairs);
+        let rows = CsrRows::from_pairs(4, pairs);
         assert_eq!(rows.num_rows(), 4);
         assert_eq!(rows.row(0), ['b', 'd']);
         assert_eq!(rows.row(1), []);
@@ -68,7 +78,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_rows() {
-        let rows: CsrRows<usize> = CsrRows::from_pairs(3, &[]);
+        let rows: CsrRows<usize> = CsrRows::from_pairs(3, []);
         for r in 0..3 {
             assert_eq!(rows.row(r), []);
         }
@@ -76,7 +86,7 @@ mod tests {
 
     #[test]
     fn rows_are_sortable_in_place() {
-        let mut rows = CsrRows::from_pairs(2, &[(0, 9), (0, 3), (0, 7), (1, 1)]);
+        let mut rows = CsrRows::from_pairs(2, [(0, 9), (0, 3), (0, 7), (1, 1)]);
         rows.row_mut(0).sort_unstable();
         assert_eq!(rows.row(0), [3, 7, 9]);
         assert_eq!(rows.row(1), [1]);

@@ -4,6 +4,12 @@
 //! numberings are deterministic except where a generator takes an `Rng`.
 //! The [`Family`] enum names the sweep set used across benches and
 //! EXPERIMENTS.md.
+//!
+//! The large closed-form graphs write their CSR arrays directly through
+//! [`PortGraph::from_csr`]: [`complete_rotational`], and
+//! [`subdivided_clique`], the SCALE experiment's `K*_b`, which equals the
+//! general `gadgets::subdivide_edges` composition without building the
+//! clique or its edge list first.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -65,18 +71,66 @@ pub fn star(n: usize) -> PortGraph {
 /// Panics if `n < 2`.
 pub fn complete_rotational(n: usize) -> PortGraph {
     assert!(n >= 2, "complete graph needs at least two nodes");
-    let mut adj = Vec::with_capacity(n);
+    let deg = n - 1;
+    let mut targets = Vec::with_capacity(n * deg);
+    let mut back_ports = Vec::with_capacity(n * deg);
     for i in 0..n {
-        let mut ports = Vec::with_capacity(n - 1);
-        for p in 0..n - 1 {
+        for p in 0..deg {
             let j = (i + p + 1) % n;
+            targets.push(j);
             // Arrival port q at j satisfies (j + q + 1) mod n == i.
-            let q = (i + n - j - 1) % n;
-            ports.push((j, q));
+            back_ports.push((i + n - j - 1) % n);
         }
-        adj.push(ports);
     }
-    PortGraph::from_adjacency(adj).expect("rotational labeling is symmetric")
+    let offsets = (0..=n).map(|v| v * deg).collect();
+    PortGraph::from_csr(offsets, targets, back_ports, (0..n as u64).collect())
+        .expect("rotational labeling is symmetric")
+}
+
+/// The fully subdivided clique `K*_b`: [`complete_rotational`]`(b)` with a
+/// degree-2 node hidden in every edge — equal, labels included, to
+/// [`gadgets::subdivide_edges`](crate::gadgets::subdivide_edges) applied
+/// to all of its edges in [`PortGraph::edges`] order, which is the SCALE
+/// experiment's graph (`n = b + b(b−1)/2`).
+///
+/// The CSR arrays are written in closed form, so the million-node
+/// instance allocates only what the graph keeps. Edge `{u, v}` (`u < v`)
+/// is the `idx(u, v)`-th in canonical order; its node `b + idx(u, v)` has
+/// port 0 toward `u` and port 1 toward `v`, and the clique ports keep the
+/// rotational numbering.
+///
+/// # Panics
+///
+/// Panics if `b < 2`.
+pub fn subdivided_clique(b: usize) -> PortGraph {
+    assert!(b >= 2, "complete graph needs at least two nodes");
+    let deg = b - 1;
+    let m = b * deg / 2;
+    // Edges from `u` to `u+1 .. b` come in port order, after the
+    // `Σ_{k<u} (b−1−k)` edges of the smaller endpoints.
+    let idx = |u: usize, v: usize| u * deg - u * (u.saturating_sub(1)) / 2 + (v - u - 1);
+    let arcs = 2 * b * deg;
+    let mut targets = Vec::with_capacity(arcs);
+    let mut back_ports = Vec::with_capacity(arcs);
+    for i in 0..b {
+        for p in 0..deg {
+            let j = (i + p + 1) % b;
+            targets.push(b + idx(i.min(j), i.max(j)));
+            back_ports.push(usize::from(i > j));
+        }
+    }
+    for u in 0..b {
+        for v in u + 1..b {
+            targets.extend([u, v]);
+            back_ports.extend([v - u - 1, (u + b - v - 1) % b]);
+        }
+    }
+    let offsets = (0..=b)
+        .map(|v| v * deg)
+        .chain((1..=m).map(|w| b * deg + 2 * w))
+        .collect();
+    PortGraph::from_csr(offsets, targets, back_ports, (0..(b + m) as u64).collect())
+        .expect("subdivision preserves invariants")
 }
 
 /// A `w × h` grid (4-neighbor mesh).
@@ -458,6 +512,38 @@ mod tests {
     }
 
     #[test]
+    fn complete_rotational_matches_the_adjacency_formula() {
+        for n in 2usize..=40 {
+            let adj = (0..n)
+                .map(|i| {
+                    (0..n - 1)
+                        .map(|p| {
+                            let j = (i + p + 1) % n;
+                            (j, (i + n - j - 1) % n)
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                complete_rotational(n),
+                PortGraph::from_adjacency(adj).unwrap(),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn subdivided_clique_matches_the_composition() {
+        for b in 2usize..=48 {
+            let base = complete_rotational(b);
+            let edges: Vec<_> = base.edges().collect();
+            let g = subdivided_clique(b);
+            assert_eq!(g, crate::gadgets::subdivide_edges(&base, &edges), "b={b}");
+            assert_eq!(g.num_nodes(), b + b * (b - 1) / 2);
+        }
+    }
+
+    #[test]
     fn grid_and_torus_shapes() {
         let g = grid(4, 3);
         assert_eq!(g.num_nodes(), 12);
@@ -540,6 +626,9 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{} n={n}: {e}", fam.name()));
                 assert!(g.is_connected(), "{} n={n}", fam.name());
                 assert!(g.num_nodes() >= 4, "{} n={n}", fam.name());
+                let edges = g.edges();
+                assert_eq!(edges.len(), g.num_edges(), "{} n={n}", fam.name());
+                assert_eq!(edges.count(), g.num_edges(), "{} n={n}", fam.name());
             }
         }
     }

@@ -352,20 +352,15 @@ impl PortGraph {
     }
 
     /// Iterates over all undirected edges in canonical (`u < v`) order.
-    pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
-        (0..self.num_nodes()).flat_map(move |u| {
-            let start = self.offsets[u];
-            self.neighbors(u)
-                .iter()
-                .enumerate()
-                .filter(move |&(_, &v)| u < v)
-                .map(move |(pu, &v)| EdgeRef {
-                    u,
-                    port_u: pu,
-                    v,
-                    port_v: self.back_ports[start + pu],
-                })
-        })
+    /// The length is [`num_edges`](Self::num_edges), so `collect` sizes
+    /// its buffer once.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = EdgeRef> + '_ {
+        Edges {
+            g: self,
+            u: 0,
+            arc: 0,
+            remaining: self.num_edges(),
+        }
     }
 
     /// The neighbors of `v` in port order, as a contiguous slice: entry `p`
@@ -424,14 +419,10 @@ impl PortGraph {
                 }
             }
         }
-        let mut labels: Vec<u64> = self.labels.clone();
-        labels.sort_unstable();
-        for w in labels.windows(2) {
-            if w[0] == w[1] {
-                return Err(GraphError::DuplicateLabel { label: w[0] });
-            }
+        match first_duplicate_label(&self.labels) {
+            Some(label) => Err(GraphError::DuplicateLabel { label }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Replaces all labels. Used by experiments that re-label nodes `1..=n`
@@ -446,20 +437,71 @@ impl PortGraph {
     /// Panics if `labels.len() != num_nodes()`.
     pub fn set_labels(&mut self, labels: Vec<u64>) -> Result<(), GraphError> {
         assert_eq!(labels.len(), self.num_nodes(), "one label per node");
-        let old = std::mem::replace(&mut self.labels, labels);
         // Only the label invariant can change here; re-check just it so a
         // million-node relabel doesn't re-walk every edge.
-        let mut sorted = self.labels.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                self.labels = old;
-                return Err(GraphError::DuplicateLabel { label: w[0] });
-            }
+        if let Some(label) = first_duplicate_label(&labels) {
+            return Err(GraphError::DuplicateLabel { label });
         }
+        self.labels = labels;
         Ok(())
     }
 }
+
+/// The smallest repeated label, if any. Strictly increasing labels (every
+/// closed-form family's `0..n`) are accepted in one scan, without the
+/// sorted copy the general check needs.
+fn first_duplicate_label(labels: &[u64]) -> Option<u64> {
+    if labels.windows(2).all(|w| w[0] < w[1]) {
+        return None;
+    }
+    let mut sorted = labels.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
+/// [`PortGraph::edges`]: walks the arcs in CSR order and yields those with
+/// `u < v`. The graph is simple, so exactly `num_edges` arcs qualify, and
+/// the walk stops at the last one.
+struct Edges<'a> {
+    g: &'a PortGraph,
+    /// Node whose row holds `arc`.
+    u: NodeId,
+    /// Next arc to inspect, an index into `targets`.
+    arc: usize,
+    /// Edges not yet yielded.
+    remaining: usize,
+}
+
+impl Iterator for Edges<'_> {
+    type Item = EdgeRef;
+
+    fn next(&mut self) -> Option<EdgeRef> {
+        while self.remaining > 0 {
+            let arc = self.arc;
+            self.arc += 1;
+            while arc >= self.g.offsets[self.u + 1] {
+                self.u += 1;
+            }
+            let (u, v) = (self.u, self.g.targets[arc]);
+            if u < v {
+                self.remaining -= 1;
+                return Some(EdgeRef {
+                    u,
+                    port_u: arc - self.g.offsets[u],
+                    v,
+                    port_v: self.g.back_ports[arc],
+                });
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
 
 #[cfg(test)]
 mod tests {

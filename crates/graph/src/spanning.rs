@@ -6,6 +6,12 @@
 //! `Σ_{e ∈ T0} #2(w(e))` is at most `4n` — built here by
 //! [`light_tree`], a phase-based variant of Kruskal's algorithm following
 //! the proof of Claim 3.1 step by step.
+//!
+//! [`bfs_tree`], the oracle's default tree, is built in one pass: it
+//! records each node's parent link when it discovers the node and fills
+//! the child rows from the BFS order, with no parent-map round trip
+//! through [`RootedTree::from_parents`]. [`RootedTree::validate`] is
+//! linear, so both stay fast on million-node and path-like trees.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -54,8 +60,6 @@ impl RootedTree {
         assert_eq!(parents.len(), n, "one parent entry per node");
         assert!(parents[root].is_none(), "root must have no parent");
         let mut parent = vec![None; n];
-        let mut child_pairs: Vec<(NodeId, (NodeId, Port))> =
-            Vec::with_capacity(n.saturating_sub(1));
         for v in 0..n {
             match parents[v] {
                 None => assert_eq!(v, root, "non-root node {v} lacks a parent"),
@@ -69,11 +73,14 @@ impl RootedTree {
                         .unwrap_or_else(|| panic!("tree edge {{{p},{v}}} missing from graph"));
                     let port_at_parent = g.arrival_ports(v)[port_at_child];
                     parent[v] = Some((p, port_at_parent, port_at_child));
-                    child_pairs.push((p, (v, port_at_parent)));
                 }
             }
         }
-        let mut children = CsrRows::from_pairs(n, &child_pairs);
+        let child_pairs = parent
+            .iter()
+            .enumerate()
+            .filter_map(|(v, link)| link.map(|(p, port_at_parent, _)| (p, (v, port_at_parent))));
+        let mut children = CsrRows::from_pairs(n, child_pairs);
         for v in 0..n {
             children.row_mut(v).sort_by_key(|&(_, port)| port);
         }
@@ -178,8 +185,24 @@ impl RootedTree {
                 }
             }
         }
-        // Acyclicity + reachability: walk up from every node with a step cap.
-        for v in 0..n {
+        // Acyclicity + reachability in one walk down from the root. It
+        // follows only child entries that match the child's parent link, and
+        // every node has one link, so it reaches each node at most once —
+        // and reaches exactly the nodes whose walk up ends at the root.
+        let mut reached = vec![false; n];
+        reached[self.root] = true;
+        let mut stack = vec![self.root];
+        while let Some(v) = stack.pop() {
+            for &(c, pp) in self.children.row(v) {
+                if !reached[c] && matches!(self.parent[c], Some((p, q, _)) if (p, q) == (v, pp)) {
+                    reached[c] = true;
+                    stack.push(c);
+                }
+            }
+        }
+        // The first unreached node is the first whose walk up fails; that
+        // one walk, with a step cap, names the defect.
+        if let Some(v) = reached.iter().position(|&r| !r) {
             let mut cur = v;
             let mut steps = 0;
             while let Some((p, _, _)) = self.parent[cur] {
@@ -189,37 +212,50 @@ impl RootedTree {
                     return Err(format!("cycle reached from node {v}"));
                 }
             }
-            if cur != self.root {
-                return Err(format!("node {v} does not reach the root"));
-            }
+            return Err(format!("node {v} does not reach the root"));
         }
         Ok(())
     }
 }
 
-/// Breadth-first spanning tree rooted at `root`.
+/// Breadth-first spanning tree rooted at `root`, exploring ports in order.
+///
+/// Built in one pass: discovering `u` through port `p` of `v` records
+/// `u`'s whole parent link, `(v, p, arrival port)`, and the BFS order
+/// lists every node's children consecutively and in port order, so one
+/// counting pass over it fills the child rows already sorted.
 ///
 /// # Panics
 ///
 /// Panics if `g` is disconnected or `root` out of range.
 pub fn bfs_tree(g: &PortGraph, root: NodeId) -> RootedTree {
     let n = g.num_nodes();
-    let mut parents = vec![None; n];
-    let mut visited = vec![false; n];
-    visited[root] = true;
-    let mut queue = std::collections::VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        for p in 0..g.degree(v) {
-            let (u, _) = g.neighbor_via(v, p);
-            if !visited[u] {
-                visited[u] = true;
-                parents[u] = Some(v);
-                queue.push_back(u);
+    let mut parent: Vec<Option<(NodeId, Port, Port)>> = vec![None; n];
+    let mut order = Vec::with_capacity(n);
+    order.push(root);
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
+        for (p, (&u, &q)) in g.neighbors(v).iter().zip(g.arrival_ports(v)).enumerate() {
+            if u != root && parent[u].is_none() {
+                parent[u] = Some((v, p, q));
+                order.push(u);
             }
         }
     }
-    assert!(visited.iter().all(|&x| x), "graph is disconnected");
-    RootedTree::from_parents(g, root, &parents)
+    assert_eq!(order.len(), n, "graph is disconnected");
+    let child_pairs = order[1..].iter().map(|&u| {
+        let (v, p, _) = parent[u].expect("every non-root node was discovered");
+        (v, (u, p))
+    });
+    let children = CsrRows::from_pairs(n, child_pairs);
+    let t = RootedTree {
+        root,
+        parent,
+        children,
+    };
+    assert!(t.validate(g).is_ok(), "BFS yields a spanning tree");
+    t
 }
 
 /// Depth-first spanning tree rooted at `root`, exploring ports in order.
@@ -369,12 +405,8 @@ pub fn light_tree(g: &PortGraph, root: NodeId) -> RootedTree {
 /// Roots an (unrooted) spanning-tree edge set at `root`.
 fn tree_from_edge_set(g: &PortGraph, root: NodeId, edges: &[EdgeRef]) -> RootedTree {
     let n = g.num_nodes();
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len() * 2);
-    for e in edges {
-        pairs.push((e.u, e.v));
-        pairs.push((e.v, e.u));
-    }
-    let tree_adj = CsrRows::from_pairs(n, &pairs);
+    let pairs = edges.iter().flat_map(|e| [(e.u, e.v), (e.v, e.u)]);
+    let tree_adj = CsrRows::from_pairs(n, pairs);
     let mut parents = vec![None; n];
     let mut visited = vec![false; n];
     visited[root] = true;
@@ -541,6 +573,29 @@ mod tests {
             RootedTree::from_parents(&g, 0, &[None, Some(0), Some(0), Some(2)])
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn validate_reports_the_first_node_off_the_root() {
+        // 2 and 3 are each other's parent: the walk down from 0 never
+        // reaches them, and node 2 is the first whose walk up cycles.
+        let g = families::path(4);
+        let mut t = bfs_tree(&g, 0);
+        t.parent[2] = Some((3, 0, 1));
+        t.parent[3] = Some((2, 1, 0));
+        t.children = CsrRows::from_pairs(4, [(0, (1, 0)), (2, (3, 1)), (3, (2, 0))]);
+        assert_eq!(t.validate(&g), Err("cycle reached from node 2".to_string()));
+    }
+
+    #[test]
+    fn deep_trees_build_in_linear_time() {
+        let g = families::path(200_000);
+        let t = bfs_tree(&g, 0);
+        assert_eq!(t.parent(199_999), Some((199_998, 1, 0)));
+        let g = families::cycle(200_000);
+        let t = dfs_tree(&g, 0);
+        assert_eq!(t.children(0).len(), 1);
+        assert!(t.validate(&g).is_ok());
     }
 
     #[test]

@@ -111,6 +111,35 @@ proptest! {
     }
 
     #[test]
+    fn one_pass_bfs_tree_equals_the_parent_map_tree(
+        fam in proptest::sample::select(
+            Family::ALL.iter().copied().map(Some).chain([None]).collect::<Vec<_>>()
+        ),
+        n in 4usize..40,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // `None` draws a subdivided clique `K*_b`.
+        let g = match fam {
+            Some(fam) => fam.build(n, &mut rng),
+            None => families::subdivided_clique(2 + n % 12),
+        };
+        let root = rng.gen_range(0..g.num_nodes());
+        let mut parents = vec![None; g.num_nodes()];
+        let mut queue = std::collections::VecDeque::from([root]);
+        while let Some(v) = queue.pop_front() {
+            for &u in g.neighbors(v) {
+                if u != root && parents[u].is_none() {
+                    parents[u] = Some(v);
+                    queue.push_back(u);
+                }
+            }
+        }
+        let reference = spanning::RootedTree::from_parents(&g, root, &parents);
+        prop_assert_eq!(spanning::bfs_tree(&g, root), reference);
+    }
+
+    #[test]
     fn light_tree_contribution_under_4n(
         n in 2usize..120,
         p in 0.05f64..1.0,

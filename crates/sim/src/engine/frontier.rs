@@ -36,19 +36,24 @@ pub(crate) fn run_forward_once(
     let n = g.num_nodes();
     let mut informed = BitSet::new(n);
     informed.set(source, true);
-    let mut frontier: Vec<NodeId> = vec![source];
-    let mut next: Vec<NodeId> = Vec::new();
+    // Nodes in wake order; each level is the range woken by the one
+    // before, so one buffer of capacity `n` serves the whole run.
+    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    order.push(source);
+    let mut start = 0;
     let mut messages: u64 = 0;
     let mut rounds: u64 = 0;
     let mut level: u64 = 0;
-    while !frontier.is_empty() {
+    while start < order.len() {
+        let end = order.len();
         let mut sent: u64 = 0;
-        for &v in &frontier {
+        for i in start..end {
+            let v = order[i];
             let neighbors = g.neighbors(v);
             let mut wake = |u: NodeId| {
                 if !informed.get(u) {
                     informed.set(u, true);
-                    next.push(u);
+                    order.push(u);
                 }
             };
             match rule {
@@ -74,8 +79,7 @@ pub(crate) fn run_forward_once(
                 return Err(SimError::StepLimit { limit: max_steps });
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
+        start = end;
         level += 1;
     }
     let informed_nodes = informed.count_ones() as u64;
@@ -92,6 +96,7 @@ pub(crate) fn run_forward_once(
         crashed: vec![false; n],
         trace: Vec::new(),
         trace_stats: TraceStats::default(),
-        outputs: vec![None; n],
+        // No forward-once node outputs.
+        outputs: Vec::new(),
     })
 }

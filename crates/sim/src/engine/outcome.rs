@@ -108,7 +108,10 @@ pub struct RunOutcome {
     /// tracing is off.
     pub trace_stats: TraceStats,
     /// Per-node outputs collected from
-    /// [`crate::protocol::NodeBehavior::output`] at quiescence.
+    /// [`crate::protocol::NodeBehavior::output`] at quiescence, one entry
+    /// per node — or empty (no allocation) when no node produced an
+    /// output, as in every flooding or wakeup run. A consumer that needs
+    /// every node's output must check the length.
     pub outputs: Vec<Option<BitString>>,
 }
 

@@ -283,7 +283,10 @@ pub fn run_with_sink(
             frontier: 0,
         }));
     }
-    let outputs = behaviors.iter().map(|b| b.output()).collect();
+    let mut outputs: Vec<_> = behaviors.iter().map(|b| b.output()).collect();
+    if outputs.iter().all(Option::is_none) {
+        outputs = Vec::new();
+    }
     Ok(RunOutcome {
         metrics: net.metrics,
         informed: net.informed.to_bools(),

@@ -67,11 +67,12 @@ fn main() -> Result<(), oraclesize::sim::SimError> {
         &TreeGossip,
         &SimConfig::default(),
     )?;
-    let complete = go.outcome.outputs.iter().all(|o| {
-        o.as_ref()
-            .and_then(decode_gossip_output)
-            .is_some_and(|s| s.len() == n)
-    });
+    let complete = go.outcome.outputs.len() == n
+        && go.outcome.outputs.iter().all(|o| {
+            o.as_ref()
+                .and_then(decode_gossip_output)
+                .is_some_and(|s| s.len() == n)
+        });
     assert!(complete);
     println!(
         "{:<14} | {:>12} {:>9} | {:>16} {:>9}",

@@ -949,11 +949,12 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
         }
         Task::Gossip => {
             let r = exec(&GossipOracle::default(), &TreeGossip)?;
-            let complete = r.outcome.outputs.iter().all(|o| {
-                o.as_ref()
-                    .and_then(decode_gossip_output)
-                    .is_some_and(|s| s.len() == g.num_nodes())
-            });
+            let complete = r.outcome.outputs.len() == g.num_nodes()
+                && r.outcome.outputs.iter().all(|o| {
+                    o.as_ref()
+                        .and_then(decode_gossip_output)
+                        .is_some_and(|s| s.len() == g.num_nodes())
+                });
             let v = if complete {
                 "all nodes know all values"
             } else {

@@ -2,16 +2,16 @@
 //!
 //! Synchronous, fault-free, untraced runs of flooding and tree-wakeup
 //! skip node creation and take the frontier kernel. Its outcome must equal
-//! the per-message engine's field for field — on every graph family, with
-//! correct, misrooted, garbage and empty advice, in both tasks, with and
-//! without identities, and when the step budget runs out — and every
-//! other run must keep creating nodes.
+//! the per-message engine's field for field — on every graph family and
+//! the subdivided clique, with correct, misrooted, garbage and empty
+//! advice, in both tasks, with and without identities, and when the step
+//! budget runs out — and every other run must keep creating nodes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use oraclesize::bits::lists::encode_port_list;
 use oraclesize::bits::BitString;
-use oraclesize::graph::families::Family;
+use oraclesize::graph::families::{self, Family};
 use oraclesize::graph::spanning::TreeAlgorithm;
 use oraclesize::graph::{NodeId, PortGraph};
 use oraclesize::prelude::*;
@@ -120,8 +120,12 @@ proptest! {
         cut in 0.0f64..1.0,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for fam in Family::ALL {
-            let g = fam.build(n, &mut rng);
+        // `None` stands for the SCALE experiment's subdivided clique.
+        for fam in Family::ALL.map(Some).into_iter().chain([None]) {
+            let (name, g) = match fam {
+                Some(fam) => (fam.name(), fam.build(n, &mut rng)),
+                None => ("subdivided-clique", families::subdivided_clique(2 + n % 8)),
+            };
             let nodes = g.num_nodes();
             let source = rng.gen_range(0..nodes);
             let advice = advice(advice_kind, &g, source, &mut rng);
@@ -143,7 +147,7 @@ proptest! {
                     prop_assert_eq!(
                         kernel.as_ref().map(fields),
                         reference.as_ref().map(fields),
-                        "{} {} {:?} on {}", scheme.name(), nodes, config.mode, fam.name()
+                        "{} {} {:?} on {}", scheme.name(), nodes, config.mode, name
                     );
 
                     let mut checker = InvariantSink::new(nodes, source, config.mode);
@@ -155,7 +159,7 @@ proptest! {
                     prop_assert_eq!(
                         checked.as_ref().map(strip),
                         reference.as_ref().map(strip),
-                        "{} under the invariant checker on {}", scheme.name(), fam.name()
+                        "{} under the invariant checker on {}", scheme.name(), name
                     );
                     let verdict = checker.verdict(checked.is_ok());
                     prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());

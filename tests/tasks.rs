@@ -3,11 +3,12 @@
 //! outputs verified by independent checkers.
 
 use oraclesize::core::construction::{
-    collect_parent_ports, verify_bfs_tree, verify_mst, BfsTreeOracle, DistributedBfs, MstOracle,
-    ZeroMessageTree,
+    collect_parent_ports, verify_bfs_tree, verify_mst, verify_spanning, BfsTreeOracle,
+    DistributedBfs, MstOracle, ZeroMessageTree,
 };
 use oraclesize::core::election::{verify_election, AnnouncedLeader, ElectionOracle, FloodMax};
 use oraclesize::core::gossip::{decode_gossip_output, GossipOracle, TreeGossip};
+use oraclesize::core::spanner::{collect_port_sets, verify_spanner};
 use oraclesize::explore::agent::{walk, WalkConfig};
 use oraclesize::explore::oracle::tour_advice;
 use oraclesize::explore::strategies::{DfsBacktrack, GuidedTour};
@@ -31,6 +32,7 @@ fn all_tasks_complete_on_the_same_network() {
     )
     .unwrap();
     assert_eq!(gossip.outcome.metrics.messages, 2 * (n as u64 - 1));
+    assert_eq!(gossip.outcome.outputs.len(), n);
     for out in &gossip.outcome.outputs {
         let set = decode_gossip_output(out.as_ref().unwrap()).unwrap();
         assert_eq!(set.len(), n);
@@ -178,4 +180,23 @@ fn single_node_degenerate_cases() {
     )
     .unwrap();
     verify_bfs_tree(&g, 0, &collect_parent_ports(&bfs.outcome.outputs).unwrap()).unwrap();
+}
+
+#[test]
+fn every_verifier_rejects_empty_outputs() {
+    // A run in which no node outputs returns an empty `outputs`: a check
+    // over every node's output must fail on its length, not pass
+    // vacuously.
+    let g = families::cycle(6);
+    let flood = execute(&g, 0, &EmptyOracle, &FloodOnce, &SimConfig::broadcast()).unwrap();
+    let outputs = &flood.outcome.outputs;
+    assert!(outputs.is_empty());
+    assert!(verify_election(&g, outputs, false).is_err());
+    assert!(verify_election(&g, outputs, true).is_err());
+    let ports = collect_parent_ports(outputs).unwrap();
+    assert!(verify_spanning(&g, 0, &ports).is_err());
+    assert!(verify_bfs_tree(&g, 0, &ports).is_err());
+    assert!(verify_mst(&g, 0, &ports).is_err());
+    let sets = collect_port_sets(outputs).unwrap();
+    assert!(verify_spanner(&g, &sets, 3).is_err());
 }
