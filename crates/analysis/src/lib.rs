@@ -5,7 +5,7 @@
 //! *shape*: oracle sizes that are `Θ(n log n)` must fit `a·n·log2(n) + b`
 //! markedly better than `a·n + b`, and so on. [`fit`] provides the
 //! least-squares machinery, [`stats`] the summary statistics, and
-//! [`table`] the Markdown/CSV rendering used by the `experiments` binary.
+//! [`table`] the Markdown/CSV rendering used by `oraclesize experiments`.
 
 #![warn(missing_docs)]
 

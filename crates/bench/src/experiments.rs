@@ -35,13 +35,60 @@ use rand::SeedableRng;
 use crate::grid::{emit_json, CellGrid, ExpOptions};
 use crate::harness::{size_sweep, Report, MASTER_SEED, SWEEP_FAMILIES};
 
-/// Experiment ids in canonical order.
-pub const ALL_IDS: [&str; 24] = [
-    "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13", "t14", "t15",
-    "t16", "t17", "t18", "t19", "t20", "f1", "f2", "f3", "scale",
+/// Runs one experiment under the invocation's options.
+pub type Runner = fn(&ExpOptions) -> Result<String, String>;
+
+/// Every experiment in canonical order, with its runner. The CLI's
+/// usage text, `list`, id checks and `experiments all` read this table.
+pub const EXPERIMENTS: [(&str, Runner); 24] = [
+    ("t1", |o| Ok(t1_wakeup_oracle_size(o.large))),
+    ("t2", |o| Ok(t2_wakeup_messages(o.large))),
+    ("t3", |o| Ok(t3_tree_contributions(o.large))),
+    ("t4", |o| Ok(t4_broadcast_bounds(o.large))),
+    ("t5", |_| Ok(t5_adversary_games())),
+    ("t6", |o| Ok(t6_starved_wakeup(o.large))),
+    ("t7", |o| Ok(t7_wakeup_counting(o.large))),
+    ("t8", |o| Ok(t8_broadcast_gadgets(o.large))),
+    ("t9", |_| Ok(t9_threshold_remark())),
+    ("t10", t10_robustness_matrix),
+    ("t11", |_| Ok(t11_encoding_ablation())),
+    ("t12", |_| Ok(t12_gossip())),
+    ("t13", |_| Ok(t13_neighborhood_pricing())),
+    ("t14", |_| Ok(t14_exploration())),
+    ("t15", |_| Ok(t15_construction())),
+    ("t16", |_| Ok(t16_time_knowledge())),
+    ("t17", |_| Ok(t17_port_sensitivity())),
+    ("t18", |_| Ok(t18_leader_election())),
+    ("t19", |_| Ok(t19_spanner_tradeoff())),
+    ("t20", t20_fault_robustness),
+    ("f1", |o| Ok(f1_size_series(o.large))),
+    ("f2", |o| Ok(f2_message_series(o.large))),
+    ("f3", |o| Ok(f3_budget_curve(o.large))),
+    ("scale", scale_curve),
 ];
 
-/// Dispatches an experiment by id.
+/// Builds a committed sweep's spec; the flag selects the bigger grid
+/// where one exists.
+pub type SpecBuilder = fn(bool) -> SweepSpec;
+
+/// The committed sweeps whose canonical spec the CLI prints.
+pub const SPECS: [(&str, SpecBuilder); 5] = [
+    ("t10", |_| t10_spec()),
+    ("t20-corruption", |_| t20_corruption_spec()),
+    ("t20-drops", |_| t20_drops_spec()),
+    ("t20-crashes", |_| t20_crashes_spec()),
+    ("scale", scale_spec),
+];
+
+/// Looks up an experiment by id, ignoring ASCII case: its canonical id
+/// and runner.
+pub fn find(id: &str) -> Option<(&'static str, Runner)> {
+    EXPERIMENTS
+        .into_iter()
+        .find(|(known, _)| known.eq_ignore_ascii_case(id))
+}
+
+/// Runs an experiment by id.
 ///
 /// # Errors
 ///
@@ -50,36 +97,10 @@ pub const ALL_IDS: [&str; 24] = [
 ///
 /// # Panics
 ///
-/// Panics on an unknown id (callers validate against [`ALL_IDS`]).
+/// Panics on an unknown id (callers validate with [`find`]).
 pub fn run_experiment(id: &str, opts: &ExpOptions) -> Result<String, String> {
-    let large = opts.large;
-    match id {
-        "t1" => Ok(t1_wakeup_oracle_size(large)),
-        "t2" => Ok(t2_wakeup_messages(large)),
-        "t3" => Ok(t3_tree_contributions(large)),
-        "t4" => Ok(t4_broadcast_bounds(large)),
-        "t5" => Ok(t5_adversary_games()),
-        "t6" => Ok(t6_starved_wakeup(large)),
-        "t7" => Ok(t7_wakeup_counting(large)),
-        "t8" => Ok(t8_broadcast_gadgets(large)),
-        "t9" => Ok(t9_threshold_remark()),
-        "t10" => t10_robustness_matrix(opts),
-        "t11" => Ok(t11_encoding_ablation()),
-        "t12" => Ok(t12_gossip()),
-        "t13" => Ok(t13_neighborhood_pricing()),
-        "t14" => Ok(t14_exploration()),
-        "t15" => Ok(t15_construction()),
-        "t16" => Ok(t16_time_knowledge()),
-        "t17" => Ok(t17_port_sensitivity()),
-        "t18" => Ok(t18_leader_election()),
-        "t19" => Ok(t19_spanner_tradeoff()),
-        "t20" => t20_fault_robustness(opts),
-        "f1" => Ok(f1_size_series(large)),
-        "f2" => Ok(f2_message_series(large)),
-        "f3" => Ok(f3_budget_curve(large)),
-        "scale" => scale_curve(opts),
-        other => panic!("unknown experiment id {other:?}"),
-    }
+    let (_, run) = find(id).unwrap_or_else(|| panic!("unknown experiment id {id:?}"));
+    run(opts)
 }
 
 fn rng_for(tag: u64) -> StdRng {
@@ -1892,7 +1913,7 @@ mod tests {
 
     #[test]
     fn cheap_experiments_render_without_deviations() {
-        // The full suite runs in release via the `experiments` binary and
+        // The full suite runs in release via `oraclesize experiments` and
         // is recorded in EXPERIMENTS.md; here we smoke-test the fast ones.
         for id in ["t5", "t9", "t12", "t20", "f3"] {
             let out = run_experiment(id, &ExpOptions::default()).expect("experiment runs");

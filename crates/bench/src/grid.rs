@@ -56,21 +56,13 @@ pub struct ExpOptions {
     pub chunk: Option<usize>,
     /// Merged scheduling telemetry for every grid dispatched under these
     /// options. Shared behind an `Arc` so the experiment driver can read
-    /// the tally after `run_experiment` returns — the report string
+    /// the tally after an experiment returns — the report string
     /// itself must stay thread-count-invariant, so the stats travel out
     /// of band and only binaries render them (as footers).
     pub stats: Arc<Mutex<SchedStats>>,
 }
 
 impl ExpOptions {
-    /// Serial options with a size flag — what the pre-pool harness took.
-    pub fn sized(large: bool) -> Self {
-        ExpOptions {
-            large,
-            ..Default::default()
-        }
-    }
-
     /// The pool these options describe.
     pub fn pool(&self) -> Pool {
         Pool::new(self.threads.max(1))
@@ -237,29 +229,38 @@ impl CellGrid {
 /// Builds a named graph family. Beyond [`Family::ALL`] two spec-only
 /// names exist: `"random-connected"` (takes `p_ppm`) and
 /// `"subdivided-clique"` (every edge of `K*_n` subdivided, no RNG) — the
-/// constructions T10/T20 and the SCALE curve sweep.
+/// constructions T10/T20 and the SCALE curve sweep. Sizes and
+/// probabilities the constructors would panic on are errors here, since
+/// specs arrive from untrusted clients.
 fn build_family(
     family: &str,
     n: usize,
     seed: u64,
     p_ppm: Option<u64>,
 ) -> Result<PortGraph, String> {
-    if let Some(fam) = Family::ALL.iter().find(|f| f.name() == family) {
-        return Ok(fam.build(n, &mut StdRng::seed_from_u64(seed)));
+    let fam = Family::ALL.into_iter().find(|f| f.name() == family);
+    let min_n = match family {
+        _ if fam.is_some() => 4,
+        "random-connected" => 1,
+        "subdivided-clique" => 2,
+        other => return Err(format!("family: unknown family {other:?}")),
+    };
+    if n < min_n {
+        return Err(format!("n: family {family:?} needs n >= {min_n}, got {n}"));
     }
-    match family {
-        "random-connected" => {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Ok(match fam {
+        Some(fam) => fam.build(n, &mut rng),
+        None if family == "subdivided-clique" => families::subdivided_clique(n),
+        None => {
             let p = p_ppm
                 .ok_or_else(|| "p_ppm: required by family \"random-connected\"".to_string())?;
-            Ok(families::random_connected(
-                n,
-                from_ppm(p),
-                &mut StdRng::seed_from_u64(seed),
-            ))
+            if p > 1_000_000 {
+                return Err(format!("p_ppm: {p} exceeds 1000000 (probability 1)"));
+            }
+            families::random_connected(n, from_ppm(p), &mut rng)
         }
-        "subdivided-clique" => Ok(families::subdivided_clique(n)),
-        other => Err(format!("family: unknown family {other:?}")),
-    }
+    })
 }
 
 /// Labels a graph with a named oracle and packages the shared instance.
@@ -369,6 +370,41 @@ mod tests {
         spec.instances[0].source = 6;
         let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
         assert_eq!(err, "instances[0].source: node 6 out of range (6 nodes)");
+
+        // Sizes and probabilities the constructors assert on are spec
+        // errors, not panics: specs come from untrusted clients.
+        let mut spec = tiny_spec();
+        spec.instances[0].n = 2;
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(err, "instances[0].n: family \"cycle\" needs n >= 4, got 2");
+
+        let mut spec = tiny_spec();
+        spec.instances[0].family = "subdivided-clique".to_string();
+        spec.instances[0].n = 1;
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "instances[0].n: family \"subdivided-clique\" needs n >= 2, got 1"
+        );
+
+        let mut spec = tiny_spec();
+        spec.instances[0].family = "random-connected".to_string();
+        spec.instances[0].p_ppm = Some(500_000);
+        spec.instances[0].n = 0;
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "instances[0].n: family \"random-connected\" needs n >= 1, got 0"
+        );
+
+        let mut spec = tiny_spec();
+        spec.instances[0].family = "random-connected".to_string();
+        spec.instances[0].p_ppm = Some(2_000_000);
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "instances[0].p_ppm: 2000000 exceeds 1000000 (probability 1)"
+        );
 
         let mut spec = tiny_spec();
         spec.cells[2].scheme = "telepathy".to_string();

@@ -22,11 +22,12 @@
 //! | F2 | messages-vs-n series (CSV) |
 //! | F3 | advice-budget trade-off curve (CSV) |
 //!
-//! Run `cargo run --release -p oraclesize-bench --bin experiments -- all`
-//! to regenerate everything, or pass a list of ids (`t1 t7 f2`). Grid
-//! experiments (T10, T20) honor `--threads N` (parallel dispatch through
+//! Run `cargo run --release --bin oraclesize -- experiments all` to
+//! regenerate everything, or pass a list of ids (`t1 t7 f2`); the ids and
+//! runners live in [`experiments::EXPERIMENTS`]. Grid experiments (T10,
+//! T20, SCALE) honor `--threads N` (parallel dispatch through
 //! `oraclesize-runtime`) and `--json-dir DIR` (deterministic
-//! `BENCH_T*.json` artifacts); output is byte-identical at any thread
+//! `BENCH_*.json` artifacts); output is byte-identical at any thread
 //! count.
 
 #![warn(missing_docs)]

@@ -286,6 +286,64 @@ fn invalid_specs_are_rejected_with_the_first_error() {
     assert_eq!(err, "cells[1].scheme: unknown scheme \"psychic\"");
 }
 
+#[test]
+fn specs_the_constructors_reject_get_errors_and_the_server_keeps_serving() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        journal_dir: None,
+        jobs: 1,
+        workers_hint: 1,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+    // Each spec parses but names a graph a family constructor asserts
+    // on; the server answers with the path instead of losing the
+    // connection thread to a panic.
+    let mut too_small = tiny_spec("svc-too-small", 2);
+    too_small.instances[0].n = 2;
+    let mut bad_p = tiny_spec("svc-bad-p", 2);
+    bad_p.instances[1].family = "random-connected".to_string();
+    bad_p.instances[1].p_ppm = Some(2_000_000);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    for (spec, expected) in [
+        (
+            &too_small,
+            "instances[0].n: family \"cycle\" needs n >= 4, got 2",
+        ),
+        (
+            &bad_p,
+            "instances[1].p_ppm: 2000000 exceeds 1000000 (probability 1)",
+        ),
+    ] {
+        let submit = Message::Submit {
+            spec: spec.to_json(),
+            resume: true,
+        };
+        send(&mut stream, &submit).unwrap();
+        match recv(&mut stream).unwrap() {
+            Message::Error { text } => assert_eq!(text, expected),
+            other => panic!("expected an error, got kind {}", other.kind()),
+        }
+    }
+    drop(stream);
+    // The same server then runs a valid job to completion.
+    let spec = tiny_spec("svc-after-errors", 4);
+    let spec_text = spec.render();
+    let submit_addr = addr.clone();
+    let client = thread::spawn(move || submit(&submit_addr, &spec_text, true, 5));
+    let outcome = run_worker(&worker_config(&addr, "w-after", None)).expect("worker");
+    assert!(
+        matches!(outcome, WorkerOutcome::Finished { .. }),
+        "{outcome:?}"
+    );
+    assert_eq!(
+        client.join().unwrap().unwrap(),
+        run_local(&spec, 1).unwrap()
+    );
+    server_thread.join().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

@@ -8,6 +8,7 @@
 //! oraclesize sweep --task broadcast --n 128 --runs 64 --threads 4 --drop 0.1
 //! oraclesize trace --task broadcast --n 32 --out run.jsonl
 //! oraclesize trace-diff left.jsonl right.jsonl
+//! oraclesize experiments --threads 4 --json-dir out t10 t20
 //! oraclesize spec t10 > t10.json
 //! oraclesize serve --addr 127.0.0.1:7401 --journal-dir ckpt
 //! oraclesize work --connect 127.0.0.1:7401 --threads 4 --journal-dir ckpt
@@ -15,23 +16,27 @@
 //! oraclesize list
 //! ```
 //!
-//! `sweep` lowers its flags into the runtime's canonical [`SweepSpec`],
-//! materializes the grid with [`CellGrid::from_spec`], and dispatches it
-//! to the `oraclesize-runtime` pool — `--threads N` changes wall-clock
-//! time only, never the report.
+//! `sweep` and `trace` lower their flags into the runtime's canonical
+//! [`SweepSpec`] and materialize it with [`CellGrid::from_spec`]: `sweep`
+//! dispatches the grid to the `oraclesize-runtime` pool — `--threads N`
+//! changes wall-clock time only, never the report — and `trace` streams
+//! its one cell's event trace as deterministic JSONL (to `--out` or
+//! stdout); `trace-diff` compares two such artifacts and reports the
+//! first divergence with node/round context.
 //!
-//! `trace` streams one run's event trace as deterministic JSONL (to
-//! `--out` or stdout); `trace-diff` compares two such artifacts and
-//! reports the first divergence with node/round context.
-//!
-//! `spec` prints a committed experiment's canonical spec JSON; `serve`,
-//! `work`, and `submit` run the same spec distributed across the sweep
-//! service — the merged artifact is byte-identical to a local run.
+//! `experiments` regenerates the EXPERIMENTS.md report and, with
+//! `--json-dir`, the `BENCH_*.json` artifacts. `spec` prints a committed
+//! experiment's canonical spec JSON; `serve`, `work`, and `submit` run
+//! the same spec distributed across the sweep service — the merged
+//! artifact is byte-identical to a local run.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::str::FromStr;
 
-use oraclesize_bench::grid::CellGrid;
+use oraclesize_bench::experiments::{self, EXPERIMENTS, SPECS};
+use oraclesize_bench::grid::{CellGrid, ExpOptions};
+use oraclesize_bench::harness::MASTER_SEED;
 use oraclesize_core::broadcast::{LightTreeOracle, SchemeB};
 use oraclesize_core::construction::{
     collect_parent_ports, verify_bfs_tree, verify_mst, BfsTreeOracle, DistributedBfs, MstOracle,
@@ -46,15 +51,16 @@ use oraclesize_core::spanner::{collect_port_sets, verify_spanner, SpannerOracle}
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_core::{execute, OracleRun};
 use oraclesize_graph::families::Family;
+use oraclesize_graph::PortGraph;
 use oraclesize_runtime::spec::to_ppm;
 use oraclesize_runtime::{
     drain, run_supervised_batch, Aggregate, CellSpec, FaultSpec, InstanceSpec, JsonlSink, KnobSpec,
-    Pool, SchedulerSpec, SweepOptions, SweepSpec,
+    Pool, SchedStats, SchedulerSpec, SweepOptions, SweepSpec,
 };
 use oraclesize_service::{Server, ServerConfig, WorkerConfig, WorkerOutcome};
-use oraclesize_sim::protocol::{FloodOnce, Protocol};
+use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::trace::diff_lines;
-use oraclesize_sim::{run_streamed, FaultPlan, Instance, SchedulerKind, SimConfig};
+use oraclesize_sim::{run_streamed, SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,38 +92,47 @@ pub enum Task {
 }
 
 impl Task {
+    /// Every task with its name, in `list` order.
+    pub const ALL: [(&'static str, Task); 11] = [
+        ("broadcast", Task::Broadcast),
+        ("wakeup", Task::Wakeup),
+        ("flood", Task::Flood),
+        ("gossip", Task::Gossip),
+        ("election", Task::Election),
+        ("floodmax", Task::FloodMax),
+        ("hs-election", Task::HsElection),
+        ("bfs", Task::Bfs),
+        ("mst", Task::Mst),
+        ("dist-bfs", Task::DistBfs),
+        ("spanner", Task::Spanner),
+    ];
+
     /// Parses a task name.
     pub fn parse(s: &str) -> Option<Task> {
-        Some(match s {
-            "broadcast" => Task::Broadcast,
-            "wakeup" => Task::Wakeup,
-            "flood" => Task::Flood,
-            "gossip" => Task::Gossip,
-            "election" => Task::Election,
-            "floodmax" => Task::FloodMax,
-            "hs-election" => Task::HsElection,
-            "bfs" => Task::Bfs,
-            "mst" => Task::Mst,
-            "dist-bfs" => Task::DistBfs,
-            "spanner" => Task::Spanner,
-            _ => return None,
-        })
+        Task::ALL
+            .into_iter()
+            .find(|(name, _)| *name == s)
+            .map(|(_, t)| t)
     }
 
-    /// All task names, for `list` and error messages.
-    pub const NAMES: [&'static str; 11] = [
-        "broadcast",
-        "wakeup",
-        "flood",
-        "gossip",
-        "election",
-        "floodmax",
-        "hs-election",
-        "bfs",
-        "mst",
-        "dist-bfs",
-        "spanner",
-    ];
+    /// The task's name.
+    pub fn name(self) -> &'static str {
+        Task::ALL
+            .into_iter()
+            .find(|&(_, t)| t == self)
+            .map_or("", |(name, _)| name)
+    }
+
+    /// The `(oracle, scheme, mode)` spec names that lower this task into
+    /// a sweep cell, or an error naming the tasks `cmd` supports.
+    fn spec_names(self, cmd: &str) -> Result<(&'static str, &'static str, &'static str), String> {
+        match self {
+            Task::Broadcast => Ok(("light-tree", "scheme-b", "broadcast")),
+            Task::Wakeup => Ok(("spanning-tree", "tree-wakeup", "wakeup")),
+            Task::Flood => Ok(("empty", "flood", "broadcast")),
+            _ => Err(format!("{cmd} supports --task broadcast, wakeup, or flood")),
+        }
+    }
 }
 
 /// A parsed CLI invocation.
@@ -131,6 +146,8 @@ pub enum Command {
     Trace(TraceArgs),
     /// `trace-diff <left> <right>`
     TraceDiff(TraceDiffArgs),
+    /// `experiments …`
+    Experiments(ExperimentsArgs),
     /// `spec <name>`
     Spec(SpecArgs),
     /// `serve …`
@@ -143,6 +160,26 @@ pub enum Command {
     List,
     /// `help` (also the zero-argument default)
     Help,
+}
+
+/// Arguments of the `experiments` subcommand: regenerate experiment
+/// reports and, with `json_dir`, their `BENCH_<ID>.json` artifacts.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ExperimentsArgs {
+    /// Experiment ids as given (known, case-insensitive), in run order.
+    pub ids: Vec<String>,
+    /// Run the bigger (slower) sweeps.
+    pub large: bool,
+    /// Worker threads for the grid experiments (`0`/`1` ⇒ serial).
+    pub threads: usize,
+    /// Fixed scheduler sub-task size in cells; granularity only.
+    pub chunk: Option<usize>,
+    /// Where to write `BENCH_<ID>.json` artifacts.
+    pub json_dir: Option<PathBuf>,
+    /// Where the grid journals live (`<dir>/<spec name>.journal`).
+    pub journal_dir: Option<PathBuf>,
+    /// Skip cells the journals already hold.
+    pub resume: bool,
 }
 
 /// Arguments of the `spec` subcommand: print a committed experiment's
@@ -205,24 +242,32 @@ pub struct SubmitArgs {
     pub fresh: bool,
 }
 
-/// Arguments of the `run` subcommand.
+/// The flags `run`, `sweep` and `trace` share: one task on one graph.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunArgs {
+pub struct CellArgs {
     /// Graph family.
     pub family: Family,
-    /// Approximate size.
+    /// Approximate size (at least 4).
     pub n: usize,
     /// Task to execute.
     pub task: Task,
     /// Source / root node.
     pub source: usize,
-    /// Asynchronous scheduler; `None` = synchronous.
+    /// Asynchronous scheduler; `None` = synchronous. A `random` scheduler
+    /// is seeded with `seed`, wherever the two flags sat.
     pub scheduler: Option<SchedulerKind>,
+    /// RNG seed (graph generation, scheduling, faults).
+    pub seed: u64,
+}
+
+/// Arguments of the `run` subcommand.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// Task, graph and schedule.
+    pub cell: CellArgs,
     /// Erase node identities.
     pub anonymous: bool,
-    /// RNG seed (graph generation and random scheduling).
-    pub seed: u64,
-    /// Spanner stretch.
+    /// Spanner stretch (at least 1).
     pub stretch: usize,
 }
 
@@ -230,14 +275,10 @@ pub struct RunArgs {
 /// runs over one shared instance, dispatched to the runtime pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepArgs {
-    /// Graph family.
-    pub family: Family,
-    /// Approximate size.
-    pub n: usize,
-    /// Task to sweep (`broadcast`, `wakeup`, or `flood`).
-    pub task: Task,
-    /// Source / root node.
-    pub source: usize,
+    /// Task (`broadcast`, `wakeup`, or `flood`), graph and schedule; a
+    /// `random` scheduler is re-seeded per cell so the cells stay
+    /// independent.
+    pub cell: CellArgs,
     /// Cells in the grid (one seeded run each).
     pub runs: usize,
     /// Worker threads for dispatch.
@@ -246,13 +287,8 @@ pub struct SweepArgs {
     /// pick a balanced plan. Chunking changes scheduling granularity
     /// only — never the report.
     pub chunk: Option<usize>,
-    /// Asynchronous scheduler; `None` = synchronous. A `random` scheduler
-    /// is re-seeded per cell so the cells stay independent.
-    pub scheduler: Option<SchedulerKind>,
     /// Per-message drop probability (`0.0` = fault-free).
     pub drop: f64,
-    /// RNG seed (graph generation and per-cell derivation).
-    pub seed: u64,
     /// Checkpoint journal path; `None` disables checkpointing.
     pub journal: Option<String>,
     /// Resume from the journal (skip checkpointed cells) instead of
@@ -271,20 +307,10 @@ pub struct SweepArgs {
 /// JSONL through the engine's sink API.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArgs {
-    /// Graph family.
-    pub family: Family,
-    /// Approximate size.
-    pub n: usize,
-    /// Task to trace (`broadcast`, `wakeup`, or `flood`).
-    pub task: Task,
-    /// Source / root node.
-    pub source: usize,
-    /// Asynchronous scheduler; `None` = synchronous.
-    pub scheduler: Option<SchedulerKind>,
+    /// Task (`broadcast`, `wakeup`, or `flood`), graph and schedule.
+    pub cell: CellArgs,
     /// Per-message drop probability (`0.0` = fault-free).
     pub drop: f64,
-    /// RNG seed (graph generation, scheduling, faults).
-    pub seed: u64,
     /// Write the JSONL here instead of returning it on stdout.
     pub out: Option<String>,
 }
@@ -298,8 +324,107 @@ pub struct TraceDiffArgs {
     pub right: String,
 }
 
-fn parse_family(s: &str) -> Option<Family> {
-    Family::ALL.into_iter().find(|f| f.name() == s)
+/// The arguments after the subcommand.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// Takes the value of flag `name`.
+fn value<'a>(it: &mut Args<'a>, name: &str) -> Result<&'a String, String> {
+    it.next().ok_or_else(|| format!("{name} needs a value"))
+}
+
+/// Takes flag `name`'s value and parses it; a bad value reads
+/// "`name` needs `what`".
+fn parsed<T: FromStr>(it: &mut Args, name: &str, what: &str) -> Result<T, String> {
+    value(it, name)?
+        .parse()
+        .map_err(|_| format!("{name} needs {what}"))
+}
+
+/// Takes an integer flag's value.
+fn int<T: FromStr>(it: &mut Args, name: &str) -> Result<T, String> {
+    parsed(it, name, "an integer")
+}
+
+/// Takes an integer flag's value and checks it is at least `min`.
+fn at_least(it: &mut Args, name: &str, min: usize) -> Result<usize, String> {
+    match int(it, name)? {
+        v if v < min => Err(format!("{name} must be at least {min}")),
+        v => Ok(v),
+    }
+}
+
+/// Takes the `--drop` probability.
+fn drop_prob(it: &mut Args) -> Result<f64, String> {
+    let p = parsed(it, "--drop", "a probability")?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err("--drop must be within [0, 1]".into());
+    }
+    Ok(p)
+}
+
+/// Hands each remaining argument to `read`, which takes any value it
+/// needs and returns `false` for a flag it does not know.
+fn each_flag<'a>(
+    it: &mut Args<'a>,
+    mut read: impl FnMut(&str, &mut Args<'a>) -> Result<bool, String>,
+) -> Result<(), String> {
+    while let Some(flag) = it.next() {
+        if !read(flag, it)? {
+            return Err(format!("unknown flag {flag:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// Reads the flags `run`, `sweep` and `trace` share, handing the others
+/// to `extra`; `n` is the subcommand's default size. The scheduler is
+/// resolved after every flag is read, so `--scheduler random` takes the
+/// final `--seed`.
+fn cell_flags<'a>(
+    it: &mut Args<'a>,
+    cmd: &str,
+    n: usize,
+    mut extra: impl FnMut(&str, &mut Args<'a>) -> Result<bool, String>,
+) -> Result<CellArgs, String> {
+    let (mut family, mut n, mut task, mut source) = (Family::RandomSparse, n, None, 0);
+    let (mut scheduler, mut seed) = (None, 2006);
+    each_flag(it, |flag, it| {
+        match flag {
+            "--family" => {
+                let v = value(it, "--family")?;
+                family = Family::ALL
+                    .into_iter()
+                    .find(|f| f.name() == v)
+                    .ok_or_else(|| format!("unknown family {v:?}"))?;
+            }
+            "--n" => n = at_least(it, "--n", 4)?,
+            "--task" => {
+                let v = value(it, "--task")?;
+                task = Some(Task::parse(v).ok_or_else(|| format!("unknown task {v:?}"))?);
+            }
+            "--source" => source = int(it, "--source")?,
+            "--scheduler" => scheduler = Some(value(it, "--scheduler")?),
+            "--seed" => seed = int(it, "--seed")?,
+            _ => return extra(flag, it),
+        }
+        Ok(true)
+    })?;
+    let scheduler = scheduler
+        .map(|name| {
+            SchedulerKind::sweep(seed)
+                .into_iter()
+                .find(|k| k.name() == name.as_str())
+                .ok_or_else(|| format!("unknown scheduler {name:?}"))
+        })
+        .transpose()?;
+    Ok(CellArgs {
+        family,
+        n,
+        task: task.ok_or_else(|| format!("{cmd} requires --task"))?,
+        source,
+        scheduler,
+        seed,
+    })
 }
 
 /// Parses command-line arguments (without the program name).
@@ -313,193 +438,52 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("list") => Ok(Command::List),
         Some("run") => {
-            let mut family = Family::RandomSparse;
-            let mut n = 64usize;
-            let mut task = None;
-            let mut source = 0usize;
-            let mut scheduler = None;
-            let mut anonymous = false;
-            let mut seed = 2006u64;
-            let mut stretch = 3usize;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--family" => {
-                        let v = value("--family")?;
-                        family = parse_family(v).ok_or_else(|| format!("unknown family {v:?}"))?;
-                    }
-                    "--n" => {
-                        n = value("--n")?
-                            .parse()
-                            .map_err(|_| "--n needs an integer".to_string())?;
-                    }
-                    "--task" => {
-                        let v = value("--task")?;
-                        task = Some(Task::parse(v).ok_or_else(|| format!("unknown task {v:?}"))?);
-                    }
-                    "--source" => {
-                        source = value("--source")?
-                            .parse()
-                            .map_err(|_| "--source needs an integer".to_string())?;
-                    }
-                    "--scheduler" => {
-                        let v = value("--scheduler")?;
-                        scheduler = Some(match v.as_str() {
-                            "fifo" => SchedulerKind::Fifo,
-                            "lifo" => SchedulerKind::Lifo,
-                            "random" => SchedulerKind::Random { seed },
-                            "starve" => SchedulerKind::Starve,
-                            other => return Err(format!("unknown scheduler {other:?}")),
-                        });
-                    }
+            let (mut anonymous, mut stretch) = (false, 3);
+            let cell = cell_flags(&mut it, "run", 64, |flag, it| {
+                match flag {
                     "--anonymous" => anonymous = true,
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs an integer".to_string())?;
-                    }
-                    "--stretch" => {
-                        stretch = value("--stretch")?
-                            .parse()
-                            .map_err(|_| "--stretch needs an integer".to_string())?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    "--stretch" => stretch = at_least(it, "--stretch", 1)?,
+                    _ => return Ok(false),
                 }
-            }
-            let task = task.ok_or("run requires --task".to_string())?;
+                Ok(true)
+            })?;
             Ok(Command::Run(RunArgs {
-                family,
-                n,
-                task,
-                source,
-                scheduler,
+                cell,
                 anonymous,
-                seed,
                 stretch,
             }))
         }
         Some("sweep") => {
-            let mut family = Family::RandomSparse;
-            let mut n = 64usize;
-            let mut task = None;
-            let mut source = 0usize;
-            let mut runs = 16usize;
-            let mut threads = 1usize;
-            let mut chunk = None;
-            let mut scheduler = None;
-            let mut drop = 0.0f64;
-            let mut seed = 2006u64;
-            let mut journal = None;
-            let mut resume = false;
-            let mut max_retries = 0u32;
-            let mut cell_timeout = None;
-            let mut allow_degraded = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--family" => {
-                        let v = value("--family")?;
-                        family = parse_family(v).ok_or_else(|| format!("unknown family {v:?}"))?;
-                    }
-                    "--n" => {
-                        n = value("--n")?
-                            .parse()
-                            .map_err(|_| "--n needs an integer".to_string())?;
-                    }
-                    "--task" => {
-                        let v = value("--task")?;
-                        task = Some(Task::parse(v).ok_or_else(|| format!("unknown task {v:?}"))?);
-                    }
-                    "--source" => {
-                        source = value("--source")?
-                            .parse()
-                            .map_err(|_| "--source needs an integer".to_string())?;
-                    }
-                    "--journal" => journal = Some(value("--journal")?.clone()),
+            let (mut runs, mut threads, mut chunk, mut drop) = (16, 1, None, 0.0);
+            let (mut journal, mut resume, mut max_retries) = (None, false, 0);
+            let (mut cell_timeout, mut allow_degraded) = (None, false);
+            let cell = cell_flags(&mut it, "sweep", 64, |flag, it| {
+                match flag {
+                    "--runs" => runs = at_least(it, "--runs", 1)?,
+                    "--threads" => threads = int(it, "--threads")?,
+                    "--chunk" => chunk = Some(at_least(it, "--chunk", 1)?),
+                    "--drop" => drop = drop_prob(it)?,
+                    "--journal" => journal = Some(value(it, "--journal")?.clone()),
                     "--resume" => resume = true,
-                    "--max-retries" => {
-                        max_retries = value("--max-retries")?
-                            .parse()
-                            .map_err(|_| "--max-retries needs an integer".to_string())?;
-                    }
+                    "--max-retries" => max_retries = int(it, "--max-retries")?,
                     "--cell-timeout" => {
-                        cell_timeout = Some(
-                            value("--cell-timeout")?
-                                .parse()
-                                .map_err(|_| "--cell-timeout needs a step count".to_string())?,
-                        );
+                        cell_timeout = Some(parsed(it, "--cell-timeout", "a step count")?);
                     }
                     "--allow-degraded" => allow_degraded = true,
-                    "--runs" => {
-                        runs = value("--runs")?
-                            .parse()
-                            .map_err(|_| "--runs needs an integer".to_string())?;
-                    }
-                    "--threads" => {
-                        threads = value("--threads")?
-                            .parse()
-                            .map_err(|_| "--threads needs an integer".to_string())?;
-                    }
-                    "--chunk" => {
-                        let v: usize = value("--chunk")?
-                            .parse()
-                            .map_err(|_| "--chunk needs an integer".to_string())?;
-                        if v == 0 {
-                            return Err("--chunk must be at least 1".into());
-                        }
-                        chunk = Some(v);
-                    }
-                    "--scheduler" => {
-                        let v = value("--scheduler")?;
-                        scheduler = Some(match v.as_str() {
-                            "fifo" => SchedulerKind::Fifo,
-                            "lifo" => SchedulerKind::Lifo,
-                            "random" => SchedulerKind::Random { seed },
-                            "starve" => SchedulerKind::Starve,
-                            other => return Err(format!("unknown scheduler {other:?}")),
-                        });
-                    }
-                    "--drop" => {
-                        drop = value("--drop")?
-                            .parse()
-                            .map_err(|_| "--drop needs a probability".to_string())?;
-                        if !(0.0..=1.0).contains(&drop) {
-                            return Err("--drop must be within [0, 1]".into());
-                        }
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs an integer".to_string())?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    _ => return Ok(false),
                 }
-            }
-            let task = task.ok_or("sweep requires --task".to_string())?;
-            if !matches!(task, Task::Broadcast | Task::Wakeup | Task::Flood) {
-                return Err("sweep supports --task broadcast, wakeup, or flood".into());
-            }
-            if runs == 0 {
-                return Err("--runs must be at least 1".into());
-            }
+                Ok(true)
+            })?;
+            cell.task.spec_names("sweep")?;
             if resume && journal.is_none() {
                 return Err("--resume requires --journal".into());
             }
             Ok(Command::Sweep(SweepArgs {
-                family,
-                n,
-                task,
-                source,
+                cell,
                 runs,
                 threads,
                 chunk,
-                scheduler,
                 drop,
-                seed,
                 journal,
                 resume,
                 max_retries,
@@ -508,215 +492,140 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }))
         }
         Some("trace") => {
-            let mut family = Family::RandomSparse;
-            let mut n = 32usize;
-            let mut task = None;
-            let mut source = 0usize;
-            let mut scheduler = None;
-            let mut drop = 0.0f64;
-            let mut seed = 2006u64;
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--family" => {
-                        let v = value("--family")?;
-                        family = parse_family(v).ok_or_else(|| format!("unknown family {v:?}"))?;
-                    }
-                    "--n" => {
-                        n = value("--n")?
-                            .parse()
-                            .map_err(|_| "--n needs an integer".to_string())?;
-                    }
-                    "--task" => {
-                        let v = value("--task")?;
-                        task = Some(Task::parse(v).ok_or_else(|| format!("unknown task {v:?}"))?);
-                    }
-                    "--source" => {
-                        source = value("--source")?
-                            .parse()
-                            .map_err(|_| "--source needs an integer".to_string())?;
-                    }
-                    "--scheduler" => {
-                        let v = value("--scheduler")?;
-                        scheduler = Some(match v.as_str() {
-                            "fifo" => SchedulerKind::Fifo,
-                            "lifo" => SchedulerKind::Lifo,
-                            "random" => SchedulerKind::Random { seed },
-                            "starve" => SchedulerKind::Starve,
-                            other => return Err(format!("unknown scheduler {other:?}")),
-                        });
-                    }
-                    "--drop" => {
-                        drop = value("--drop")?
-                            .parse()
-                            .map_err(|_| "--drop needs a probability".to_string())?;
-                        if !(0.0..=1.0).contains(&drop) {
-                            return Err("--drop must be within [0, 1]".into());
-                        }
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs an integer".to_string())?;
-                    }
-                    "--out" => out = Some(value("--out")?.clone()),
-                    other => return Err(format!("unknown flag {other:?}")),
+            let (mut drop, mut out) = (0.0, None);
+            let cell = cell_flags(&mut it, "trace", 32, |flag, it| {
+                match flag {
+                    "--drop" => drop = drop_prob(it)?,
+                    "--out" => out = Some(value(it, "--out")?.clone()),
+                    _ => return Ok(false),
                 }
-            }
-            let task = task.ok_or("trace requires --task".to_string())?;
-            if !matches!(task, Task::Broadcast | Task::Wakeup | Task::Flood) {
-                return Err("trace supports --task broadcast, wakeup, or flood".into());
-            }
-            Ok(Command::Trace(TraceArgs {
-                family,
-                n,
-                task,
-                source,
-                scheduler,
-                drop,
-                seed,
-                out,
-            }))
+                Ok(true)
+            })?;
+            cell.task.spec_names("trace")?;
+            Ok(Command::Trace(TraceArgs { cell, drop, out }))
         }
         Some("trace-diff") => {
-            let left = it
-                .next()
-                .ok_or("trace-diff needs two JSONL files".to_string())?
-                .clone();
-            let right = it
-                .next()
-                .ok_or("trace-diff needs two JSONL files".to_string())?
-                .clone();
+            let mut file = || {
+                it.next()
+                    .cloned()
+                    .ok_or("trace-diff needs two JSONL files".to_string())
+            };
+            let (left, right) = (file()?, file()?);
             if let Some(extra) = it.next() {
                 return Err(format!("unexpected argument {extra:?}"));
             }
             Ok(Command::TraceDiff(TraceDiffArgs { left, right }))
         }
+        Some("experiments") => {
+            let (mut a, mut all, mut seen) = (ExperimentsArgs::default(), false, Vec::new());
+            each_flag(&mut it, |arg, it| {
+                if arg.starts_with("--") {
+                    if seen.contains(&arg.to_string()) {
+                        return Err(format!("repeated flag {arg:?}"));
+                    }
+                    seen.push(arg.to_string());
+                }
+                match arg {
+                    "--large" => a.large = true,
+                    "--threads" => a.threads = int(it, "--threads")?,
+                    "--chunk" => a.chunk = Some(at_least(it, "--chunk", 1)?),
+                    "--json-dir" => a.json_dir = Some(value(it, "--json-dir")?.into()),
+                    "--journal-dir" => a.journal_dir = Some(value(it, "--journal-dir")?.into()),
+                    "--resume" => a.resume = true,
+                    "all" => all = true,
+                    flag if flag.starts_with("--") => return Ok(false),
+                    id if experiments::find(id).is_some() => a.ids.push(id.to_string()),
+                    id => {
+                        return Err(format!(
+                            "unknown experiment id {id:?} (known: {})",
+                            names(&EXPERIMENTS, " ")
+                        ))
+                    }
+                }
+                Ok(true)
+            })?;
+            if a.resume && a.journal_dir.is_none() {
+                return Err("--resume requires --journal-dir".into());
+            }
+            if all || a.ids.is_empty() {
+                a.ids = EXPERIMENTS.map(|(id, _)| id.to_string()).to_vec();
+            }
+            Ok(Command::Experiments(a))
+        }
         Some("spec") => {
             let name = it
                 .next()
-                .ok_or_else(|| format!("spec needs an experiment name ({SPEC_NAMES})"))?
+                .ok_or_else(|| format!("spec needs an experiment name ({})", names(&SPECS, ", ")))?
                 .clone();
             let mut large = false;
-            for flag in it {
-                match flag.as_str() {
-                    "--large" => large = true,
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
+            each_flag(&mut it, |flag, _| {
+                large |= flag == "--large";
+                Ok(flag == "--large")
+            })?;
             Ok(Command::Spec(SpecArgs { name, large }))
         }
         Some("serve") => {
-            let mut addr = "127.0.0.1:7401".to_string();
-            let mut journal_dir = None;
-            let mut jobs = 1usize;
-            let mut workers = 2usize;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--addr" => addr = value("--addr")?.clone(),
-                    "--journal-dir" => journal_dir = Some(value("--journal-dir")?.clone()),
-                    "--jobs" => {
-                        jobs = value("--jobs")?
-                            .parse()
-                            .map_err(|_| "--jobs needs an integer".to_string())?;
-                    }
-                    "--workers" => {
-                        workers = value("--workers")?
-                            .parse()
-                            .map_err(|_| "--workers needs an integer".to_string())?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
+            let mut a = ServeArgs {
+                addr: "127.0.0.1:7401".to_string(),
+                journal_dir: None,
+                jobs: 1,
+                workers: 2,
+            };
+            each_flag(&mut it, |flag, it| {
+                match flag {
+                    "--addr" => a.addr = value(it, "--addr")?.clone(),
+                    "--journal-dir" => a.journal_dir = Some(value(it, "--journal-dir")?.clone()),
+                    "--jobs" => a.jobs = at_least(it, "--jobs", 1)?,
+                    "--workers" => a.workers = int(it, "--workers")?,
+                    _ => return Ok(false),
                 }
-            }
-            if jobs == 0 {
-                return Err("--jobs must be at least 1".into());
-            }
-            Ok(Command::Serve(ServeArgs {
-                addr,
-                journal_dir,
-                jobs,
-                workers,
-            }))
+                Ok(true)
+            })?;
+            Ok(Command::Serve(a))
         }
         Some("work") => {
-            let mut connect = "127.0.0.1:7401".to_string();
-            let mut threads = 2usize;
-            let mut journal_dir = None;
-            let mut die_mid_shard = None;
-            let mut poll_ms = 50u64;
-            let mut name = "worker".to_string();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--connect" => connect = value("--connect")?.clone(),
-                    "--threads" => {
-                        threads = value("--threads")?
-                            .parse()
-                            .map_err(|_| "--threads needs an integer".to_string())?;
-                    }
-                    "--journal-dir" => journal_dir = Some(value("--journal-dir")?.clone()),
-                    "--die-mid-shard" => {
-                        let v: u64 = value("--die-mid-shard")?
-                            .parse()
-                            .map_err(|_| "--die-mid-shard needs an integer".to_string())?;
-                        if v == 0 {
-                            return Err("--die-mid-shard counts claimed shards from 1".into());
-                        }
-                        die_mid_shard = Some(v);
-                    }
-                    "--poll-ms" => {
-                        poll_ms = value("--poll-ms")?
-                            .parse()
-                            .map_err(|_| "--poll-ms needs an integer".to_string())?;
-                    }
-                    "--name" => name = value("--name")?.clone(),
-                    other => return Err(format!("unknown flag {other:?}")),
+            let mut a = WorkArgs {
+                connect: "127.0.0.1:7401".to_string(),
+                threads: 2,
+                journal_dir: None,
+                die_mid_shard: None,
+                poll_ms: 50,
+                name: "worker".to_string(),
+            };
+            each_flag(&mut it, |flag, it| {
+                match flag {
+                    "--connect" => a.connect = value(it, "--connect")?.clone(),
+                    "--threads" => a.threads = int(it, "--threads")?,
+                    "--journal-dir" => a.journal_dir = Some(value(it, "--journal-dir")?.clone()),
+                    "--die-mid-shard" => match int(it, "--die-mid-shard")? {
+                        0 => return Err("--die-mid-shard counts claimed shards from 1".into()),
+                        k => a.die_mid_shard = Some(k),
+                    },
+                    "--poll-ms" => a.poll_ms = int(it, "--poll-ms")?,
+                    "--name" => a.name = value(it, "--name")?.clone(),
+                    _ => return Ok(false),
                 }
-            }
-            Ok(Command::Work(WorkArgs {
-                connect,
-                threads,
-                journal_dir,
-                die_mid_shard,
-                poll_ms,
-                name,
-            }))
+                Ok(true)
+            })?;
+            Ok(Command::Work(a))
         }
         Some("submit") => {
-            let mut connect = "127.0.0.1:7401".to_string();
-            let mut spec = None;
-            let mut out = None;
-            let mut poll_ms = 100u64;
-            let mut fresh = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--connect" => connect = value("--connect")?.clone(),
-                    "--spec" => spec = Some(value("--spec")?.clone()),
-                    "--out" => out = Some(value("--out")?.clone()),
-                    "--poll-ms" => {
-                        poll_ms = value("--poll-ms")?
-                            .parse()
-                            .map_err(|_| "--poll-ms needs an integer".to_string())?;
-                    }
+            let (mut connect, mut spec, mut out) = ("127.0.0.1:7401".to_string(), None, None);
+            let (mut poll_ms, mut fresh) = (100, false);
+            each_flag(&mut it, |flag, it| {
+                match flag {
+                    "--connect" => connect = value(it, "--connect")?.clone(),
+                    "--spec" => spec = Some(value(it, "--spec")?.clone()),
+                    "--out" => out = Some(value(it, "--out")?.clone()),
+                    "--poll-ms" => poll_ms = int(it, "--poll-ms")?,
                     "--fresh" => fresh = true,
-                    other => return Err(format!("unknown flag {other:?}")),
+                    _ => return Ok(false),
                 }
-            }
-            let spec = spec.ok_or("submit requires --spec".to_string())?;
+                Ok(true)
+            })?;
             Ok(Command::Submit(SubmitArgs {
                 connect,
-                spec,
+                spec: spec.ok_or("submit requires --spec".to_string())?,
                 out,
                 poll_ms,
                 fresh,
@@ -726,8 +635,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// The experiment names `spec` can print.
-const SPEC_NAMES: &str = "t10, t20-corruption, t20-drops, t20-crashes, scale";
+/// The names of a `(name, …)` table, joined by `sep`.
+fn names<T>(table: &[(&str, T)], sep: &str) -> String {
+    table
+        .iter()
+        .map(|(name, _)| *name)
+        .collect::<Vec<_>>()
+        .join(sep)
+}
 
 /// The `help` text.
 pub fn usage() -> String {
@@ -746,7 +661,10 @@ pub fn usage() -> String {
          \x20                [--n <size>] [--source <node>] [--scheduler <s>]\n\
          \x20                [--drop <p>] [--seed <u64>] [--out <file.jsonl>]\n\
          \x20 oraclesize trace-diff <left.jsonl> <right.jsonl>\n\
-         \x20 oraclesize spec <{SPEC_NAMES_USAGE}> [--large]\n\
+         \x20 oraclesize experiments [--large] [--threads <t>] [--chunk <cells>]\n\
+         \x20                [--json-dir <dir>] [--journal-dir <dir>] [--resume]\n\
+         \x20                [<id>...|all]\n\
+         \x20 oraclesize spec <{}> [--large]\n\
          \x20 oraclesize serve [--addr <host:port>] [--journal-dir <dir>]\n\
          \x20                [--jobs <k>] [--workers <k>]\n\
          \x20 oraclesize work [--connect <host:port>] [--threads <t>]\n\
@@ -755,11 +673,12 @@ pub fn usage() -> String {
          \x20 oraclesize submit --spec <file.json> [--connect <host:port>]\n\
          \x20                [--out <file.json>] [--poll-ms <ms>] [--fresh]\n\
          \x20 oraclesize list\n\n\
-         TASKS:    {}\nFAMILIES: {}\nSPECS:    {}\n",
-        Task::NAMES.join(" "),
+         TASKS:    {}\nFAMILIES: {}\nEXPERIMENTS: {}\nSPECS:    {}\n",
+        names(&SPECS, "|"),
+        names(&Task::ALL, " "),
         Family::ALL.map(|f| f.name()).join(" "),
-        SPEC_NAMES,
-        SPEC_NAMES_USAGE = SPEC_NAMES.replace(", ", "|"),
+        names(&EXPERIMENTS, " "),
+        names(&SPECS, ", "),
     )
 }
 
@@ -788,13 +707,20 @@ pub fn run_command_status(cmd: &Command) -> Result<(String, bool), String> {
         Command::List => {
             let mut out = String::new();
             let _ = writeln!(out, "families: {}", Family::ALL.map(|f| f.name()).join(" "));
-            let _ = writeln!(out, "tasks:    {}", Task::NAMES.join(" "));
+            let _ = writeln!(out, "tasks:    {}", names(&Task::ALL, " "));
+            let _ = writeln!(out, "experiments: {}", names(&EXPERIMENTS, " "));
+            let _ = writeln!(out, "specs:    {}", names(&SPECS, " "));
             Ok((out, true))
         }
         Command::Run(args) => run_task(args).map(|r| (r, true)),
         Command::Sweep(args) => run_sweep(args),
         Command::Trace(args) => run_trace(args).map(|r| (r, true)),
         Command::TraceDiff(args) => run_trace_diff(args).map(|r| (r, true)),
+        Command::Experiments(args) => {
+            let mut out = String::new();
+            run_experiments(args, &mut |s| out.push_str(s), &mut |_, _| String::new())?;
+            Ok((out, true))
+        }
         Command::Spec(args) => render_spec(args).map(|r| (r, true)),
         Command::Serve(args) => run_serve(args).map(|r| (r, true)),
         Command::Work(args) => run_work(args).map(|r| (r, true)),
@@ -802,18 +728,61 @@ pub fn run_command_status(cmd: &Command) -> Result<(String, bool), String> {
     }
 }
 
+/// Runs the requested experiments in order, streaming the report to
+/// `out`: a header, then each experiment's section followed by
+/// `footer(id, stats)` and a blank line, where `stats` is that
+/// experiment's share of the scheduling telemetry. Everything but the
+/// footers is identical at any thread count and chunk size.
+///
+/// # Errors
+///
+/// The first experiment failure: an unwritable `--json-dir`, or an
+/// interrupted grid sweep.
+pub fn run_experiments(
+    args: &ExperimentsArgs,
+    out: &mut dyn FnMut(&str),
+    footer: &mut dyn FnMut(&str, &SchedStats) -> String,
+) -> Result<(), String> {
+    let opts = ExpOptions {
+        large: args.large,
+        threads: args.threads,
+        chunk: args.chunk,
+        json_dir: args.json_dir.clone(),
+        journal_dir: args.journal_dir.clone(),
+        resume: args.resume,
+        ..ExpOptions::default()
+    };
+    out(&format!(
+        "# oraclesize experiment report\n\n\
+         generated by `experiments {}{}` (seed {MASTER_SEED})\n\n",
+        if args.large { "--large " } else { "" },
+        args.ids.join(" "),
+    ));
+    for id in &args.ids {
+        let (id, run) =
+            experiments::find(id).ok_or_else(|| format!("unknown experiment id {id:?}"))?;
+        let before = opts.sched_stats();
+        let report = run(&opts)?;
+        let stats = opts.sched_stats().since(&before);
+        out(&format!("{report}\n{}\n", footer(id, &stats)));
+    }
+    Ok(())
+}
+
 /// Looks up a committed experiment's canonical spec and renders it as
 /// one JSON document (what `submit --spec` consumes).
 fn render_spec(args: &SpecArgs) -> Result<String, String> {
-    let spec = match args.name.as_str() {
-        "t10" => oraclesize_bench::experiments::t10_spec(),
-        "t20-corruption" => oraclesize_bench::experiments::t20_corruption_spec(),
-        "t20-drops" => oraclesize_bench::experiments::t20_drops_spec(),
-        "t20-crashes" => oraclesize_bench::experiments::t20_crashes_spec(),
-        "scale" => oraclesize_bench::experiments::scale_spec(args.large),
-        other => return Err(format!("unknown spec {other:?} (expected {SPEC_NAMES})")),
-    };
-    Ok(format!("{}\n", spec.render()))
+    let (_, build) = SPECS
+        .into_iter()
+        .find(|(name, _)| *name == args.name)
+        .ok_or_else(|| {
+            format!(
+                "unknown spec {:?} (expected {})",
+                args.name,
+                names(&SPECS, ", ")
+            )
+        })?;
+    Ok(format!("{}\n", build(args.large).render()))
 }
 
 /// Runs the sweep service's server until every job has been delivered.
@@ -877,36 +846,31 @@ fn run_submit(args: &SubmitArgs) -> Result<String, String> {
 }
 
 fn run_task(args: &RunArgs) -> Result<String, String> {
-    if args.task == Task::HsElection && args.family != Family::Cycle {
+    let cell = &args.cell;
+    if cell.task == Task::HsElection && cell.family != Family::Cycle {
         return Err("hs-election requires --family cycle".into());
     }
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let g = args.family.build(args.n, &mut rng);
-    if args.source >= g.num_nodes() {
+    let mut rng = StdRng::seed_from_u64(cell.seed);
+    let g = cell.family.build(cell.n, &mut rng);
+    if cell.source >= g.num_nodes() {
         return Err(format!(
             "--source {} out of range (graph has {} nodes)",
-            args.source,
+            cell.source,
             g.num_nodes()
         ));
     }
-    let base = if matches!(args.task, Task::Wakeup) {
+    let mut config = if cell.task == Task::Wakeup {
         SimConfig::wakeup()
     } else {
         SimConfig::broadcast()
     };
-    let config = match args.scheduler {
-        // `--seed` wins regardless of where it sat relative to
-        // `--scheduler random` in the argument list.
-        Some(SchedulerKind::Random { .. }) => {
-            base.with_scheduler(SchedulerKind::Random { seed: args.seed })
-        }
-        Some(kind) => base.with_scheduler(kind),
-        None => base,
+    if let Some(kind) = cell.scheduler {
+        config = config.with_scheduler(kind);
     }
-    .with_anonymous(args.anonymous);
+    let config = config.with_anonymous(args.anonymous);
     if args.anonymous
         && matches!(
-            args.task,
+            cell.task,
             Task::Gossip | Task::Election | Task::FloodMax | Task::HsElection
         )
     {
@@ -916,37 +880,17 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
     let exec = |oracle: &dyn oraclesize_sim::Oracle,
                 protocol: &dyn oraclesize_sim::Protocol|
      -> Result<OracleRun, String> {
-        execute(&g, args.source, oracle, protocol, &config).map_err(|e| e.to_string())
+        execute(&g, cell.source, oracle, protocol, &config).map_err(|e| e.to_string())
     };
 
-    let (run, verification) = match args.task {
-        Task::Broadcast => {
-            let r = exec(&LightTreeOracle, &SchemeB)?;
-            let v = if r.outcome.all_informed() {
-                "all informed"
-            } else {
-                "INCOMPLETE"
-            };
-            (r, v.to_string())
-        }
-        Task::Wakeup => {
-            let r = exec(&SpanningTreeOracle::default(), &TreeWakeup)?;
-            let v = if r.outcome.all_informed() {
-                "all informed"
-            } else {
-                "INCOMPLETE"
-            };
-            (r, v.to_string())
-        }
-        Task::Flood => {
-            let r = exec(&EmptyOracle, &FloodOnce)?;
-            let v = if r.outcome.all_informed() {
-                "all informed"
-            } else {
-                "INCOMPLETE"
-            };
-            (r, v.to_string())
-        }
+    let informed = |r: OracleRun| {
+        let v = verdict(r.outcome.all_informed());
+        (r, v.to_string())
+    };
+    let (run, verification) = match cell.task {
+        Task::Broadcast => informed(exec(&LightTreeOracle, &SchemeB)?),
+        Task::Wakeup => informed(exec(&SpanningTreeOracle::default(), &TreeWakeup)?),
+        Task::Flood => informed(exec(&EmptyOracle, &FloodOnce)?),
         Task::Gossip => {
             let r = exec(&GossipOracle::default(), &TreeGossip)?;
             let complete = r.outcome.outputs.len() == g.num_nodes()
@@ -981,22 +925,22 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
             let r = exec(&BfsTreeOracle, &ZeroMessageTree)?;
             let ports =
                 collect_parent_ports(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            verify_bfs_tree(&g, args.source, &ports)?;
+            verify_bfs_tree(&g, cell.source, &ports)?;
             (r, "verified BFS tree".to_string())
         }
         Task::Mst => {
             let r = exec(&MstOracle, &ZeroMessageTree)?;
             let ports =
                 collect_parent_ports(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            verify_mst(&g, args.source, &ports)?;
+            verify_mst(&g, cell.source, &ports)?;
             (r, "verified minimum spanning tree".to_string())
         }
         Task::DistBfs => {
             let r = exec(&EmptyOracle, &DistributedBfs)?;
             let ports =
                 collect_parent_ports(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            let v = if args.scheduler.is_none() {
-                verify_bfs_tree(&g, args.source, &ports)?;
+            let v = if cell.scheduler.is_none() {
+                verify_bfs_tree(&g, cell.source, &ports)?;
                 "verified BFS tree".to_string()
             } else {
                 "spanning tree (async: BFS property not guaranteed)".to_string()
@@ -1004,9 +948,9 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
             (r, v)
         }
         Task::Spanner => {
-            let r = exec(&SpannerOracle::new(args.stretch.max(1)), &ZeroMessageTree)?;
+            let r = exec(&SpannerOracle::new(args.stretch), &ZeroMessageTree)?;
             let sets = collect_port_sets(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            let edges = verify_spanner(&g, &sets, args.stretch.max(1))?;
+            let edges = verify_spanner(&g, &sets, args.stretch)?;
             (
                 r,
                 format!("verified {}-spanner with {edges} edges", args.stretch),
@@ -1014,18 +958,11 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
         }
     };
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "graph:        {} (n = {}, m = {})",
-        args.family.name(),
-        g.num_nodes(),
-        g.num_edges()
-    );
+    let mut out = graph_line(cell.family, &g);
     let _ = writeln!(
         out,
         "execution:    {}{}",
-        args.scheduler.map_or("synchronous", |k| k.name()),
+        cell.scheduler.map_or("synchronous", |k| k.name()),
         if args.anonymous { ", anonymous" } else { "" }
     );
     let _ = writeln!(out, "oracle bits:  {}", run.oracle_bits);
@@ -1039,47 +976,62 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
 /// Lowers the sweep flags into the runtime's canonical [`SweepSpec`] —
 /// the same job description the bench grids and the sweep service
 /// consume, so a CLI sweep can be replayed (or distributed) verbatim.
-/// One instance, one cell per seeded run; a `random` scheduler and any
-/// fault plan are re-seeded per cell so the cells stay independent.
+/// One instance, one cell per seeded run.
 pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
-    let (task, oracle, scheme, mode) = match args.task {
-        Task::Broadcast => ("broadcast", "light-tree", "scheme-b", "broadcast"),
-        Task::Wakeup => ("wakeup", "spanning-tree", "tree-wakeup", "wakeup"),
-        Task::Flood => ("flood", "empty", "flood", "broadcast"),
-        _ => return Err("sweep supports --task broadcast, wakeup, or flood".into()),
+    let seeds = (0..args.runs).map(|k| {
+        (
+            format!("run-{k}"),
+            args.cell.seed.wrapping_add(k as u64 + 1),
+        )
+    });
+    let mut spec = lower_cells("sweep", &args.cell, args.drop, seeds)?;
+    spec.knobs = KnobSpec {
+        max_retries: u64::from(args.max_retries),
+        cell_timeout: args.cell_timeout,
+        chunk: args.chunk.map(|c| c as u64),
     };
-    let mut spec = SweepSpec::new(format!("sweep-{task}"), args.seed);
+    Ok(spec)
+}
+
+/// Lowers a task on one instance into a spec named `{cmd}-{task}` with
+/// one cell per `(label, seed)`. A `random` scheduler and any fault plan
+/// take the cell's seed, so the cells stay independent; a drop
+/// probability is quantized to parts-per-million.
+fn lower_cells(
+    cmd: &str,
+    cell: &CellArgs,
+    drop: f64,
+    seeds: impl IntoIterator<Item = (String, u64)>,
+) -> Result<SweepSpec, String> {
+    let (oracle, scheme, mode) = cell.task.spec_names(cmd)?;
+    let mut spec = SweepSpec::new(format!("{cmd}-{}", cell.task.name()), cell.seed);
     spec.instances.push(InstanceSpec {
-        family: args.family.name().to_string(),
-        n: args.n as u64,
-        seed: args.seed,
+        family: cell.family.name().to_string(),
+        n: cell.n as u64,
+        seed: cell.seed,
         p_ppm: None,
-        source: args.source as u64,
+        source: cell.source as u64,
         oracle: oracle.to_string(),
     });
-    for k in 0..args.runs {
-        let cell_seed = args.seed.wrapping_add(k as u64 + 1);
-        let scheduler = match args.scheduler {
-            // Re-seed per cell so the cells sample different delivery
-            // orders while staying reproducible.
-            Some(SchedulerKind::Random { .. }) => Some(SchedulerSpec {
+    for (label, seed) in seeds {
+        let scheduler = cell.scheduler.map(|kind| match kind {
+            SchedulerKind::Random { .. } => SchedulerSpec {
                 kind: "random".to_string(),
-                seed: cell_seed,
-            }),
-            Some(kind) => Some(SchedulerSpec::of(kind)),
-            None => None,
-        };
-        let faults = if args.drop > 0.0 {
+                seed,
+            },
+            kind => SchedulerSpec::of(kind),
+        });
+        let faults = if drop > 0.0 {
             FaultSpec {
-                seed: cell_seed,
-                drop_ppm: to_ppm(args.drop),
+                seed,
+                drop_ppm: to_ppm(drop),
                 ..FaultSpec::default()
             }
         } else {
             FaultSpec::default()
         };
         spec.cells.push(CellSpec {
-            label: format!("run-{k}"),
+            label,
             instance: 0,
             scheme: scheme.to_string(),
             retries: None,
@@ -1087,16 +1039,11 @@ pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
             scheduler,
             anonymous: false,
             max_message_bits: None,
-            quiescence_polls: (args.drop > 0.0).then_some(16),
-            seed: cell_seed,
+            quiescence_polls: (drop > 0.0).then_some(16),
+            seed,
             faults,
         });
     }
-    spec.knobs = KnobSpec {
-        max_retries: u64::from(args.max_retries),
-        cell_timeout: args.cell_timeout,
-        chunk: args.chunk.map(|c| c as u64),
-    };
     Ok(spec)
 }
 
@@ -1108,7 +1055,7 @@ pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
 fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let spec = sweep_spec(args)?;
     let grid = CellGrid::from_spec(&spec)?;
-    let g = Arc::clone(&grid.requests()[0].instance.graph);
+    let g = &grid.requests()[0].instance.graph;
 
     // The spec's knobs carry the retry/watchdog/chunk flags, and its
     // per-cell seeds land in journal records, so a resume against a
@@ -1134,14 +1081,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     }
 
     let cells = agg.cells;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "graph:        {} (n = {}, m = {})",
-        args.family.name(),
-        g.num_nodes(),
-        g.num_edges()
-    );
+    let mut out = graph_line(args.cell.family, g);
     let _ = writeln!(
         out,
         "sweep:        {} cells, {} thread(s), drop = {:.2}",
@@ -1152,7 +1092,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let _ = writeln!(
         out,
         "execution:    {}",
-        args.scheduler.map_or("synchronous", |k| k.name())
+        args.cell.scheduler.map_or("synchronous", |k| k.name())
     );
     let _ = writeln!(out, "oracle bits:  {}", agg.oracle_bits / cells);
     let _ = writeln!(out, "completed:    {}/{}", agg.completed, cells);
@@ -1189,86 +1129,53 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     Ok((out, healthy || args.allow_degraded))
 }
 
-/// Builds the task's instance once, then streams a single fully-traced run
-/// through a JSONL sink — events are rendered as they are emitted, never
-/// accumulated, and the bytes are identical on every machine for the same
-/// arguments.
+/// Lowers the flags into a one-cell [`SweepSpec`] — the sweep's lowering,
+/// with the scheduler and fault seeds equal to `--seed` — materializes it
+/// with [`CellGrid::from_spec`], and streams the cell's fully-traced run
+/// through a JSONL sink: events are rendered as they are emitted, never
+/// accumulated, and the bytes are identical on every machine for the
+/// same arguments.
 fn run_trace(args: &TraceArgs) -> Result<String, String> {
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let g = args.family.build(args.n, &mut rng).into_shared();
-    if args.source >= g.num_nodes() {
-        return Err(format!(
-            "--source {} out of range (graph has {} nodes)",
-            args.source,
-            g.num_nodes()
-        ));
-    }
-    let (instance, protocol): (Arc<Instance>, Arc<dyn Protocol + Send + Sync>) = match args.task {
-        Task::Broadcast => (
-            Instance::build(Arc::clone(&g), args.source, &LightTreeOracle),
-            Arc::new(SchemeB),
-        ),
-        Task::Wakeup => (
-            Instance::build(Arc::clone(&g), args.source, &SpanningTreeOracle::default()),
-            Arc::new(TreeWakeup),
-        ),
-        Task::Flood => (
-            Instance::build(Arc::clone(&g), args.source, &EmptyOracle),
-            Arc::new(FloodOnce),
-        ),
-        _ => return Err("trace supports --task broadcast, wakeup, or flood".into()),
-    };
-    let base = if args.task == Task::Wakeup {
-        SimConfig::wakeup()
-    } else {
-        SimConfig::broadcast()
-    };
-    // `--seed` is authoritative even when it appears after `--scheduler
-    // random` on the command line.
-    let mut config = match args.scheduler {
-        Some(SchedulerKind::Random { .. }) => {
-            base.with_scheduler(SchedulerKind::Random { seed: args.seed })
-        }
-        Some(kind) => base.with_scheduler(kind),
-        None => base,
-    };
-    if args.drop > 0.0 {
-        config = config
-            .with_faults(FaultPlan::message_faults(args.seed, args.drop, 0.0, 0.0))
-            .with_quiescence_polls(16);
-    }
-
+    let cell = [("trace".to_string(), args.cell.seed)];
+    let grid = CellGrid::from_spec(&lower_cells("trace", &args.cell, args.drop, cell)?)?;
+    let request = &grid.requests()[0];
+    let g = &request.instance.graph;
     let mut sink = JsonlSink::new(0);
-    let outcome = run_streamed(&instance, protocol.as_ref(), &config, &mut sink)
-        .map_err(|e| e.to_string())?;
+    let outcome = run_streamed(
+        &request.instance,
+        request.protocol.as_ref(),
+        &request.config,
+        &mut sink,
+    )
+    .map_err(|e| e.to_string())?;
     let events = sink.len();
     let jsonl = sink.into_string();
     match &args.out {
         Some(path) => {
             std::fs::write(path, &jsonl).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            let mut out = String::new();
-            let _ = writeln!(out, "wrote:        {path} ({events} events)");
-            let _ = writeln!(
-                out,
-                "graph:        {} (n = {}, m = {})",
-                args.family.name(),
-                g.num_nodes(),
-                g.num_edges()
-            );
+            let mut out = format!("wrote:        {path} ({events} events)\n");
+            out += &graph_line(args.cell.family, g);
             let _ = writeln!(out, "messages:     {}", outcome.metrics.messages);
             let _ = writeln!(out, "rounds:       {}", outcome.metrics.rounds);
-            let _ = writeln!(
-                out,
-                "result:       {}",
-                if outcome.all_informed() {
-                    "all informed"
-                } else {
-                    "INCOMPLETE"
-                }
-            );
+            let _ = writeln!(out, "result:       {}", verdict(outcome.all_informed()));
             Ok(out)
         }
         None => Ok(jsonl),
+    }
+}
+
+/// The `graph:` line that opens a report.
+fn graph_line(family: Family, g: &PortGraph) -> String {
+    let (n, m) = (g.num_nodes(), g.num_edges());
+    format!("graph:        {} (n = {n}, m = {m})\n", family.name())
+}
+
+/// The `result:` line of a dissemination run.
+fn verdict(all_informed: bool) -> &'static str {
+    if all_informed {
+        "all informed"
+    } else {
+        "INCOMPLETE"
     }
 }
 
@@ -1323,12 +1230,12 @@ mod tests {
         let Command::Run(a) = cmd else {
             panic!("not run")
         };
-        assert_eq!(a.task, Task::Broadcast);
-        assert_eq!(a.family, Family::Complete);
-        assert_eq!(a.n, 32);
-        assert_eq!(a.scheduler, Some(SchedulerKind::Lifo));
+        assert_eq!(a.cell.task, Task::Broadcast);
+        assert_eq!(a.cell.family, Family::Complete);
+        assert_eq!(a.cell.n, 32);
+        assert_eq!(a.cell.scheduler, Some(SchedulerKind::Lifo));
         assert!(a.anonymous);
-        assert_eq!(a.seed, 7);
+        assert_eq!(a.cell.seed, 7);
     }
 
     #[test]
@@ -1338,11 +1245,130 @@ mod tests {
         assert!(parse_args(&args(&["run", "--task", "wakeup", "--family", "nope"])).is_err());
         assert!(parse_args(&args(&["run", "--task", "wakeup", "--n"])).is_err());
         assert!(parse_args(&args(&["run", "--task", "wakeup", "--wat"])).is_err());
+        // Every family needs at least four nodes; smaller sizes are usage
+        // errors, not constructor panics.
+        for cmd in ["run", "sweep", "trace"] {
+            let err = parse_args(&args(&[cmd, "--task", "wakeup", "--n", "3"])).unwrap_err();
+            assert_eq!(err, "--n must be at least 4", "{cmd}");
+        }
+        // A 0-spanner does not exist; the stretch is not silently raised.
+        let err = parse_args(&args(&["run", "--task", "spanner", "--stretch", "0"])).unwrap_err();
+        assert_eq!(err, "--stretch must be at least 1");
+    }
+
+    #[test]
+    fn random_scheduler_takes_the_final_seed() {
+        for argv in [
+            [
+                "run",
+                "--task",
+                "flood",
+                "--scheduler",
+                "random",
+                "--seed",
+                "9",
+            ],
+            [
+                "run",
+                "--task",
+                "flood",
+                "--seed",
+                "9",
+                "--scheduler",
+                "random",
+            ],
+        ] {
+            let Command::Run(a) = parse_args(&args(&argv)).unwrap() else {
+                panic!("not run")
+            };
+            assert_eq!(a.cell.scheduler, Some(SchedulerKind::Random { seed: 9 }));
+        }
+        let err = parse_args(&args(&["run", "--task", "flood", "--scheduler", "psychic"]));
+        assert_eq!(err.unwrap_err(), "unknown scheduler \"psychic\"");
+    }
+
+    #[test]
+    fn parse_experiments_flags() {
+        let cmd = parse_args(&args(&[
+            "experiments",
+            "--large",
+            "--threads",
+            "4",
+            "--chunk",
+            "2",
+            "--json-dir",
+            "out",
+            "--journal-dir",
+            "ckpt",
+            "--resume",
+            "T10",
+            "scale",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Experiments(ExperimentsArgs {
+                ids: vec!["T10".to_string(), "scale".to_string()],
+                large: true,
+                threads: 4,
+                chunk: Some(2),
+                json_dir: Some(PathBuf::from("out")),
+                journal_dir: Some(PathBuf::from("ckpt")),
+                resume: true,
+            })
+        );
+        // No ids, or `all` anywhere, selects every experiment in order.
+        let every: Vec<String> = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
+        for argv in [&["experiments"][..], &["experiments", "t9", "all"]] {
+            let Command::Experiments(a) = parse_args(&args(argv)).unwrap() else {
+                panic!("not experiments")
+            };
+            assert_eq!(a.ids, every, "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn experiments_reject_bad_input_before_running() {
+        let reject = |argv: &[&str]| {
+            let mut full = vec!["experiments"];
+            full.extend_from_slice(argv);
+            parse_args(&args(&full)).unwrap_err()
+        };
+        assert!(reject(&["t9", "t99"]).starts_with("unknown experiment id \"t99\" (known: t1 t2"));
+        assert_eq!(
+            reject(&["t9", "--jsondir", "x"]),
+            "unknown flag \"--jsondir\""
+        );
+        assert_eq!(
+            reject(&["--threads", "2", "--threads", "3", "t9"]),
+            "repeated flag \"--threads\""
+        );
+        assert_eq!(reject(&["--large", "--large"]), "repeated flag \"--large\"");
+        assert_eq!(reject(&["--threads"]), "--threads needs a value");
+        assert_eq!(reject(&["--threads", "x"]), "--threads needs an integer");
+        assert_eq!(reject(&["--chunk", "0"]), "--chunk must be at least 1");
+        assert_eq!(
+            reject(&["--resume", "t10"]),
+            "--resume requires --journal-dir"
+        );
+    }
+
+    #[test]
+    fn experiments_report_matches_the_committed_header() {
+        let cmd = parse_args(&args(&["experiments", "T9", "t9"])).unwrap();
+        let report = run_command(&cmd).unwrap();
+        let head = "# oraclesize experiment report\n\ngenerated by `experiments T9 t9` (seed 2006)\n\n## T9";
+        assert!(report.starts_with(head), "{report}");
+        // Each section ends in a blank line; without the binary's timing
+        // footers nothing else separates them.
+        assert_eq!(report.matches("\n\n## T9").count(), 2, "{report}");
+        assert!(report.ends_with("\n\n"), "{report}");
+        assert!(!report.contains("completed in"), "{report}");
     }
 
     #[test]
     fn every_task_runs_and_verifies() {
-        for task in Task::NAMES {
+        for (task, _) in Task::ALL {
             let family = if task == "hs-election" {
                 "cycle"
             } else {
@@ -1413,7 +1439,7 @@ mod tests {
         let Command::Run(ref a) = cmd else {
             panic!("not run")
         };
-        assert_eq!(a.scheduler, Some(SchedulerKind::Starve));
+        assert_eq!(a.cell.scheduler, Some(SchedulerKind::Starve));
         let report = run_command(&cmd).unwrap();
         assert!(report.contains("all informed"));
     }
@@ -1451,13 +1477,13 @@ mod tests {
         let Command::Sweep(a) = cmd else {
             panic!("not sweep")
         };
-        assert_eq!(a.task, Task::Flood);
-        assert_eq!(a.family, Family::Cycle);
+        assert_eq!(a.cell.task, Task::Flood);
+        assert_eq!(a.cell.family, Family::Cycle);
         assert_eq!(a.runs, 8);
         assert_eq!(a.threads, 3);
         assert_eq!(a.chunk, Some(4));
         assert_eq!(a.drop, 0.25);
-        assert_eq!(a.seed, 11);
+        assert_eq!(a.cell.seed, 11);
         assert_eq!(a.journal.as_deref(), Some("ckpt.journal"));
         assert!(a.resume);
         assert_eq!(a.max_retries, 2);
@@ -1770,7 +1796,7 @@ mod tests {
     #[test]
     fn usage_lists_everything() {
         let u = usage();
-        for t in Task::NAMES {
+        for (t, _) in Task::ALL {
             assert!(u.contains(t), "usage missing task {t}");
         }
         assert!(u.contains("sweep"), "usage missing sweep subcommand");
@@ -1820,12 +1846,12 @@ mod tests {
         let Command::Trace(a) = cmd else {
             panic!("not trace")
         };
-        assert_eq!(a.task, Task::Flood);
-        assert_eq!(a.family, Family::Torus);
-        assert_eq!(a.n, 16);
-        assert_eq!(a.scheduler, Some(SchedulerKind::Lifo));
+        assert_eq!(a.cell.task, Task::Flood);
+        assert_eq!(a.cell.family, Family::Torus);
+        assert_eq!(a.cell.n, 16);
+        assert_eq!(a.cell.scheduler, Some(SchedulerKind::Lifo));
         assert_eq!(a.drop, 0.1);
-        assert_eq!(a.seed, 5);
+        assert_eq!(a.cell.seed, 5);
         assert_eq!(a.out.as_deref(), Some("t.jsonl"));
     }
 
@@ -1862,6 +1888,55 @@ mod tests {
         assert!(jsonl.contains("\"kind\": \"rollup\""), "{jsonl}");
         // Same arguments, same bytes: the artifact is reproducible.
         assert_eq!(jsonl, run());
+    }
+
+    /// FNV-1a over the artifact bytes: a compact pin for a whole trace.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn trace_bytes_are_pinned() {
+        // (task, scheduler flags, drop) -> (JSONL length, FNV-1a digest).
+        // `--seed` follows `--scheduler random` so the pin also covers
+        // the seed being resolved after every flag is read.
+        const SYNC: &[&str] = &[];
+        const RANDOM: &[&str] = &["--scheduler", "random"];
+        let pins: [(&str, &[&str], &str, usize, u64); 12] = [
+            ("broadcast", SYNC, "0", 8153, 0x92c9_2ed2_7c6d_9a5a),
+            ("broadcast", SYNC, "0.1", 6950, 0xac43_04e4_87d7_511e),
+            ("broadcast", RANDOM, "0", 7641, 0x41d6_5b7c_fd63_daf6),
+            ("broadcast", RANDOM, "0.1", 6612, 0x847b_da5d_9801_ef72),
+            ("wakeup", SYNC, "0", 5462, 0x2f5b_ff2e_35e9_1776),
+            ("wakeup", SYNC, "0.1", 5344, 0x0c99_66d5_cae6_d842),
+            ("wakeup", RANDOM, "0", 4953, 0xcac3_3d49_25a4_7fff),
+            ("wakeup", RANDOM, "0.1", 4835, 0x8b2f_dd10_a1d5_fb4f),
+            ("flood", SYNC, "0", 13860, 0x79d7_1e94_8b98_4164),
+            ("flood", SYNC, "0.1", 13552, 0x9581_34ab_5e74_674a),
+            ("flood", RANDOM, "0", 13164, 0x4e65_b2b1_a079_1753),
+            ("flood", RANDOM, "0.1", 12857, 0x0e76_b09b_8a9e_beb0),
+        ];
+        for (task, sched, drop, len, digest) in pins {
+            let mut argv = vec![
+                "trace",
+                "--task",
+                task,
+                "--family",
+                "hypercube",
+                "--n",
+                "16",
+            ];
+            argv.extend_from_slice(sched);
+            argv.extend(["--seed", "7", "--drop", drop]);
+            let jsonl = run_command(&parse_args(&args(&argv)).unwrap()).unwrap();
+            assert_eq!(
+                (jsonl.len(), fnv1a(jsonl.as_bytes())),
+                (len, digest),
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]
