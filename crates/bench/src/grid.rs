@@ -32,7 +32,7 @@ use rand::SeedableRng;
 
 /// Protocol instances built so far while lowering a spec, keyed by
 /// `(scheme, retries)` so identical cells share one `Arc`.
-type ProtocolCache = Vec<((String, Option<u64>), Arc<dyn Protocol + Send + Sync>)>;
+type ProtocolCache = Vec<((String, Option<u32>), Arc<dyn Protocol + Send + Sync>)>;
 
 /// Options shared by every experiment invocation.
 #[derive(Debug, Clone, Default)]
@@ -50,13 +50,10 @@ pub struct ExpOptions {
     pub resume: bool,
     /// Failure injection for chaos drills; inert outside tests.
     pub chaos: ChaosPlan,
-    /// Fixed scheduler sub-task size (the `--chunk` override); `None`
-    /// keeps the spec's own chunk knob, or sizes chunks from the grid's
-    /// cost hints. Granularity only — never results.
-    pub chunk: Option<usize>,
-    /// Merged scheduling telemetry for every grid dispatched under these
-    /// options. Shared behind an `Arc` so the experiment driver can read
-    /// the tally after an experiment returns — the report string
+    /// Merged scheduling telemetry for the grids dispatched under these
+    /// options since the last [`ExpOptions::take_stats`]. Shared behind an
+    /// `Arc` so the experiment driver can take the tally after an
+    /// experiment returns — the report string
     /// itself must stay thread-count-invariant, so the stats travel out
     /// of band and only binaries render them (as footers).
     pub stats: Arc<Mutex<SchedStats>>,
@@ -76,12 +73,11 @@ impl ExpOptions {
             .merge(stats);
     }
 
-    /// A snapshot of the scheduling telemetry accumulated so far.
-    pub fn sched_stats(&self) -> SchedStats {
-        self.stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+    /// Takes the scheduling telemetry accumulated since the last take,
+    /// resetting the tally — one take per experiment gives that
+    /// experiment's footer.
+    pub fn take_stats(&self) -> SchedStats {
+        std::mem::take(&mut *self.stats.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -200,7 +196,7 @@ impl CellGrid {
     /// newly completed cell is checkpointed when the journal's in-order
     /// cursor reaches it. Reports come back in cell order.
     pub fn dispatch(&self, spec: &SweepSpec, opts: &ExpOptions) -> SweepRun {
-        let mut sweep_opts = SweepOptions {
+        let sweep_opts = SweepOptions {
             journal: opts
                 .journal_dir
                 .as_ref()
@@ -209,9 +205,6 @@ impl CellGrid {
             chaos: opts.chaos.clone(),
             ..SweepOptions::from_spec(spec)
         };
-        if opts.chunk.is_some() {
-            sweep_opts.chunk = opts.chunk;
-        }
         let run = run_supervised_batch(&opts.pool(), &self.requests, &sweep_opts);
         opts.record_stats(&run.sched);
         run
@@ -277,7 +270,7 @@ fn build_instance(g: Arc<PortGraph>, source: usize, oracle: &str) -> Result<Arc<
 /// Instantiates a named scheme.
 fn build_protocol(
     scheme: &str,
-    retries: Option<u64>,
+    retries: Option<u32>,
 ) -> Result<Arc<dyn Protocol + Send + Sync>, String> {
     Ok(match scheme {
         "tree-wakeup" => Arc::new(TreeWakeup),
@@ -287,9 +280,7 @@ fn build_protocol(
         "retry-broadcast" => {
             let retries = retries
                 .ok_or_else(|| "retries: required by scheme \"retry-broadcast\"".to_string())?;
-            Arc::new(RetryBroadcast {
-                retries: retries as u32,
-            })
+            Arc::new(RetryBroadcast { retries })
         }
         other => return Err(format!("scheme: unknown scheme {other:?}")),
     })

@@ -73,23 +73,21 @@ fn clean_artifacts_match_committed_bytes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Kill a sweep at a random cell — mid-steal when the thread count
-    /// oversubscribes the machine and the chunk override splinters the
-    /// grid — resume it at a random thread count and chunk size, and
-    /// require the merged artifact to match the committed bytes exactly.
+    /// Kill a sweep at a random cell — with workers interleaving when the
+    /// thread count oversubscribes the machine — resume it at a random
+    /// thread count, and require the merged artifact to match the
+    /// committed bytes exactly.
     #[test]
     fn killed_and_resumed_artifacts_match_committed_bytes(
         id in proptest::sample::select(vec!["t10", "t20"]),
         kill in 1usize..12,
         threads in proptest::sample::select(vec![1usize, 2, 8, 16]),
-        chunk in proptest::sample::select(vec![None, Some(1usize), Some(3)]),
     ) {
         let expected = clean(id);
-        let dir = scratch(&format!("{id}-{kill}-{threads}-{chunk:?}"));
+        let dir = scratch(&format!("{id}-{kill}-{threads}"));
         let journal_dir = dir.join("journal");
         let killed = ExpOptions {
             threads,
-            chunk,
             journal_dir: Some(journal_dir.clone()),
             chaos: ChaosPlan::new().die_before(kill),
             ..Default::default()
@@ -100,7 +98,6 @@ proptest! {
 
         let resumed = ExpOptions {
             threads,
-            chunk,
             json_dir: Some(dir.clone()),
             journal_dir: Some(journal_dir),
             resume: true,

@@ -66,8 +66,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "O002",
-        summary: "no parallel iteration or thread-local merge state outside \
-             runtime::{pool, sched}",
+        summary: "no parallel iteration or thread-local merge state outside runtime::pool",
     },
 ];
 

@@ -6,10 +6,9 @@
 //! `sort_unstable`, platform-dependent), and float accumulation
 //! (`sum`/`product`/`fold`) over an unordered hash collection, where the
 //! iteration order changes the rounding. O002 keeps parallel iteration
-//! and thread-local state out of everything but the runtime's scheduling
-//! split — `runtime::pool` (the executor, whose in-order slot merge is
-//! the one sanctioned way to combine results across threads) and
-//! `runtime::sched` (the work-stealing scheduler feeding it).
+//! and thread-local state out of everything but `runtime::pool`, the
+//! executor whose merge by chunk index is the one sanctioned way to
+//! combine results across threads.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
@@ -178,21 +177,16 @@ pub fn o001(file: &SourceFile, deterministic: bool, out: &mut Vec<Diagnostic>) {
 }
 
 /// Modules sanctioned to hold parallel iteration and thread-local merge
-/// state: the two halves of the runtime's block-STM-style split — the
-/// executor (`pool`) and the work-stealing scheduler (`sched`) — plus
-/// the sweep service's server, which is the service layer's one
+/// state: the runtime's executor (`pool`), plus the sweep service's
+/// server, which is the service layer's one
 /// sanctioned cross-thread merge point: connection handlers feed worker
 /// results into the runtime's `OrderedCommitter` under a single lock, so
 /// the merged artifact stays deterministic in cell order regardless of
 /// handler interleaving.
-const O002_ALLOWED: &[&str] = &[
-    "crates/runtime/src/pool.rs",
-    "crates/runtime/src/sched.rs",
-    "crates/service/src/server.rs",
-];
+const O002_ALLOWED: &[&str] = &["crates/runtime/src/pool.rs", "crates/service/src/server.rs"];
 
 /// O002: parallel iteration / thread-local merges outside
-/// `runtime::{pool, sched}`.
+/// `runtime::pool`.
 pub fn o002(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if O002_ALLOWED.contains(&file.path.as_str()) {
         return;
@@ -208,9 +202,9 @@ pub fn o002(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 path: file.path.clone(),
                 line: t.line,
                 message: format!(
-                    "`{}` merges results outside runtime::{{pool, sched}} — cross-thread \
-                     combination must go through the pool's deterministic in-order slot \
-                     merge",
+                    "`{}` merges results outside runtime::pool — cross-thread \
+                     combination must go through the pool's deterministic merge by \
+                     chunk index",
                     t.text
                 ),
             });

@@ -41,7 +41,7 @@ impl RunRequest {
     /// A relative cost hint for scheduling: proportional to the
     /// instance's size (nodes + edges), which dominates both state setup
     /// and message traffic. Only the *ratio* between cells matters — the
-    /// chunk planner ([`crate::sched::ChunkPlan::from_costs`]) uses hints
+    /// chunk planner ([`crate::pool::ChunkPlan::from_costs`]) uses hints
     /// to batch cheap cells together and isolate expensive ones, and a
     /// wrong hint can only cost throughput, never correctness.
     pub fn cost_hint(&self) -> u64 {

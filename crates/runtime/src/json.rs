@@ -110,6 +110,12 @@ impl From<bool> for Json {
     }
 }
 
+impl From<u32> for Json {
+    fn from(n: u32) -> Json {
+        Json::U64(u64::from(n))
+    }
+}
+
 impl From<u64> for Json {
     fn from(n: u64) -> Json {
         Json::U64(n)
@@ -371,6 +377,19 @@ impl<'a> Fields<'a> {
             usize::try_from(j.as_u64()?).ok()
         });
         self.req(key, found)
+    }
+
+    /// A required unsigned integer that fits a `u32` (a retry or poll
+    /// budget).
+    pub fn u32(&self, key: &str) -> Result<u32, String> {
+        self.req(key, self.opt_u32(key))
+    }
+
+    /// An optional unsigned integer that fits a `u32`.
+    pub fn opt_u32(&self, key: &str) -> Result<Option<u32>, String> {
+        self.opt(key, "an unsigned 32-bit integer", |j| {
+            u32::try_from(j.as_u64()?).ok()
+        })
     }
 
     /// An optional unsigned integer.

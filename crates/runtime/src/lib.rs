@@ -6,14 +6,11 @@
 //! is an independent, seeded, deterministic engine run. This crate turns
 //! such sweeps into a batch:
 //!
-//! * [`pool`] — a [`Pool`] of `std::thread` scoped workers: the executor
-//!   half of a block-STM-style split, driving the [`sched`] scheduler and
-//!   merging results into per-index slots (the workspace is offline, so no
-//!   rayon; plain scoped threads are all that is needed),
-//! * [`sched`] — the scheduler half: cells chunked into sub-tasks by cost
-//!   hints ([`sched::ChunkPlan`]), a sharded-mutex task queue with
-//!   per-worker deques and back-half stealing ([`sched::Scheduler`]), and
-//!   out-of-band scheduling telemetry ([`sched::SchedStats`]) for report
+//! * [`pool`] — a [`Pool`] of `std::thread` scoped workers (the
+//!   workspace is offline, so no rayon; plain scoped threads are all that
+//!   is needed): cells chunked by cost hints ([`ChunkPlan`]), chunks
+//!   claimed off one shared atomic cursor, results merged by cell index,
+//!   and out-of-band scheduling telemetry ([`SchedStats`]) for report
 //!   footers,
 //! * [`batch`] — [`RunRequest`] → [`RunReport`]: the cell description,
 //!   the comparable, fully deterministic result record, and the one-cell
@@ -86,7 +83,6 @@ pub mod chaos;
 pub mod journal;
 pub mod json;
 pub mod pool;
-pub mod sched;
 pub mod sink;
 pub mod spec;
 pub mod supervise;
@@ -96,8 +92,7 @@ pub use batch::{run_cell_report, CellOutcome, RunReport, RunRequest};
 pub use chaos::ChaosPlan;
 pub use journal::Journal;
 pub use json::Json;
-pub use pool::Pool;
-pub use sched::{Chunk, ChunkPlan, SchedStats};
+pub use pool::{Chunk, ChunkPlan, Pool, SchedStats};
 pub use sink::{drain, Aggregate, MetricsSink, ReportCollector};
 pub use spec::{AdviceSpec, CellSpec, FaultSpec, InstanceSpec, KnobSpec, SchedulerSpec, SweepSpec};
 pub use supervise::{

@@ -3,7 +3,7 @@
 //!
 //! A spec names *what* to run — graph family × oracle × scheme × fault
 //! plan × seeds × runtime knobs — without touching *how* it runs (thread
-//! counts, journal paths, and chunk overrides stay in the caller). The
+//! counts and journal paths stay in the caller). The
 //! bench grids construct from a spec, the `sweep` CLI lowers its flags
 //! into one, and the sweep service ships specs over the wire verbatim:
 //! one description type, three front doors.
@@ -52,7 +52,7 @@ pub struct SweepSpec {
     pub instances: Vec<InstanceSpec>,
     /// One entry per grid cell, in artifact order.
     pub cells: Vec<CellSpec>,
-    /// Supervision and scheduling knobs shared by the whole sweep.
+    /// Supervision knobs shared by the whole sweep.
     pub knobs: KnobSpec,
 }
 
@@ -130,7 +130,7 @@ pub struct CellSpec {
     /// the name → protocol table.
     pub scheme: String,
     /// Retry budget for `"retry-broadcast"`; meaningless otherwise.
-    pub retries: Option<u64>,
+    pub retries: Option<u32>,
     /// Task rules: `"broadcast"` or `"wakeup"`.
     pub mode: String,
     /// Asynchronous delivery order; `None` keeps synchronous rounds.
@@ -140,7 +140,7 @@ pub struct CellSpec {
     /// Bound every payload to this many bits.
     pub max_message_bits: Option<u64>,
     /// Quiescence-poll budget override.
-    pub quiescence_polls: Option<u64>,
+    pub quiescence_polls: Option<u32>,
     /// The cell's checkpoint seed, recorded in journals and validated on
     /// resume.
     pub seed: u64,
@@ -168,7 +168,7 @@ impl CellSpec {
             config = config.with_max_message_bits(bits);
         }
         if let Some(polls) = self.quiescence_polls {
-            config = config.with_quiescence_polls(polls as u32);
+            config = config.with_quiescence_polls(polls);
         }
         // An inert plan makes the engine take the exact fault-free code
         // path, so installing the default plan is byte-identical to
@@ -306,16 +306,13 @@ impl AdviceSpec {
     }
 }
 
-/// Supervision and scheduling knobs shared by a whole sweep.
+/// Supervision knobs shared by a whole sweep.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KnobSpec {
     /// Retry budget for failed cells.
-    pub max_retries: u64,
+    pub max_retries: u32,
     /// Per-cell watchdog step budget.
     pub cell_timeout: Option<u64>,
-    /// Fixed scheduler sub-task size; `None` sizes chunks from cost
-    /// hints. Granularity only — never results.
-    pub chunk: Option<u64>,
 }
 
 impl SweepSpec {
@@ -338,9 +335,6 @@ impl SweepSpec {
         let mut knobs = Json::obj().field("max_retries", self.knobs.max_retries);
         if let Some(t) = self.knobs.cell_timeout {
             knobs = knobs.field("cell_timeout", t);
-        }
-        if let Some(c) = self.knobs.chunk {
-            knobs = knobs.field("chunk", c);
         }
         Json::obj()
             .field("version", self.version)
@@ -489,7 +483,7 @@ fn cell_from_json(j: &Json, path: String) -> Result<CellSpec, String> {
         label: f.str("label")?,
         instance: f.u64("instance")?,
         scheme: f.str("scheme")?,
-        retries: f.opt_u64("retries")?,
+        retries: f.opt_u32("retries")?,
         mode: f.str("mode")?,
         scheduler: match f.opt_object("scheduler")? {
             None => None,
@@ -500,7 +494,7 @@ fn cell_from_json(j: &Json, path: String) -> Result<CellSpec, String> {
         },
         anonymous: f.bool("anonymous")?,
         max_message_bits: f.opt_u64("max_message_bits")?,
-        quiescence_polls: f.opt_u64("quiescence_polls")?,
+        quiescence_polls: f.opt_u32("quiescence_polls")?,
         seed: f.u64("seed")?,
         faults: fault_from_json(f.object("faults")?)?,
     })
@@ -547,9 +541,8 @@ fn fault_from_json(f: Fields) -> Result<FaultSpec, String> {
 fn knobs_from_json(j: &Json) -> Result<KnobSpec, String> {
     let f = Fields::new(j, "knobs")?;
     f.end(KnobSpec {
-        max_retries: f.u64("max_retries")?,
+        max_retries: f.u32("max_retries")?,
         cell_timeout: f.opt_u64("cell_timeout")?,
-        chunk: f.opt_u64("chunk")?,
     })
 }
 
@@ -679,7 +672,6 @@ mod tests {
         spec.knobs = KnobSpec {
             max_retries: 2,
             cell_timeout: Some(100_000),
-            chunk: Some(1),
         };
         spec
     }
@@ -715,6 +707,48 @@ mod tests {
             .replace("\"master_seed\": 2006", "\"master_seed\": \"2006\"");
         let err = SweepSpec::parse(&rendered).unwrap_err();
         assert_eq!(err, "spec.master_seed: expected an unsigned integer");
+    }
+
+    #[test]
+    fn u32_fields_reject_values_past_u32_max_with_a_path() {
+        let rendered = rich_spec().render();
+        for (from, to, path) in [
+            (
+                "\"max_retries\": 2",
+                "\"max_retries\": 4294967297",
+                "knobs.max_retries",
+            ),
+            (
+                "\"quiescence_polls\": 16",
+                "\"quiescence_polls\": 4294967312",
+                "cells[1].quiescence_polls",
+            ),
+            (
+                "\"retries\": 2",
+                "\"retries\": 4294967296",
+                "cells[1].retries",
+            ),
+        ] {
+            assert!(rendered.contains(from), "{from}");
+            let err = SweepSpec::parse(&rendered.replace(from, to)).unwrap_err();
+            assert_eq!(err, format!("{path}: expected an unsigned 32-bit integer"));
+        }
+        // u32::MAX itself still fits.
+        let max = rendered.replace("\"max_retries\": 2", "\"max_retries\": 4294967295");
+        assert_eq!(
+            SweepSpec::parse(&max).map(|s| s.knobs.max_retries),
+            Ok(u32::MAX)
+        );
+    }
+
+    #[test]
+    fn the_retired_chunk_knob_is_rejected() {
+        let rendered = rich_spec().render().replace(
+            "\"cell_timeout\": 100000",
+            "\"cell_timeout\": 100000, \"chunk\": 4",
+        );
+        let err = SweepSpec::parse(&rendered).unwrap_err();
+        assert_eq!(err, "knobs: unknown field \"chunk\"");
     }
 
     #[test]

@@ -19,16 +19,15 @@
 //! * **resume** — with a [journal](crate::journal) configured, completed
 //!   cells are checkpointed as they finish and skipped on the next run.
 //!
-//! Dispatch goes through the work-stealing scheduler
-//! ([`crate::sched`]): cells are grouped into chunks (sized by the
-//! requests' cost hints or a `--chunk` override), but supervision is
+//! Dispatch goes through the pool ([`crate::pool`]): cells are grouped
+//! into chunks sized by the requests' cost hints, but supervision is
 //! strictly **per sub-task** — isolation, retries, and the watchdog wrap
 //! each cell inside a chunk individually, so one failing cell never
 //! drags its chunk-mates into a retry. Journal records stay per-cell and
 //! are committed **in cell order** through an in-order committer:
 //! out-of-order completions buffer until every lower-indexed cell has
 //! settled, so the journal's bytes are identical at any thread count and
-//! under any steal schedule — a guarantee the tests and the CI
+//! in any claim order — a guarantee the tests and the CI
 //! determinism job diff, not a timing accident.
 //!
 //! The same executor runs a server-leased shard: [`SweepOptions::shard`]
@@ -52,8 +51,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::batch::{run_cell_report, RunReport, RunRequest};
 use crate::chaos::{ChaosPlan, Injection};
 use crate::journal::Journal;
-use crate::pool::Pool;
-use crate::sched::{ChunkPlan, SchedStats};
+use crate::pool::{ChunkPlan, Pool, SchedStats};
 use crate::spec::SweepSpec;
 
 /// How one cell of a supervised sweep concluded.
@@ -133,10 +131,6 @@ pub struct SweepOptions {
     pub seeds: Option<Vec<u64>>,
     /// Failure injection (inert by default; see [`crate::chaos`]).
     pub chaos: ChaosPlan,
-    /// Fixed sub-task chunk size (the CLI `--chunk` override). `None`
-    /// sizes chunks from the cells' cost hints. Chunking never changes
-    /// reports — only scheduling granularity.
-    pub chunk: Option<usize>,
     /// Per-cell cost hints, indexed by sweep-wide cell, used to size
     /// chunks so cheap cells amortize scheduling overhead while expensive
     /// cells get chunks of their own. `None` takes each request's
@@ -148,20 +142,18 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// The run options a spec describes: the supervision policy and chunk
-    /// override from its knobs, and the per-cell seeds its journal
-    /// records carry. This is the only place a spec becomes run options;
-    /// callers add their execution-only choices (journal, resume, chaos,
-    /// shard) on top.
+    /// The run options a spec describes: the supervision policy from its
+    /// knobs, and the per-cell seeds its journal records carry. This is
+    /// the only place a spec becomes run options; callers add their
+    /// execution-only choices (journal, resume, chaos, shard) on top.
     pub fn from_spec(spec: &SweepSpec) -> SweepOptions {
         SweepOptions {
             supervise: SuperviseConfig {
-                max_retries: spec.knobs.max_retries as u32,
+                max_retries: spec.knobs.max_retries,
                 cell_timeout: spec.knobs.cell_timeout,
                 ..SuperviseConfig::default()
             },
             seeds: Some(spec.cells.iter().map(|c| c.seed).collect()),
-            chunk: spec.knobs.chunk.map(|c| c as usize),
             ..SweepOptions::default()
         }
     }
@@ -186,12 +178,9 @@ impl SweepOptions {
             .unwrap_or(cell as u64)
     }
 
-    /// The chunk plan for running `cells` of `requests` on `pool`: the
-    /// explicit `chunk` size when set, cost-hint sizing otherwise.
+    /// The chunk plan for running `cells` of `requests` on `pool`, sized
+    /// by the cells' cost hints.
     fn chunk_plan(&self, requests: &[RunRequest], cells: Range<usize>, pool: &Pool) -> ChunkPlan {
-        if let Some(size) = self.chunk {
-            return ChunkPlan::uniform(cells.len(), size);
-        }
         let costs: Vec<u64> = match &self.costs {
             Some(costs) if costs.len() == requests.len() => costs[cells].to_vec(),
             _ => requests[cells].iter().map(RunRequest::cost_hint).collect(),
@@ -210,10 +199,9 @@ pub struct SweepRun {
     /// `true` when chaos killed the sweep mid-flight: some cells never
     /// ran and the merge step must not publish an artifact.
     pub interrupted: bool,
-    /// Scheduling telemetry for the dispatch (steals, chunks, contention,
-    /// per-worker busy shares). Nondeterministic by nature — rendered
-    /// into human-readable footers only, never into artifacts or
-    /// journals.
+    /// Scheduling telemetry for the dispatch (chunks, per-worker busy
+    /// shares). Nondeterministic by nature — rendered into
+    /// human-readable footers only, never into artifacts or journals.
     pub sched: SchedStats,
 }
 
@@ -371,7 +359,7 @@ pub fn run_cell_supervised(
 
 /// Buffers checkpoint appends until every lower-indexed cell has
 /// settled, so journal records hit the file in **cell order** no matter
-/// which worker finished which cell first. Under work stealing,
+/// which worker finished which cell first. With several workers,
 /// completion order varies run to run; without this buffer the journal's
 /// bytes would too, and the CI smoke jobs diff those bytes against a
 /// serial run. The cost is a crash-safety trade: a straggler cell holds
@@ -514,12 +502,12 @@ pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOp
         }
     }
     let committer = Mutex::new(OrderedCommitter::with_base(journal, base));
-    // Dispatch through the work-stealing scheduler. Supervision wraps
-    // each *sub-task* (cell) individually — the `catch_unwind`, retry
-    // loop, and watchdog clamp all live inside this closure — so a panic
-    // or timeout in one sub-task never retries or aborts the rest of its
-    // chunk. Every path settles the cell with the committer so the
-    // commit cursor always reaches the end of the range.
+    // Dispatch through the pool. Supervision wraps each *sub-task*
+    // (cell) individually — the `catch_unwind`, retry loop, and watchdog
+    // clamp all live inside this closure — so a panic or timeout in one
+    // sub-task never retries or aborts the rest of its chunk. Every path
+    // settles the cell with the committer so the commit cursor always
+    // reaches the end of the range.
     let plan = opts.chunk_plan(requests, cells.clone(), pool);
     let (cells_out, sched): (Vec<SupervisedReport>, SchedStats) =
         pool.run_chunked(&plan, |local| {
@@ -604,7 +592,6 @@ mod tests {
         spec.knobs = KnobSpec {
             max_retries: 2,
             cell_timeout: Some(100_000),
-            chunk: Some(3),
         };
         let opts = SweepOptions::from_spec(&spec);
         assert_eq!(opts.supervise.max_retries, 2);
@@ -613,7 +600,6 @@ mod tests {
             opts.supervise.backoff_base,
             SuperviseConfig::default().backoff_base
         );
-        assert_eq!(opts.chunk, Some(3));
         assert_eq!(opts.seeds, Some(vec![7, 3, 11]));
         // Execution-only choices stay at their defaults.
         assert_eq!(opts.journal, None);

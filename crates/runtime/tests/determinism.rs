@@ -1,16 +1,16 @@
 //! The determinism contract, pinned down: for a fixed request list, the
 //! batch report vector — and everything derived from it (aggregates,
 //! rendered JSON) — is identical at `--threads 1`, `2`, `8`, and `16`
-//! (the last oversubscribing this machine, so workers genuinely
-//! interleave and steal), under any chunk plan.
+//! (the last oversubscribing the machine, so workers genuinely
+//! interleave), under any chunk plan.
 
 use std::sync::Arc;
 
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::{
-    drain, run_supervised_batch, Aggregate, MetricsSink, Pool, ReportCollector, RunReport,
-    RunRequest, SweepOptions,
+    drain, run_supervised_batch, Aggregate, ChunkPlan, MetricsSink, Pool, ReportCollector,
+    RunReport, RunRequest, SweepOptions,
 };
 use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
@@ -89,20 +89,25 @@ proptest! {
         }
     }
 
-    /// Chunk plans set scheduling granularity, never results: any chunk
-    /// size, at any thread count, merges to the serial report vector.
+    /// Chunk plans set scheduling granularity, never results: cost hints
+    /// skewed over four orders of magnitude — lone heavy cells, long
+    /// cheap runs — at any thread count merge to the serial report
+    /// vector.
     #[test]
     fn reports_identical_across_chunk_plans(
         seed in any::<u64>(),
-        chunk in 1usize..16,
+        log_costs in proptest::collection::vec(0u32..16, 18),
         threads in proptest::sample::select(vec![2usize, 8, 16]),
     ) {
         let requests = grid(Family::Torus, 16, seed, 18);
         let serial = sweep(&Pool::new(1), &requests);
-        let opts = SweepOptions { chunk: Some(chunk), ..SweepOptions::default() };
+        let costs: Vec<u64> = log_costs.iter().map(|&e| 1 << e).collect();
+        let plan = ChunkPlan::from_costs(&costs, threads);
+        let opts = SweepOptions { costs: Some(costs), ..SweepOptions::default() };
         let chunked = run_supervised_batch(&Pool::new(threads), &requests, &opts);
-        prop_assert_eq!(&serial, &chunked.reports(), "threads = {}, chunk = {}", threads, chunk);
+        prop_assert_eq!(&serial, &chunked.reports(), "threads = {}, plan = {:?}", threads, plan);
         prop_assert_eq!(chunked.sched.tasks as usize, requests.len());
+        prop_assert_eq!(chunked.sched.chunks as usize, plan.len());
     }
 }
 

@@ -66,11 +66,11 @@ fn options(journal: Option<PathBuf>) -> SweepOptions {
 }
 
 /// The in-order committer's guarantee: journal *bytes* — not just loaded
-/// records — are identical at any thread count and chunk size, even
-/// though workers finish cells out of order under stealing. The CI
-/// determinism-smoke job diffs exactly these bytes against a serial run.
+/// records — are identical at any thread count, even though workers
+/// finish cells out of order. The CI determinism-smoke job diffs exactly
+/// these bytes against a serial run.
 #[test]
-fn journal_bytes_are_identical_across_thread_counts_and_chunks() {
+fn journal_bytes_are_identical_across_thread_counts() {
     let requests = grid(Family::Torus, 12, 99, 14);
     let serial_path = temp_journal("bytes-serial");
     run_supervised_batch(
@@ -81,23 +81,14 @@ fn journal_bytes_are_identical_across_thread_counts_and_chunks() {
     let serial_bytes = std::fs::read(&serial_path).unwrap();
     assert!(!serial_bytes.is_empty());
     for threads in [2usize, 8, 16] {
-        for chunk in [None, Some(1), Some(5)] {
-            let path = temp_journal(&format!("bytes-{threads}-{chunk:?}"));
-            run_supervised_batch(
-                &Pool::new(threads),
-                &requests,
-                &SweepOptions {
-                    chunk,
-                    ..options(Some(path.clone()))
-                },
-            );
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            assert_eq!(
-                bytes, serial_bytes,
-                "journal bytes diverged at threads = {threads}, chunk = {chunk:?}"
-            );
-        }
+        let path = temp_journal(&format!("bytes-{threads}"));
+        run_supervised_batch(&Pool::new(threads), &requests, &options(Some(path.clone())));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            bytes, serial_bytes,
+            "journal bytes diverged at threads = {threads}"
+        );
     }
     std::fs::remove_file(&serial_path).ok();
 }
@@ -347,8 +338,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The tentpole invariant at the report level: kill at a random cell
-    /// — mid-steal when single-cell chunks oversubscribe the workers —
-    /// resume at a random thread count (possibly killing again), and the
+    /// — with workers interleaving when the thread count oversubscribes
+    /// the machine — resume at a random thread count (possibly killing again), and the
     /// final reports equal an uninterrupted serial run's.
     #[test]
     fn killed_and_resumed_sweeps_match_uninterrupted_runs(
@@ -358,7 +349,6 @@ proptest! {
         kill_a in 0usize..10,
         kill_b in 0usize..10,
         threads in proptest::sample::select(vec![1usize, 2, 8, 16]),
-        chunk in proptest::sample::select(vec![None, Some(1usize), Some(4)]),
     ) {
         let cells = 10;
         let requests = grid(fam, n, seed, cells);
@@ -367,7 +357,6 @@ proptest! {
         // First flight: fresh journal, killed at kill_a.
         let first = run_supervised_batch(&Pool::new(threads), &requests, &SweepOptions {
             chaos: ChaosPlan::new().die_before(kill_a),
-            chunk,
             ..options(Some(path.clone()))
         });
         prop_assert!(first.interrupted || kill_a >= cells);
@@ -376,14 +365,12 @@ proptest! {
         let second = run_supervised_batch(&Pool::new(threads), &requests, &SweepOptions {
             resume: true,
             chaos: ChaosPlan::new().die_before(kill2),
-            chunk,
             ..options(Some(path.clone()))
         });
         prop_assert!(second.interrupted || kill2 >= cells);
         // Final flight: resumed to completion.
         let last = run_supervised_batch(&Pool::new(threads), &requests, &SweepOptions {
             resume: true,
-            chunk,
             ..options(Some(path.clone()))
         });
         std::fs::remove_file(&path).ok();

@@ -15,7 +15,7 @@ fn names() -> sample::Select<String> {
     )
 }
 
-fn option_of(s: impl Strategy<Value = u64>) -> impl Strategy<Value = Option<u64>> {
+fn option_of<T>(s: impl Strategy<Value = T>) -> impl Strategy<Value = Option<T>> {
     (any::<bool>(), s).prop_map(|(some, v)| some.then_some(v))
 }
 
@@ -91,14 +91,14 @@ fn cells(instance_count: u64) -> impl Strategy<Value = CellSpec> {
             names(),
             0..instance_count,
             names(),
-            option_of(any::<u64>()),
+            option_of(any::<u32>()),
             sample::select(["broadcast", "wakeup"].map(String::from).to_vec()),
             schedulers(),
         ),
         (
             any::<bool>(),
             option_of(any::<u64>()),
-            option_of(any::<u64>()),
+            option_of(any::<u32>()),
             any::<u64>(),
             faults(),
         ),
@@ -128,12 +128,11 @@ fn specs() -> impl Strategy<Value = SweepSpec> {
         names(),
         any::<u64>(),
         collection::vec(instances(), 1..4),
-        any::<u64>(),
-        option_of(any::<u64>()),
+        any::<u32>(),
         option_of(any::<u64>()),
     )
         .prop_flat_map(
-            |(name, master_seed, instance_list, max_retries, cell_timeout, chunk)| {
+            |(name, master_seed, instance_list, max_retries, cell_timeout)| {
                 let count = instance_list.len() as u64;
                 collection::vec(cells(count), 1..6).prop_map(move |cell_list| {
                     let mut spec = SweepSpec::new(name.clone(), master_seed);
@@ -142,7 +141,6 @@ fn specs() -> impl Strategy<Value = SweepSpec> {
                     spec.knobs = KnobSpec {
                         max_retries,
                         cell_timeout,
-                        chunk,
                     };
                     spec
                 })

@@ -5,6 +5,12 @@
 //! run, so a cell's trace never depends on which worker thread executed
 //! it — concatenating per-cell renders in cell order therefore yields one
 //! deterministic artifact.
+//!
+//! Every captured trace is also replayed through the engine's
+//! [`InvariantSink`], so the four trace invariants (resolve-once,
+//! wake-once, wakeup-rule, rollup-informed) hold for every cell the pool
+//! ran, at every thread count, under FIFO, LIFO and random schedulers
+//! with drop, duplicate and bit-flip faults.
 
 use std::sync::Arc;
 
@@ -13,6 +19,7 @@ use oraclesize_graph::families::Family;
 use oraclesize_runtime::trace::render_jsonl;
 use oraclesize_runtime::{run_supervised_batch, Pool, RunRequest, SweepOptions};
 use oraclesize_sim::protocol::FloodOnce;
+use oraclesize_sim::trace::{InvariantSink, TraceSink};
 use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,11 +54,31 @@ fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest
         .collect()
 }
 
-/// Runs the batch and renders every cell's trace as one JSONL artifact.
+/// Runs the batch, checks every cell's trace against the trace
+/// invariants, and renders the traces as one JSONL artifact.
+///
+/// # Panics
+///
+/// When a cell's trace breaks an invariant; the message names the cell
+/// and carries the events leading up to the violation.
 fn render_batch(pool: &Pool, requests: &[RunRequest]) -> String {
     let mut out = String::new();
     for report in run_supervised_batch(pool, requests, &SweepOptions::default()).reports() {
         if let Some(outcome) = report.outcome() {
+            let request = &requests[report.cell];
+            let instance = &request.instance;
+            let mut checker =
+                InvariantSink::new(instance.num_nodes(), instance.source, request.config.mode);
+            for &event in &outcome.trace {
+                checker.emit(event);
+            }
+            if let Err(violation) = checker.verdict(outcome.completed) {
+                panic!(
+                    "cell {} at {} thread(s): {violation}",
+                    report.cell,
+                    pool.threads()
+                );
+            }
             out.push_str(&render_jsonl(report.cell as u64, &outcome.trace));
         }
     }

@@ -10,7 +10,7 @@
 //!   message travels in (dependency-free, over `std::net::TcpStream`),
 //! * [`proto`] — the typed messages: submit/poll on the client side,
 //!   want/shard/result on the worker side,
-//! * [`server`] — admits jobs, shards grids by the scheduler's cost
+//! * [`server`] — admits jobs, shards grids by the pool's cost
 //!   hints, leases shards to workers, requeues them when a worker dies,
 //!   and merges results in cell order through the runtime's
 //!   `OrderedCommitter`,

@@ -6,7 +6,7 @@
 //!
 //! A submitted spec is validated ([`SweepSpec::from_json`] +
 //! [`CellGrid::from_spec`]), cut into contiguous shards with
-//! [`ChunkPlan::from_costs`] (the same cost hints the local scheduler
+//! [`ChunkPlan::from_costs`] (the same cost hints the local pool
 //! chunks by), and queued. Workers pull shards with `Want`, run them, and
 //! return per-cell results; a shard whose connection drops before its
 //! `Result` arrives is requeued at the front of the queue, so a killed

@@ -172,8 +172,6 @@ pub struct ExperimentsArgs {
     pub large: bool,
     /// Worker threads for the grid experiments (`0`/`1` ⇒ serial).
     pub threads: usize,
-    /// Fixed scheduler sub-task size in cells; granularity only.
-    pub chunk: Option<usize>,
     /// Where to write `BENCH_<ID>.json` artifacts.
     pub json_dir: Option<PathBuf>,
     /// Where the grid journals live (`<dir>/<spec name>.journal`).
@@ -283,10 +281,6 @@ pub struct SweepArgs {
     pub runs: usize,
     /// Worker threads for dispatch.
     pub threads: usize,
-    /// Fixed scheduler sub-task size in cells; `None` lets the runtime
-    /// pick a balanced plan. Chunking changes scheduling granularity
-    /// only — never the report.
-    pub chunk: Option<usize>,
     /// Per-message drop probability (`0.0` = fault-free).
     pub drop: f64,
     /// Checkpoint journal path; `None` disables checkpointing.
@@ -454,14 +448,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }))
         }
         Some("sweep") => {
-            let (mut runs, mut threads, mut chunk, mut drop) = (16, 1, None, 0.0);
+            let (mut runs, mut threads, mut drop) = (16, 1, 0.0);
             let (mut journal, mut resume, mut max_retries) = (None, false, 0);
             let (mut cell_timeout, mut allow_degraded) = (None, false);
             let cell = cell_flags(&mut it, "sweep", 64, |flag, it| {
                 match flag {
                     "--runs" => runs = at_least(it, "--runs", 1)?,
                     "--threads" => threads = int(it, "--threads")?,
-                    "--chunk" => chunk = Some(at_least(it, "--chunk", 1)?),
                     "--drop" => drop = drop_prob(it)?,
                     "--journal" => journal = Some(value(it, "--journal")?.clone()),
                     "--resume" => resume = true,
@@ -482,7 +475,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 cell,
                 runs,
                 threads,
-                chunk,
                 drop,
                 journal,
                 resume,
@@ -528,7 +520,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 match arg {
                     "--large" => a.large = true,
                     "--threads" => a.threads = int(it, "--threads")?,
-                    "--chunk" => a.chunk = Some(at_least(it, "--chunk", 1)?),
                     "--json-dir" => a.json_dir = Some(value(it, "--json-dir")?.into()),
                     "--journal-dir" => a.journal_dir = Some(value(it, "--journal-dir")?.into()),
                     "--resume" => a.resume = true,
@@ -652,8 +643,7 @@ pub fn usage() -> String {
          \x20                [--source <node>] [--scheduler fifo|lifo|random|starve]\n\
          \x20                [--anonymous] [--seed <u64>] [--stretch <t>]\n\
          \x20 oraclesize sweep --task broadcast|wakeup|flood [--runs <k>]\n\
-         \x20                [--threads <t>] [--chunk <cells>] [--drop <p>]\n\
-         \x20                [--family <family>]\n\
+         \x20                [--threads <t>] [--drop <p>] [--family <family>]\n\
          \x20                [--n <size>] [--scheduler <s>] [--seed <u64>]\n\
          \x20                [--journal <file>] [--resume] [--max-retries <k>]\n\
          \x20                [--cell-timeout <steps>] [--allow-degraded]\n\
@@ -661,8 +651,8 @@ pub fn usage() -> String {
          \x20                [--n <size>] [--source <node>] [--scheduler <s>]\n\
          \x20                [--drop <p>] [--seed <u64>] [--out <file.jsonl>]\n\
          \x20 oraclesize trace-diff <left.jsonl> <right.jsonl>\n\
-         \x20 oraclesize experiments [--large] [--threads <t>] [--chunk <cells>]\n\
-         \x20                [--json-dir <dir>] [--journal-dir <dir>] [--resume]\n\
+         \x20 oraclesize experiments [--large] [--threads <t>] [--json-dir <dir>]\n\
+         \x20                [--journal-dir <dir>] [--resume]\n\
          \x20                [<id>...|all]\n\
          \x20 oraclesize spec <{}> [--large]\n\
          \x20 oraclesize serve [--addr <host:port>] [--journal-dir <dir>]\n\
@@ -732,7 +722,7 @@ pub fn run_command_status(cmd: &Command) -> Result<(String, bool), String> {
 /// `out`: a header, then each experiment's section followed by
 /// `footer(id, stats)` and a blank line, where `stats` is that
 /// experiment's share of the scheduling telemetry. Everything but the
-/// footers is identical at any thread count and chunk size.
+/// footers is identical at any thread count.
 ///
 /// # Errors
 ///
@@ -746,7 +736,6 @@ pub fn run_experiments(
     let opts = ExpOptions {
         large: args.large,
         threads: args.threads,
-        chunk: args.chunk,
         json_dir: args.json_dir.clone(),
         journal_dir: args.journal_dir.clone(),
         resume: args.resume,
@@ -761,9 +750,8 @@ pub fn run_experiments(
     for id in &args.ids {
         let (id, run) =
             experiments::find(id).ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-        let before = opts.sched_stats();
         let report = run(&opts)?;
-        let stats = opts.sched_stats().since(&before);
+        let stats = opts.take_stats();
         out(&format!("{report}\n{}\n", footer(id, &stats)));
     }
     Ok(())
@@ -986,9 +974,8 @@ pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
     });
     let mut spec = lower_cells("sweep", &args.cell, args.drop, seeds)?;
     spec.knobs = KnobSpec {
-        max_retries: u64::from(args.max_retries),
+        max_retries: args.max_retries,
         cell_timeout: args.cell_timeout,
-        chunk: args.chunk.map(|c| c as u64),
     };
     Ok(spec)
 }
@@ -1057,7 +1044,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let grid = CellGrid::from_spec(&spec)?;
     let g = &grid.requests()[0].instance.graph;
 
-    // The spec's knobs carry the retry/watchdog/chunk flags, and its
+    // The spec's knobs carry the retry/watchdog flags, and its
     // per-cell seeds land in journal records, so a resume against a
     // different `--seed` re-runs cells instead of replaying them.
     let sweep_opts = SweepOptions {
@@ -1119,7 +1106,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     for warning in &sweep.warnings {
         let _ = writeln!(out, "warning:      {warning}");
     }
-    // Scheduling telemetry varies with thread count and steal timing, so
+    // Scheduling telemetry varies with thread count and claim timing, so
     // this footer is never part of any byte-pinned artifact — the CI
     // smoke jobs and the determinism tests below filter it out before
     // diffing. (Runs/sec is appended by the binary, which owns the wall
@@ -1294,8 +1281,6 @@ mod tests {
             "--large",
             "--threads",
             "4",
-            "--chunk",
-            "2",
             "--json-dir",
             "out",
             "--journal-dir",
@@ -1311,7 +1296,6 @@ mod tests {
                 ids: vec!["T10".to_string(), "scale".to_string()],
                 large: true,
                 threads: 4,
-                chunk: Some(2),
                 json_dir: Some(PathBuf::from("out")),
                 journal_dir: Some(PathBuf::from("ckpt")),
                 resume: true,
@@ -1346,7 +1330,7 @@ mod tests {
         assert_eq!(reject(&["--large", "--large"]), "repeated flag \"--large\"");
         assert_eq!(reject(&["--threads"]), "--threads needs a value");
         assert_eq!(reject(&["--threads", "x"]), "--threads needs an integer");
-        assert_eq!(reject(&["--chunk", "0"]), "--chunk must be at least 1");
+        assert_eq!(reject(&["--chunk", "1"]), "unknown flag \"--chunk\"");
         assert_eq!(
             reject(&["--resume", "t10"]),
             "--resume requires --journal-dir"
@@ -1469,8 +1453,6 @@ mod tests {
             "2",
             "--cell-timeout",
             "5000",
-            "--chunk",
-            "4",
             "--allow-degraded",
         ]))
         .unwrap();
@@ -1481,7 +1463,6 @@ mod tests {
         assert_eq!(a.cell.family, Family::Cycle);
         assert_eq!(a.runs, 8);
         assert_eq!(a.threads, 3);
-        assert_eq!(a.chunk, Some(4));
         assert_eq!(a.drop, 0.25);
         assert_eq!(a.cell.seed, 11);
         assert_eq!(a.journal.as_deref(), Some("ckpt.journal"));
@@ -1498,8 +1479,11 @@ mod tests {
         assert!(parse_args(&args(&["sweep", "--task", "flood", "--drop", "1.5"])).is_err());
         assert!(parse_args(&args(&["sweep", "--task", "flood", "--runs", "0"])).is_err());
         assert!(parse_args(&args(&["sweep", "--task", "flood", "--max-retries", "x"])).is_err());
-        // A zero-cell chunk cannot cover the grid.
-        assert!(parse_args(&args(&["sweep", "--task", "flood", "--chunk", "0"])).is_err());
+        // Chunk sizes come from cost hints; there is no knob.
+        assert_eq!(
+            parse_args(&args(&["sweep", "--task", "flood", "--chunk", "1"])).unwrap_err(),
+            "unknown flag \"--chunk\""
+        );
         // --resume without a journal has nothing to resume from.
         assert!(parse_args(&args(&["sweep", "--task", "flood", "--resume"])).is_err());
     }
@@ -1514,29 +1498,20 @@ mod tests {
         assert!(serial.contains("completed:    6/6"), "{serial}");
         assert!(serial.contains("throughput:"), "{serial}");
         for threads in ["2", "8", "16"] {
-            for chunk in [None, Some("1"), Some("4")] {
-                let mut argv: Vec<&str> = base.to_vec();
-                argv.extend(["--threads", threads]);
-                if let Some(chunk) = chunk {
-                    argv.extend(["--chunk", chunk]);
-                }
-                let cmd = parse_args(&args(&argv)).unwrap();
-                let parallel = run_command(&cmd).unwrap();
-                // The thread count is echoed in the header and the
-                // throughput footer is scheduling telemetry; everything
-                // else must match the serial run byte for byte.
-                let tail = |s: &str| {
-                    s.lines()
-                        .filter(|l| !l.starts_with("sweep:") && !l.starts_with("throughput:"))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                };
-                assert_eq!(
-                    tail(&serial),
-                    tail(&parallel),
-                    "threads = {threads}, chunk = {chunk:?}"
-                );
-            }
+            let mut argv: Vec<&str> = base.to_vec();
+            argv.extend(["--threads", threads]);
+            let cmd = parse_args(&args(&argv)).unwrap();
+            let parallel = run_command(&cmd).unwrap();
+            // The thread count is echoed in the header and the
+            // throughput footer is scheduling telemetry; everything
+            // else must match the serial run byte for byte.
+            let tail = |s: &str| {
+                s.lines()
+                    .filter(|l| !l.starts_with("sweep:") && !l.starts_with("throughput:"))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            };
+            assert_eq!(tail(&serial), tail(&parallel), "threads = {threads}");
         }
     }
 
@@ -1742,8 +1717,6 @@ mod tests {
             "100",
             "--max-retries",
             "2",
-            "--chunk",
-            "4",
         ]))
         .unwrap();
         let Command::Sweep(a) = cmd else {
@@ -1775,7 +1748,6 @@ mod tests {
             assert_eq!(cell.quiescence_polls, Some(16));
         }
         assert_eq!(spec.knobs.max_retries, 2);
-        assert_eq!(spec.knobs.chunk, Some(4));
         // The lowered spec survives the wire format losslessly.
         assert_eq!(SweepSpec::parse(&spec.render()).unwrap(), spec);
 
@@ -1801,7 +1773,7 @@ mod tests {
         }
         assert!(u.contains("sweep"), "usage missing sweep subcommand");
         assert!(u.contains("--threads"), "usage missing --threads");
-        assert!(u.contains("--chunk"), "usage missing --chunk");
+        assert!(!u.contains("--chunk"), "usage still lists --chunk");
         assert!(u.contains("trace-diff"), "usage missing trace-diff");
         assert!(u.contains("--out"), "usage missing --out");
         assert!(u.contains("--journal"), "usage missing --journal");
