@@ -705,7 +705,7 @@ pub fn t11_encoding_ablation() -> String {
             let mut gamma_ports = 0usize;
             let mut delta_ports = 0usize;
             for v in 0..nodes {
-                let ports: Vec<u64> = tree.children(v).iter().map(|&(_, p)| p as u64).collect();
+                let ports: Vec<u64> = tree.children(v).map(|(_, p)| p as u64).collect();
                 paper_ports += encode_port_list(&ports, nodes as u64).len();
                 for &p in &ports {
                     gamma_ports += AnyCodec::EliasGamma.encoded_len(p);

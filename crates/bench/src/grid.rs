@@ -224,7 +224,9 @@ impl CellGrid {
 /// `"subdivided-clique"` (every edge of `K*_n` subdivided, no RNG) — the
 /// constructions T10/T20 and the SCALE curve sweep. Sizes and
 /// probabilities the constructors would panic on are errors here, since
-/// specs arrive from untrusted clients.
+/// specs arrive from untrusted clients — and so is a size the graph's
+/// `u32` layout cannot index, found from the family's parameters before
+/// anything is allocated.
 fn build_family(
     family: &str,
     n: usize,
@@ -240,6 +242,14 @@ fn build_family(
     };
     if n < min_n {
         return Err(format!("n: family {family:?} needs n >= {min_n}, got {n}"));
+    }
+    let size = match fam {
+        Some(fam) => fam.size(n),
+        None if family == "subdivided-clique" => families::subdivided_clique_size(n),
+        None => families::clique_size(n),
+    };
+    if let Err(e) = size {
+        return Err(format!("n: family {family:?} at n = {n} is too large: {e}"));
     }
     let mut rng = StdRng::seed_from_u64(seed);
     Ok(match fam {
@@ -376,6 +386,43 @@ mod tests {
         assert_eq!(
             err,
             "instances[0].n: family \"subdivided-clique\" needs n >= 2, got 1"
+        );
+
+        // Sizes the u32 graph layout cannot index are rejected before any
+        // allocation, from the family's parameters alone.
+        let mut spec = crate::experiments::t10_spec();
+        for inst in &mut spec.instances {
+            inst.family = "subdivided-clique".to_string();
+            inst.n = 100_000_000;
+        }
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "instances[0].n: family \"subdivided-clique\" at n = 100000000 is too large: \
+             node count 5000000050000000 exceeds the u32 index limit 4294967295"
+        );
+
+        let mut spec = crate::experiments::t10_spec();
+        for inst in &mut spec.instances {
+            inst.family = "complete".to_string();
+            inst.n = 4_000_000_000;
+        }
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "instances[0].n: family \"complete\" at n = 4000000000 is too large: \
+             arc count 15999999996000000000 exceeds the u32 index limit 4294967295"
+        );
+
+        // b(b−1) overflows usize itself.
+        let mut spec = tiny_spec();
+        spec.instances[0].family = "subdivided-clique".to_string();
+        spec.instances[0].n = 1 << 33;
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "instances[0].n: family \"subdivided-clique\" at n = 8589934592 is too large: \
+             node count overflows usize, beyond the u32 limit 4294967295"
         );
 
         let mut spec = tiny_spec();

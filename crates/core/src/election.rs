@@ -104,7 +104,7 @@ impl Oracle for ElectionOracle {
             .map(|v| {
                 let mut out = BitString::new();
                 out.push(v == source);
-                for &(_, p) in tree.children(v) {
+                for (_, p) in tree.children(v) {
                     EliasGamma.encode(p as u64, &mut out);
                 }
                 out

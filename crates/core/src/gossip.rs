@@ -91,7 +91,7 @@ impl Oracle for GossipOracle {
             .map(|v| {
                 let advice = TreeAdvice {
                     parent_port: tree.parent(v).map(|(_, _, port_at_child)| port_at_child),
-                    child_ports: tree.children(v).iter().map(|&(_, p)| p).collect(),
+                    child_ports: tree.children(v).map(|(_, p)| p).collect(),
                 };
                 encode_tree_advice(&advice)
             })

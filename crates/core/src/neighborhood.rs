@@ -52,7 +52,7 @@ fn ball(g: &PortGraph, center: NodeId, rho: usize) -> Vec<NodeId> {
         if d == rho {
             continue;
         }
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             if let std::collections::hash_map::Entry::Vacant(e) = depth.entry(u) {
                 e.insert(d + 1);
                 order.push(u);

@@ -49,13 +49,12 @@ impl Oracle for SpanningTreeOracle {
         let n = g.num_nodes() as u64;
         (0..g.num_nodes())
             .map(|v| {
-                let children = tree.children(v);
-                if children.is_empty() {
+                if tree.is_leaf(v) {
                     // A leaf's advice is the empty list, which encodes to
                     // no bits.
                     return BitString::new();
                 }
-                let ports: Vec<u64> = children.iter().map(|&(_, p)| p as u64).collect();
+                let ports: Vec<u64> = tree.children(v).map(|(_, p)| p as u64).collect();
                 encode_port_list(&ports, n.max(2))
             })
             .collect()

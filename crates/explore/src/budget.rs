@@ -36,7 +36,7 @@ pub fn budgeted_tour_advice(g: &PortGraph, start: NodeId, budget_bits: u64) -> V
     let mut stack = vec![start];
     while let Some(v) = stack.pop() {
         order.push(v);
-        for &(child, _) in tree.children(v).iter().rev() {
+        for (child, _) in tree.children(v).rev() {
             stack.push(child);
         }
     }

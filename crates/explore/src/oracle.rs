@@ -40,7 +40,7 @@ pub fn tour_advice(g: &PortGraph, start: NodeId) -> Vec<BitString> {
     let tree = dfs_tree(g, start);
     (0..g.num_nodes())
         .map(|v| {
-            let mut seq: Vec<Port> = tree.children(v).iter().map(|&(_, p)| p).collect();
+            let mut seq: Vec<Port> = tree.children(v).map(|(_, p)| p).collect();
             if let Some((_, _, port_at_child)) = tree.parent(v) {
                 seq.push(port_at_child);
             }

@@ -3,6 +3,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::csr::{check_size, narrow, widen};
 use crate::portgraph::{GraphError, NodeId, Port, PortGraph};
 
 /// Builds a [`PortGraph`] edge by edge.
@@ -30,7 +31,9 @@ use crate::portgraph::{GraphError, NodeId, Port, PortGraph};
 pub struct PortGraphBuilder {
     // lint:allow(D005): incremental construction needs per-node growable
     // port slots with gaps; build() flattens into the CSR PortGraph.
-    adj: Vec<Vec<Option<(NodeId, Port)>>>,
+    // Slots hold `(neighbor, arrival port)` already narrowed to the
+    // graph's `u32` layout.
+    adj: Vec<Vec<Option<(u32, u32)>>>,
     labels: Option<Vec<u64>>,
 }
 
@@ -77,7 +80,8 @@ impl PortGraphBuilder {
     ///
     /// Rejects self-loops, parallel edges, and occupied port slots (reported
     /// as [`GraphError::AsymmetricPortMap`] since the slot cannot be made
-    /// consistent).
+    /// consistent), and ids or ports beyond the `u32` layout
+    /// ([`GraphError::TooLarge`]).
     ///
     /// # Panics
     ///
@@ -94,7 +98,9 @@ impl PortGraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if self.adj[u].iter().flatten().any(|&(w, _)| w == v) {
+        let to_v = (narrow("node id", v)?, narrow("port", pv)?);
+        let to_u = (narrow("node id", u)?, narrow("port", pu)?);
+        if self.adj[u].iter().flatten().any(|&(w, _)| w == to_v.0) {
             return Err(GraphError::ParallelEdge { u, v });
         }
         if self.adj[u].len() <= pu {
@@ -109,8 +115,8 @@ impl PortGraphBuilder {
         if self.adj[v][pv].is_some() {
             return Err(GraphError::AsymmetricPortMap { node: v, port: pv });
         }
-        self.adj[u][pu] = Some((v, pv));
-        self.adj[v][pv] = Some((u, pu));
+        self.adj[u][pu] = Some(to_v);
+        self.adj[v][pv] = Some(to_u);
         Ok(())
     }
 
@@ -130,22 +136,22 @@ impl PortGraphBuilder {
             let mut perm: Vec<Port> = (0..deg).collect();
             perm.shuffle(rng);
             // perm[old_port] = new_port at v.
-            let mut new_ports: Vec<Option<(NodeId, Port)>> = vec![None; deg];
+            let mut new_ports = vec![None; deg];
             for (old, &new) in perm.iter().enumerate() {
                 new_ports[new] = self.adj[v][old];
             }
             self.adj[v] = new_ports;
             // Fix the back-references of neighbors.
-            let slots: Vec<(Port, NodeId, Port)> = self.adj[v]
-                .iter()
-                .enumerate()
+            let slots: Vec<(u32, u32, u32)> = (0u32..)
+                .zip(&self.adj[v])
                 .filter_map(|(new_p, slot)| slot.map(|(u, q)| (new_p, u, q)))
                 .collect();
             for (new_p, u, q) in slots {
                 // Neighbor u's slot q currently points to (v, old); update.
-                let (w, _) = self.adj[u][q].expect("edge slots are paired");
-                debug_assert_eq!(w, v);
-                self.adj[u][q] = Some((v, new_p));
+                let slot = &mut self.adj[widen(u)][widen(q)];
+                let (w, _) = slot.expect("edge slots are paired");
+                debug_assert_eq!(widen(w), v);
+                *slot = Some((w, new_p));
             }
         }
         self
@@ -155,13 +161,15 @@ impl PortGraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::OutOfRange`] if any port slot was left
+    /// Returns [`GraphError::TooLarge`] for more than `u32::MAX` nodes or
+    /// arcs, [`GraphError::OutOfRange`] if any port slot was left
     /// unfilled (possible after
     /// [`add_edge_with_ports`](PortGraphBuilder::add_edge_with_ports) with
     /// gaps), or any invariant violation found by [`PortGraph::validate`].
     pub fn build(self) -> Result<PortGraph, GraphError> {
         let n = self.adj.len();
         let total: usize = self.adj.iter().map(Vec::len).sum();
+        check_size(Some(n), Some(total))?;
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(total);
         let mut back_ports = Vec::with_capacity(total);
@@ -176,7 +184,7 @@ impl PortGraphBuilder {
                     None => return Err(GraphError::OutOfRange { node: v, port: p }),
                 }
             }
-            offsets.push(targets.len());
+            offsets.push(narrow("arc count", targets.len())?);
         }
         let labels = self.labels.unwrap_or_else(|| (0..n as u64).collect());
         PortGraph::from_csr(offsets, targets, back_ports, labels)

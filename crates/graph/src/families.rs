@@ -5,17 +5,50 @@
 //! The [`Family`] enum names the sweep set used across benches and
 //! EXPERIMENTS.md.
 //!
-//! The large closed-form graphs write their CSR arrays directly through
-//! [`PortGraph::from_csr`]: [`complete_rotational`], and
+//! The large closed-form graphs write their `u32` CSR arrays directly
+//! through [`PortGraph::from_csr`]: [`complete_rotational`], and
 //! [`subdivided_clique`], the SCALE experiment's `K*_b`, which equals the
 //! general `gadgets::subdivide_edges` composition without building the
 //! clique or its edge list first.
+//!
+//! [`Family::size`], [`clique_size`] and [`subdivided_clique_size`]
+//! compute a graph's node count and an arc bound from its parameters
+//! alone, with checked arithmetic, so a caller can reject a size the
+//! `u32` layout cannot index before anything is allocated.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::builder::PortGraphBuilder;
-use crate::portgraph::PortGraph;
+use crate::csr::{check_size, widen};
+use crate::portgraph::{GraphError, PortGraph};
+
+/// Node and arc counts of `K_n` — `n` and `n(n−1)` — narrowed to the
+/// `u32` layout. Also the arc bound of every simple graph on `n` nodes,
+/// such as [`random_connected`]'s.
+///
+/// # Errors
+///
+/// [`GraphError::TooLarge`] when either count exceeds `u32::MAX` or
+/// overflows `usize`.
+pub fn clique_size(n: usize) -> Result<(u32, u32), GraphError> {
+    check_size(Some(n), n.checked_mul(n.saturating_sub(1)))
+}
+
+/// Node and arc counts of [`subdivided_clique`]`(b)` — `b + b(b−1)/2`
+/// and `2b(b−1)` — narrowed to the `u32` layout.
+///
+/// # Errors
+///
+/// [`GraphError::TooLarge`] when either count exceeds `u32::MAX` or
+/// overflows `usize`.
+pub fn subdivided_clique_size(b: usize) -> Result<(u32, u32), GraphError> {
+    let pairs = b.checked_mul(b.saturating_sub(1));
+    check_size(
+        pairs.and_then(|p| b.checked_add(p / 2)),
+        pairs.and_then(|p| p.checked_mul(2)),
+    )
+}
 
 /// A path `0 − 1 − … − (n−1)`.
 ///
@@ -68,12 +101,14 @@ pub fn star(n: usize) -> PortGraph {
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
+/// Panics if `n < 2`, or if `K_n` does not fit the `u32` layout
+/// ([`clique_size`]).
 pub fn complete_rotational(n: usize) -> PortGraph {
     assert!(n >= 2, "complete graph needs at least two nodes");
+    let (n, arcs) = clique_size(n).unwrap_or_else(|e| panic!("{e}"));
     let deg = n - 1;
-    let mut targets = Vec::with_capacity(n * deg);
-    let mut back_ports = Vec::with_capacity(n * deg);
+    let mut targets = Vec::with_capacity(widen(arcs));
+    let mut back_ports = Vec::with_capacity(widen(arcs));
     for i in 0..n {
         for p in 0..deg {
             let j = (i + p + 1) % n;
@@ -83,7 +118,7 @@ pub fn complete_rotational(n: usize) -> PortGraph {
         }
     }
     let offsets = (0..=n).map(|v| v * deg).collect();
-    PortGraph::from_csr(offsets, targets, back_ports, (0..n as u64).collect())
+    PortGraph::from_csr(offsets, targets, back_ports, (0..u64::from(n)).collect())
         .expect("rotational labeling is symmetric")
 }
 
@@ -99,24 +134,28 @@ pub fn complete_rotational(n: usize) -> PortGraph {
 /// port 0 toward `u` and port 1 toward `v`, and the clique ports keep the
 /// rotational numbering.
 ///
+/// All arithmetic runs in `u32`, checked once up front by
+/// [`subdivided_clique_size`].
+///
 /// # Panics
 ///
-/// Panics if `b < 2`.
+/// Panics if `b < 2`, or if the graph does not fit the `u32` layout.
 pub fn subdivided_clique(b: usize) -> PortGraph {
     assert!(b >= 2, "complete graph needs at least two nodes");
+    let (nodes, arcs) = subdivided_clique_size(b).unwrap_or_else(|e| panic!("{e}"));
+    let b = u32::try_from(b).expect("b is below the node count");
     let deg = b - 1;
-    let m = b * deg / 2;
+    let m = nodes - b;
     // Edges from `u` to `u+1 .. b` come in port order, after the
     // `Σ_{k<u} (b−1−k)` edges of the smaller endpoints.
-    let idx = |u: usize, v: usize| u * deg - u * (u.saturating_sub(1)) / 2 + (v - u - 1);
-    let arcs = 2 * b * deg;
-    let mut targets = Vec::with_capacity(arcs);
-    let mut back_ports = Vec::with_capacity(arcs);
+    let idx = |u: u32, v: u32| u * deg - u * (u.saturating_sub(1)) / 2 + (v - u - 1);
+    let mut targets = Vec::with_capacity(widen(arcs));
+    let mut back_ports = Vec::with_capacity(widen(arcs));
     for i in 0..b {
         for p in 0..deg {
             let j = (i + p + 1) % b;
             targets.push(b + idx(i.min(j), i.max(j)));
-            back_ports.push(usize::from(i > j));
+            back_ports.push(u32::from(i > j));
         }
     }
     for u in 0..b {
@@ -129,7 +168,8 @@ pub fn subdivided_clique(b: usize) -> PortGraph {
         .map(|v| v * deg)
         .chain((1..=m).map(|w| b * deg + 2 * w))
         .collect();
-    PortGraph::from_csr(offsets, targets, back_ports, (0..(b + m) as u64).collect())
+    let labels = (0..u64::from(nodes)).collect();
+    PortGraph::from_csr(offsets, targets, back_ports, labels)
         .expect("subdivision preserves invariants")
 }
 
@@ -429,11 +469,10 @@ impl Family {
             Family::Path => path(n),
             Family::Cycle => cycle(n),
             Family::Complete => complete_rotational(n),
-            Family::Hypercube => hypercube((usize::BITS - 1 - n.leading_zeros()).min(20)),
+            Family::Hypercube => hypercube(hypercube_dim(n)),
             Family::Grid => {
-                let w = (n as f64).sqrt().round() as usize;
-                let w = w.max(2);
-                grid(w, n.div_ceil(w).max(2))
+                let (w, h) = grid_dims(n);
+                grid(w, h)
             }
             Family::Lollipop => lollipop(n),
             Family::BinaryTree => binary_tree(n),
@@ -444,13 +483,67 @@ impl Family {
             Family::RandomDense => random_connected(n, 0.3, rng),
             Family::RandomTree => random_tree(n, rng),
             Family::Torus => {
-                let w = ((n as f64).sqrt().round() as usize).max(3);
-                torus(w, (n.div_ceil(w)).max(3))
+                let (w, h) = torus_dims(n);
+                torus(w, h)
             }
             Family::Star => star(n),
             Family::Caterpillar => caterpillar(n),
         }
     }
+
+    /// The node count of [`build`](Self::build)`(n, _)` and an upper
+    /// bound on its arc count, narrowed to the `u32` layout: exact for
+    /// the trees, cycle, complete graph, hypercube and lollipop, `4·nodes`
+    /// for the meshes, and `n(n−1)` for the random graphs. No graph is
+    /// built.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::TooLarge`] when either count exceeds `u32::MAX` or
+    /// overflows `usize`.
+    pub fn size(&self, n: usize) -> Result<(u32, u32), GraphError> {
+        let mesh = |(w, h): (usize, usize)| {
+            let nodes = w.checked_mul(h);
+            check_size(nodes, nodes.and_then(|x| x.checked_mul(4)))
+        };
+        match self {
+            Family::Path
+            | Family::BinaryTree
+            | Family::RandomTree
+            | Family::Star
+            | Family::Caterpillar => check_size(Some(n), n.saturating_sub(1).checked_mul(2)),
+            Family::Cycle => check_size(Some(n), n.checked_mul(2)),
+            Family::Complete | Family::RandomSparse | Family::RandomDense => clique_size(n),
+            Family::Hypercube => {
+                let d = hypercube_dim(n);
+                check_size(Some(1 << d), Some((d as usize) << d))
+            }
+            Family::Grid => mesh(grid_dims(n)),
+            Family::Torus => mesh(torus_dims(n)),
+            Family::Lollipop => {
+                let k = n.div_ceil(2);
+                let clique = k.checked_mul(k.saturating_sub(1));
+                check_size(Some(n), clique.and_then(|c| c.checked_add(2 * (n - k))))
+            }
+        }
+    }
+}
+
+/// The hypercube dimension [`Family::build`] uses for `n` nodes.
+fn hypercube_dim(n: usize) -> u32 {
+    n.checked_ilog2().unwrap_or(0).min(20)
+}
+
+/// The near-square `w × h` grid [`Family::build`] uses for `n` nodes.
+fn grid_dims(n: usize) -> (usize, usize) {
+    let w = ((n as f64).sqrt().round() as usize).max(2);
+    (w, n.div_ceil(w).max(2))
+}
+
+/// The near-square torus dimensions [`Family::build`] uses for `n` nodes.
+fn torus_dims(n: usize) -> (usize, usize) {
+    let w = ((n as f64).sqrt().round() as usize).max(3);
+    (w, n.div_ceil(w).max(3))
 }
 
 #[cfg(test)]
@@ -630,6 +723,73 @@ mod tests {
                 assert_eq!(edges.len(), g.num_edges(), "{} n={n}", fam.name());
                 assert_eq!(edges.count(), g.num_edges(), "{} n={n}", fam.name());
             }
+        }
+    }
+
+    #[test]
+    fn size_helpers_reject_from_the_first_size_past_u32() {
+        // The first size whose node or arc count exceeds `u32::MAX`.
+        let tree = 2_147_483_649; // 2(n−1) arcs
+        let cycle = 2_147_483_648; // 2n arcs
+        let clique = 65_537; // n(n−1) arcs
+        let mesh = 1_073_709_057; // a 32768 × 32768 mesh: 4·2^30 arcs
+        let firsts = [
+            (Family::Path, tree),
+            (Family::Cycle, cycle),
+            (Family::Complete, clique),
+            (Family::Grid, mesh),
+            (Family::Lollipop, 131_071), // K_65536 plus its tail
+            (Family::BinaryTree, tree),
+            (Family::RandomSparse, clique),
+            (Family::RandomDense, clique),
+            (Family::RandomTree, tree),
+            (Family::Torus, mesh),
+            (Family::Star, tree),
+            (Family::Caterpillar, tree),
+        ];
+        for (fam, first) in firsts {
+            let below = first - 1;
+            assert!(fam.size(below).is_ok(), "{} n={below}", fam.name());
+            assert!(
+                matches!(fam.size(first), Err(GraphError::TooLarge { .. })),
+                "{} n={first}",
+                fam.name()
+            );
+        }
+        // The hypercube's dimension is capped at 20: never too large.
+        assert_eq!(Family::Hypercube.size(usize::MAX), Ok((1 << 20, 20 << 20)));
+        assert_eq!(clique_size(clique - 1), Ok((65_536, 65_536 * 65_535)));
+        assert!(clique_size(clique).is_err());
+        assert!(subdivided_clique_size(46_341).is_ok());
+        assert!(subdivided_clique_size(46_342).is_err());
+        // b(b−1) overflows usize: rejected, not wrapped.
+        assert_eq!(
+            subdivided_clique_size(1 << 33),
+            Err(GraphError::TooLarge {
+                what: "node count",
+                count: None
+            })
+        );
+    }
+
+    #[test]
+    fn size_helpers_match_the_built_graphs() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for fam in Family::ALL {
+            for n in [4usize, 9, 33, 64] {
+                let g = fam.build(n, &mut rng);
+                let (nodes, arcs) = fam.size(n).unwrap();
+                assert_eq!(nodes as usize, g.num_nodes(), "{} n={n}", fam.name());
+                assert!(2 * g.num_edges() <= arcs as usize, "{} n={n}", fam.name());
+            }
+        }
+        for b in 2usize..=12 {
+            let g = subdivided_clique(b);
+            let (nodes, arcs) = subdivided_clique_size(b).unwrap();
+            assert_eq!(
+                (nodes as usize, arcs as usize),
+                (g.num_nodes(), 2 * g.num_edges())
+            );
         }
     }
 

@@ -16,6 +16,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::csr::{check_size, narrow, widen};
 use crate::portgraph::{EdgeRef, NodeId, PortGraph};
 
 /// Inserts a degree-2 node in the middle of each edge in `subdivided`
@@ -29,22 +30,27 @@ use crate::portgraph::{EdgeRef, NodeId, PortGraph};
 ///
 /// # Panics
 ///
-/// Panics if an edge of `subdivided` is not present in `g`, or if the same
-/// edge appears twice.
+/// Panics if an edge of `subdivided` is not present in `g`, if the same
+/// edge appears twice, or if the result does not fit the `u32` layout.
 pub fn subdivide_edges(g: &PortGraph, subdivided: &[EdgeRef]) -> PortGraph {
     let n = g.num_nodes();
     let m = subdivided.len();
+    let arcs = g.num_edges().checked_add(m).and_then(|e| e.checked_mul(2));
+    let (_, arcs) = check_size(n.checked_add(m), arcs).unwrap_or_else(|e| panic!("{e}"));
+    // Every id, port and offset written below is under the checked counts.
+    let fit = |x: usize| narrow("index", x).expect("within the checked size");
     // Copy the base graph's CSR arrays and append the hidden nodes at the
     // end — original node spans keep their offsets, so the splice below is
     // index arithmetic, never a reallocation per node.
-    let mut offsets = Vec::with_capacity(n + m + 1);
-    let mut targets: Vec<NodeId> = Vec::with_capacity(g.num_edges() * 2 + m * 2);
-    let mut back_ports: Vec<usize> = Vec::with_capacity(g.num_edges() * 2 + m * 2);
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + m + 1);
+    let mut targets: Vec<u32> = Vec::with_capacity(widen(arcs));
+    let mut back_ports: Vec<u32> = Vec::with_capacity(widen(arcs));
     offsets.push(0);
     for v in 0..n {
-        targets.extend_from_slice(g.neighbors(v));
-        back_ports.extend_from_slice(g.arrival_ports(v));
-        offsets.push(targets.len());
+        let (row_targets, row_arrivals) = g.row(v);
+        targets.extend_from_slice(row_targets);
+        back_ports.extend_from_slice(row_arrivals);
+        offsets.push(fit(targets.len()));
     }
     let mut labels: Vec<u64> = (0..n).map(|v| g.label(v)).collect();
     let max_label = labels.iter().copied().max().unwrap_or(0);
@@ -59,27 +65,26 @@ pub fn subdivide_edges(g: &PortGraph, subdivided: &[EdgeRef]) -> PortGraph {
             && e.port_u < g.degree(e.u)
             && g.neighbor_via(e.u, e.port_u) == (e.v, e.port_v);
         assert!(present, "edge {e:?} not present in base graph");
-        let arc = offsets[e.u] + e.port_u;
+        let arc = widen(offsets[e.u]) + e.port_u;
         assert!(
             !std::mem::replace(&mut seen[arc], true),
             "edge {e:?} subdivided twice"
         );
-        let w = n + i;
+        let w = fit(n + i);
         // Orient by label as the paper does.
         let (a, pa, b, pb) = if g.label(e.u) < g.label(e.v) {
             (e.u, e.port_u, e.v, e.port_v)
         } else {
             (e.v, e.port_v, e.u, e.port_u)
         };
-        targets[offsets[a] + pa] = w;
-        back_ports[offsets[a] + pa] = 0;
-        targets[offsets[b] + pb] = w;
-        back_ports[offsets[b] + pb] = 1;
-        targets.push(a);
-        back_ports.push(pa);
-        targets.push(b);
-        back_ports.push(pb);
-        offsets.push(targets.len());
+        let (slot_a, slot_b) = (widen(offsets[a]) + pa, widen(offsets[b]) + pb);
+        targets[slot_a] = w;
+        back_ports[slot_a] = 0;
+        targets[slot_b] = w;
+        back_ports[slot_b] = 1;
+        targets.extend([fit(a), fit(b)]);
+        back_ports.extend([fit(pa), fit(pb)]);
+        offsets.push(fit(targets.len()));
         labels.push(max_label + 1 + i as u64);
     }
     PortGraph::from_csr(offsets, targets, back_ports, labels)

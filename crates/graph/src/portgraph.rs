@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::csr::{check_size, widen};
+
 /// Index of a node within a [`PortGraph`] (`0 .. num_nodes`).
 ///
 /// Distinct from the node's *label* ([`PortGraph::label`]): algorithms in
@@ -101,6 +103,14 @@ pub enum GraphError {
         /// Offending port slot.
         port: Port,
     },
+    /// More nodes or arcs than the `u32` CSR layout indexes (see
+    /// [`crate::csr`]).
+    TooLarge {
+        /// What does not fit: `"node count"`, `"arc count"`, `"port"`, ….
+        what: &'static str,
+        /// The count, or `None` when computing it overflowed `usize`.
+        count: Option<usize>,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -116,6 +126,17 @@ impl fmt::Display for GraphError {
             GraphError::DuplicateLabel { label } => write!(f, "duplicate node label {label}"),
             GraphError::OutOfRange { node, port } => {
                 write!(f, "out-of-range reference at node {node} port {port}")
+            }
+            GraphError::TooLarge {
+                what,
+                count: Some(count),
+            } => write!(f, "{what} {count} exceeds the u32 index limit {}", u32::MAX),
+            GraphError::TooLarge { what, count: None } => {
+                write!(
+                    f,
+                    "{what} overflows usize, beyond the u32 limit {}",
+                    u32::MAX
+                )
             }
         }
     }
@@ -144,10 +165,11 @@ const _: fn() = || {
 ///
 /// Storage is flat CSR (compressed sparse row): `offsets` has `n + 1`
 /// entries, and node `v`'s ports occupy `offsets[v] .. offsets[v + 1]` of
-/// the parallel `targets` / `back_ports` arrays. Three contiguous
-/// allocations serve any graph size, [`neighbors`](Self::neighbors) is a
-/// slice borrow, and a million-node instance costs no per-node pointer
-/// chase. See DESIGN.md §11.
+/// the parallel `targets` / `back_ports` arrays. Three contiguous `u32`
+/// allocations serve any graph of up to `u32::MAX` nodes and arcs, and a
+/// million-node instance costs no per-node pointer chase. Accessors widen
+/// the stored indices to `usize` [`NodeId`]s and [`Port`]s. See
+/// DESIGN.md §11.
 ///
 /// # Examples
 ///
@@ -168,11 +190,11 @@ const _: fn() = || {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortGraph {
     /// `offsets[v] .. offsets[v + 1]` spans node `v`'s ports; `n + 1` long.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Neighbor reached through each port, in port order.
-    targets: Vec<NodeId>,
+    targets: Vec<u32>,
     /// Arrival port at the neighbor, parallel to `targets`.
-    back_ports: Vec<Port>,
+    back_ports: Vec<u32>,
     labels: Vec<u64>,
 }
 
@@ -186,7 +208,8 @@ impl PortGraph {
     ///
     /// # Errors
     ///
-    /// Returns the first invariant violation found (see [`GraphError`]).
+    /// Returns [`GraphError::TooLarge`] for more than `u32::MAX` nodes or
+    /// arcs, else the first invariant violation found (see [`GraphError`]).
     pub fn from_adjacency(adj: Vec<Vec<(NodeId, Port)>>) -> Result<Self, GraphError> {
         let labels = (0..adj.len() as u64).collect();
         Self::from_adjacency_labeled(adj, labels)
@@ -196,7 +219,8 @@ impl PortGraph {
     ///
     /// # Errors
     ///
-    /// Returns the first invariant violation found, including duplicate
+    /// Returns [`GraphError::TooLarge`] for more than `u32::MAX` nodes or
+    /// arcs, else the first invariant violation found, including duplicate
     /// labels.
     ///
     /// # Panics
@@ -208,16 +232,21 @@ impl PortGraph {
     ) -> Result<Self, GraphError> {
         assert_eq!(adj.len(), labels.len(), "one label per node required");
         let total: usize = adj.iter().map(Vec::len).sum();
+        check_size(Some(adj.len()), Some(total))?;
+        // Once the counts fit, an entry too wide for `u32` is out of range
+        // (every valid id and port is below `u32::MAX`), and so is
+        // `u32::MAX`: saturating keeps `validate`'s first-violation report.
+        let saturate = |x: usize| u32::try_from(x).unwrap_or(u32::MAX);
         let mut offsets = Vec::with_capacity(adj.len() + 1);
         let mut targets = Vec::with_capacity(total);
         let mut back_ports = Vec::with_capacity(total);
         offsets.push(0);
         for ports in &adj {
             for &(u, q) in ports {
-                targets.push(u);
-                back_ports.push(q);
+                targets.push(saturate(u));
+                back_ports.push(saturate(q));
             }
-            offsets.push(targets.len());
+            offsets.push(saturate(targets.len()));
         }
         Self::from_csr(offsets, targets, back_ports, labels)
     }
@@ -230,7 +259,8 @@ impl PortGraph {
     ///
     /// # Errors
     ///
-    /// Returns the first invariant violation found (see [`GraphError`]).
+    /// Returns [`GraphError::TooLarge`] for more than `u32::MAX` nodes,
+    /// else the first invariant violation found (see [`GraphError`]).
     ///
     /// # Panics
     ///
@@ -238,9 +268,9 @@ impl PortGraph {
     /// non-monotonic, `targets`/`back_ports` length mismatch, or one label
     /// per node missing).
     pub fn from_csr(
-        offsets: Vec<usize>,
-        targets: Vec<NodeId>,
-        back_ports: Vec<Port>,
+        offsets: Vec<u32>,
+        targets: Vec<u32>,
+        back_ports: Vec<u32>,
         labels: Vec<u64>,
     ) -> Result<Self, GraphError> {
         assert!(!offsets.is_empty(), "offsets needs a leading 0 entry");
@@ -250,7 +280,7 @@ impl PortGraph {
             "offsets must be non-decreasing"
         );
         assert_eq!(
-            *offsets.last().unwrap(),
+            widen(*offsets.last().unwrap()),
             targets.len(),
             "offsets must span targets"
         );
@@ -294,7 +324,7 @@ impl PortGraph {
 
     /// Degree of `v` (also the number of ports at `v`).
     pub fn degree(&self, v: NodeId) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        widen(self.offsets[v + 1] - self.offsets[v])
     }
 
     /// The label of `v` — the identity an algorithm may see in the
@@ -320,13 +350,13 @@ impl PortGraph {
             "port {p} out of range at node {v} (degree {})",
             self.degree(v)
         );
-        let i = self.offsets[v] + p;
-        (self.targets[i], self.back_ports[i])
+        let i = widen(self.offsets[v]) + p;
+        (widen(self.targets[i]), widen(self.back_ports[i]))
     }
 
     /// The port at `v` leading to `u`, or `None` if `{u,v}` is not an edge.
     pub fn port_toward(&self, v: NodeId, u: NodeId) -> Option<Port> {
-        self.neighbors(v).iter().position(|&w| w == u)
+        self.neighbors(v).position(|w| w == u)
     }
 
     /// Returns `true` if `{u,v}` is an edge.
@@ -337,7 +367,7 @@ impl PortGraph {
     /// The edge `{u,v}` with its ports, or `None` if absent.
     pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeRef> {
         let pu = self.port_toward(u, v)?;
-        let pv = self.back_ports[self.offsets[u] + pu];
+        let pv = self.neighbor_via(u, pu).1;
         let (a, pa, b, pb) = if u < v {
             (u, pu, v, pv)
         } else {
@@ -363,17 +393,35 @@ impl PortGraph {
         }
     }
 
-    /// The neighbors of `v` in port order, as a contiguous slice: entry `p`
-    /// is the node reached through port `p`.
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    /// The neighbors of `v` in port order: the `p`-th item is the node
+    /// reached through port `p`. Widened from the stored `u32` row.
+    pub fn neighbors(
+        &self,
+        v: NodeId,
+    ) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + Clone + '_ {
+        self.targets[self.span(v)].iter().map(|&u| widen(u))
     }
 
     /// The arrival ports of `v`'s edges in port order, parallel to
     /// [`neighbors`](Self::neighbors): following port `p` out of `v`
-    /// arrives at `neighbors(v)[p]`'s port `arrival_ports(v)[p]`.
-    pub fn arrival_ports(&self, v: NodeId) -> &[Port] {
-        &self.back_ports[self.offsets[v]..self.offsets[v + 1]]
+    /// arrives at the `p`-th neighbor's port given by the `p`-th item.
+    pub fn arrival_ports(
+        &self,
+        v: NodeId,
+    ) -> impl ExactSizeIterator<Item = Port> + DoubleEndedIterator + Clone + '_ {
+        self.back_ports[self.span(v)].iter().map(|&q| widen(q))
+    }
+
+    /// Node `v`'s stored row: its neighbors and their arrival ports, as
+    /// the parallel `u32` slices the graph keeps.
+    pub(crate) fn row(&self, v: NodeId) -> (&[u32], &[u32]) {
+        let span = self.span(v);
+        (&self.targets[span.clone()], &self.back_ports[span])
+    }
+
+    /// The range of node `v`'s ports in `targets` and `back_ports`.
+    fn span(&self, v: NodeId) -> std::ops::Range<usize> {
+        widen(self.offsets[v])..widen(self.offsets[v + 1])
     }
 
     /// Returns `true` if the graph is connected (the model assumes it; some
@@ -391,30 +439,32 @@ impl PortGraph {
     /// parallel edges, out-of-range references, or duplicate labels.
     pub fn validate(&self) -> Result<(), GraphError> {
         let n = self.num_nodes();
+        check_size(Some(n), Some(self.targets.len()))?;
         // `seen_at[u] == v` marks u as already adjacent to the node v being
         // scanned — an O(m) parallel-edge check with the same first-violation
-        // order a per-node set would report.
-        let mut seen_at = vec![usize::MAX; n];
-        for v in 0..n {
-            let start = self.offsets[v];
-            for p in 0..self.degree(v) {
-                let u = self.targets[start + p];
-                let q = self.back_ports[start + p];
+        // order a per-node set would report. Node ids stay below `u32::MAX`,
+        // so it is free as the "unseen" sentinel.
+        let mut seen_at = vec![u32::MAX; n];
+        for (v, v32) in (0..n).zip(0u32..) {
+            let (targets, arrivals) = self.row(v);
+            for (p, (&u, &q)) in targets.iter().zip(arrivals).enumerate() {
+                let u = widen(u);
                 if u >= n {
                     return Err(GraphError::OutOfRange { node: v, port: p });
                 }
                 if u == v {
                     return Err(GraphError::SelfLoop { node: v });
                 }
-                if seen_at[u] == v {
+                if seen_at[u] == v32 {
                     return Err(GraphError::ParallelEdge { u: v, v: u });
                 }
-                seen_at[u] = v;
+                seen_at[u] = v32;
+                let q = widen(q);
                 if q >= self.degree(u) {
                     return Err(GraphError::OutOfRange { node: v, port: p });
                 }
-                let j = self.offsets[u] + q;
-                if (self.targets[j], self.back_ports[j]) != (v, p) {
+                let j = widen(self.offsets[u]) + q;
+                if (widen(self.targets[j]), widen(self.back_ports[j])) != (v, p) {
                     return Err(GraphError::AsymmetricPortMap { node: v, port: p });
                 }
             }
@@ -479,17 +529,17 @@ impl Iterator for Edges<'_> {
         while self.remaining > 0 {
             let arc = self.arc;
             self.arc += 1;
-            while arc >= self.g.offsets[self.u + 1] {
+            while arc >= widen(self.g.offsets[self.u + 1]) {
                 self.u += 1;
             }
-            let (u, v) = (self.u, self.g.targets[arc]);
+            let (u, v) = (self.u, widen(self.g.targets[arc]));
             if u < v {
                 self.remaining -= 1;
                 return Some(EdgeRef {
                     u,
-                    port_u: arc - self.g.offsets[u],
+                    port_u: arc - widen(self.g.offsets[u]),
                     v,
-                    port_v: self.g.back_ports[arc],
+                    port_v: widen(self.g.back_ports[arc]),
                 });
             }
         }
@@ -544,10 +594,10 @@ mod tests {
     fn neighbors_slice_matches_port_order() {
         let g = triangle();
         for v in 0..3 {
-            let nbrs = g.neighbors(v);
-            let arrivals = g.arrival_ports(v);
-            assert_eq!(nbrs.len(), g.degree(v));
-            assert_eq!(arrivals.len(), g.degree(v));
+            let nbrs: Vec<NodeId> = g.neighbors(v).collect();
+            let arrivals: Vec<Port> = g.arrival_ports(v).collect();
+            assert_eq!(g.neighbors(v).len(), g.degree(v));
+            assert_eq!(g.arrival_ports(v).len(), g.degree(v));
             for p in 0..g.degree(v) {
                 assert_eq!(g.neighbor_via(v, p), (nbrs[p], arrivals[p]));
             }
@@ -590,9 +640,10 @@ mod tests {
         let mut targets = Vec::new();
         let mut back_ports = Vec::new();
         for v in 0..nested.num_nodes() {
-            targets.extend_from_slice(nested.neighbors(v));
-            back_ports.extend_from_slice(nested.arrival_ports(v));
-            offsets.push(targets.len());
+            let (row_targets, row_arrivals) = nested.row(v);
+            targets.extend_from_slice(row_targets);
+            back_ports.extend_from_slice(row_arrivals);
+            offsets.push(u32::try_from(targets.len()).unwrap());
         }
         let labels = (0..nested.num_nodes() as u64).collect();
         let rebuilt = PortGraph::from_csr(offsets, targets, back_ports, labels).unwrap();
@@ -666,6 +717,14 @@ mod tests {
             GraphError::ParallelEdge { u: 0, v: 1 },
             GraphError::DuplicateLabel { label: 3 },
             GraphError::OutOfRange { node: 4, port: 5 },
+            GraphError::TooLarge {
+                what: "arc count",
+                count: Some(1 << 40),
+            },
+            GraphError::TooLarge {
+                what: "node count",
+                count: None,
+            },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

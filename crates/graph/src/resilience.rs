@@ -80,7 +80,7 @@ fn survivors_connected(g: &PortGraph, crashed: &[bool]) -> bool {
     let mut queue = std::collections::VecDeque::from([start]);
     let mut reached = 1usize;
     while let Some(v) = queue.pop_front() {
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             if !crashed[u] && !seen[u] {
                 seen[u] = true;
                 reached += 1;

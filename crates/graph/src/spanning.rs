@@ -12,13 +12,17 @@
 //! the child rows from the BFS order, with no parent-map round trip
 //! through [`RootedTree::from_parents`]. [`RootedTree::validate`] is
 //! linear, so both stay fast on million-node and path-like trees.
+//!
+//! A tree stores its parent links and child rows as `u32`, the host
+//! graph's index width (see [`crate::csr`]), and widens them to `usize`
+//! in its accessors.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use oraclesize_bits::bits_to_represent;
 
-use crate::csr::CsrRows;
+use crate::csr::{narrow, widen, CsrRows};
 use crate::portgraph::{EdgeRef, NodeId, Port, PortGraph};
 use crate::traverse::UnionFind;
 
@@ -39,12 +43,20 @@ use crate::traverse::UnionFind;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootedTree {
     root: NodeId,
-    /// `parent[v] = Some((parent, port_at_parent, port_at_child))`.
-    parent: Vec<Option<(NodeId, Port, Port)>>,
+    /// `links[v] = (parent, port_at_parent, port_at_child)`; the root's
+    /// parent is [`NO_PARENT`].
+    links: Vec<(u32, u32, u32)>,
     /// Row `v` holds `[(child, port_at_v)]`, sorted by port — flat CSR
     /// rows, the same layout the host graph uses.
-    children: CsrRows<(NodeId, Port)>,
+    children: CsrRows<(u32, u32)>,
 }
+
+/// The parent entry of the root's link. Node ids stay below `u32::MAX`
+/// (a graph has at most `u32::MAX` nodes), so no node has this id.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The link of a node with no parent yet (and, finally, of the root).
+const ROOT_LINK: (u32, u32, u32) = (NO_PARENT, 0, 0);
 
 impl RootedTree {
     /// Assembles a rooted tree from a parent map (ports filled in from `g`).
@@ -59,7 +71,7 @@ impl RootedTree {
         let n = g.num_nodes();
         assert_eq!(parents.len(), n, "one parent entry per node");
         assert!(parents[root].is_none(), "root must have no parent");
-        let mut parent = vec![None; n];
+        let mut links = vec![ROOT_LINK; n];
         for v in 0..n {
             match parents[v] {
                 None => assert_eq!(v, root, "non-root node {v} lacks a parent"),
@@ -68,25 +80,26 @@ impl RootedTree {
                     // is 2m over the whole tree, where scanning from the
                     // parent would cost Σ deg(parent) — quadratic on stars
                     // and cliques.
-                    let port_at_child = g
-                        .port_toward(v, p)
+                    let (targets, arrivals) = g.row(v);
+                    let (port_at_child, (&parent, &port_at_parent)) = (0u32..)
+                        .zip(targets.iter().zip(arrivals))
+                        .find(|&(_, (&u, _))| widen(u) == p)
                         .unwrap_or_else(|| panic!("tree edge {{{p},{v}}} missing from graph"));
-                    let port_at_parent = g.arrival_ports(v)[port_at_child];
-                    parent[v] = Some((p, port_at_parent, port_at_child));
+                    links[v] = (parent, port_at_parent, port_at_child);
                 }
             }
         }
-        let child_pairs = parent
-            .iter()
-            .enumerate()
-            .filter_map(|(v, link)| link.map(|(p, port_at_parent, _)| (p, (v, port_at_parent))));
+        let child_pairs = (0u32..)
+            .zip(&links)
+            .filter(|(_, link)| link.0 != NO_PARENT)
+            .map(|(v, &(p, port_at_parent, _))| (widen(p), (v, port_at_parent)));
         let mut children = CsrRows::from_pairs(n, child_pairs);
         for v in 0..n {
             children.row_mut(v).sort_by_key(|&(_, port)| port);
         }
         let t = RootedTree {
             root,
-            parent,
+            links,
             children,
         };
         assert!(
@@ -103,18 +116,25 @@ impl RootedTree {
 
     /// Number of nodes spanned.
     pub fn num_nodes(&self) -> usize {
-        self.parent.len()
+        self.links.len()
     }
 
     /// `v`'s parent with the connecting ports
     /// (`(parent, port_at_parent, port_at_v)`), or `None` for the root.
     pub fn parent(&self, v: NodeId) -> Option<(NodeId, Port, Port)> {
-        self.parent[v]
+        let (p, port_at_parent, port_at_v) = self.links[v];
+        (p != NO_PARENT).then(|| (widen(p), widen(port_at_parent), widen(port_at_v)))
     }
 
     /// `v`'s children as `(child, port_at_v)`, in port order.
-    pub fn children(&self, v: NodeId) -> &[(NodeId, Port)] {
-        self.children.row(v)
+    pub fn children(
+        &self,
+        v: NodeId,
+    ) -> impl ExactSizeIterator<Item = (NodeId, Port)> + DoubleEndedIterator + '_ {
+        self.children
+            .row(v)
+            .iter()
+            .map(|&(c, p)| (widen(c), widen(p)))
     }
 
     /// `true` if `v` has no children.
@@ -125,7 +145,7 @@ impl RootedTree {
     /// Iterates the tree edges as [`EdgeRef`]s of the host graph.
     pub fn edges<'a>(&'a self, g: &'a PortGraph) -> impl Iterator<Item = EdgeRef> + 'a {
         (0..self.num_nodes()).filter_map(move |v| {
-            self.parent[v].map(|(p, _, _)| {
+            self.parent(v).map(|(p, _, _)| {
                 g.edge_between(p, v)
                     .expect("tree edges exist in the host graph")
             })
@@ -136,7 +156,7 @@ impl RootedTree {
     pub fn depth(&self, v: NodeId) -> usize {
         let mut d = 0;
         let mut cur = v;
-        while let Some((p, _, _)) = self.parent[cur] {
+        while let Some((p, _, _)) = self.parent(cur) {
             cur = p;
             d += 1;
         }
@@ -163,26 +183,28 @@ impl RootedTree {
         if n != g.num_nodes() {
             return Err(format!("tree spans {n} nodes, graph has {}", g.num_nodes()));
         }
-        if self.parent[self.root].is_some() {
+        if self.parent(self.root).is_some() {
             return Err("root has a parent".into());
         }
-        for v in 0..n {
-            if v != self.root && self.parent[v].is_none() {
-                return Err(format!("non-root node {v} has no parent"));
+        for (v, &(p, pp, pc)) in self.links.iter().enumerate() {
+            if p == NO_PARENT {
+                if v != self.root {
+                    return Err(format!("non-root node {v} has no parent"));
+                }
+                continue;
             }
-            if let Some((p, pp, pc)) = self.parent[v] {
-                if g.neighbor_via(p, pp) != (v, pc) {
-                    return Err(format!("ports of tree edge {{{p},{v}}} inconsistent"));
-                }
-                // Child rows are sorted by (unique) port; binary search so
-                // validation stays O(m log Δ) on million-node trees.
-                let row = self.children.row(p);
-                let found = row
-                    .binary_search_by_key(&pp, |&(_, port)| port)
-                    .is_ok_and(|i| row[i] == (v, pp));
-                if !found {
-                    return Err(format!("child list of {p} misses {v}"));
-                }
+            let p = widen(p);
+            if g.neighbor_via(p, widen(pp)) != (v, widen(pc)) {
+                return Err(format!("ports of tree edge {{{p},{v}}} inconsistent"));
+            }
+            // Child rows are sorted by (unique) port; binary search so
+            // validation stays O(m log Δ) on million-node trees.
+            let row = self.children.row(p);
+            let found = row
+                .binary_search_by_key(&pp, |&(_, port)| port)
+                .is_ok_and(|i| widen(row[i].0) == v);
+            if !found {
+                return Err(format!("child list of {p} misses {v}"));
             }
         }
         // Acyclicity + reachability in one walk down from the root. It
@@ -191,11 +213,12 @@ impl RootedTree {
         // and reaches exactly the nodes whose walk up ends at the root.
         let mut reached = vec![false; n];
         reached[self.root] = true;
-        let mut stack = vec![self.root];
+        let mut stack = vec![narrow("node id", self.root).map_err(|e| e.to_string())?];
         while let Some(v) = stack.pop() {
-            for &(c, pp) in self.children.row(v) {
-                if !reached[c] && matches!(self.parent[c], Some((p, q, _)) if (p, q) == (v, pp)) {
-                    reached[c] = true;
+            for &(c, pp) in self.children.row(widen(v)) {
+                let (p, q, _) = self.links[widen(c)];
+                if !reached[widen(c)] && (p, q) == (v, pp) {
+                    reached[widen(c)] = true;
                     stack.push(c);
                 }
             }
@@ -205,7 +228,7 @@ impl RootedTree {
         if let Some(v) = reached.iter().position(|&r| !r) {
             let mut cur = v;
             let mut steps = 0;
-            while let Some((p, _, _)) = self.parent[cur] {
+            while let Some((p, _, _)) = self.parent(cur) {
                 cur = p;
                 steps += 1;
                 if steps > n {
@@ -230,28 +253,34 @@ impl RootedTree {
 /// Panics if `g` is disconnected or `root` out of range.
 pub fn bfs_tree(g: &PortGraph, root: NodeId) -> RootedTree {
     let n = g.num_nodes();
-    let mut parent: Vec<Option<(NodeId, Port, Port)>> = vec![None; n];
-    let mut order = Vec::with_capacity(n);
-    order.push(root);
+    assert!(root < n, "root {root} out of range");
+    let root32 = narrow("node id", root).expect("node ids fit the graph's u32 layout");
+    let mut links = vec![ROOT_LINK; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    order.push(root32);
     let mut head = 0;
     while let Some(&v) = order.get(head) {
         head += 1;
-        for (p, (&u, &q)) in g.neighbors(v).iter().zip(g.arrival_ports(v)).enumerate() {
-            if u != root && parent[u].is_none() {
-                parent[u] = Some((v, p, q));
+        let (targets, arrivals) = g.row(widen(v));
+        for (p, (&u, &q)) in (0u32..).zip(targets.iter().zip(arrivals)) {
+            let link = &mut links[widen(u)];
+            if u != root32 && link.0 == NO_PARENT {
+                *link = (v, p, q);
                 order.push(u);
             }
         }
     }
     assert_eq!(order.len(), n, "graph is disconnected");
     let child_pairs = order[1..].iter().map(|&u| {
-        let (v, p, _) = parent[u].expect("every non-root node was discovered");
-        (v, (u, p))
+        let (v, p, _) = links[widen(u)];
+        (widen(v), (u, p))
     });
     let children = CsrRows::from_pairs(n, child_pairs);
+    // Free the order before `validate` allocates its own buffers.
+    drop(order);
     let t = RootedTree {
         root,
-        parent,
+        links,
         children,
     };
     assert!(t.validate(g).is_ok(), "BFS yields a spanning tree");
@@ -581,8 +610,8 @@ mod tests {
         // reaches them, and node 2 is the first whose walk up cycles.
         let g = families::path(4);
         let mut t = bfs_tree(&g, 0);
-        t.parent[2] = Some((3, 0, 1));
-        t.parent[3] = Some((2, 1, 0));
+        t.links[2] = (3, 0, 1);
+        t.links[3] = (2, 1, 0);
         t.children = CsrRows::from_pairs(4, [(0, (1, 0)), (2, (3, 1)), (3, (2, 0))]);
         assert_eq!(t.validate(&g), Err("cycle reached from node 2".to_string()));
     }

@@ -26,7 +26,7 @@ pub fn bfs_distances(g: &PortGraph, root: NodeId) -> Vec<Option<usize>> {
     let mut queue = VecDeque::from([root]);
     while let Some(v) = queue.pop_front() {
         let dv = dist[v].expect("queued nodes have distances");
-        for &u in g.neighbors(v) {
+        for u in g.neighbors(v) {
             if dist[u].is_none() {
                 dist[u] = Some(dv + 1);
                 queue.push_back(u);
@@ -57,7 +57,7 @@ pub fn components(g: &PortGraph) -> Vec<usize> {
         comp[start] = next;
         let mut queue = VecDeque::from([start]);
         while let Some(v) = queue.pop_front() {
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v) {
                 if comp[u] == usize::MAX {
                     comp[u] = next;
                     queue.push_back(u);

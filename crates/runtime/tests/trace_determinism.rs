@@ -7,10 +7,10 @@
 //! deterministic artifact.
 //!
 //! Every captured trace is also replayed through the engine's
-//! [`InvariantSink`], so the four trace invariants (resolve-once,
-//! wake-once, wakeup-rule, rollup-informed) hold for every cell the pool
-//! ran, at every thread count, under FIFO, LIFO and random schedulers
-//! with drop, duplicate and bit-flip faults.
+//! [`InvariantSink`], so the five trace invariants (resolve-once,
+//! wake-once, wakeup-rule, rollup-informed, rollup-frontier) hold for
+//! every cell the pool ran, at every thread count, under FIFO, LIFO and
+//! random schedulers with drop, duplicate and bit-flip faults.
 
 use std::sync::Arc;
 

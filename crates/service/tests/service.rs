@@ -344,6 +344,47 @@ fn specs_the_constructors_reject_get_errors_and_the_server_keeps_serving() {
     server_thread.join().unwrap();
 }
 
+#[test]
+fn an_oversized_spec_gets_an_error_and_the_server_then_runs_t10() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        journal_dir: None,
+        jobs: 1,
+        workers_hint: 1,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+    // K*_b at b = 10^8 needs 5·10^15 nodes: the server rejects it from
+    // the family's parameters instead of aborting on the allocation.
+    let mut oversized = oraclesize_bench::experiments::t10_spec();
+    for inst in &mut oversized.instances {
+        inst.family = "subdivided-clique".to_string();
+        inst.n = 100_000_000;
+    }
+    let err = submit(&addr, &oversized.render(), true, 5).unwrap_err();
+    assert_eq!(
+        err,
+        "instances[0].n: family \"subdivided-clique\" at n = 100000000 is too large: \
+         node count 5000000050000000 exceeds the u32 index limit 4294967295"
+    );
+    // The same server then runs T10 to completion.
+    let spec = oraclesize_bench::experiments::t10_spec();
+    let spec_text = spec.render();
+    let submit_addr = addr.clone();
+    let client = thread::spawn(move || submit(&submit_addr, &spec_text, true, 5));
+    let outcome = run_worker(&worker_config(&addr, "w-t10", None)).expect("worker");
+    assert!(
+        matches!(outcome, WorkerOutcome::Finished { .. }),
+        "{outcome:?}"
+    );
+    assert_eq!(
+        client.join().unwrap().unwrap(),
+        run_local(&spec, 1).unwrap()
+    );
+    server_thread.join().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

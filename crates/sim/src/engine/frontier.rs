@@ -49,7 +49,6 @@ pub(crate) fn run_forward_once(
         let mut sent: u64 = 0;
         for i in start..end {
             let v = order[i];
-            let neighbors = g.neighbors(v);
             let mut wake = |u: NodeId| {
                 if !informed.get(u) {
                     informed.set(u, true);
@@ -61,13 +60,14 @@ pub(crate) fn run_forward_once(
                     // The excluded arrival neighbour sent the waking message,
                     // so it is informed already: expanding over every
                     // neighbour reaches the same nodes.
+                    let neighbors = g.neighbors(v);
                     sent += (neighbors.len() - usize::from(v != source)) as u64;
-                    neighbors.iter().for_each(|&u| wake(u));
+                    neighbors.for_each(wake);
                 }
                 ForwardOnce::AdvicePorts(decode) => {
-                    let ports = decode(&advice[v], neighbors.len());
+                    let ports = decode(&advice[v], g.degree(v));
                     sent += ports.len() as u64;
-                    ports.iter().for_each(|&p| wake(neighbors[p]));
+                    ports.iter().for_each(|&p| wake(g.neighbor_via(v, p).0));
                 }
             }
         }

@@ -41,7 +41,7 @@ enum Fate {
     Resolved,
 }
 
-/// A [`TraceSink`] that checks, event by event, four invariants of every
+/// A [`TraceSink`] that checks, event by event, five invariants of every
 /// run:
 ///
 /// * `resolve-once` — every [`Enqueue`](TraceEvent::Enqueue) id ends in
@@ -53,7 +53,10 @@ enum Fate {
 /// * `wakeup-rule` — in [`TaskMode::Wakeup`], no `Enqueue` comes from a
 ///   node that is neither the source nor woken;
 /// * `rollup-informed` — each [`Rollup`](TraceEvent::Rollup)'s informed
-///   count equals 1 plus the wakes so far.
+///   count equals 1 plus the wakes so far;
+/// * `rollup-frontier` — each `Rollup`'s frontier equals the number of
+///   message ids enqueued but not yet delivered or dropped, so the final
+///   rollup's `frontier: 0` means nothing is left in flight.
 ///
 /// The first violation is kept, with the events leading up to it, and
 /// checking stops there. Being an enabled sink, it keeps a run on the
@@ -64,6 +67,8 @@ pub struct InvariantSink {
     informed: Vec<bool>,
     wakes: u64,
     fates: Vec<Fate>,
+    /// Ids currently [`Fate::InFlight`].
+    in_flight: u64,
     recent: RingSink,
     violation: Option<Violation>,
 }
@@ -82,6 +87,7 @@ impl InvariantSink {
             informed,
             wakes: 0,
             fates: Vec::new(),
+            in_flight: 0,
             recent: RingSink::new(RECENT),
             violation: None,
         }
@@ -124,6 +130,7 @@ impl InvariantSink {
                     return Some(("resolve-once", format!("message {msg} enqueued twice")));
                 }
                 self.fates[i] = Fate::InFlight;
+                self.in_flight += 1;
             }
             TraceEvent::Deliver(Delivery { msg, .. }) | TraceEvent::Drop { msg, .. } => {
                 let i = self.slot(msg);
@@ -134,6 +141,7 @@ impl InvariantSink {
                     ));
                 }
                 self.fates[i] = Fate::Resolved;
+                self.in_flight -= 1;
             }
             TraceEvent::Wake { node, .. } => {
                 if std::mem::replace(&mut self.informed[node], true) {
@@ -148,6 +156,15 @@ impl InvariantSink {
                         format!(
                             "round {} reports {} informed after {} wakes",
                             r.round, r.informed, self.wakes
+                        ),
+                    ));
+                }
+                if r.frontier != self.in_flight {
+                    return Some((
+                        "rollup-frontier",
+                        format!(
+                            "round {} reports a frontier of {} with {} messages in flight",
+                            r.round, r.frontier, self.in_flight
                         ),
                     ));
                 }
@@ -258,7 +275,7 @@ mod tests {
 
     #[test]
     fn each_invariant_is_named() {
-        let cases: [(&[TraceEvent], &str); 6] = [
+        let cases: [(&[TraceEvent], &str); 7] = [
             (&[enqueue(0, 0)], "resolve-once"),
             (&[enqueue(0, 0), enqueue(0, 0)], "resolve-once"),
             (
@@ -268,6 +285,7 @@ mod tests {
             (&[wake(1), wake(1)], "wake-once"),
             (&[wake(0)], "wake-once"),
             (&[wake(1), rollup(1)], "rollup-informed"),
+            (&[enqueue(0, 0), rollup(1)], "rollup-frontier"),
         ];
         for (events, name) in cases {
             let err = feed(TaskMode::Broadcast, events).unwrap_err();

@@ -15,7 +15,7 @@
 //! * [`NullSink`] / [`VecSink`] / [`RingSink`] — the stock sinks;
 //! * [`InvariantSink`] — an online checker of the trace contract
 //!   (every message resolved once, wakes only of uninformed nodes, the
-//!   wakeup rule, rollup counts);
+//!   wakeup rule, rollup informed counts and frontiers);
 //! * [`TraceStats`] — constant-size per-run tallies, cheap enough to wire
 //!   into every grid cell;
 //! * [`diff`] — first-divergence comparison of two rendered trace files.
