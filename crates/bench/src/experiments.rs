@@ -457,8 +457,11 @@ pub fn t7_wakeup_counting(large: bool) -> String {
     }
     report.para(
         "For α < 1/2 the bound turns positive once n clears the asymptotic onset \
-         (≈ 2^13 at α = 0.1, ≈ 2^15 at α = 0.25) and then grows superlinearly — \
-         o(n log n) advice cannot keep wakeup at O(n) messages. The closed form \
+         and then grows superlinearly — o(n log n) advice cannot keep wakeup at \
+         O(n) messages. At α = 0.1 the onset is n = 2^4 (bound 3.6); the bound \
+         exceeds the 2n − 1 messages that wake all 2n nodes from n = 2^7 \
+         (282 > 255), and is 4,134 at 2^10 and 21,691 at 2^12, below this \
+         table's range. At α = 0.25 the onset is n = 2^15. The closed form \
          `(1 − 2β) n log(n/2)` is the paper's large-n simplification.",
     );
     report.block(&table.to_markdown());

@@ -34,7 +34,7 @@ use std::collections::BTreeSet;
 use oraclesize_bits::lists::decode_port_list;
 use oraclesize_bits::BitString;
 use oraclesize_graph::{NodeId, Port, PortGraph};
-use oraclesize_sim::protocol::{Message, NodeBehavior, NodeView, Outgoing, Protocol};
+use oraclesize_sim::protocol::{ForwardOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
 
 use crate::oracle::Oracle;
 use crate::wakeup::SpanningTreeOracle;
@@ -127,63 +127,21 @@ fn validate_advice(advice: &BitString, degree: usize) -> Option<Vec<Port>> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RobustTreeWakeup;
 
-struct RobustWakeupState {
-    /// `Some(child ports)` when the advice validated, `None` to flood.
-    plan: Option<Vec<Port>>,
-    degree: usize,
-    is_source: bool,
-    fired: bool,
-}
-
-impl RobustWakeupState {
-    fn fire(&mut self, arrival: Option<Port>) -> Vec<Outgoing> {
-        if self.fired {
-            return Vec::new();
-        }
-        self.fired = true;
-        match &self.plan {
-            Some(children) => children
-                .iter()
-                .map(|&p| Outgoing::new(p, Message::empty()))
-                .collect(),
-            None => (0..self.degree)
-                .filter(|&p| Some(p) != arrival)
-                .map(|p| Outgoing::new(p, Message::empty()))
-                .collect(),
-        }
-    }
-}
-
-impl NodeBehavior for RobustWakeupState {
-    fn on_start(&mut self) -> Vec<Outgoing> {
-        if self.is_source {
-            self.fire(None)
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn on_receive(&mut self, port: Port, message: Message) -> Vec<Outgoing> {
-        if message.carries_source {
-            self.fire(Some(port))
-        } else {
-            Vec::new()
-        }
-    }
-}
+/// The scheme's rule: forward once, on the validated child ports, or on
+/// every port but the arrival port when validation fails.
+const RULE: ForwardOnce = ForwardOnce(validate_advice);
 
 impl Protocol for RobustTreeWakeup {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        Box::new(RobustWakeupState {
-            plan: validate_advice(&view.advice, view.degree),
-            degree: view.degree,
-            is_source: view.is_source,
-            fired: false,
-        })
+        RULE.node(&view)
     }
 
     fn name(&self) -> &'static str {
         "robust-tree-wakeup"
+    }
+
+    fn forward_once(&self) -> Option<ForwardOnce> {
+        Some(RULE)
     }
 }
 

@@ -76,20 +76,23 @@ impl Oracle for SpanningTreeOracle {
 pub struct TreeWakeup;
 
 /// The child ports a node's Theorem 2.1 advice names, dropping any port
-/// `≥ degree`. Malformed advice degrades to leaf behavior: the scheme
-/// stays legal (silent until woken) and simply fails to forward, which the
-/// experiments detect as incomplete wakeup.
-fn child_ports(advice: &BitString, degree: usize) -> Vec<Port> {
-    decode_port_list(advice)
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|&p| (p as usize) < degree)
-        .map(|p| p as usize)
-        .collect()
+/// `≥ degree`. Malformed advice degrades to leaf behavior — `Some` of no
+/// ports, never a flood: the scheme stays legal (silent until woken) and
+/// simply fails to forward, which the experiments detect as incomplete
+/// wakeup.
+fn child_ports(advice: &BitString, degree: usize) -> Option<Vec<Port>> {
+    Some(
+        decode_port_list(advice)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|&p| (p as usize) < degree)
+            .map(|p| p as usize)
+            .collect(),
+    )
 }
 
 /// The scheme's rule: forward once, on the advice's child ports.
-const RULE: ForwardOnce = ForwardOnce::AdvicePorts(child_ports);
+const RULE: ForwardOnce = ForwardOnce(child_ports);
 
 impl Protocol for TreeWakeup {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {

@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn wakeup_bound_positive_and_growing_below_half() {
         // The pigeonhole count turns positive once n is large enough for
-        // the paper's "for n large enough" (≈ 2^13 at α = 0.1).
+        // the paper's "for n large enough" (from 2^4 at α = 0.1).
         let mut prev = 0.0;
         for n in [1u64 << 13, 1 << 14, 1 << 15, 1 << 16] {
             let b = wakeup_bound(n, 0.1);

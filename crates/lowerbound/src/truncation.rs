@@ -12,7 +12,7 @@ use oraclesize_bits::lists::decode_port_list;
 use oraclesize_bits::BitString;
 use oraclesize_core::wakeup::SpanningTreeOracle;
 use oraclesize_graph::{NodeId, Port, PortGraph};
-use oraclesize_sim::protocol::{Message, NodeBehavior, NodeView, Outgoing, Protocol};
+use oraclesize_sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
 use oraclesize_sim::{advice_size, Oracle, RunMetrics, SimConfig, SimError};
 
 /// Cuts an inner oracle to a global bit budget by *whole strings*,
@@ -78,92 +78,30 @@ impl<O: Oracle> Oracle for StringBudgetOracle<O> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FallbackWakeup;
 
-enum FallbackState {
-    /// Valid advice: forward on these child ports once woken.
-    Tree { child_ports: Vec<Port>, fired: bool },
-    /// No advice: flood all ports (except the waking one) once woken.
-    Flood { degree: usize, fired: bool },
+/// The ports a node's advice names when every one is below the degree;
+/// `None` — flood — when the advice is withheld, undecodable or names a
+/// port the node does not have.
+fn advice_ports(advice: &BitString, degree: usize) -> Option<Vec<Port>> {
+    decode_port_list(advice)?
+        .into_iter()
+        .map(|p| ((p as usize) < degree).then_some(p as usize))
+        .collect()
 }
 
-impl FallbackState {
-    fn fire(&mut self, arrival: Option<Port>) -> Vec<Outgoing> {
-        match self {
-            FallbackState::Tree { child_ports, fired } => {
-                if *fired {
-                    return Vec::new();
-                }
-                *fired = true;
-                child_ports
-                    .iter()
-                    .map(|&p| Outgoing::new(p, Message::empty()))
-                    .collect()
-            }
-            FallbackState::Flood { degree, fired } => {
-                if *fired {
-                    return Vec::new();
-                }
-                *fired = true;
-                (0..*degree)
-                    .filter(|&p| Some(p) != arrival)
-                    .map(|p| Outgoing::new(p, Message::empty()))
-                    .collect()
-            }
-        }
-    }
-}
-
-impl NodeBehavior for FallbackState {
-    fn on_start(&mut self) -> Vec<Outgoing> {
-        Vec::new()
-    }
-
-    fn on_receive(&mut self, port: Port, message: Message) -> Vec<Outgoing> {
-        if message.carries_source {
-            self.fire(Some(port))
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-/// Wrapper so the source fires spontaneously.
-struct FallbackSource {
-    inner: FallbackState,
-}
-
-impl NodeBehavior for FallbackSource {
-    fn on_start(&mut self) -> Vec<Outgoing> {
-        self.inner.fire(None)
-    }
-
-    fn on_receive(&mut self, port: Port, message: Message) -> Vec<Outgoing> {
-        self.inner.on_receive(port, message)
-    }
-}
+/// The scheme's rule: forward once, on the advice's ports or by flooding.
+const RULE: ForwardOnce = ForwardOnce(advice_ports);
 
 impl Protocol for FallbackWakeup {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        let state = match decode_port_list(&view.advice) {
-            Some(ports) if ports.iter().all(|&p| (p as usize) < view.degree) => {
-                FallbackState::Tree {
-                    child_ports: ports.into_iter().map(|p| p as usize).collect(),
-                    fired: false,
-                }
-            }
-            _ => FallbackState::Flood {
-                degree: view.degree,
-                fired: false,
-            },
-        };
-        if view.is_source {
-            Box::new(FallbackSource { inner: state })
-        } else {
-            Box::new(state)
-        }
+        RULE.node(&view)
     }
 
     fn name(&self) -> &'static str {
         "fallback-wakeup"
+    }
+
+    fn forward_once(&self) -> Option<ForwardOnce> {
+        Some(RULE)
     }
 }
 

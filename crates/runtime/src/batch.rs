@@ -7,6 +7,8 @@ use oraclesize_sim::protocol::Protocol;
 use oraclesize_sim::trace::{NullSink, RingSink, TraceEvent, TraceSpec, TraceStats, VecSink};
 use oraclesize_sim::{Instance, RunMetrics};
 
+use crate::json::Json;
+
 /// One cell of an experiment grid: which instance to run, with which
 /// scheme, under which configuration.
 ///
@@ -94,6 +96,103 @@ impl RunReport {
     /// The outcome, if the run did not abort.
     pub fn outcome(&self) -> Option<&CellOutcome> {
         self.result.as_ref().ok()
+    }
+}
+
+/// Sums every [`RunMetrics`] counter across a batch's reports, tracking
+/// completions and errors — the totals behind the `BENCH_T*.json`
+/// `"aggregate"` objects. Reports are folded front to back, in cell order
+/// (never completion order), so an aggregate computed at `--threads 8` is
+/// bit-identical to the serial one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Aggregate {
+    /// Cells folded.
+    pub cells: u64,
+    /// Cells whose run completed (all surviving nodes informed).
+    pub completed: u64,
+    /// Cells whose run aborted with an engine error.
+    pub errors: u64,
+    /// Surviving-but-uninformed nodes, summed across degraded cells.
+    pub uninformed: u64,
+    /// Crash-stopped nodes, summed across cells.
+    pub crashed_nodes: u64,
+    /// Element-wise sum of successful cells' metrics.
+    pub totals: RunMetrics,
+    /// Maximum `messages` over successful cells.
+    pub max_messages: u64,
+    /// Maximum `rounds` over successful cells.
+    pub max_rounds: u64,
+    /// Sum of `oracle_bits` over successful cells.
+    pub oracle_bits: u64,
+}
+
+impl Aggregate {
+    /// The aggregate of `reports`, folded in order.
+    pub fn of(reports: &[RunReport]) -> Self {
+        let mut agg = Aggregate::default();
+        for report in reports {
+            agg.cells += 1;
+            let Ok(out) = &report.result else {
+                agg.errors += 1;
+                continue;
+            };
+            if out.completed {
+                agg.completed += 1;
+            }
+            agg.uninformed += out.uninformed as u64;
+            agg.crashed_nodes += out.crashed_nodes as u64;
+            agg.oracle_bits += out.oracle_bits;
+            let m = &out.metrics;
+            let t = &mut agg.totals;
+            t.messages += m.messages;
+            t.informed_messages += m.informed_messages;
+            t.payload_bits += m.payload_bits;
+            t.max_message_bits = t.max_message_bits.max(m.max_message_bits);
+            t.rounds += m.rounds;
+            t.steps += m.steps;
+            t.informed_nodes += m.informed_nodes;
+            t.faults.dropped += m.faults.dropped;
+            t.faults.duplicated += m.faults.duplicated;
+            t.faults.payload_flips += m.faults.payload_flips;
+            t.faults.suppressed_sends += m.faults.suppressed_sends;
+            t.faults.to_crashed += m.faults.to_crashed;
+            t.faults.advice_mutations += m.faults.advice_mutations;
+            t.faults.payload_copies += m.faults.payload_copies;
+            agg.max_messages = agg.max_messages.max(m.messages);
+            agg.max_rounds = agg.max_rounds.max(m.rounds);
+        }
+        agg
+    }
+
+    /// The aggregate as the artifacts' `"aggregate"` object.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .field("cells", self.cells)
+            .field("completed", self.completed)
+            .field("errors", self.errors)
+            .field("uninformed", self.uninformed)
+            .field("crashed_nodes", self.crashed_nodes)
+            .field("oracle_bits", self.oracle_bits)
+            .field("messages", self.totals.messages)
+            .field("informed_messages", self.totals.informed_messages)
+            .field("payload_bits", self.totals.payload_bits)
+            .field("max_message_bits", self.totals.max_message_bits)
+            .field("rounds", self.totals.rounds)
+            .field("steps", self.totals.steps)
+            .field("informed_nodes", self.totals.informed_nodes)
+            .field("max_messages", self.max_messages)
+            .field("max_rounds", self.max_rounds)
+            .field(
+                "faults",
+                Json::obj()
+                    .field("dropped", self.totals.faults.dropped)
+                    .field("duplicated", self.totals.faults.duplicated)
+                    .field("payload_flips", self.totals.faults.payload_flips)
+                    .field("suppressed_sends", self.totals.faults.suppressed_sends)
+                    .field("to_crashed", self.totals.faults.to_crashed)
+                    .field("advice_mutations", self.totals.faults.advice_mutations)
+                    .field("payload_copies", self.totals.faults.payload_copies),
+            )
     }
 }
 
@@ -312,5 +411,53 @@ mod tests {
         assert!(report.result.is_err());
         assert!(!report.post_mortem.is_empty());
         assert!(report.post_mortem.len() <= 4);
+    }
+
+    fn report(cell: usize, messages: u64, completed: bool) -> RunReport {
+        RunReport {
+            cell,
+            result: Ok(CellOutcome {
+                oracle_bits: 3,
+                metrics: RunMetrics {
+                    messages,
+                    rounds: messages / 2,
+                    ..Default::default()
+                },
+                completed,
+                uninformed: usize::from(!completed),
+                crashed_nodes: 0,
+                trace: Vec::new(),
+                trace_stats: Default::default(),
+            }),
+            post_mortem: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn aggregate_sums_in_cell_order() {
+        let reports = vec![report(0, 4, true), report(1, 10, false), report(2, 6, true)];
+        let agg = Aggregate::of(&reports);
+        assert_eq!(agg.cells, 3);
+        assert_eq!(agg.completed, 2);
+        assert_eq!(agg.uninformed, 1);
+        assert_eq!(agg.totals.messages, 20);
+        assert_eq!(agg.max_messages, 10);
+        assert_eq!(agg.oracle_bits, 9);
+        assert!(crate::json::parse(&agg.to_json().render()).is_some());
+    }
+
+    #[test]
+    fn aggregate_counts_errors_without_metrics() {
+        let agg = Aggregate::of(&[
+            report(0, 2, true),
+            RunReport {
+                cell: 1,
+                result: Err("boom".into()),
+                post_mortem: Vec::new(),
+            },
+        ]);
+        assert_eq!(agg.cells, 2);
+        assert_eq!(agg.errors, 1);
+        assert_eq!(agg.totals.messages, 2);
     }
 }

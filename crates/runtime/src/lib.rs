@@ -14,12 +14,11 @@
 //!   footers,
 //! * [`batch`] — [`RunRequest`] → [`RunReport`]: the cell description,
 //!   the comparable, fully deterministic result record, and the one-cell
-//!   runner [`run_cell_report`]. Cells are built over
+//!   runner [`run_cell_report`], and [`Aggregate`], the totals that fold
+//!   reports **in cell order**, never completion order, so any thread
+//!   count produces byte-identical output. Cells are built over
 //!   [`oraclesize_sim::Instance`], the `Arc`-shared immutable
 //!   `(graph, advice)` pair,
-//! * [`sink`] — [`MetricsSink`]: aggregation that folds reports **in cell
-//!   order**, never completion order, so any thread count produces
-//!   byte-identical output,
 //! * [`json`] — the one JSON writer (insertion-ordered objects, integers
 //!   only; the `BENCH_T*.json` artifacts) and the one reader ([`json::parse`]
 //!   plus the strict [`json::Fields`] object reader every decoder shares),
@@ -46,8 +45,8 @@
 //! reports — byte for byte — at any thread count and under any chunk
 //! plan. This holds because (a) every engine run is seeded and
 //! self-contained, (b) reports are written into per-cell slots, not
-//! appended, and (c) sinks consume reports in cell order. The property
-//! tests in `tests/determinism.rs` pin this down.
+//! appended, and (c) [`Aggregate`] folds reports in cell order. The
+//! property tests in `tests/determinism.rs` pin this down.
 //!
 //! The contract extends across crash/resume boundaries and shards: a
 //! sweep killed at any cell and resumed any number of times, or split
@@ -83,17 +82,15 @@ pub mod chaos;
 pub mod journal;
 pub mod json;
 pub mod pool;
-pub mod sink;
 pub mod spec;
 pub mod supervise;
 pub mod trace;
 
-pub use batch::{run_cell_report, CellOutcome, RunReport, RunRequest};
+pub use batch::{run_cell_report, Aggregate, CellOutcome, RunReport, RunRequest};
 pub use chaos::ChaosPlan;
 pub use journal::Journal;
 pub use json::Json;
 pub use pool::{Chunk, ChunkPlan, Pool, SchedStats};
-pub use sink::{drain, Aggregate, MetricsSink, ReportCollector};
 pub use spec::{AdviceSpec, CellSpec, FaultSpec, InstanceSpec, KnobSpec, SchedulerSpec, SweepSpec};
 pub use supervise::{
     run_cell_supervised, run_supervised_batch, CellStatus, OrderedCommitter, SuperviseConfig,

@@ -18,9 +18,8 @@
 
 use oraclesize_sim::{AdviceAdversary, FaultPlan, SchedulerKind, SimConfig};
 
-use crate::batch::RunReport;
+use crate::batch::{Aggregate, RunReport};
 use crate::json::{Fields, Json};
-use crate::sink::{drain, Aggregate, MetricsSink};
 use crate::trace::stats_json;
 
 /// Converts a probability in `[0, 1]` to parts-per-million.
@@ -591,11 +590,9 @@ pub fn grid_json(labels: &[String], reports: &[RunReport]) -> Json {
             }
         })
         .collect();
-    let mut agg = Aggregate::new();
-    drain(&mut agg, reports);
     Json::obj()
         .field("cells", cells)
-        .field("aggregate", agg.finish())
+        .field("aggregate", Aggregate::of(reports).to_json())
 }
 
 /// Wraps an experiment body in the committed artifact envelope:

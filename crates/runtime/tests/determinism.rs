@@ -9,8 +9,7 @@ use std::sync::Arc;
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::{
-    drain, run_supervised_batch, Aggregate, ChunkPlan, MetricsSink, Pool, ReportCollector,
-    RunReport, RunRequest, SweepOptions,
+    run_supervised_batch, Aggregate, ChunkPlan, Pool, RunReport, RunRequest, SweepOptions,
 };
 use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
@@ -75,17 +74,10 @@ proptest! {
             let parallel = sweep(&Pool::new(threads), &requests);
             prop_assert_eq!(&serial, &parallel, "threads = {}", threads);
 
-            let mut agg_s = Aggregate::new();
-            let mut agg_p = Aggregate::new();
-            drain(&mut agg_s, &serial);
-            drain(&mut agg_p, &parallel);
-            prop_assert_eq!(agg_s.finish().render(), agg_p.finish().render());
-
-            let mut coll_s = ReportCollector::new();
-            let mut coll_p = ReportCollector::new();
-            drain(&mut coll_s, &serial);
-            drain(&mut coll_p, &parallel);
-            prop_assert_eq!(coll_s.finish().render(), coll_p.finish().render());
+            prop_assert_eq!(
+                Aggregate::of(&serial).to_json().render(),
+                Aggregate::of(&parallel).to_json().render()
+            );
         }
     }
 

@@ -55,19 +55,18 @@ pub(crate) fn run_forward_once(
                     order.push(u);
                 }
             };
-            match rule {
-                ForwardOnce::AllButArrival => {
+            match (rule.0)(&advice[v], g.degree(v)) {
+                Some(ports) => {
+                    sent += ports.len() as u64;
+                    ports.iter().for_each(|&p| wake(g.neighbor_via(v, p).0));
+                }
+                None => {
                     // The excluded arrival neighbour sent the waking message,
                     // so it is informed already: expanding over every
                     // neighbour reaches the same nodes.
                     let neighbors = g.neighbors(v);
                     sent += (neighbors.len() - usize::from(v != source)) as u64;
                     neighbors.for_each(wake);
-                }
-                ForwardOnce::AdvicePorts(decode) => {
-                    let ports = decode(&advice[v], g.degree(v));
-                    sent += ports.len() as u64;
-                    ports.iter().for_each(|&p| wake(g.neighbor_via(v, p).0));
                 }
             }
         }

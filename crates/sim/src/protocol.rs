@@ -128,20 +128,18 @@ pub trait Protocol {
     }
 }
 
-/// The whole behaviour of a *forward-once* scheme, as data.
+/// The whole behaviour of a *forward-once* scheme, as data: a decoder
+/// from a node's advice and degree to the ports it sends on.
+///
+/// `Some(ports)` sends on those ports — each below the degree, in send
+/// order, repeats included. `None` sends on every port but the arrival
+/// port; at the source, on every port.
 ///
 /// A protocol that returns a rule from [`Protocol::forward_once`] creates
 /// [`rule.node(view)`](ForwardOnce::node) for every node, so its
 /// per-message runs and the engine's frontier kernel follow the same rule.
 #[derive(Debug, Clone, Copy)]
-pub enum ForwardOnce {
-    /// Every port but the arrival port; the source uses every port
-    /// ([`FloodOnce`]).
-    AllButArrival,
-    /// The ports this function decodes from the node's advice and degree:
-    /// each below the degree, in send order, repeats included.
-    AdvicePorts(fn(&BitString, usize) -> Vec<Port>),
-}
+pub struct ForwardOnce(pub fn(&BitString, usize) -> Option<Vec<Port>>);
 
 impl ForwardOnce {
     /// The node this rule describes: the source sends one empty message on
@@ -150,13 +148,8 @@ impl ForwardOnce {
     /// nothing else is ever sent, the quiescence hook stays silent, and
     /// the node has no output.
     pub fn node(self, view: &NodeView) -> Box<dyn NodeBehavior> {
-        let ports = match self {
-            ForwardOnce::AllButArrival => Vec::new(),
-            ForwardOnce::AdvicePorts(decode) => decode(&view.advice, view.degree),
-        };
         Box::new(ForwardOnceNode {
-            rule: self,
-            ports,
+            ports: (self.0)(&view.advice, view.degree),
             degree: view.degree,
             is_source: view.is_source,
             fired: false,
@@ -166,10 +159,8 @@ impl ForwardOnce {
 
 /// A node of a forward-once scheme (see [`ForwardOnce::node`]).
 struct ForwardOnceNode {
-    rule: ForwardOnce,
-    /// The decoded ports of an [`AdvicePorts`](ForwardOnce::AdvicePorts)
-    /// rule.
-    ports: Vec<Port>,
+    /// The decoded ports; `None` for every port but the arrival port.
+    ports: Option<Vec<Port>>,
     degree: usize,
     is_source: bool,
     fired: bool,
@@ -182,12 +173,12 @@ impl ForwardOnceNode {
             return Vec::new();
         }
         let send = |p| Outgoing::new(p, Message::empty());
-        match self.rule {
-            ForwardOnce::AllButArrival => (0..self.degree)
+        match &self.ports {
+            Some(ports) => ports.iter().copied().map(send).collect(),
+            None => (0..self.degree)
                 .filter(|&p| Some(p) != arrival)
                 .map(send)
                 .collect(),
-            ForwardOnce::AdvicePorts(_) => self.ports.iter().copied().map(send).collect(),
         }
     }
 }
@@ -216,9 +207,12 @@ impl NodeBehavior for ForwardOnceNode {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FloodOnce;
 
+/// Flooding's rule: every port but the arrival port, whatever the advice.
+const FLOOD: ForwardOnce = ForwardOnce(|_, _| None);
+
 impl Protocol for FloodOnce {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        ForwardOnce::AllButArrival.node(&view)
+        FLOOD.node(&view)
     }
 
     fn name(&self) -> &'static str {
@@ -226,7 +220,7 @@ impl Protocol for FloodOnce {
     }
 
     fn forward_once(&self) -> Option<ForwardOnce> {
-        Some(ForwardOnce::AllButArrival)
+        Some(FLOOD)
     }
 }
 

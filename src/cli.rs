@@ -54,8 +54,8 @@ use oraclesize_graph::families::Family;
 use oraclesize_graph::PortGraph;
 use oraclesize_runtime::spec::to_ppm;
 use oraclesize_runtime::{
-    drain, run_supervised_batch, Aggregate, CellSpec, FaultSpec, InstanceSpec, JsonlSink, KnobSpec,
-    Pool, SchedStats, SchedulerSpec, SweepOptions, SweepSpec,
+    run_supervised_batch, Aggregate, CellSpec, FaultSpec, InstanceSpec, JsonlSink, KnobSpec, Pool,
+    SchedStats, SchedulerSpec, SweepOptions, SweepSpec,
 };
 use oraclesize_service::{Server, ServerConfig, WorkerConfig, WorkerOutcome};
 use oraclesize_sim::protocol::FloodOnce;
@@ -1054,8 +1054,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     };
     let sweep = run_supervised_batch(&Pool::new(args.threads), grid.requests(), &sweep_opts);
     let reports = sweep.reports();
-    let mut agg = Aggregate::new();
-    drain(&mut agg, &reports);
+    let agg = Aggregate::of(&reports);
     if agg.errors > 0 {
         let first = reports
             .iter()

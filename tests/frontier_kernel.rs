@@ -1,19 +1,24 @@
 //! Integration: the engine's forward-once frontier kernel.
 //!
-//! Synchronous, fault-free, untraced runs of flooding and tree-wakeup
-//! skip node creation and take the frontier kernel. Its outcome must equal
-//! the per-message engine's field for field — on every graph family and
-//! the subdivided clique, with correct, misrooted, garbage and empty
-//! advice, in both tasks, with and without identities, and when the step
-//! budget runs out — and every other run must keep creating nodes.
+//! Synchronous, fault-free, untraced runs of the forward-once schemes —
+//! flooding, tree-wakeup, fallback wakeup and robust tree-wakeup — skip
+//! node creation and take the frontier kernel. Its outcome must equal the
+//! per-message engine's field for field — on every graph family and the
+//! subdivided clique, with correct, misrooted, garbage and empty advice
+//! (and checksummed advice for the robust scheme, so its rule takes both
+//! the port-list and the flooding branch), in both tasks, with and
+//! without identities, and when the step budget runs out — and every
+//! other run must keep creating nodes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use oraclesize::bits::lists::encode_port_list;
 use oraclesize::bits::BitString;
+use oraclesize::core::robust::{RobustTreeWakeup, RobustWakeupOracle};
 use oraclesize::graph::families::{self, Family};
 use oraclesize::graph::spanning::TreeAlgorithm;
 use oraclesize::graph::{NodeId, PortGraph};
+use oraclesize::lowerbound::truncation::FallbackWakeup;
 use oraclesize::prelude::*;
 use oraclesize::sim::engine::{run, run_with_sink};
 use oraclesize::sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
@@ -129,12 +134,19 @@ proptest! {
             let nodes = g.num_nodes();
             let source = rng.gen_range(0..nodes);
             let advice = advice(advice_kind, &g, source, &mut rng);
-            let schemes: [&dyn Protocol; 2] = [&FloodOnce, &TreeWakeup];
-            for scheme in schemes {
+            let checksummed = RobustWakeupOracle::default().advise(&g, source);
+            let runs: [(&dyn Protocol, &[BitString]); 5] = [
+                (&FloodOnce, &advice),
+                (&TreeWakeup, &advice),
+                (&FallbackWakeup, &advice),
+                (&RobustTreeWakeup, &advice),
+                (&RobustTreeWakeup, &checksummed),
+            ];
+            for (scheme, advice) in runs {
                 for base in [SimConfig::broadcast(), SimConfig::wakeup()] {
                     let mut config = base.with_anonymous(anonymous);
                     let per_message = PerMessage(scheme);
-                    let total = run(&g, source, &advice, &per_message, &config)
+                    let total = run(&g, source, advice, &per_message, &config)
                         .map_or(0, |out| out.metrics.steps);
                     config = match budget {
                         Budget::Ample => config,
@@ -142,8 +154,8 @@ proptest! {
                         Budget::OneShort => config.with_max_steps(total.saturating_sub(1)),
                         Budget::Cut => config.with_max_steps((cut * total as f64) as u64),
                     };
-                    let kernel = run(&g, source, &advice, scheme, &config);
-                    let reference = run(&g, source, &advice, &per_message, &config);
+                    let kernel = run(&g, source, advice, scheme, &config);
+                    let reference = run(&g, source, advice, &per_message, &config);
                     prop_assert_eq!(
                         kernel.as_ref().map(fields),
                         reference.as_ref().map(fields),
@@ -152,7 +164,7 @@ proptest! {
 
                     let mut checker = InvariantSink::new(nodes, source, config.mode);
                     let checked =
-                        run_with_sink(&g, source, &advice, &per_message, &config, &mut checker);
+                        run_with_sink(&g, source, advice, &per_message, &config, &mut checker);
                     let strip = |out: &RunOutcome| {
                         (out.metrics, out.informed.clone(), out.crashed.clone(), out.outputs.clone())
                     };
@@ -183,12 +195,17 @@ impl<P: Protocol> Protocol for CreatePanics<P> {
     }
 }
 
-/// Whether a run of both panicking schemes reaches `create`; a run that
-/// does not must complete.
+/// Whether a run of every panicking forward-once scheme reaches `create`;
+/// a run that does not must complete.
 fn reaches_create(config: &SimConfig, sink: &mut dyn TraceSink) -> bool {
     let g = oraclesize::graph::families::complete_rotational(6);
     let advice = SpanningTreeOracle::default().advise(&g, 0);
-    let schemes: [&dyn Protocol; 2] = [&CreatePanics(FloodOnce), &CreatePanics(TreeWakeup)];
+    let schemes: [&dyn Protocol; 4] = [
+        &CreatePanics(FloodOnce),
+        &CreatePanics(TreeWakeup),
+        &CreatePanics(FallbackWakeup),
+        &CreatePanics(RobustTreeWakeup),
+    ];
     let reached: Vec<bool> = schemes
         .into_iter()
         .map(|scheme| {
@@ -203,7 +220,10 @@ fn reaches_create(config: &SimConfig, sink: &mut dyn TraceSink) -> bool {
             }
         })
         .collect();
-    assert_eq!(reached[0], reached[1], "flood and tree-wakeup disagree");
+    assert!(
+        reached.iter().all(|&r| r == reached[0]),
+        "the schemes disagree: {reached:?}"
+    );
     reached[0]
 }
 
