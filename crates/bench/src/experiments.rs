@@ -868,7 +868,8 @@ pub fn t14_exploration() -> String {
         let g = fam.build(48, &mut rng);
         let (nodes, edges) = (g.num_nodes(), g.num_edges());
         let advice = tour_advice(&g, 0);
-        let empty = oraclesize_sim::testkit::no_advice(nodes);
+        // An agent's advice is a plain slice, not an oracle's `Advice`.
+        let empty = vec![oraclesize_bits::BitString::new(); nodes];
         let tour = walk(
             &g,
             0,
@@ -926,7 +927,7 @@ pub fn t14_exploration() -> String {
         ("K_64", families::complete_rotational(64)),
     ] {
         let nodes = g.num_nodes() as f64;
-        let full: u64 = tour_advice(&g, 0).iter().map(|s| s.len() as u64).sum();
+        let full = advice_size(&tour_advice(&g, 0));
         let budgets: Vec<u64> = (0..=4).map(|i| full * i / 4).collect();
         for p in exploration_tradeoff(&g, 0, &budgets) {
             curve.row([

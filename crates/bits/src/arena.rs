@@ -8,8 +8,9 @@ use crate::bitstring::BitString;
 /// `Vec<BitString>` that is a million separate heap allocations. `BitArena`
 /// concatenates the packed bytes of every string into one contiguous buffer
 /// (entries byte-aligned so extraction is a `memcpy`, not a bit shift) and
-/// remembers each entry's `(offset, bit length)` span. The engine stores
-/// per-node advice this way (DESIGN.md §11).
+/// remembers each entry's `(offset, bit length)` span. The per-message
+/// engine packs a run's advice this way, once per run, so each created
+/// node copies its string out of one buffer (DESIGN.md §11).
 ///
 /// # Examples
 ///
@@ -48,9 +49,14 @@ impl BitArena {
         }
     }
 
-    /// Packs a slice of strings, preserving order.
-    pub fn from_strings(items: &[BitString]) -> Self {
-        let total: usize = items.iter().map(|s| s.len()).sum();
+    /// Packs a sequence of strings, preserving order.
+    pub fn from_strings<'a, I>(items: I) -> Self
+    where
+        I: IntoIterator<Item = &'a BitString>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let items = items.into_iter();
+        let total: usize = items.clone().map(|s| s.len()).sum();
         let mut arena = Self::with_capacity(items.len(), total);
         for s in items {
             arena.push(s);

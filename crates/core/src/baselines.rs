@@ -18,7 +18,7 @@ use oraclesize_bits::{ceil_log2, BitString};
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use oraclesize_sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// A decoded full map: `adj[v][p] = (neighbor, arrival_port)`, plus the
 /// source and the receiving node's own index.
@@ -120,7 +120,7 @@ pub fn decode_full_map(advice: &BitString) -> Option<FullMap> {
 pub struct FullMapOracle;
 
 impl Oracle for FullMapOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let tail = encode_full_map_tail(g, source);
         (0..g.num_nodes())
             .map(|v| with_own_index(v, &tail))

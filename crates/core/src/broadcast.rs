@@ -24,12 +24,11 @@
 use std::collections::BTreeSet;
 
 use oraclesize_bits::lists::{decode_weight_list, encode_weight_list};
-use oraclesize_bits::BitString;
 use oraclesize_graph::spanning::light_tree;
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use oraclesize_sim::protocol::{Message, NodeBehavior, NodeView, Outgoing, Protocol};
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// The Theorem 3.1 oracle: light-tree edge weights, each assigned to the
 /// endpoint whose port equals the weight.
@@ -37,7 +36,7 @@ use crate::oracle::Oracle;
 pub struct LightTreeOracle;
 
 impl Oracle for LightTreeOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let tree = light_tree(g, source);
         let mut per_node: Vec<Vec<u64>> = vec![Vec::new(); g.num_nodes()];
         for e in tree.edges(g) {
@@ -222,6 +221,7 @@ mod tests {
     use super::*;
     use crate::oracle::advice_size;
     use crate::runner::execute;
+    use oraclesize_bits::BitString;
     use oraclesize_graph::families::{self, Family};
     use oraclesize_sim::{SchedulerKind, SimConfig, TraceSpec};
     use rand::rngs::StdRng;
@@ -333,7 +333,7 @@ mod tests {
         // still forward M — the level-triggered re-flush.
         let g = families::path(2);
         // Edge {0,1}: ports 0 at both. Give the advice to node 1 only.
-        let advice = vec![BitString::new(), encode_weight_list(&[0])];
+        let advice = Advice::from(vec![BitString::new(), encode_weight_list(&[0])]);
         let out =
             oraclesize_sim::engine::run(&g, 0, &advice, &SchemeB, &SimConfig::default()).unwrap();
         assert!(out.all_informed());

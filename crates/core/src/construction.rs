@@ -23,7 +23,7 @@ use oraclesize_graph::traverse::bfs_distances;
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use oraclesize_sim::protocol::{Message, NodeBehavior, NodeView, Outgoing, Protocol};
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// Encodes a parent-port output: `γ(0)` at the root, else `γ(port + 1)`.
 pub fn encode_parent_port(parent_port: Option<Port>) -> BitString {
@@ -165,7 +165,7 @@ pub fn verify_spanning(
 pub struct BfsTreeOracle;
 
 impl Oracle for BfsTreeOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let tree = bfs_tree(g, source);
         (0..g.num_nodes())
             .map(|v| encode_parent_port(tree.parent(v).map(|(_, _, pc)| pc)))
@@ -183,7 +183,7 @@ impl Oracle for BfsTreeOracle {
 pub struct MstOracle;
 
 impl Oracle for MstOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let tree = min_weight_tree(g, source);
         (0..g.num_nodes())
             .map(|v| encode_parent_port(tree.parent(v).map(|(_, _, pc)| pc)))

@@ -22,7 +22,7 @@ use oraclesize_graph::spanning::bfs_tree;
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use oraclesize_sim::protocol::{Message, NodeBehavior, NodeView, Outgoing, Protocol};
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// Decodes an election output (the elected label).
 pub fn decode_elected(s: &BitString) -> Option<u64> {
@@ -98,7 +98,7 @@ pub fn verify_election(
 pub struct ElectionOracle;
 
 impl Oracle for ElectionOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let tree = bfs_tree(g, source);
         (0..g.num_nodes())
             .map(|v| {

@@ -21,7 +21,7 @@ use oraclesize_sim::protocol::{Message, NodeBehavior, NodeView, Outgoing, Protoc
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// Per-node tree advice: the parent port (absent at the root) and the
 /// child ports.
@@ -84,7 +84,7 @@ impl Default for GossipOracle {
 }
 
 impl Oracle for GossipOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let tree = self.algorithm.build(g, source, &mut rng);
         (0..g.num_nodes())

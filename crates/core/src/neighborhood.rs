@@ -15,7 +15,7 @@ use oraclesize_bits::codec::{Codec, EliasGamma};
 use oraclesize_bits::BitString;
 use oraclesize_graph::{NodeId, PortGraph};
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// The decoded radius-`ρ` view from a node: a local re-indexing of the
 /// ball, with adjacency down to ports.
@@ -143,7 +143,7 @@ impl NeighborhoodOracle {
 }
 
 impl Oracle for NeighborhoodOracle {
-    fn advise(&self, g: &PortGraph, _source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, _source: NodeId) -> Advice {
         (0..g.num_nodes())
             .map(|v| encode_ball(g, v, self.radius))
             .collect()

@@ -9,9 +9,8 @@
 
 // Crate-internal alias: every module here says `crate::oracle::Oracle`;
 // the public path is `oraclesize_sim::Oracle`.
-pub(crate) use oraclesize_sim::oracle::{advice_size, Oracle};
+pub(crate) use oraclesize_sim::oracle::{advice_size, Advice, Oracle};
 
-use oraclesize_bits::BitString;
 use oraclesize_graph::{NodeId, PortGraph};
 
 /// The empty oracle: every node receives the empty string (size 0). The
@@ -20,8 +19,8 @@ use oraclesize_graph::{NodeId, PortGraph};
 pub struct EmptyOracle;
 
 impl Oracle for EmptyOracle {
-    fn advise(&self, g: &PortGraph, _source: NodeId) -> Vec<BitString> {
-        vec![BitString::new(); g.num_nodes()]
+    fn advise(&self, g: &PortGraph, _source: NodeId) -> Advice {
+        Advice::empty(g.num_nodes())
     }
 
     fn name(&self) -> &'static str {
@@ -50,10 +49,10 @@ impl<O: Oracle> TruncatedOracle<O> {
 }
 
 impl<O: Oracle> Oracle for TruncatedOracle<O> {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let full = self.inner.advise(g, source);
         let mut remaining = self.budget_bits;
-        full.into_iter()
+        full.iter()
             .map(|s| {
                 let keep = (s.len() as u64).min(remaining) as usize;
                 remaining -= keep as u64;
@@ -70,6 +69,7 @@ impl<O: Oracle> Oracle for TruncatedOracle<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oraclesize_bits::BitString;
     use oraclesize_graph::families;
 
     #[test]
@@ -82,7 +82,7 @@ mod tests {
 
     struct ConstOracle(usize);
     impl Oracle for ConstOracle {
-        fn advise(&self, g: &PortGraph, _s: NodeId) -> Vec<BitString> {
+        fn advise(&self, g: &PortGraph, _s: NodeId) -> Advice {
             (0..g.num_nodes())
                 .map(|_| BitString::from_bits(std::iter::repeat_n(true, self.0)))
                 .collect()

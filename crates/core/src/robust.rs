@@ -36,7 +36,7 @@ use oraclesize_bits::BitString;
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use oraclesize_sim::protocol::{ForwardOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 use crate::wakeup::SpanningTreeOracle;
 
 /// Checksum width appended to each advice string by [`RobustWakeupOracle`].
@@ -69,13 +69,13 @@ pub struct RobustWakeupOracle {
 }
 
 impl Oracle for RobustWakeupOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         self.inner
             .advise(g, source)
-            .into_iter()
+            .iter()
             .map(|payload| {
-                let check = advice_checksum(&payload);
-                let mut out = payload;
+                let check = advice_checksum(payload);
+                let mut out = payload.clone();
                 out.push_uint(check, CHECKSUM_BITS as u32);
                 out
             })

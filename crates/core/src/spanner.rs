@@ -18,7 +18,7 @@ use oraclesize_bits::codec::{Codec, EliasGamma};
 use oraclesize_bits::BitString;
 use oraclesize_graph::{EdgeRef, NodeId, Port, PortGraph};
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// The classic greedy spanner: scan edges (in canonical order for
 /// unweighted graphs) and keep an edge iff the current spanner does not
@@ -109,7 +109,7 @@ impl SpannerOracle {
 }
 
 impl Oracle for SpannerOracle {
-    fn advise(&self, g: &PortGraph, _source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, _source: NodeId) -> Advice {
         let mut per_node: Vec<Vec<Port>> = vec![Vec::new(); g.num_nodes()];
         for e in greedy_spanner(g, self.stretch) {
             per_node[e.u].push(e.port_u);

@@ -17,7 +17,7 @@ use oraclesize_sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::oracle::Oracle;
+use crate::oracle::{Advice, Oracle};
 
 /// The Theorem 2.1 oracle: encodes, for every node, the ports toward its
 /// children in a spanning tree rooted at the source.
@@ -43,7 +43,7 @@ impl Default for SpanningTreeOracle {
 }
 
 impl Oracle for SpanningTreeOracle {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let tree = self.algorithm.build(g, source, &mut rng);
         let n = g.num_nodes() as u64;
@@ -206,7 +206,7 @@ mod tests {
         // but incomplete — classified as degraded, not success. (The
         // self-healing counterpart lives in [`crate::robust`].)
         let g = families::path(4);
-        let advice = vec![BitString::parse("0101101").unwrap(); 4];
+        let advice = Advice::from(vec![BitString::parse("0101101").unwrap(); 4]);
         let out =
             oraclesize_sim::engine::run(&g, 0, &advice, &TreeWakeup, &SimConfig::wakeup()).unwrap();
         assert!(!out.all_informed());

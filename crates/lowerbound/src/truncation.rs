@@ -13,7 +13,7 @@ use oraclesize_bits::BitString;
 use oraclesize_core::wakeup::SpanningTreeOracle;
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use oraclesize_sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
-use oraclesize_sim::{advice_size, Oracle, RunMetrics, SimConfig, SimError};
+use oraclesize_sim::{advice_size, Advice, Oracle, RunMetrics, SimConfig, SimError};
 
 /// Cuts an inner oracle to a global bit budget by *whole strings*,
 /// cheapest-first: strings are kept in ascending order of length while the
@@ -40,7 +40,7 @@ impl<O: Oracle> StringBudgetOracle<O> {
 }
 
 impl<O: Oracle> Oracle for StringBudgetOracle<O> {
-    fn advise(&self, g: &PortGraph, source: NodeId) -> Vec<BitString> {
+    fn advise(&self, g: &PortGraph, source: NodeId) -> Advice {
         let full = self.inner.advise(g, source);
         let mut order: Vec<usize> = (0..full.len()).collect();
         order.sort_by_key(|&v| (full[v].len(), v));
@@ -52,11 +52,11 @@ impl<O: Oracle> Oracle for StringBudgetOracle<O> {
                 keep[v] = true;
             }
         }
-        full.into_iter()
+        full.iter()
             .zip(keep)
             .map(|(s, kept)| {
                 if kept {
-                    s
+                    s.clone()
                 } else {
                     // Mark "advice withheld" with the 1-bit sentinel `1`,
                     // which is undecodable as a port list.

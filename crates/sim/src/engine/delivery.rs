@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 use crate::engine::config::{SimConfig, TaskMode};
 use crate::engine::outcome::SimError;
 use crate::metrics::RunMetrics;
+use crate::oracle::Advice;
 use crate::protocol::{Message, Outgoing};
 use crate::trace::{DropFault, MsgId, Recorder, TraceEvent, TraceSink};
 
@@ -184,9 +185,9 @@ impl<'a> NetState<'a> {
     /// advice if the plan has an active fault RNG. Must be called before
     /// any [`enqueue`](NetState::enqueue) so the RNG stream matches the
     /// documented draw order (advice first, then in-flight faults).
-    pub fn corrupt_advice(&mut self, advice: &[BitString]) -> Option<Vec<BitString>> {
+    pub fn corrupt_advice(&mut self, advice: &Advice) -> Option<Vec<BitString>> {
         let rng = self.fault_rng.as_mut()?;
-        let mut mutated = advice.to_vec();
+        let mut mutated: Vec<BitString> = advice.iter().cloned().collect();
         self.metrics.faults.advice_mutations = self.config.faults.advice.corrupt(&mut mutated, rng);
         Some(mutated)
     }

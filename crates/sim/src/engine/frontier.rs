@@ -12,11 +12,12 @@
 //! none carries payload, and no delivery is lost or duplicated — so the
 //! outcome is the per-message engine's, field for field.
 
-use oraclesize_bits::{BitSet, BitString};
+use oraclesize_bits::BitSet;
 use oraclesize_graph::{NodeId, PortGraph};
 
 use crate::engine::outcome::{RunOutcome, SimError};
 use crate::metrics::RunMetrics;
+use crate::oracle::Advice;
 use crate::protocol::ForwardOnce;
 use crate::trace::TraceStats;
 
@@ -29,7 +30,7 @@ use crate::trace::TraceStats;
 pub(crate) fn run_forward_once(
     g: &PortGraph,
     source: NodeId,
-    advice: &[BitString],
+    advice: &Advice,
     rule: ForwardOnce,
     max_steps: u64,
 ) -> Result<RunOutcome, SimError> {

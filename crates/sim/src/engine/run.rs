@@ -9,13 +9,14 @@
 
 use std::collections::VecDeque;
 
-use oraclesize_bits::{BitArena, BitString};
+use oraclesize_bits::BitArena;
 use oraclesize_graph::{NodeId, PortGraph};
 
 use crate::engine::config::SimConfig;
 use crate::engine::delivery::{InFlight, NetState};
 use crate::engine::frontier::run_forward_once;
 use crate::engine::outcome::{RunOutcome, SimError};
+use crate::oracle::Advice;
 use crate::protocol::{NodeBehavior, NodeView, Protocol};
 use crate::scheduler::Scheduler;
 use crate::trace::{
@@ -44,7 +45,7 @@ use crate::trace::{
 pub fn run(
     g: &PortGraph,
     source: NodeId,
-    advice: &[BitString],
+    advice: &Advice,
     protocol: &dyn Protocol,
     config: &SimConfig,
 ) -> Result<RunOutcome, SimError> {
@@ -89,7 +90,7 @@ pub fn run(
 pub fn run_with_sink(
     g: &PortGraph,
     source: NodeId,
-    advice: &[BitString],
+    advice: &Advice,
     protocol: &dyn Protocol,
     config: &SimConfig,
     sink: &mut dyn TraceSink,
@@ -110,11 +111,13 @@ pub fn run_with_sink(
     }
 
     let mut net = NetState::new(g, config, source, sink);
-    let corrupted = net.corrupt_advice(advice);
     // One contiguous buffer for all n advice strings (SoA layout,
     // DESIGN.md §11) instead of n separately-allocated clones; node views
     // materialise their own string from their arena span.
-    let advice = BitArena::from_strings(corrupted.as_deref().unwrap_or(advice));
+    let advice = match net.corrupt_advice(advice) {
+        Some(corrupted) => BitArena::from_strings(&corrupted),
+        None => BitArena::from_strings(advice),
+    };
 
     let mut behaviors: Vec<Box<dyn NodeBehavior>> = (0..n)
         .map(|v| {

@@ -3,11 +3,10 @@
 
 use std::sync::Arc;
 
-use oraclesize_bits::BitString;
 use oraclesize_graph::{NodeId, PortGraph};
 
 use crate::engine::{self, RunOutcome, SimConfig, SimError};
-use crate::oracle::{advice_size, Oracle};
+use crate::oracle::{advice_size, Advice, Oracle};
 use crate::protocol::Protocol;
 use crate::trace::TraceSink;
 
@@ -26,8 +25,10 @@ pub struct Instance {
     pub graph: Arc<PortGraph>,
     /// The broadcast/wakeup source the advice was computed for.
     pub source: NodeId,
-    /// Per-node advice strings.
-    pub advice: Vec<BitString>,
+    /// Per-node advice strings, as an [`Advice`] slot table: 4 bytes per
+    /// empty node. The per-message engine packs them into a `BitArena`
+    /// once per run; the frontier kernel reads them in place.
+    pub advice: Advice,
     /// Total advice size in bits — the paper's oracle size.
     pub oracle_bits: u64,
 }
@@ -46,11 +47,7 @@ impl Instance {
     }
 
     /// Freezes precomputed advice (for callers that build advice by hand).
-    pub fn with_advice(
-        graph: Arc<PortGraph>,
-        source: NodeId,
-        advice: Vec<BitString>,
-    ) -> Arc<Instance> {
+    pub fn with_advice(graph: Arc<PortGraph>, source: NodeId, advice: Advice) -> Arc<Instance> {
         let oracle_bits = advice_size(&advice);
         Arc::new(Instance {
             graph,
@@ -141,7 +138,7 @@ mod tests {
 
     struct NoAdviceOracle;
     impl Oracle for NoAdviceOracle {
-        fn advise(&self, g: &PortGraph, _source: NodeId) -> Vec<BitString> {
+        fn advise(&self, g: &PortGraph, _source: NodeId) -> Advice {
             no_advice(g.num_nodes())
         }
     }

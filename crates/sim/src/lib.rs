@@ -10,8 +10,9 @@
 //! * [`protocol`] — the [`Protocol`]/[`NodeBehavior`] traits mirroring the
 //!   scheme signature `A(f(v), s(v), id(v), deg(v))`, and the [`NodeView`]
 //!   a node is allowed to see,
-//! * [`oracle`] — the [`Oracle`] trait assigning per-node advice, and the
-//!   paper's oracle-size accounting,
+//! * [`oracle`] — the [`Oracle`] trait assigning per-node advice, the
+//!   [`Advice`] slot table it returns, and the paper's oracle-size
+//!   accounting,
 //! * [`instance`] — frozen `Arc`-shared problem instances and the
 //!   workspace's one run facade, [`run`],
 //! * [`engine`] — the executor, with **synchronous** (round-based) and
@@ -36,10 +37,9 @@
 //! use std::sync::Arc;
 //! use oraclesize_sim::prelude::*;
 //! use oraclesize_graph::families;
-//! use oraclesize_bits::BitString;
 //!
 //! let g = Arc::new(families::cycle(5));
-//! let instance = Instance::with_advice(g, 0, vec![BitString::new(); 5]);
+//! let instance = Instance::with_advice(g, 0, Advice::empty(5));
 //! let outcome = run(&instance, &FloodOnce, &SimConfig::default()).unwrap();
 //! assert!(outcome.all_informed());
 //! ```
@@ -62,7 +62,7 @@ pub use faults::{AdviceAdversary, FaultCounts, FaultPlan};
 pub use history::{History, HistoryProtocol};
 pub use instance::{run, run_streamed, Instance};
 pub use metrics::RunMetrics;
-pub use oracle::{advice_size, Oracle};
+pub use oracle::{advice_size, Advice, Oracle};
 pub use protocol::{ForwardOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
 pub use scheduler::SchedulerKind;
 pub use trace::{TraceEvent, TraceSink, TraceSpec, TraceStats};
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::faults::FaultPlan;
     pub use crate::instance::{run, run_streamed, Instance};
     pub use crate::metrics::RunMetrics;
-    pub use crate::oracle::{advice_size, Oracle};
+    pub use crate::oracle::{advice_size, Advice, Oracle};
     pub use crate::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
     pub use crate::scheduler::SchedulerKind;
     pub use crate::trace::{

@@ -4,14 +4,13 @@
 //! These helpers are deliberately tiny — the point is that every crate
 //! spells "the trivial oracle" the same way instead of redefining it.
 
-use oraclesize_bits::BitString;
-
+use crate::oracle::Advice;
 use crate::protocol::{NodeBehavior, NodeView, Protocol};
 
 /// Advice for the trivial (empty) oracle: `n` empty strings, total size 0
 /// bits. The advice every oracle-free baseline runs with.
-pub fn no_advice(n: usize) -> Vec<BitString> {
-    vec![BitString::new(); n]
+pub fn no_advice(n: usize) -> Advice {
+    Advice::empty(n)
 }
 
 /// A protocol behind a wrapper that forwards only

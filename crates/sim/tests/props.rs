@@ -6,10 +6,10 @@ use oraclesize_sim::engine::{run, run_with_sink, RunOutcome, SimConfig, SimError
 use oraclesize_sim::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
 use oraclesize_sim::testkit::PerMessage;
 use oraclesize_sim::trace::{InvariantSink, TraceSpec};
-use oraclesize_sim::{FaultPlan, SchedulerKind};
+use oraclesize_sim::{advice_size, Advice, FaultPlan, SchedulerKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_family() -> impl Strategy<Value = Family> {
     proptest::sample::select(Family::ALL.to_vec())
@@ -29,6 +29,27 @@ fn arb_scheduler() -> impl Strategy<Value = SchedulerKind> {
 fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
     (any::<u64>(), 0.0f64..0.9, 0.0f64..0.9, 0.0f64..0.9)
         .prop_map(|(seed, drop, dup, flip)| FaultPlan::message_faults(seed, drop, dup, flip))
+}
+
+/// Up to 63 advice strings, at least half of them empty: the shape of the
+/// paper's tree oracles, which advise only inner nodes. Empty strings
+/// come with and without spare capacity.
+fn arb_advice() -> impl Strategy<Value = Vec<BitString>> {
+    (0usize..64, any::<u64>()).prop_map(|(n, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nonempty = n / 2;
+        (0..n)
+            .map(|_| {
+                if nonempty > 0 && rng.gen_bool(0.5) {
+                    nonempty -= 1;
+                    let len = rng.gen_range(1..40);
+                    BitString::from_bits((0..len).map(|_| rng.gen_bool(0.5)))
+                } else {
+                    BitString::with_capacity(rng.gen_range(0..16))
+                }
+            })
+            .collect()
+    })
 }
 
 /// Runs `protocol` on the per-message path under an [`InvariantSink`],
@@ -201,7 +222,7 @@ proptest! {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let g = families::random_connected(n, 0.5, &mut rng);
-        let advice: Vec<BitString> = (0..n)
+        let advice: Advice = (0..n)
             .map(|v| {
                 let mut s = BitString::new();
                 s.push_uint(g.label(v), 16);
@@ -209,5 +230,27 @@ proptest! {
             })
             .collect();
         run(&g, 0, &advice, &Probe, &SimConfig::default()).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn advice_table_holds_exactly_its_strings(v in arb_advice()) {
+        let from = Advice::from(v.clone());
+        let collected: Advice = v.clone().into_iter().collect();
+        prop_assert_eq!(&from, &collected);
+        for advice in [&from, &collected] {
+            prop_assert_eq!(advice.len(), v.len());
+            prop_assert_eq!(advice.is_empty(), v.is_empty());
+            for (i, s) in v.iter().enumerate() {
+                prop_assert_eq!(&advice[i], s);
+            }
+            prop_assert!(advice.iter().eq(&v));
+            prop_assert_eq!(advice_size(advice), advice_size(&v));
+        }
+        let n = v.len();
+        prop_assert_eq!(Advice::empty(n), Advice::from(vec![BitString::new(); n]));
     }
 }

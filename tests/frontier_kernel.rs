@@ -55,7 +55,7 @@ const ADVICE: [AdviceKind; 7] = [
     AdviceKind::Empty,
 ];
 
-fn advice(kind: AdviceKind, g: &PortGraph, source: NodeId, rng: &mut StdRng) -> Vec<BitString> {
+fn advice(kind: AdviceKind, g: &PortGraph, source: NodeId, rng: &mut StdRng) -> Advice {
     let n = g.num_nodes();
     let tree = |algorithm, root, seed| SpanningTreeOracle { algorithm, seed }.advise(g, root);
     match kind {
@@ -135,7 +135,7 @@ proptest! {
             let source = rng.gen_range(0..nodes);
             let advice = advice(advice_kind, &g, source, &mut rng);
             let checksummed = RobustWakeupOracle::default().advise(&g, source);
-            let runs: [(&dyn Protocol, &[BitString]); 5] = [
+            let runs: [(&dyn Protocol, &Advice); 5] = [
                 (&FloodOnce, &advice),
                 (&TreeWakeup, &advice),
                 (&FallbackWakeup, &advice),

@@ -114,7 +114,7 @@ fn advice_free_comparators_cost_strictly_more_messages() {
     verify_bfs_tree(&g, 0, &collect_parent_ports(&dbfs.outcome.outputs).unwrap()).unwrap();
     assert!(dbfs.outcome.metrics.messages > 2 * n);
 
-    let empty = oraclesize::sim::testkit::no_advice(g.num_nodes());
+    let empty = vec![oraclesize::bits::BitString::new(); g.num_nodes()];
     let dfs = walk(
         &g,
         0,
