@@ -67,8 +67,6 @@ impl BitArena {
     /// Appends one string's bits, returning its index.
     pub fn push(&mut self, s: &BitString) -> usize {
         let idx = self.spans.len();
-        // lint:allow(A001): arena append is construction-time bulk growth; the
-        // delivery path only reaches here via conservative name-matching on `push`
         self.spans.push((self.bytes.len(), s.len()));
         self.bytes.extend_from_slice(s.as_packed_bytes());
         idx
@@ -109,8 +107,6 @@ impl BitArena {
     pub fn get(&self, i: usize) -> BitString {
         let (start, bits) = self.spans[i];
         let end = start + bits.div_ceil(8);
-        // lint:allow(A001): decoding copies out of the arena by design; delivery
-        // never calls this — reachability is conservative name-matching on `get`
         BitString::from_packed(self.bytes[start..end].to_vec(), bits)
     }
 }

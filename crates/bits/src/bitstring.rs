@@ -58,8 +58,6 @@ impl BitString {
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
         let mut s = BitString::new();
         for b in bits {
-            // lint:allow(A001): delivery reaches this only to rebuild a payload a
-            // bit-flip fault corrupted — a per-fault cost counted in payload_flips
             s.push(b);
         }
         s
@@ -105,8 +103,6 @@ impl BitString {
     pub fn push(&mut self, bit: bool) {
         let byte = self.len / 8;
         if byte == self.bytes.len() {
-            // lint:allow(A001): amortised byte growth while *staging* a payload;
-            // on the delivery path only faulted-copy rebuilds come through here
             self.bytes.push(0);
         }
         if bit {

@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn sarif_output_is_valid_json_with_rule_metadata() {
-        let v = vec![d("D001", "a.rs", 2), d("A001", "b.rs", 7)];
+        let v = vec![d("D001", "a.rs", 2), d("O001", "b.rs", 7)];
         let s = render_sarif(&v);
         assert!(oraclesize_runtime::json::parse(&s).is_some());
         assert_eq!(s, render_sarif(&v), "must be deterministic");

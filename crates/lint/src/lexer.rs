@@ -61,17 +61,6 @@ pub struct Allow {
     pub own_line: bool,
 }
 
-/// A `// lint:hot-path` marker: names the item it covers as a root of
-/// the allocation-freedom call-graph analysis (rule A001).
-#[derive(Debug, Clone)]
-pub struct HotPathMark {
-    /// Line the comment sits on.
-    pub line: u32,
-    /// `true` when no code token precedes the comment on its line — the
-    /// marker then covers the next line that has code.
-    pub own_line: bool,
-}
-
 /// A tokenized source file.
 #[derive(Debug, Default)]
 pub struct Lexed {
@@ -79,8 +68,6 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// All `lint:allow` directives found in line comments.
     pub allows: Vec<Allow>,
-    /// All `lint:hot-path` markers found in line comments.
-    pub hot_marks: Vec<HotPathMark>,
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -122,7 +109,6 @@ pub fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
     let mut toks: Vec<Tok> = Vec::new();
     let mut allows: Vec<Allow> = Vec::new();
-    let mut hot_marks: Vec<HotPathMark> = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
 
@@ -150,12 +136,6 @@ pub fn lex(src: &str) -> Lexed {
             let body: String = chars[start..i].iter().collect();
             if let Some(a) = parse_allow(&body, line, !line_has_code(&toks, line)) {
                 allows.push(a);
-            }
-            if body.contains("lint:hot-path") {
-                hot_marks.push(HotPathMark {
-                    line,
-                    own_line: !line_has_code(&toks, line),
-                });
             }
             continue;
         }
@@ -301,11 +281,7 @@ pub fn lex(src: &str) -> Lexed {
             i += 1;
         }
     }
-    Lexed {
-        toks,
-        allows,
-        hot_marks,
-    }
+    Lexed { toks, allows }
 }
 
 enum Prefixed {
@@ -486,15 +462,6 @@ mod tests {
     #[test]
     fn raw_identifier_keeps_prefix() {
         assert_eq!(idents("let r#match = 1;"), vec!["let", "r#match"]);
-    }
-
-    #[test]
-    fn hot_path_marks_record_line_and_placement() {
-        let src = "// lint:hot-path\nfn enqueue() {}\nfn other() {} // lint:hot-path";
-        let l = lex(src);
-        assert_eq!(l.hot_marks.len(), 2);
-        assert_eq!((l.hot_marks[0].line, l.hot_marks[0].own_line), (1, true));
-        assert_eq!((l.hot_marks[1].line, l.hot_marks[1].own_line), (3, false));
     }
 
     #[test]

@@ -6,38 +6,34 @@
 //! constructs that silently break that promise (hash-order iteration,
 //! wall-clock reads, stray threads, ambient entropy, partial-order float
 //! comparators) plus hygiene rules (panic paths in engine code, fragile
-//! `#[non_exhaustive]` matches) and the workspace-level A001 pass, which
-//! walks the call graph from `// lint:hot-path` roots and flags every
-//! allocating construct that is statically reachable from the delivery
-//! path. It lexes and item-parses the workspace's own sources with a
-//! small comment/string/char-aware tokenizer — no `syn`, no network, no
-//! dependencies beyond `oraclesize-runtime`'s JSON writer.
+//! `#[non_exhaustive]` matches, nested adjacency layouts). It lexes the
+//! workspace's own sources with a small comment/string/char-aware
+//! tokenizer — no `syn`, no network, no dependencies beyond
+//! `oraclesize-runtime`'s JSON writer.
+//!
+//! The delivery path's no-allocation contract is not a lint rule: the
+//! root package's `tests/engine_allocs.rs` checks it by counting
+//! allocations (DESIGN.md §12).
 //!
 //! Run it with `cargo run -p oraclesize-lint -- check`; suppress a
 //! finding in place with `// lint:allow(<rule>): reason`. The rule
-//! table lives in [`rules::RULES`] and DESIGN.md §8; the analyzer
-//! architecture (parser, call graph, resolution policy) in §12.
+//! table lives in [`rules::RULES`] and DESIGN.md §8.
 
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod callgraph;
 pub mod diag;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
-pub mod rules_alloc;
 pub mod rules_order;
 pub mod scope;
 pub mod source;
 pub mod walk;
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
 pub use baseline::Baseline;
-pub use callgraph::CallGraph;
 pub use diag::{render_json, render_sarif, render_text, Diagnostic};
 pub use rules::{RuleInfo, RULES};
 pub use source::SourceFile;
@@ -45,16 +41,6 @@ pub use source::SourceFile;
 /// `true` iff `rule` is a known rule ID.
 pub fn known_rule(rule: &str) -> bool {
     RULES.iter().any(|r| r.id == rule)
-}
-
-/// Builds the workspace call graph for a set of `(path, contents)`
-/// sources — the structure behind A001 and the `graph` subcommand.
-pub fn build_graph(sources: &[(String, String)]) -> CallGraph {
-    let files: Vec<SourceFile> = sources
-        .iter()
-        .map(|(path, src)| SourceFile::new(path, src))
-        .collect();
-    CallGraph::build(&files)
 }
 
 /// Lints a set of `(path, contents)` sources and returns the surviving
@@ -68,23 +54,9 @@ pub fn analyze_sources(sources: &[(String, String)], only: Option<&str>) -> Vec<
     let info = rules::WorkspaceInfo::collect(&files);
     let mut out = Vec::new();
     for f in &files {
-        out.extend(rules::check_file(f, &info, only));
+        let found = rules::check_file(f, &info, only);
+        out.extend(found.into_iter().filter(|d| !f.suppressed(d.rule, d.line)));
     }
-    // A001 is a workspace-level rule: it needs the whole call graph, so
-    // it runs once, not per file.
-    if only.is_none_or(|o| o == "A001") {
-        let graph = CallGraph::build(&files);
-        rules_alloc::a001(&graph, &mut out);
-    }
-    // Suppression runs after *all* rules so global rules honour
-    // `lint:allow(…)` directives too; a diagnostic's path keys back to
-    // its file.
-    let by_path: BTreeMap<&str, &SourceFile> = files.iter().map(|f| (f.path.as_str(), f)).collect();
-    out.retain(|d| {
-        by_path
-            .get(d.path.as_str())
-            .is_none_or(|f| !f.suppressed(d.rule, d.line))
-    });
     diag::sort(&mut out);
     out
 }

@@ -8,7 +8,6 @@
 //! oraclesize-lint check --baseline b.json   # fail only on NEW findings
 //! oraclesize-lint check --paths crates/sim  # restrict to a path prefix
 //! oraclesize-lint check --root /some/tree   # lint another checkout
-//! oraclesize-lint graph                     # dump the call graph (JSON)
 //! oraclesize-lint self-check                # lint the lint crate itself
 //! oraclesize-lint rules                     # list rules
 //! ```
@@ -19,15 +18,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use oraclesize_lint::{
-    analyze_sources, build_graph, known_rule, render_json, render_sarif, render_text, walk,
-    Baseline, RULES,
+    analyze_sources, known_rule, render_json, render_sarif, render_text, walk, Baseline, RULES,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: oraclesize-lint check [--rule <id>] [--format text|json|sarif]\n\
          \x20                           [--baseline <file>] [--paths <prefix>] [--root <path>]\n\
-         \x20      oraclesize-lint graph [--root <path>]\n\
          \x20      oraclesize-lint self-check [--root <path>]\n\
          \x20      oraclesize-lint rules"
     );
@@ -59,7 +56,6 @@ fn main() -> ExitCode {
         // `self-check`: the analyzer's own sources must satisfy its own
         // rules — `check` restricted to crates/lint.
         Some("self-check") => check(&args[1..], Some("crates/lint/")),
-        Some("graph") => graph(&args[1..]),
         _ => usage(),
     }
 }
@@ -72,26 +68,6 @@ fn read_sources(root: &Path) -> Result<Vec<(String, String)>, ExitCode> {
         );
         ExitCode::from(2)
     })
-}
-
-fn graph(args: &[String]) -> ExitCode {
-    let mut root = default_root();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let sources = match read_sources(&root) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    println!("{}", build_graph(&sources).to_json().render());
-    ExitCode::SUCCESS
 }
 
 fn check(args: &[String], path_filter: Option<&str>) -> ExitCode {
@@ -155,8 +131,8 @@ fn check(args: &[String], path_filter: Option<&str>) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
-    // Analysis always sees the whole workspace — the call graph and
-    // cross-file facts need it — and the prefix filters *findings*.
+    // Analysis always sees the whole workspace — H001's cross-file facts
+    // need it — and the prefix filters *findings*.
     let mut diags = analyze_sources(&sources, rule.as_deref());
     if let Some(p) = &prefix {
         diags.retain(|d| d.path.starts_with(p.as_str()));

@@ -54,12 +54,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "cross-file matches on #[non_exhaustive] enums carry a `_` arm",
     },
     RuleInfo {
-        id: "A001",
-        summary:
-            "no allocating constructs (clone/to_vec/push/collect/Box::new/vec!/String::from) in \
-             fns statically reachable from a `lint:hot-path` root",
-    },
-    RuleInfo {
         id: "O001",
         summary: "no partial_cmp comparators or float accumulation over hash collections in \
              deterministic crates (use total_cmp / BTree collections)",

@@ -15,11 +15,6 @@ pub struct SourceFile {
     pub in_test: Vec<bool>,
     /// `true` when the whole file is test/bench code by path.
     pub is_test_file: bool,
-    /// Lines covered by a `// lint:hot-path` marker (resolved like
-    /// allows: a trailing marker covers its own line, an own-line marker
-    /// the next line with code). A `fn` whose header sits on one of these
-    /// lines is a root of the A001 reachability analysis.
-    pub hot_lines: Vec<u32>,
     /// Each allow directive with the source line it covers.
     resolved_allows: Vec<(Allow, u32)>,
 }
@@ -52,37 +47,24 @@ impl SourceFile {
                 (a.clone(), covered)
             })
             .collect();
-        let hot_lines = lexed
-            .hot_marks
-            .iter()
-            .map(|m| {
-                if m.own_line {
-                    next_code_line(m.line)
-                } else {
-                    m.line
-                }
-            })
-            .collect();
         SourceFile {
             path: path.to_string(),
             is_test_file: is_test_path(path),
             lexed,
             in_test,
-            hot_lines,
             resolved_allows,
         }
     }
 
     /// `true` when a `lint:allow` directive suppresses `rule` at `line`.
-    /// A001/D003/D005/P001/P002 allows suppress only when they carry a
-    /// `: reason` — a hot-path allocation, an ad-hoc thread, a nested
-    /// layout, or a panic path kept on purpose must say why.
+    /// D003/D005/P001/P002 allows suppress only when they carry a
+    /// `: reason` — an ad-hoc thread, a nested layout, or a panic path
+    /// kept on purpose must say why.
     pub fn suppressed(&self, rule: &str, line: u32) -> bool {
         self.resolved_allows.iter().any(|(a, covered)| {
             *covered == line
                 && a.rules.iter().any(|r| r == rule)
-                && (!matches!(rule, "A001" | "D003" | "D005" | "P001" | "P002")
-                    || a.reason.is_some())
+                && (!matches!(rule, "D003" | "D005" | "P001" | "P002") || a.reason.is_some())
         })
     }
 }

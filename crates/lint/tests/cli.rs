@@ -60,6 +60,9 @@ fn unknown_rule_exits_two() {
     let dir = fixture_tree("usage", "pub fn f() {}\n");
     let (code, _) = run(&["check", "--rule", "Z999"], &dir);
     assert_eq!(code, Some(2));
+    // A retired rule is unknown too: IDs are never reused.
+    let (code, _) = run(&["check", "--rule", "A001"], &dir);
+    assert_eq!(code, Some(2));
 }
 
 #[test]
@@ -116,26 +119,6 @@ fn malformed_baseline_exits_two() {
     assert_eq!(code, Some(2));
     let (code, _) = run(&["check", "--baseline", "/nonexistent/b.json"], &dir);
     assert_eq!(code, Some(2));
-}
-
-#[test]
-fn graph_subcommand_dumps_deterministic_json() {
-    let dir = fixture_tree(
-        "graph",
-        "// lint:hot-path\npub fn entry() { helper(); }\nfn helper() {}\n",
-    );
-    let (code, first) = run(&["graph"], &dir);
-    assert_eq!(code, Some(0));
-    assert!(
-        first.contains("\"roots\": [\"sim::fixture::entry\"]"),
-        "stdout was: {first}"
-    );
-    assert!(first.contains("\"reachable\": true"), "stdout was: {first}");
-    let (_, second) = run(&["graph"], &dir);
-    assert_eq!(
-        first, second,
-        "graph dump must be byte-identical across runs"
-    );
 }
 
 #[test]

@@ -432,65 +432,6 @@ fn rule_filter_restricts_output() {
     assert_eq!(rules_of(&only_p001), vec!["P001"]);
 }
 
-// ---------------------------------------------------------------- A001
-
-#[test]
-fn a001_fires_on_allocation_reachable_from_hot_root() {
-    let src = "// lint:hot-path\n\
-               pub fn entry() { helper(); }\n\
-               fn helper(v: &[u32]) -> Vec<u32> { v.to_vec() }\n";
-    let diags = lint_one("crates/sim/src/fixture.rs", src);
-    assert_eq!(rules_of(&diags), vec!["A001"]);
-    assert_eq!(diags[0].line, 3);
-    assert!(diags[0].message.contains("sim::fixture::entry"));
-}
-
-#[test]
-fn a001_crosses_crates_through_method_calls() {
-    let sources = vec![
-        (
-            "crates/sim/src/engine.rs".to_string(),
-            "// lint:hot-path\npub fn entry(b: &B) { b.grow(); }\n".to_string(),
-        ),
-        (
-            "crates/bits/src/b.rs".to_string(),
-            "pub struct B { v: Vec<u32> }\nimpl B {\n    pub fn grow(&mut self) { self.v.push(1); }\n}\n"
-                .to_string(),
-        ),
-    ];
-    let diags = analyze_sources(&sources, Some("A001"));
-    assert_eq!(rules_of(&diags), vec!["A001"]);
-    assert_eq!(diags[0].path, "crates/bits/src/b.rs");
-    assert!(diags[0].message.contains("`push`"), "{}", diags[0].message);
-}
-
-#[test]
-fn a001_is_silent_without_hot_roots_or_reachability() {
-    // Allocation with no hot-path marker anywhere: silent.
-    let src = "pub fn cold(v: &[u32]) -> Vec<u32> { v.to_vec() }\n";
-    assert!(lint_one("crates/sim/src/fixture.rs", src).is_empty());
-    // A hot root that never reaches the allocating fn: silent.
-    let src = "// lint:hot-path\n\
-               pub fn entry() {}\n\
-               fn stray(v: &[u32]) -> Vec<u32> { v.to_vec() }\n";
-    assert!(lint_one("crates/sim/src/fixture.rs", src).is_empty());
-}
-
-#[test]
-fn a001_allow_requires_a_reason() {
-    let bare = "// lint:hot-path\n\
-                pub fn entry(v: &mut Vec<u32>) {\n\
-                \x20   v.push(1); // lint:allow(A001)\n\
-                }\n";
-    let diags = lint_one("crates/sim/src/fixture.rs", bare);
-    assert_eq!(rules_of(&diags), vec!["A001"], "bare allow must not count");
-    let reasoned = "// lint:hot-path\n\
-                    pub fn entry(v: &mut Vec<u32>) {\n\
-                    \x20   v.push(1); // lint:allow(A001): pre-reserved staging\n\
-                    }\n";
-    assert!(lint_one("crates/sim/src/fixture.rs", reasoned).is_empty());
-}
-
 // ---------------------------------------------------------------- O001
 
 #[test]

@@ -1,5 +1,11 @@
 //! The network state machine: send validation, accounting, fault
 //! injection, and the zero-clone, zero-allocation delivery hot path.
+//!
+//! No delivery allocates. The root package's `tests/engine_allocs.rs`
+//! checks that by counting the engine's allocations under a counting
+//! global allocator (DESIGN.md §12): a run may allocate a constant number
+//! of times, once per node with non-empty advice, once per duplicated copy
+//! of a non-empty payload and once per bit-flip fault, and nothing more.
 
 use std::collections::VecDeque;
 
@@ -10,6 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::engine::config::{SimConfig, TaskMode};
 use crate::engine::outcome::SimError;
+use crate::faults::AdviceAdversary;
 use crate::metrics::RunMetrics;
 use crate::oracle::Advice;
 use crate::protocol::{Message, Outgoing};
@@ -39,7 +46,8 @@ pub(crate) struct InFlight {
 /// on a fault-free run that can never happen (one send, one slot), so
 /// engine tests pin `queue_allocs == 0` the same way they pin
 /// `payload_copies == 0`. Only the extra deliveries a duplication fault
-/// manufactures can trip it.
+/// manufactures can trip it. `tests/engine_allocs.rs` counts the real
+/// allocations: an allocation per insert, take or reserve fails it.
 #[derive(Default)]
 pub(crate) struct MsgSlab {
     slots: Vec<Option<InFlight>>,
@@ -59,10 +67,7 @@ impl MsgSlab {
         self.free.reserve(need);
         for _ in 0..need {
             let idx = self.slots.len() as u32;
-            // lint:allow(A001): bulk amortised slot growth — one reserve per
-            // batch, deliberately uncounted (see the MsgSlab contract above)
             self.slots.push(None);
-            // lint:allow(A001): free-list half of the same bulk reserve
             self.free.push(idx);
         }
     }
@@ -79,8 +84,6 @@ impl MsgSlab {
             None => {
                 self.queue_allocs += 1;
                 let idx = self.slots.len() as u32;
-                // lint:allow(A001): forced growth past the reserve — duplication
-                // faults only, and every occurrence is counted in queue_allocs
                 self.slots.push(Some(m));
                 idx
             }
@@ -92,8 +95,8 @@ impl MsgSlab {
     pub fn take(&mut self, idx: u32) -> Option<InFlight> {
         let m = self.slots.get_mut(idx as usize)?.take();
         if m.is_some() {
-            // lint:allow(A001): recycles a slot index into capacity the matching
-            // reserve already created — never grows on a fault-free run
+            // The matching reserve already made room for this index, so on a
+            // fault-free run the free list never grows here.
             self.free.push(idx);
         }
         m
@@ -182,10 +185,16 @@ impl<'a> NetState<'a> {
     }
 
     /// Applies the advice-corruption adversary, returning the mutated
-    /// advice if the plan has an active fault RNG. Must be called before
-    /// any [`enqueue`](NetState::enqueue) so the RNG stream matches the
-    /// documented draw order (advice first, then in-flight faults).
+    /// advice if the plan has an active fault RNG and an adversary. Must be
+    /// called before any [`enqueue`](NetState::enqueue) so the RNG stream
+    /// matches the documented draw order (advice first, then in-flight
+    /// faults). [`AdviceAdversary::None`] draws nothing, so skipping it
+    /// (and the copy of every string) leaves that stream unchanged; an
+    /// inert adversary such as `FlipBits { prob: 0 }` still draws.
     pub fn corrupt_advice(&mut self, advice: &Advice) -> Option<Vec<BitString>> {
+        if self.config.faults.advice == AdviceAdversary::None {
+            return None;
+        }
         let rng = self.fault_rng.as_mut()?;
         let mut mutated: Vec<BitString> = advice.iter().cloned().collect();
         self.metrics.faults.advice_mutations = self.config.faults.advice.corrupt(&mut mutated, rng);
@@ -193,7 +202,6 @@ impl<'a> NetState<'a> {
     }
 
     /// Removes the in-flight message in slab slot `idx` for delivery.
-    // lint:hot-path
     pub fn take_in_flight(&mut self, idx: u32) -> Option<InFlight> {
         self.slab.take(idx)
     }
@@ -214,7 +222,8 @@ impl<'a> NetState<'a> {
     /// [`FaultCounts::queue_allocs`](crate::faults::FaultCounts::queue_allocs).
     /// Trace emission is likewise free when off: event construction sits
     /// behind the recorder's cached `on` flag and events are stack-only.
-    // lint:hot-path
+    /// `tests/engine_allocs.rs` fails if this function allocates per call,
+    /// per send or per copy of an empty payload.
     pub fn enqueue(
         &mut self,
         v: NodeId,
@@ -318,8 +327,6 @@ impl<'a> NetState<'a> {
                     bits,
                     carries_source: message.carries_source,
                 });
-                // lint:allow(A001): the one sanctioned copy — a duplication fault
-                // manufactures an extra delivery, counted in payload_copies
                 let delivered = self.maybe_flip(copy_id, message.clone());
                 let slot = self.slab.insert(InFlight {
                     msg: copy_id,
@@ -346,7 +353,9 @@ impl<'a> NetState<'a> {
     }
 
     /// Applies the bit-flip fault to one delivered copy: with the plan's
-    /// probability, one uniformly chosen payload bit is inverted.
+    /// probability, one uniformly chosen payload bit is inverted. The
+    /// payload is rebuilt, an allocation per flip counted in
+    /// [`FaultCounts::payload_flips`](crate::faults::FaultCounts::payload_flips).
     fn maybe_flip(&mut self, msg: MsgId, mut message: Message) -> Message {
         if let Some(rng) = self.fault_rng.as_mut() {
             if !message.payload.is_empty()
