@@ -3,9 +3,8 @@
 //! An experiment here is a *grid of cells* described by a [`SweepSpec`]:
 //! each cell names one `(instance, scheme, config)` combination,
 //! [`CellGrid::from_spec`] materializes them, and [`CellGrid::dispatch`]
-//! hands the whole grid to
-//! [`run_supervised_batch`](oraclesize_runtime::run_supervised_batch)
-//! with the options [`SweepOptions::from_spec`] lowers from the spec. The
+//! hands the whole grid to [`run_supervised_batch`] with the options
+//! [`SweepOptions::from_spec`] lowers from the spec. The
 //! pool executes cells on `--threads` workers while the grid keeps cell
 //! order — reports, tables, and the emitted `BENCH_T*.json` artifacts are
 //! byte-identical at any thread count (the runtime's determinism

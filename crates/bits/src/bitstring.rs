@@ -148,6 +148,23 @@ impl BitString {
         Some((self.bytes[index / 8] >> (index % 8)) & 1 == 1)
     }
 
+    /// Inverts bit `index` in place.
+    ///
+    /// ```
+    /// use oraclesize_bits::BitString;
+    /// let mut s = BitString::parse("101").unwrap();
+    /// s.toggle(1);
+    /// assert_eq!(s.to_string(), "111");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn toggle(&mut self, index: usize) {
+        assert!(index < self.len, "bit {index} out of range {}", self.len);
+        self.bytes[index / 8] ^= 1 << (index % 8);
+    }
+
     /// Appends all bits of `other`.
     ///
     /// ```
@@ -312,6 +329,25 @@ mod tests {
             assert_eq!(s.get(i), Some(i % 3 == 0), "bit {i}");
         }
         assert_eq!(s.get(20), None);
+    }
+
+    #[test]
+    fn toggle_matches_a_rebuilt_string() {
+        let bits: Vec<bool> = (0..19).map(|i| i % 3 == 0).collect();
+        for idx in 0..bits.len() {
+            let mut s = BitString::from_bits(bits.iter().copied());
+            s.toggle(idx);
+            let rebuilt = bits.iter().enumerate().map(|(i, &b)| b ^ (i == idx));
+            assert_eq!(s, BitString::from_bits(rebuilt), "bit {idx}");
+            s.toggle(idx);
+            assert_eq!(s, BitString::from_bits(bits.iter().copied()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn toggle_past_the_end_panics() {
+        BitString::parse("10").unwrap().toggle(2);
     }
 
     #[test]

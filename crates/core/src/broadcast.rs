@@ -223,9 +223,25 @@ mod tests {
     use crate::runner::execute;
     use oraclesize_bits::BitString;
     use oraclesize_graph::families::{self, Family};
-    use oraclesize_sim::{SchedulerKind, SimConfig, TraceSpec};
+    use oraclesize_sim::trace::{Delivery, VecSink};
+    use oraclesize_sim::{SchedulerKind, SimConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Scheme B's deliveries on `g` from source 0 with light-tree advice,
+    /// in execution order.
+    fn scheme_b_deliveries(g: &PortGraph) -> Vec<Delivery> {
+        let advice = LightTreeOracle.advise(g, 0);
+        let mut sink = VecSink::new();
+        let cfg = SimConfig::broadcast();
+        oraclesize_sim::engine::run_with_sink(g, 0, &advice, &SchemeB, &cfg, &mut sink).unwrap();
+        let events = sink.into_events();
+        events
+            .iter()
+            .filter_map(|e| e.as_delivery())
+            .copied()
+            .collect()
+    }
 
     #[test]
     fn broadcast_completes_on_all_families() {
@@ -316,13 +332,8 @@ mod tests {
     #[test]
     fn hello_counts_bounded_by_tree_edges() {
         let g = families::complete_rotational(20);
-        let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-        let run = execute(&g, 0, &LightTreeOracle, &SchemeB, &cfg).unwrap();
-        let hellos = run
-            .outcome
-            .deliveries()
-            .filter(|d| !d.carries_source)
-            .count();
+        let deliveries = scheme_b_deliveries(&g);
+        let hellos = deliveries.iter().filter(|d| !d.carries_source).count();
         assert!(hellos <= 19, "{hellos} pure hellos > n-1");
     }
 
@@ -398,10 +409,8 @@ mod tests {
     #[test]
     fn m_never_crosses_an_edge_twice_in_same_direction() {
         let g = families::complete_rotational(16);
-        let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-        let run = execute(&g, 0, &LightTreeOracle, &SchemeB, &cfg).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for d in run.outcome.deliveries().filter(|d| d.carries_source) {
+        for d in scheme_b_deliveries(&g).iter().filter(|d| d.carries_source) {
             assert!(
                 seen.insert((d.from, d.to)),
                 "M crossed {}->{} twice",

@@ -1,7 +1,7 @@
 //! Self-healing variants of the paper's schemes: graceful degradation
 //! under advice corruption and message loss.
 //!
-//! The upper-bound schemes are brittle by design — [`TreeWakeup`] trusts
+//! The upper-bound schemes are brittle by design — [`TreeWakeup`](crate::wakeup::TreeWakeup) trusts
 //! its advice blindly, so a single corrupted string strands the whole
 //! subtree behind it, and no scheme re-sends a lost message. This module
 //! adds the two robust counterparts the robustness experiments measure:

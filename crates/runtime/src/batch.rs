@@ -2,9 +2,8 @@
 
 use std::sync::Arc;
 
-use oraclesize_sim::engine::{run_with_sink, Completion, RunOutcome, SimConfig, SimError};
+use oraclesize_sim::engine::{self, Completion, RunOutcome, SimConfig};
 use oraclesize_sim::protocol::Protocol;
-use oraclesize_sim::trace::{NullSink, RingSink, TraceEvent, TraceSpec, TraceStats, VecSink};
 use oraclesize_sim::{Instance, RunMetrics};
 
 use crate::json::Json;
@@ -69,12 +68,6 @@ pub struct CellOutcome {
     pub uninformed: usize,
     /// Nodes that crash-stopped during the run.
     pub crashed_nodes: usize,
-    /// Captured events when the request's config asked for
-    /// [`TraceSpec::Full`]; empty otherwise (ring tails go to the report's
-    /// post-mortem instead).
-    pub trace: Vec<TraceEvent>,
-    /// Constant-size trace tallies (zeroed when tracing was off).
-    pub trace_stats: TraceStats,
 }
 
 /// The result of one cell: its index plus either an outcome or the
@@ -83,13 +76,9 @@ pub struct CellOutcome {
 pub struct RunReport {
     /// The sweep-wide cell index this report answers.
     pub cell: usize,
-    /// Outcome, or the rendered [`SimError`] if the run aborted.
+    /// Outcome, or the rendered
+    /// [`SimError`](oraclesize_sim::SimError) if the run aborted.
     pub result: Result<CellOutcome, String>,
-    /// The last events before things went wrong: when the request asked
-    /// for [`TraceSpec::Ring`] tracing and the cell degraded or aborted,
-    /// this holds the ring's tail (oldest first). Empty for completed
-    /// cells and untraced requests.
-    pub post_mortem: Vec<TraceEvent>,
 }
 
 impl RunReport {
@@ -207,77 +196,27 @@ fn cell_outcome(inst: &Instance, outcome: RunOutcome) -> CellOutcome {
         completed,
         uninformed,
         metrics: outcome.metrics,
-        trace: outcome.trace,
-        trace_stats: outcome.trace_stats,
     }
 }
 
-/// Executes a single request on the calling thread.
-///
-/// Traces are materialized with [`oraclesize_sim::engine::run`] semantics:
-/// both [`TraceSpec::Full`] captures and [`TraceSpec::Ring`] tails land in
-/// the outcome's `trace`. (Ring post-mortems for *aborted* cells are only
-/// available through [`run_cell_report`], which keeps the sink across the
-/// failure.)
-///
-/// # Errors
-///
-/// Propagates the engine's [`SimError`] on abort.
-pub fn run_cell(request: &RunRequest) -> Result<CellOutcome, SimError> {
+/// Executes a single request on the calling thread, untraced. (To trace
+/// a cell, run its instance through
+/// [`run_streamed`](oraclesize_sim::run_streamed) with a sink of your
+/// choosing.)
+pub fn run_cell_report(cell: usize, request: &RunRequest) -> RunReport {
     let inst = &request.instance;
-    let outcome = oraclesize_sim::engine::run(
+    let result = engine::run(
         &inst.graph,
         inst.source,
         &inst.advice,
         request.protocol.as_ref(),
         &request.config,
-    )?;
-    Ok(cell_outcome(inst, outcome))
-}
-
-/// Executes a single request, capturing traces per the request's
-/// `config.trace`: [`TraceSpec::Full`] events land in the outcome's
-/// `trace`, a [`TraceSpec::Ring`] tail lands in `post_mortem` when (and
-/// only when) the cell degrades or aborts.
-pub fn run_cell_report(cell: usize, request: &RunRequest) -> RunReport {
-    let inst = &request.instance;
-    let run = |sink: &mut dyn oraclesize_sim::TraceSink| {
-        run_with_sink(
-            &inst.graph,
-            inst.source,
-            &inst.advice,
-            request.protocol.as_ref(),
-            &request.config,
-            sink,
-        )
-    };
-    let (result, post_mortem) = match request.config.trace {
-        TraceSpec::Off => (run(&mut NullSink), Vec::new()),
-        TraceSpec::Full => {
-            let mut sink = VecSink::new();
-            let result = run(&mut sink).map(|mut outcome| {
-                outcome.trace = sink.into_events();
-                outcome
-            });
-            (result, Vec::new())
-        }
-        TraceSpec::Ring { capacity } => {
-            let mut sink = RingSink::new(capacity);
-            let result = run(&mut sink);
-            let went_wrong = match &result {
-                Ok(outcome) => outcome.classify() != Completion::Completed,
-                Err(_) => true,
-            };
-            let tail = if went_wrong { sink.tail() } else { Vec::new() };
-            (result, tail)
-        }
-    };
+    );
     RunReport {
         cell,
         result: result
             .map(|outcome| cell_outcome(inst, outcome))
             .map_err(|e| e.to_string()),
-        post_mortem,
     }
 }
 
@@ -289,7 +228,7 @@ mod tests {
     use oraclesize_core::oracle::EmptyOracle;
     use oraclesize_graph::families;
     use oraclesize_sim::protocol::FloodOnce;
-    use oraclesize_sim::{FaultPlan, SimConfig};
+    use oraclesize_sim::SimConfig;
 
     /// A plain serial-or-pooled sweep: supervised with no retries and no
     /// journal.
@@ -362,57 +301,6 @@ mod tests {
         assert!(err.contains("before being woken up"), "{err}");
     }
 
-    #[test]
-    fn full_trace_requests_fill_cell_outcomes() {
-        let inst = Instance::build(Arc::new(families::cycle(5)), 0, &EmptyOracle);
-        let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-        let reports = sweep(
-            &Pool::new(2),
-            &[RunRequest::new(inst, Arc::new(FloodOnce), cfg)],
-        );
-        let out = reports[0].outcome().unwrap();
-        assert!(!out.trace.is_empty());
-        assert_eq!(TraceStats::tally(&out.trace), out.trace_stats);
-        assert_eq!(out.trace_stats.delivered, out.metrics.steps);
-        assert!(reports[0].post_mortem.is_empty(), "completed: no tail");
-    }
-
-    #[test]
-    fn ring_post_mortem_captured_only_when_cells_go_wrong() {
-        // Total message loss: the run completes degraded, so the ring tail
-        // must surface as the report's post-mortem.
-        let g = Arc::new(families::path(4));
-        let inst = Instance::build(Arc::clone(&g), 0, &EmptyOracle);
-        let doomed = SimConfig::broadcast()
-            .with_faults(FaultPlan::message_faults(3, 1.0, 0.0, 0.0))
-            .capture_trace(TraceSpec::Ring { capacity: 8 });
-        let clean = SimConfig::broadcast().capture_trace(TraceSpec::Ring { capacity: 8 });
-        let reports = sweep(
-            &Pool::new(1),
-            &[
-                RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), doomed),
-                RunRequest::new(inst, Arc::new(FloodOnce), clean),
-            ],
-        );
-        assert!(!reports[0].outcome().unwrap().completed);
-        assert!(!reports[0].post_mortem.is_empty());
-        assert!(reports[0].outcome().unwrap().trace.is_empty());
-        assert!(reports[1].outcome().unwrap().completed);
-        assert!(reports[1].post_mortem.is_empty());
-    }
-
-    #[test]
-    fn aborted_ring_cells_keep_their_tail() {
-        let inst = Instance::build(Arc::new(families::path(3)), 0, &EmptyOracle);
-        let cfg = SimConfig::broadcast()
-            .with_max_steps(1)
-            .capture_trace(TraceSpec::Ring { capacity: 4 });
-        let report = run_cell_report(0, &RunRequest::new(inst, Arc::new(FloodOnce), cfg));
-        assert!(report.result.is_err());
-        assert!(!report.post_mortem.is_empty());
-        assert!(report.post_mortem.len() <= 4);
-    }
-
     fn report(cell: usize, messages: u64, completed: bool) -> RunReport {
         RunReport {
             cell,
@@ -426,10 +314,7 @@ mod tests {
                 completed,
                 uninformed: usize::from(!completed),
                 crashed_nodes: 0,
-                trace: Vec::new(),
-                trace_stats: Default::default(),
             }),
-            post_mortem: Vec::new(),
         }
     }
 
@@ -453,7 +338,6 @@ mod tests {
             RunReport {
                 cell: 1,
                 result: Err("boom".into()),
-                post_mortem: Vec::new(),
             },
         ]);
         assert_eq!(agg.cells, 2);

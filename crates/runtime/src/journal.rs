@@ -28,10 +28,8 @@
 //!
 //! [`record_json`] / [`record_from_json`] are the one codec for a cell
 //! result: the sweep service ships the same records in its result frames.
-//!
-//! Only *untraced* reports are journaled: a record stores metrics and
-//! fault counts, not event streams, so any cell that captured a trace (or
-//! a ring post-mortem) is re-run on resume rather than replayed lossily.
+//! A record holds the whole [`RunReport`]: sweep cells are never traced,
+//! so there is no event stream to lose.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -76,7 +74,7 @@ pub struct JournalRecord {
     /// The seed the cell ran under; a resume with a different seed
     /// discards the record instead of replaying a stale result.
     pub seed: u64,
-    /// The reconstructed report (untraced by construction).
+    /// The reconstructed report.
     pub report: RunReport,
 }
 
@@ -88,17 +86,6 @@ pub struct LoadedJournal {
     pub records: Vec<JournalRecord>,
     /// One line per anomaly (torn tail, digest mismatch, shape mismatch).
     pub warnings: Vec<String>,
-}
-
-/// `true` iff `report` can round-trip through a journal record: no
-/// captured trace, no ring post-mortem, default trace tallies. Everything
-/// else re-runs on resume.
-pub fn journalable(report: &RunReport) -> bool {
-    report.post_mortem.is_empty()
-        && match &report.result {
-            Ok(outcome) => outcome.trace.is_empty() && outcome.trace_stats == Default::default(),
-            Err(_) => true,
-        }
 }
 
 fn metrics_json(m: &RunMetrics) -> Json {
@@ -143,8 +130,7 @@ fn metrics_from_json(f: Fields) -> Result<RunMetrics, String> {
 }
 
 /// A report as a record body: `{"ok": {…}}` for completed runs,
-/// `{"err": "…"}` for failures. Traces are never encoded — see
-/// [`journalable`].
+/// `{"err": "…"}` for failures.
 fn report_json(report: &RunReport) -> Json {
     match &report.result {
         Ok(o) => Json::obj().field(
@@ -168,16 +154,10 @@ fn report_from_json(cell: usize, f: Fields) -> Result<RunReport, String> {
             uninformed: o.usize("uninformed")?,
             crashed_nodes: o.usize("crashed_nodes")?,
             metrics: metrics_from_json(o.object("metrics")?)?,
-            trace: Vec::new(),
-            trace_stats: Default::default(),
         })?),
         None => Err(f.str("err")?),
     };
-    f.end(RunReport {
-        cell,
-        result,
-        post_mortem: Vec::new(),
-    })
+    f.end(RunReport { cell, result })
 }
 
 /// One completed-cell record: `{"cell", "seed", "digest", "report"}`,
@@ -321,17 +301,11 @@ impl Journal {
 
     /// Appends one completed-cell record and flushes it to disk.
     ///
-    /// Traced reports (see [`journalable`]) are skipped silently — the
-    /// cell will re-run on resume, which is the lossless option.
-    ///
     /// # Errors
     ///
     /// Propagates filesystem errors; the caller decides whether a failed
     /// checkpoint degrades the sweep or merely warns.
     pub fn append(&mut self, cell: usize, seed: u64, report: &RunReport) -> std::io::Result<()> {
-        if !journalable(report) {
-            return Ok(());
-        }
         let line = record_json(cell, seed, report).render();
         let framed = format!("{}\n{line}\n", line.len());
         self.file.write_all(framed.as_bytes())?;
@@ -502,10 +476,7 @@ mod tests {
                 completed: true,
                 uninformed: 0,
                 crashed_nodes: 0,
-                trace: Vec::new(),
-                trace_stats: Default::default(),
             }),
-            post_mortem: Vec::new(),
         }
     }
 
@@ -513,7 +484,6 @@ mod tests {
         RunReport {
             cell,
             result: Err("step limit 5 exhausted".to_string()),
-            post_mortem: Vec::new(),
         }
     }
 
@@ -660,19 +630,6 @@ mod tests {
         let again = load(&path, 4).unwrap();
         assert!(again.warnings.is_empty(), "{:?}", again.warnings);
         assert_eq!(again.records.len(), 2);
-    }
-
-    #[test]
-    fn traced_reports_are_not_journaled() {
-        let mut traced = sample_report(0);
-        if let Ok(o) = &mut traced.result {
-            o.trace_stats.events = 5;
-        }
-        assert!(!journalable(&traced));
-        let path = temp_path("traced");
-        let mut j = Journal::create(&path, 2).unwrap();
-        j.append(0, 1, &traced).unwrap();
-        assert!(load(&path, 2).unwrap().records.is_empty());
     }
 
     #[test]

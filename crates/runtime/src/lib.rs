@@ -33,9 +33,8 @@
 //!   resumable: completed cells are recorded as they finish and skipped
 //!   after a crash,
 //! * [`supervise`] — the one batch executor, [`run_supervised_batch`]:
-//!   panic isolation, bounded retries with simulated backoff, a per-cell
-//!   watchdog, journal-backed resume, and shard ranges for service
-//!   workers,
+//!   panic isolation, bounded retries, a per-cell watchdog,
+//!   journal-backed resume, and shard ranges for service workers,
 //! * [`chaos`] — deterministic failure injection (worker panics, stalls,
 //!   torn journal writes) for tests only.
 //!

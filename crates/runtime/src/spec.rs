@@ -20,7 +20,6 @@ use oraclesize_sim::{AdviceAdversary, FaultPlan, SchedulerKind, SimConfig};
 
 use crate::batch::{Aggregate, RunReport};
 use crate::json::{Fields, Json};
-use crate::trace::stats_json;
 
 /// Converts a probability in `[0, 1]` to parts-per-million.
 pub fn to_ppm(prob: f64) -> u64 {
@@ -561,31 +560,21 @@ pub fn grid_json(labels: &[String], reports: &[RunReport]) -> Json {
         .map(|(i, (label, report))| {
             let base = Json::obj().field("cell", i).field("label", label.as_str());
             match &report.result {
-                Ok(out) => {
-                    let record = base
-                        .field("completed", out.completed)
-                        .field("uninformed", out.uninformed)
-                        .field("crashed_nodes", out.crashed_nodes)
-                        .field("oracle_bits", out.oracle_bits)
-                        .field("messages", out.metrics.messages)
-                        .field("payload_bits", out.metrics.payload_bits)
-                        .field("max_message_bits", out.metrics.max_message_bits)
-                        .field("rounds", out.metrics.rounds)
-                        .field("steps", out.metrics.steps)
-                        .field("informed_nodes", out.metrics.informed_nodes)
-                        .field("dropped", out.metrics.faults.dropped)
-                        .field("duplicated", out.metrics.faults.duplicated)
-                        .field("payload_flips", out.metrics.faults.payload_flips)
-                        .field("advice_mutations", out.metrics.faults.advice_mutations);
-                    // Untraced cells (the committed BENCH_T*.json
-                    // artifacts) carry zeroed stats and keep their exact
-                    // historical bytes.
-                    if out.trace_stats == oraclesize_sim::TraceStats::default() {
-                        record
-                    } else {
-                        record.field("trace", stats_json(&out.trace_stats))
-                    }
-                }
+                Ok(out) => base
+                    .field("completed", out.completed)
+                    .field("uninformed", out.uninformed)
+                    .field("crashed_nodes", out.crashed_nodes)
+                    .field("oracle_bits", out.oracle_bits)
+                    .field("messages", out.metrics.messages)
+                    .field("payload_bits", out.metrics.payload_bits)
+                    .field("max_message_bits", out.metrics.max_message_bits)
+                    .field("rounds", out.metrics.rounds)
+                    .field("steps", out.metrics.steps)
+                    .field("informed_nodes", out.metrics.informed_nodes)
+                    .field("dropped", out.metrics.faults.dropped)
+                    .field("duplicated", out.metrics.faults.duplicated)
+                    .field("payload_flips", out.metrics.faults.payload_flips)
+                    .field("advice_mutations", out.metrics.faults.advice_mutations),
                 Err(e) => base.field("error", e.as_str()),
             }
         })
@@ -803,34 +792,5 @@ mod tests {
             j.render(),
             "{\"experiment\": \"t10\", \"seed\": 2006, \"body\": {\"cells\": []}}"
         );
-    }
-
-    #[test]
-    fn grid_json_gives_only_traced_cells_a_trace_record() {
-        use crate::batch::{run_cell_report, RunRequest};
-        use oraclesize_core::oracle::EmptyOracle;
-        use oraclesize_graph::families;
-        use oraclesize_sim::protocol::FloodOnce;
-        use oraclesize_sim::{Instance, SimConfig, TraceSpec};
-        use std::sync::Arc;
-
-        let inst = Instance::build(Arc::new(families::cycle(6)), 0, &EmptyOracle);
-        let configs = [
-            SimConfig::default(),
-            SimConfig::broadcast().capture_trace(TraceSpec::Full),
-        ];
-        let reports: Vec<RunReport> = configs
-            .into_iter()
-            .enumerate()
-            .map(|(cell, config)| {
-                let request = RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), config);
-                run_cell_report(cell, &request)
-            })
-            .collect();
-        let labels = ["plain".to_string(), "traced".to_string()];
-        let json = grid_json(&labels, &reports).render();
-        // Exactly one cell carries the trace sub-object.
-        assert_eq!(json.matches("\"trace\": {").count(), 1, "{json}");
-        assert!(json.contains("\"delivered\": "), "{json}");
     }
 }

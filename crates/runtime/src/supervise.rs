@@ -10,9 +10,8 @@
 //!   panic becomes an `Err("panic: …")` report for that attempt instead
 //!   of unwinding through the pool,
 //! * **bounded retries** — a failed attempt (panic or engine abort) is
-//!   re-run up to [`SuperviseConfig::max_retries`] times with
-//!   deterministic exponential backoff accounted in *simulated* ticks —
-//!   never the wall clock, so supervised runs stay replayable,
+//!   re-run up to [`SuperviseConfig::max_retries`] times, at once: no
+//!   clock is read, so supervised runs stay replayable,
 //! * **watchdog** — [`SuperviseConfig::cell_timeout`] caps each attempt's
 //!   step budget; a cell that exceeds it aborts with the engine's
 //!   `StepLimit` error instead of hanging the sweep,
@@ -71,8 +70,8 @@ pub enum CellStatus {
     Aborted,
 }
 
-/// Retry, backoff, and watchdog policy for supervised execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Retry and watchdog policy for supervised execution.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// Failed attempts re-run at most this many times (0 = fail fast).
     pub max_retries: u32,
@@ -81,22 +80,6 @@ pub struct SuperviseConfig {
     /// instead of hanging the sweep. `None` leaves the request's own
     /// budget in force.
     pub cell_timeout: Option<u64>,
-    /// Backoff unit: retry `k` charges `backoff_base << (k−1)` simulated
-    /// ticks, accounted in [`SupervisedReport::backoff_ticks`]. No wall
-    /// clock is read — an in-process retry needs no real delay, and the
-    /// networked runtime this layer anticipates will convert ticks to
-    /// sleeps at its edge.
-    pub backoff_base: u64,
-}
-
-impl Default for SuperviseConfig {
-    fn default() -> Self {
-        SuperviseConfig {
-            max_retries: 0,
-            cell_timeout: None,
-            backoff_base: 16,
-        }
-    }
 }
 
 /// A cell report plus its supervision verdict.
@@ -109,8 +92,6 @@ pub struct SupervisedReport {
     pub status: CellStatus,
     /// Attempts actually executed (0 for `Resumed` cells).
     pub attempts: u32,
-    /// Total simulated backoff charged across retries.
-    pub backoff_ticks: u64,
 }
 
 /// Everything a supervised sweep needs beyond the requests themselves.
@@ -151,7 +132,6 @@ impl SweepOptions {
             supervise: SuperviseConfig {
                 max_retries: spec.knobs.max_retries,
                 cell_timeout: spec.knobs.cell_timeout,
-                ..SuperviseConfig::default()
             },
             seeds: Some(spec.cells.iter().map(|c| c.seed).collect()),
             ..SweepOptions::default()
@@ -284,7 +264,6 @@ fn attempt_cell(
                     "watchdog: cell stalled past {} simulated steps",
                     sup.cell_timeout.unwrap_or(0)
                 )),
-                post_mortem: Vec::new(),
             };
         }
         Injection::Panic | Injection::None => {}
@@ -310,21 +289,18 @@ fn attempt_cell(
         Err(payload) => RunReport {
             cell,
             result: Err(format!("panic: {}", panic_text(payload.as_ref()))),
-            post_mortem: Vec::new(),
         },
     }
 }
 
 /// Executes one cell under the full supervision policy: watchdog-capped
-/// attempts, panic isolation, bounded retries with deterministic
-/// simulated backoff.
+/// attempts, panic isolation and bounded retries.
 pub fn run_cell_supervised(
     cell: usize,
     request: &RunRequest,
     sup: &SuperviseConfig,
     chaos: &ChaosPlan,
 ) -> SupervisedReport {
-    let mut backoff_ticks = 0u64;
     let mut attempt = 0u32;
     loop {
         let report = attempt_cell(cell, request, sup, chaos, attempt);
@@ -341,7 +317,6 @@ pub fn run_cell_supervised(
                 report,
                 status,
                 attempts: attempt,
-                backoff_ticks,
             };
         }
         if attempt > sup.max_retries {
@@ -349,11 +324,8 @@ pub fn run_cell_supervised(
                 report,
                 status: CellStatus::Aborted,
                 attempts: attempt,
-                backoff_ticks,
             };
         }
-        let shift = (attempt - 1).min(32);
-        backoff_ticks = backoff_ticks.saturating_add(sup.backoff_base.saturating_mul(1 << shift));
     }
 }
 
@@ -370,7 +342,7 @@ pub struct OrderedCommitter {
     journal: Option<Journal>,
     /// Cells that settled ahead of the commit cursor; `Some` holds a
     /// record still owed to the journal, `None` means the cell produced
-    /// no append (resumed, aborted, or not journalable).
+    /// no append (resumed or aborted).
     pending: BTreeMap<usize, Option<(u64, RunReport)>>,
     /// The next cell index the journal is waiting on.
     next: usize,
@@ -378,33 +350,16 @@ pub struct OrderedCommitter {
 }
 
 impl OrderedCommitter {
-    /// A committer whose cursor starts at cell 0.
-    pub fn new(journal: Option<Journal>) -> Self {
-        OrderedCommitter::with_base(journal, 0)
-    }
-
     /// A committer whose cursor starts at `base` — the first cell of a
     /// shard, or 0 for a whole sweep. Every cell from `base` upward must
     /// eventually settle for the cursor to advance past it.
-    pub fn with_base(journal: Option<Journal>, base: usize) -> Self {
+    pub fn new(journal: Option<Journal>, base: usize) -> Self {
         OrderedCommitter {
             journal,
             pending: BTreeMap::new(),
             next: base,
             warnings: Vec::new(),
         }
-    }
-
-    /// The first cell index that has not yet flushed — settled cells
-    /// below it are durably committed (or recorded as no-ops).
-    pub fn flushed_up_to(&self) -> usize {
-        self.next
-    }
-
-    /// Consumes the committer, returning the journal (if any) and the
-    /// checkpoint warnings accumulated along the way.
-    pub fn into_parts(self) -> (Option<Journal>, Vec<String>) {
-        (self.journal, self.warnings)
     }
 
     /// Marks `cell` settled (with its checkpoint record, if it earned
@@ -501,7 +456,7 @@ pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOp
             )),
         }
     }
-    let committer = Mutex::new(OrderedCommitter::with_base(journal, base));
+    let committer = Mutex::new(OrderedCommitter::new(journal, base));
     // Dispatch through the pool. Supervision wraps each *sub-task*
     // (cell) individually — the `catch_unwind`, retry loop, and watchdog
     // clamp all live inside this closure — so a panic or timeout in one
@@ -524,7 +479,6 @@ pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOp
                     report: report.clone(),
                     status: CellStatus::Resumed,
                     attempts: 0,
-                    backoff_ticks: 0,
                 };
             }
             if opts.chaos.dies_before(cell) {
@@ -533,11 +487,9 @@ pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOp
                     report: RunReport {
                         cell,
                         result: Err("sweep interrupted before cell ran".to_string()),
-                        post_mortem: Vec::new(),
                     },
                     status: CellStatus::Aborted,
                     attempts: 0,
-                    backoff_ticks: 0,
                 };
             }
             let sup = run_cell_supervised(cell, &requests[cell], &opts.supervise, &opts.chaos);
@@ -596,10 +548,6 @@ mod tests {
         let opts = SweepOptions::from_spec(&spec);
         assert_eq!(opts.supervise.max_retries, 2);
         assert_eq!(opts.supervise.cell_timeout, Some(100_000));
-        assert_eq!(
-            opts.supervise.backoff_base,
-            SuperviseConfig::default().backoff_base
-        );
         assert_eq!(opts.seeds, Some(vec![7, 3, 11]));
         // Execution-only choices stay at their defaults.
         assert_eq!(opts.journal, None);

@@ -2,15 +2,16 @@
 //!
 //! The engine's [`TraceEvent`] stream is plain data; this module gives it
 //! a canonical on-disk form: one [`Json`] object per event, one event per
-//! line, fields in a fixed insertion order per event kind. Because message
-//! ids are assigned in enqueue order (not completion order), the rendered
-//! stream for a given cell is **byte-identical at any thread count** —
-//! `trace-diff` and the CI smoke job rely on that.
+//! line, fields in a fixed insertion order per event kind, written by a
+//! [`JsonlSink`] as the engine emits. Because message ids are assigned in
+//! enqueue order (not completion order), the rendered stream for a given
+//! cell is **byte-identical on every run** — `oraclesize trace`, its
+//! pinned bytes and `trace-diff` rely on that.
 //!
 //! Every line carries its grid `cell` and a per-cell `seq` counter, so
 //! lines from many cells can be concatenated and still attributed.
 
-use oraclesize_sim::trace::{DropFault, Phase, TraceEvent, TraceStats};
+use oraclesize_sim::trace::{DropFault, Phase, TraceEvent};
 use oraclesize_sim::TraceSink;
 
 use crate::json::Json;
@@ -82,29 +83,6 @@ pub fn event_json(cell: u64, seq: u64, event: &TraceEvent) -> Json {
             .field("messages", r.messages)
             .field("frontier", r.frontier),
     }
-}
-
-/// Renders the constant-size tallies of a trace (for per-cell grid stats).
-pub fn stats_json(stats: &TraceStats) -> Json {
-    Json::obj()
-        .field("events", stats.events)
-        .field("enqueued", stats.enqueued)
-        .field("delivered", stats.delivered)
-        .field("dropped", stats.dropped)
-        .field("corrupted", stats.corrupted)
-        .field("wakes", stats.wakes)
-        .field("rollups", stats.rollups)
-}
-
-/// Renders a slice of events as JSONL (one object per line, each line
-/// newline-terminated), numbering `seq` from 0.
-pub fn render_jsonl(cell: u64, events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for (seq, event) in events.iter().enumerate() {
-        out.push_str(&event_json(cell, seq as u64, event).render());
-        out.push('\n');
-    }
-    out
 }
 
 /// A [`TraceSink`] that renders each event to a JSONL line as it is
@@ -226,21 +204,18 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_matches_batch_render() {
+    fn jsonl_sink_renders_one_numbered_line_per_event() {
         let events = sample_events();
         let mut sink = JsonlSink::new(3);
         for e in &events {
             sink.emit(*e);
         }
         assert_eq!(sink.len(), events.len() as u64);
-        assert_eq!(sink.as_str(), render_jsonl(3, &events));
-    }
-
-    #[test]
-    fn lines_carry_cell_and_ordered_seq() {
-        let text = render_jsonl(2, &sample_events());
-        for (i, line) in text.lines().enumerate() {
-            assert!(line.starts_with(&format!("{{\"cell\": 2, \"seq\": {i}, ")));
+        let lines: Vec<&str> = sink.as_str().split_terminator('\n').collect();
+        assert_eq!(lines.len(), events.len());
+        for (seq, (line, event)) in lines.iter().zip(&events).enumerate() {
+            assert_eq!(*line, event_json(3, seq as u64, event).render());
         }
+        assert!(sink.as_str().ends_with('\n'));
     }
 }

@@ -12,7 +12,7 @@ use oraclesize_runtime::{
     run_supervised_batch, Aggregate, ChunkPlan, Pool, RunReport, RunRequest, SweepOptions,
 };
 use oraclesize_sim::protocol::FloodOnce;
-use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
+use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,11 +40,6 @@ fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
                     FaultPlan::message_faults(cell_seed, 0.1, 0.1, 0.2)
                 } else {
                     FaultPlan::default()
-                })
-                .capture_trace(match cell % 4 {
-                    0 => TraceSpec::Full,
-                    1 => TraceSpec::Ring { capacity: 16 },
-                    _ => TraceSpec::Off,
                 });
             RunRequest::new(Arc::clone(&instance), Arc::clone(&protocol), config)
         })

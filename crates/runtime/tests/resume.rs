@@ -109,7 +109,6 @@ fn injected_panic_recovers_as_degraded() {
     assert_eq!(sweep.reports(), baseline, "recovered reports are clean");
     assert_eq!(sweep.cells[2].status, CellStatus::Degraded { retries: 2 });
     assert_eq!(sweep.cells[2].attempts, 3);
-    assert!(sweep.cells[2].backoff_ticks > 0, "backoff was accounted");
     assert!(!sweep.any_aborted());
     assert!(sweep.any_degraded());
     assert!(
@@ -154,7 +153,6 @@ fn stall_trips_the_watchdog_and_recovers_on_retry() {
         supervise: SuperviseConfig {
             max_retries: 1,
             cell_timeout: Some(50_000),
-            ..SuperviseConfig::default()
         },
         chaos: ChaosPlan::new().stall_at(1, 1),
         ..SweepOptions::default()

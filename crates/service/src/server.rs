@@ -147,7 +147,7 @@ impl State {
                 ),
             }
         }
-        let mut committer = OrderedCommitter::new(journal);
+        let mut committer = OrderedCommitter::new(journal, 0);
         for (cell, r) in results.iter().enumerate() {
             if r.is_some() {
                 // Already durable in the rewritten journal — advance the

@@ -58,7 +58,6 @@ fn sample_records() -> Vec<JournalRecord> {
     reports.push(RunReport {
         cell: 3,
         result: Err("budget exhausted — ε ≤ 2⁻⁸ ✓".to_string()),
-        post_mortem: Vec::new(),
     });
     reports
         .into_iter()

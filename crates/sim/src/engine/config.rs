@@ -2,7 +2,6 @@
 
 use crate::faults::FaultPlan;
 use crate::scheduler::SchedulerKind;
-use crate::trace::TraceSpec;
 
 /// Which communication task's rules the engine enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -19,7 +18,7 @@ pub enum TaskMode {
 /// Execution configuration.
 ///
 /// The default is synchronous broadcast with FIFO delivery, no message-size
-/// limit, identities visible, and no trace capture. Configurations are
+/// limit, identities visible, and no faults. Configurations are
 /// built fluently from a base constructor — fields stay readable, but the
 /// struct is `#[non_exhaustive]`, so construction outside this crate goes
 /// through the `#[must_use]` builder methods:
@@ -27,12 +26,10 @@ pub enum TaskMode {
 /// ```
 /// use oraclesize_sim::engine::SimConfig;
 /// use oraclesize_sim::scheduler::SchedulerKind;
-/// use oraclesize_sim::trace::TraceSpec;
 ///
 /// let config = SimConfig::wakeup()
 ///     .with_scheduler(SchedulerKind::Lifo)
-///     .with_max_steps(100_000)
-///     .capture_trace(TraceSpec::Full);
+///     .with_max_steps(100_000);
 /// assert!(!config.synchronous);
 /// ```
 #[derive(Debug, Clone)]
@@ -57,9 +54,6 @@ pub struct SimConfig {
     /// Erase node identities (`NodeView::id = None`) — the anonymous model
     /// of §1.3.
     pub anonymous: bool,
-    /// What trace to capture (see [`crate::trace`]). [`TraceSpec::Off`] by
-    /// default: the trace path then performs no allocations at all.
-    pub trace: TraceSpec,
     /// Faults to inject (see [`crate::faults`]). The default plan is inert:
     /// the engine then behaves bit-for-bit as a fault-free run.
     pub faults: FaultPlan,
@@ -80,7 +74,6 @@ impl Default for SimConfig {
             max_steps: 10_000_000,
             max_message_bits: None,
             anonymous: false,
-            trace: TraceSpec::Off,
             faults: FaultPlan::default(),
             max_quiescence_polls: 8,
         }
@@ -156,13 +149,6 @@ impl SimConfig {
         self.max_quiescence_polls = polls;
         self
     }
-
-    /// Requests a trace (see [`crate::trace`] for the taxonomy and sinks).
-    #[must_use]
-    pub fn capture_trace(mut self, trace: TraceSpec) -> Self {
-        self.trace = trace;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -176,8 +162,7 @@ mod tests {
             .with_max_steps(5)
             .with_max_message_bits(7)
             .with_anonymous(true)
-            .with_quiescence_polls(3)
-            .capture_trace(TraceSpec::Ring { capacity: 16 });
+            .with_quiescence_polls(3);
         assert_eq!(cfg.mode, TaskMode::Wakeup);
         assert!(!cfg.synchronous);
         assert_eq!(cfg.scheduler, SchedulerKind::Lifo);
@@ -185,6 +170,5 @@ mod tests {
         assert_eq!(cfg.max_message_bits, Some(7));
         assert!(cfg.anonymous);
         assert_eq!(cfg.max_quiescence_polls, 3);
-        assert_eq!(cfg.trace, TraceSpec::Ring { capacity: 16 });
     }
 }

@@ -353,8 +353,8 @@ impl<'a> NetState<'a> {
     }
 
     /// Applies the bit-flip fault to one delivered copy: with the plan's
-    /// probability, one uniformly chosen payload bit is inverted. The
-    /// payload is rebuilt, an allocation per flip counted in
+    /// probability, one uniformly chosen payload bit is inverted in place,
+    /// counted in
     /// [`FaultCounts::payload_flips`](crate::faults::FaultCounts::payload_flips).
     fn maybe_flip(&mut self, msg: MsgId, mut message: Message) -> Message {
         if let Some(rng) = self.fault_rng.as_mut() {
@@ -362,14 +362,7 @@ impl<'a> NetState<'a> {
                 && rng.gen_bool(self.config.faults.bit_flip_prob.clamp(0.0, 1.0))
             {
                 let idx = rng.gen_range(0..message.payload.len());
-                message.payload =
-                    BitString::from_bits(message.payload.iter().enumerate().map(|(i, b)| {
-                        if i == idx {
-                            !b
-                        } else {
-                            b
-                        }
-                    }));
+                message.payload.toggle(idx);
                 self.metrics.faults.payload_flips += 1;
                 self.rec.emit(TraceEvent::Corrupt {
                     msg,

@@ -19,7 +19,6 @@ use crate::engine::outcome::{RunOutcome, SimError};
 use crate::metrics::RunMetrics;
 use crate::oracle::Advice;
 use crate::protocol::ForwardOnce;
-use crate::trace::TraceStats;
 
 /// Runs `rule` from `source` to quiescence.
 ///
@@ -94,8 +93,6 @@ pub(crate) fn run_forward_once(
         },
         informed: informed.to_bools(),
         crashed: vec![false; n],
-        trace: Vec::new(),
-        trace_stats: TraceStats::default(),
         // No forward-once node outputs.
         outputs: Vec::new(),
     })

@@ -1,4 +1,4 @@
-//! What an execution returns: errors, traces, and the run outcome.
+//! What an execution returns: errors and the run outcome.
 
 use std::error::Error;
 use std::fmt;
@@ -7,7 +7,6 @@ use oraclesize_bits::BitString;
 use oraclesize_graph::{NodeId, Port};
 
 use crate::metrics::RunMetrics;
-use crate::trace::{Delivery, TraceEvent, TraceStats};
 
 /// Errors that abort an execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,16 +96,6 @@ pub struct RunOutcome {
     /// Which nodes crash-stopped during the run (all `false` without a
     /// fault plan).
     pub crashed: Vec<bool>,
-    /// Captured trace events: all of them under
-    /// [`TraceSpec::Full`](crate::trace::TraceSpec::Full), the retained
-    /// tail under [`TraceSpec::Ring`](crate::trace::TraceSpec::Ring),
-    /// empty (no allocation) when tracing is off or events streamed to an
-    /// external sink via [`run_with_sink`](crate::engine::run::run_with_sink).
-    pub trace: Vec<TraceEvent>,
-    /// Constant-size tallies of everything emitted, kept even when the
-    /// events themselves streamed through a bounded sink. All-zero when
-    /// tracing is off.
-    pub trace_stats: TraceStats,
     /// Per-node outputs collected from
     /// [`crate::protocol::NodeBehavior::output`] at quiescence, one entry
     /// per node — or empty (no allocation) when no node produced an
@@ -125,12 +114,6 @@ impl RunOutcome {
     /// Number of informed nodes.
     pub fn informed_count(&self) -> usize {
         self.informed.iter().filter(|&&x| x).count()
-    }
-
-    /// The delivery records in the captured [`trace`](RunOutcome::trace),
-    /// in execution order — the view the old flat delivery trace offered.
-    pub fn deliveries(&self) -> impl Iterator<Item = &Delivery> {
-        self.trace.iter().filter_map(TraceEvent::as_delivery)
     }
 
     /// Judges the run against the surviving nodes: crashed nodes are

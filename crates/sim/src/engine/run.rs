@@ -1,11 +1,11 @@
 //! The driver loop: instantiate schemes, drain the network, poll
 //! quiescence, collect the outcome.
 //!
-//! [`run_with_sink`] is the single underlying implementation; [`run`]
-//! wraps it, materialising the sink requested by
-//! [`SimConfig::trace`](crate::engine::SimConfig::trace). Every other
-//! entry point in the workspace (`sim::run`, `core::execute`,
-//! `runtime::batch`) delegates here.
+//! [`run_with_sink`] is the single underlying implementation; the caller
+//! picks the sink that receives the trace. [`run`] is it with a
+//! [`NullSink`], which traces nothing. Every other entry point in the
+//! workspace (`sim::run`, `core::execute`, `runtime::batch`) delegates
+//! here.
 
 use std::collections::VecDeque;
 
@@ -19,21 +19,15 @@ use crate::engine::outcome::{RunOutcome, SimError};
 use crate::oracle::Advice;
 use crate::protocol::{NodeBehavior, NodeView, Protocol};
 use crate::scheduler::Scheduler;
-use crate::trace::{
-    Delivery, NullSink, Phase, RingSink, Rollup, TraceEvent, TraceSink, TraceSpec, VecSink,
-};
+use crate::trace::{Delivery, NullSink, Phase, Rollup, TraceEvent, TraceSink};
 
 /// Executes `protocol` on `g` from `source` with the given per-node advice.
 ///
 /// Nodes are instantiated in node-id order; `on_start` is invoked in that
 /// order before any delivery. (A run that takes the frontier kernel, see
 /// [`run_with_sink`], instantiates none.) Execution runs to quiescence (no
-/// in-flight messages) and returns the outcome. The trace requested by
-/// [`SimConfig::trace`](crate::engine::SimConfig::trace) is collected into
-/// [`RunOutcome::trace`] (all events for [`TraceSpec::Full`], the retained
-/// tail for [`TraceSpec::Ring`], nothing — and no allocation — for
-/// [`TraceSpec::Off`]). To stream events into your own sink instead, use
-/// [`run_with_sink`].
+/// in-flight messages) and returns the outcome. Nothing is traced; to
+/// stream events into a sink, use [`run_with_sink`].
 ///
 /// # Errors
 ///
@@ -49,32 +43,15 @@ pub fn run(
     protocol: &dyn Protocol,
     config: &SimConfig,
 ) -> Result<RunOutcome, SimError> {
-    match config.trace {
-        TraceSpec::Off => run_with_sink(g, source, advice, protocol, config, &mut NullSink),
-        TraceSpec::Full => {
-            let mut sink = VecSink::new();
-            let mut out = run_with_sink(g, source, advice, protocol, config, &mut sink)?;
-            out.trace = sink.into_events();
-            Ok(out)
-        }
-        TraceSpec::Ring { capacity } => {
-            let mut sink = RingSink::new(capacity);
-            let mut out = run_with_sink(g, source, advice, protocol, config, &mut sink)?;
-            out.trace = sink.tail();
-            Ok(out)
-        }
-    }
+    run_with_sink(g, source, advice, protocol, config, &mut NullSink)
 }
 
 /// [`run`], streaming trace events into a caller-supplied sink.
 ///
-/// This is the single underlying executor. The sink argument wins over
-/// [`SimConfig::trace`](crate::engine::SimConfig::trace) — the spec only
-/// tells [`run`] which stock sink to materialise — and
-/// [`RunOutcome::trace`] comes back empty (the caller owns the events).
+/// This is the single underlying executor; the caller owns the events.
 /// Because the caller keeps the sink even when the run aborts with a
-/// [`SimError`], a [`RingSink`] passed here doubles as an error
-/// post-mortem buffer.
+/// [`SimError`], a [`RingSink`](crate::trace::RingSink) passed here
+/// doubles as an error post-mortem buffer.
 ///
 /// # Errors / Panics
 ///
@@ -294,8 +271,6 @@ pub fn run_with_sink(
         metrics: net.metrics,
         informed: net.informed.to_bools(),
         crashed: net.crashed.to_bools(),
-        trace: Vec::new(),
-        trace_stats: net.rec.stats,
         outputs,
     })
 }

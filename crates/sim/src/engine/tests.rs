@@ -1,16 +1,34 @@
 use super::*;
 use crate::faults::FaultPlan;
+use crate::oracle::Advice;
 use crate::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol, Silent};
 use crate::scheduler::SchedulerKind;
 use crate::testkit::{no_advice, PerMessage};
-use crate::trace::{DropFault, NullSink, Phase, TraceEvent, TraceSpec, TraceStats, VecSink};
+use crate::trace::{Delivery, DropFault, NullSink, Phase, RingSink, TraceEvent, VecSink};
 use oraclesize_bits::BitString;
-use oraclesize_graph::{families, Port};
+use oraclesize_graph::{families, Port, PortGraph};
 
 /// Flooding on both engine paths: `FloodOnce` itself takes the frontier
 /// kernel wherever a run qualifies; behind [`PerMessage`] it always takes
 /// the per-message path.
 const FLOODS: [&dyn Protocol; 2] = [&FloodOnce, &PerMessage(&FloodOnce)];
+
+/// [`run_with_sink`] into a [`VecSink`]: the outcome and every event.
+fn traced(
+    g: &PortGraph,
+    source: usize,
+    advice: &Advice,
+    protocol: &dyn Protocol,
+    config: &SimConfig,
+) -> (RunOutcome, Vec<TraceEvent>) {
+    let mut sink = VecSink::new();
+    let out = run_with_sink(g, source, advice, protocol, config, &mut sink).unwrap();
+    (out, sink.into_events())
+}
+
+fn deliveries(trace: &[TraceEvent]) -> impl Iterator<Item = &Delivery> {
+    trace.iter().filter_map(TraceEvent::as_delivery)
+}
 
 #[test]
 fn flooding_cycle_informs_all() {
@@ -61,12 +79,10 @@ fn async_schedulers_all_complete_flooding() {
 #[test]
 fn random_scheduler_is_deterministic_per_seed() {
     let g = families::complete_rotational(9);
-    let cfg = SimConfig::broadcast()
-        .with_scheduler(SchedulerKind::Random { seed: 5 })
-        .capture_trace(TraceSpec::Full);
-    let a = run(&g, 0, &no_advice(9), &FloodOnce, &cfg).unwrap();
-    let b = run(&g, 0, &no_advice(9), &FloodOnce, &cfg).unwrap();
-    assert_eq!(a.trace, b.trace);
+    let cfg = SimConfig::broadcast().with_scheduler(SchedulerKind::Random { seed: 5 });
+    let (a, a_trace) = traced(&g, 0, &no_advice(9), &FloodOnce, &cfg);
+    let (b, b_trace) = traced(&g, 0, &no_advice(9), &FloodOnce, &cfg);
+    assert_eq!(a_trace, b_trace);
     assert_eq!(a.metrics, b.metrics);
 }
 
@@ -257,35 +273,33 @@ fn anonymous_mode_hides_ids() {
 #[test]
 fn trace_capture_matches_metrics() {
     let g = families::cycle(4);
-    let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-    let out = run(&g, 0, &no_advice(4), &FloodOnce, &cfg).unwrap();
-    assert_eq!(out.deliveries().count() as u64, out.metrics.steps);
+    let (out, trace) = traced(&g, 0, &no_advice(4), &FloodOnce, &SimConfig::broadcast());
+    assert_eq!(deliveries(&trace).count() as u64, out.metrics.steps);
     assert_eq!(out.metrics.steps, out.metrics.messages);
     // Every traced delivery of an informed message has the flag.
-    assert!(out.deliveries().any(|d| d.carries_source));
+    assert!(deliveries(&trace).any(|d| d.carries_source));
     // Fault-free: every enqueue has a matching delivery, nothing dropped.
-    assert_eq!(out.trace_stats.enqueued, out.trace_stats.delivered);
-    assert_eq!(out.trace_stats.dropped, 0);
-    assert_eq!(out.trace_stats, TraceStats::tally(&out.trace));
+    let count = |kind| trace.iter().filter(|e| e.kind() == kind).count();
+    assert_eq!(count("enqueue"), count("deliver"));
+    assert_eq!(count("drop"), 0);
 }
 
 #[test]
 fn trace_taxonomy_covers_the_run() {
     let g = families::cycle(4);
-    let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-    let out = run(&g, 0, &no_advice(4), &FloodOnce, &cfg).unwrap();
+    let (out, trace) = traced(&g, 0, &no_advice(4), &FloodOnce, &SimConfig::broadcast());
     // The spontaneous phase opens the trace.
     assert_eq!(
-        out.trace.first(),
+        trace.first(),
         Some(&TraceEvent::PhaseStart {
             phase: Phase::Spontaneous
         })
     );
     // Every non-source node wakes exactly once.
-    assert_eq!(out.trace_stats.wakes, 3);
+    assert_eq!(trace.iter().filter(|e| e.kind() == "wake").count(), 3);
     // One rollup per finished round plus the final one at quiescence,
     // each with a monotone informed count ending at n.
-    let rollups: Vec<_> = out.trace.iter().filter_map(|e| e.as_rollup()).collect();
+    let rollups: Vec<_> = trace.iter().filter_map(|e| e.as_rollup()).collect();
     assert_eq!(rollups.len() as u64, out.metrics.rounds + 1);
     assert!(rollups.windows(2).all(|w| w[0].informed <= w[1].informed));
     let last = rollups.last().unwrap();
@@ -293,13 +307,11 @@ fn trace_taxonomy_covers_the_run() {
     assert_eq!(last.frontier, 0);
     assert_eq!(last.messages, out.metrics.messages);
     // Message ids are causal: a delivery never precedes its enqueue.
-    for d in out.deliveries() {
-        let enq = out
-            .trace
+    for d in deliveries(&trace) {
+        let enq = trace
             .iter()
             .position(|e| matches!(e, TraceEvent::Enqueue { msg, .. } if *msg == d.msg));
-        let del = out
-            .trace
+        let del = trace
             .iter()
             .position(|e| e.as_delivery().is_some_and(|x| x.msg == d.msg));
         assert!(enq.unwrap() < del.unwrap());
@@ -309,60 +321,24 @@ fn trace_taxonomy_covers_the_run() {
 #[test]
 fn ring_spec_keeps_the_tail() {
     let g = families::complete_rotational(8);
-    let full = run(
-        &g,
-        0,
-        &no_advice(8),
-        &FloodOnce,
-        &SimConfig::broadcast().capture_trace(TraceSpec::Full),
-    )
-    .unwrap();
-    let ring = run(
-        &g,
-        0,
-        &no_advice(8),
-        &FloodOnce,
-        &SimConfig::broadcast().capture_trace(TraceSpec::Ring { capacity: 5 }),
-    )
-    .unwrap();
-    assert_eq!(ring.trace.len(), 5);
-    let tail = &full.trace[full.trace.len() - 5..];
-    assert_eq!(ring.trace, tail);
-    // Stats still cover the whole run, not just the retained tail.
-    assert_eq!(ring.trace_stats, full.trace_stats);
+    let cfg = SimConfig::broadcast();
+    let (_, full) = traced(&g, 0, &no_advice(8), &FloodOnce, &cfg);
+    let mut ring = RingSink::new(5);
+    run_with_sink(&g, 0, &no_advice(8), &FloodOnce, &cfg, &mut ring).unwrap();
+    assert_eq!(ring.tail(), &full[full.len() - 5..]);
+    // The ring still saw the whole run, not just the retained tail.
+    assert_eq!(ring.seen(), full.len() as u64);
 }
 
 #[test]
-fn untraced_runs_allocate_nothing_on_the_trace_path() {
-    // TraceSpec::Off drives a NullSink: the outcome's trace vec must be
-    // the never-allocated `Vec::new()` and the stats all-zero — the
-    // allocation-free discipline mirroring `payload_copies == 0`.
+fn untraced_fault_free_runs_copy_no_payload() {
+    // The allocation-free discipline of the delivery path.
     let g = families::complete_rotational(16);
     for flood in FLOODS {
         let out = run(&g, 0, &no_advice(16), flood, &SimConfig::default()).unwrap();
-        assert_eq!(out.trace.capacity(), 0);
-        assert_eq!(out.trace_stats, TraceStats::default());
         assert_eq!(out.metrics.faults.payload_copies, 0);
         assert_eq!(out.metrics.faults.queue_allocs, 0);
     }
-}
-
-#[test]
-fn external_sink_sees_the_same_events_as_full_capture() {
-    let g = families::cycle(6);
-    let cfg = SimConfig::broadcast();
-    let mut sink = VecSink::new();
-    let streamed = run_with_sink(&g, 0, &no_advice(6), &FloodOnce, &cfg, &mut sink).unwrap();
-    assert!(streamed.trace.is_empty());
-    let collected = run(
-        &g,
-        0,
-        &no_advice(6),
-        &FloodOnce,
-        &cfg.clone().capture_trace(TraceSpec::Full),
-    )
-    .unwrap();
-    assert_eq!(collected.trace, sink.into_events());
 }
 
 #[test]
@@ -387,15 +363,12 @@ fn streamed_sink_survives_an_aborted_run() {
 #[test]
 fn crashed_receiver_shows_as_drop_event() {
     let g = families::path(4);
-    let cfg = SimConfig::broadcast()
-        .with_faults(FaultPlan {
-            crashes: [(1, 0)].into(),
-            ..Default::default()
-        })
-        .capture_trace(TraceSpec::Full);
-    let out = run(&g, 0, &no_advice(4), &FloodOnce, &cfg).unwrap();
-    let drops: Vec<_> = out
-        .trace
+    let cfg = SimConfig::broadcast().with_faults(FaultPlan {
+        crashes: [(1, 0)].into(),
+        ..Default::default()
+    });
+    let (out, trace) = traced(&g, 0, &no_advice(4), &FloodOnce, &cfg);
+    let drops: Vec<_> = trace
         .iter()
         .filter(|e| matches!(e, TraceEvent::Drop { .. }))
         .collect();
@@ -410,7 +383,7 @@ fn crashed_receiver_shows_as_drop_event() {
     ));
     // Dropped-to-crashed deliveries count as steps but not deliveries.
     assert_eq!(
-        out.deliveries().count() as u64 + out.trace_stats.dropped,
+        (deliveries(&trace).count() + drops.len()) as u64,
         out.metrics.steps
     );
 }
@@ -425,16 +398,9 @@ fn null_sink_run_matches_traced_run_metrics() {
         .with_faults(FaultPlan::message_faults(13, 0.2, 0.2, 0.3));
     let mut null = NullSink;
     let untraced = run_with_sink(&g, 0, &no_advice(10), &FloodOnce, &base, &mut null).unwrap();
-    let traced = run(
-        &g,
-        0,
-        &no_advice(10),
-        &FloodOnce,
-        &base.clone().capture_trace(TraceSpec::Full),
-    )
-    .unwrap();
-    assert_eq!(untraced.metrics, traced.metrics);
-    assert_eq!(untraced.informed, traced.informed);
+    let (with_trace, _) = traced(&g, 0, &no_advice(10), &FloodOnce, &base);
+    assert_eq!(untraced.metrics, with_trace.metrics);
+    assert_eq!(untraced.informed, with_trace.informed);
 }
 
 #[test]
@@ -597,11 +563,10 @@ fn faulty_runs_are_reproducible_per_seed() {
     let plan = FaultPlan::message_faults(77, 0.3, 0.2, 0.0);
     let cfg = SimConfig::broadcast()
         .with_scheduler(SchedulerKind::Random { seed: 4 })
-        .with_faults(plan)
-        .capture_trace(TraceSpec::Full);
-    let a = run(&g, 0, &no_advice(10), &FloodOnce, &cfg).unwrap();
-    let b = run(&g, 0, &no_advice(10), &FloodOnce, &cfg).unwrap();
-    assert_eq!(a.trace, b.trace);
+        .with_faults(plan);
+    let (a, a_trace) = traced(&g, 0, &no_advice(10), &FloodOnce, &cfg);
+    let (b, b_trace) = traced(&g, 0, &no_advice(10), &FloodOnce, &cfg);
+    assert_eq!(a_trace, b_trace);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.informed, b.informed);
 }

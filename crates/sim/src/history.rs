@@ -120,8 +120,9 @@ impl Protocol for HistoryProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, SimConfig};
+    use crate::engine::{run, run_with_sink, SimConfig};
     use crate::protocol::FloodOnce;
+    use crate::trace::VecSink;
     use oraclesize_graph::families;
 
     /// Flooding expressed as a pure history scheme: forward once, on the
@@ -153,11 +154,20 @@ mod tests {
     fn history_flooding_matches_reactive_flooding() {
         let g = families::complete_rotational(10);
         let advice = crate::testkit::no_advice(10);
-        let cfg = SimConfig::broadcast().capture_trace(crate::trace::TraceSpec::Full);
-        let reactive = run(&g, 0, &advice, &FloodOnce, &cfg).unwrap();
-        let historical = run(&g, 0, &advice, &flooding_scheme(), &cfg).unwrap();
+        let cfg = SimConfig::broadcast();
+        let (mut reactive_trace, mut historical_trace) = (VecSink::new(), VecSink::new());
+        let reactive = run_with_sink(&g, 0, &advice, &FloodOnce, &cfg, &mut reactive_trace);
+        let historical = run_with_sink(
+            &g,
+            0,
+            &advice,
+            &flooding_scheme(),
+            &cfg,
+            &mut historical_trace,
+        );
+        let (reactive, historical) = (reactive.unwrap(), historical.unwrap());
         assert_eq!(reactive.metrics, historical.metrics);
-        assert_eq!(reactive.trace, historical.trace);
+        assert_eq!(reactive_trace.events(), historical_trace.events());
         assert!(historical.all_informed());
     }
 

@@ -77,9 +77,8 @@ const _: fn() = || {
 /// `oraclesize_core::execute` builds the instance from an oracle first;
 /// `oraclesize_runtime::run_supervised_batch` fans instances out across a
 /// worker pool; the engine-level [`engine::run`](crate::engine::run::run) is the
-/// same executor without the instance wrapper. Tracing follows
-/// [`SimConfig::trace`]; to stream events into your own sink, use
-/// [`run_streamed`].
+/// same executor without the instance wrapper. It traces nothing; to
+/// stream events into a sink, use [`run_streamed`].
 ///
 /// # Errors
 ///
@@ -104,10 +103,9 @@ pub fn run(
     )
 }
 
-/// [`run`], streaming trace events into a caller-supplied sink instead of
-/// materialising one from [`SimConfig::trace`]. The caller keeps the sink
-/// when the run aborts, so a bounded sink doubles as an error post-mortem
-/// buffer.
+/// [`run`], streaming trace events into a caller-supplied sink. The
+/// caller keeps the sink when the run aborts, so a bounded sink doubles as
+/// an error post-mortem buffer.
 ///
 /// # Errors / Panics
 ///
@@ -133,7 +131,7 @@ mod tests {
     use super::*;
     use crate::protocol::FloodOnce;
     use crate::testkit::no_advice;
-    use crate::trace::{TraceSpec, VecSink};
+    use crate::trace::{TraceEvent, VecSink};
     use oraclesize_graph::families;
 
     struct NoAdviceOracle;
@@ -169,15 +167,14 @@ mod tests {
     fn streamed_facade_fills_external_sink() {
         let g = Arc::new(families::cycle(4));
         let inst = Instance::with_advice(Arc::clone(&g), 0, no_advice(4));
-        let config = SimConfig::default().capture_trace(TraceSpec::Full);
+        let config = SimConfig::default();
         let mut sink = VecSink::new();
         let out = run_streamed(&inst, &FloodOnce, &config, &mut sink).unwrap();
-        // The caller owns the events; the outcome's own vec stays empty.
-        assert!(out.trace.is_empty());
-        assert!(!sink.events().is_empty());
-        assert_eq!(out.trace_stats.events, sink.events().len() as u64);
-        // And the non-streamed facade collects the identical events.
-        let collected = run(&inst, &FloodOnce, &config).unwrap();
-        assert_eq!(collected.trace, sink.into_events());
+        let delivered = sink.events().iter().filter_map(TraceEvent::as_delivery);
+        assert_eq!(delivered.count() as u64, out.metrics.steps);
+        // Tracing changes nothing the untraced facade reports.
+        let untraced = run(&inst, &FloodOnce, &config).unwrap();
+        assert_eq!(untraced.metrics, out.metrics);
+        assert_eq!(untraced.informed, out.informed);
     }
 }

@@ -21,8 +21,7 @@
 //!   informed), informedness tracking (the source message piggybacks on any
 //!   message sent by an informed node), and bit-exact accounting,
 //! * [`trace`] — the streaming observability layer: the event taxonomy,
-//!   [`TraceSink`](trace::TraceSink)s, per-round rollups, and trace
-//!   diffing,
+//!   [`TraceSink`]s, per-round rollups, and trace diffing,
 //! * [`scheduler`] — delivery orders: FIFO, LIFO, seeded-random, and the
 //!   starving adversary that delays source-carrying messages,
 //! * [`faults`] — seeded fault injection: message drop/duplication/bit
@@ -65,7 +64,7 @@ pub use metrics::RunMetrics;
 pub use oracle::{advice_size, Advice, Oracle};
 pub use protocol::{ForwardOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
 pub use scheduler::SchedulerKind;
-pub use trace::{TraceEvent, TraceSink, TraceSpec, TraceStats};
+pub use trace::{TraceEvent, TraceSink};
 
 /// The most common imports for running schemes on instances.
 ///
@@ -80,7 +79,5 @@ pub mod prelude {
     pub use crate::oracle::{advice_size, Advice, Oracle};
     pub use crate::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
     pub use crate::scheduler::SchedulerKind;
-    pub use crate::trace::{
-        NullSink, RingSink, TraceEvent, TraceSink, TraceSpec, TraceStats, VecSink,
-    };
+    pub use crate::trace::{NullSink, RingSink, TraceEvent, TraceSink, VecSink};
 }

@@ -1,8 +1,10 @@
 //! Structured execution traces: the event taxonomy, streaming sinks, and
 //! first-divergence comparison.
 //!
-//! The engine used to record a flat `Vec` of deliveries when asked; this
-//! module replaces that with a streaming observability layer:
+//! A trace is whatever the caller's sink makes of the engine's event
+//! stream: [`run_with_sink`](crate::engine::run_with_sink) and
+//! [`run_streamed`](crate::run_streamed) take the sink as an argument, and
+//! [`run`](crate::engine::run()) drives a [`NullSink`]. The pieces:
 //!
 //! * [`TraceEvent`] — the taxonomy: message lifecycle ([`Enqueue`]
 //!   → [`Deliver`]/[`Drop`], with [`Corrupt`] and [`Wake`] annotations),
@@ -16,8 +18,6 @@
 //! * [`InvariantSink`] — an online checker of the trace contract
 //!   (every message resolved once, wakes only of uninformed nodes, the
 //!   wakeup rule, rollup informed counts and frontiers);
-//! * [`TraceStats`] — constant-size per-run tallies, cheap enough to wire
-//!   into every grid cell;
 //! * [`diff`] — first-divergence comparison of two rendered trace files.
 //!
 //! # Determinism
@@ -25,15 +25,14 @@
 //! Every event is emitted from the (serial) engine loop in execution
 //! order, and message ids ([`MsgId`]) are assigned in enqueue order, so the
 //! trace of a seeded run is a pure function of `(graph, source, advice,
-//! protocol, config)` — byte-identical no matter how many worker threads a
-//! surrounding batch uses. The JSONL writer in `oraclesize_runtime::trace`
-//! relies on this to diff parallel sweeps byte-for-byte.
+//! protocol, config)`. The JSONL writer in `oraclesize_runtime::trace`
+//! relies on this: `oraclesize trace` prints the same bytes on every run.
 //!
 //! # Cost when off
 //!
-//! With [`TraceSpec::Off`] the engine drives a [`NullSink`]: every emission
-//! site is guarded by one boolean test and the trace path performs **zero
-//! allocations** — the same discipline as the zero-clone delivery path
+//! A [`NullSink`] reports itself disabled: every emission site is guarded
+//! by one boolean test and the trace path performs **zero allocations** —
+//! the same discipline as the zero-clone delivery path
 //! (`payload_copies == 0` on fault-free runs).
 //!
 //! [`Enqueue`]: TraceEvent::Enqueue
@@ -211,105 +210,24 @@ impl TraceEvent {
     }
 }
 
-/// Constant-size tallies of an emitted trace, kept even when the events
-/// themselves stream through a bounded sink. All-zero when tracing is off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Total events emitted.
-    pub events: u64,
-    /// [`TraceEvent::Enqueue`] count.
-    pub enqueued: u64,
-    /// [`TraceEvent::Deliver`] count.
-    pub delivered: u64,
-    /// [`TraceEvent::Drop`] count (lost + to-crashed).
-    pub dropped: u64,
-    /// [`TraceEvent::Corrupt`] count.
-    pub corrupted: u64,
-    /// [`TraceEvent::Wake`] count.
-    pub wakes: u64,
-    /// [`TraceEvent::Rollup`] count.
-    pub rollups: u64,
-}
-
-impl TraceStats {
-    /// Folds one event into the tallies.
-    pub fn absorb(&mut self, event: &TraceEvent) {
-        self.events += 1;
-        match event {
-            TraceEvent::Enqueue { .. } => self.enqueued += 1,
-            TraceEvent::Deliver(_) => self.delivered += 1,
-            TraceEvent::Drop { .. } => self.dropped += 1,
-            TraceEvent::Corrupt { .. } => self.corrupted += 1,
-            TraceEvent::Wake { .. } => self.wakes += 1,
-            TraceEvent::Rollup(_) => self.rollups += 1,
-            TraceEvent::PhaseStart { .. } | TraceEvent::Quiescence { .. } => {}
-        }
-    }
-
-    /// Tallies a finished event slice (e.g. a collected [`VecSink`]).
-    pub fn tally(events: &[TraceEvent]) -> Self {
-        let mut stats = TraceStats::default();
-        for e in events {
-            stats.absorb(e);
-        }
-        stats
-    }
-}
-
-/// What kind of trace a [`SimConfig`](crate::engine::SimConfig) requests.
-///
-/// This is the *cloneable spec* carried by configs (and thus by batch
-/// [`RunRequest`](../../oraclesize_runtime/struct.RunRequest.html)s); the
-/// engine materialises the matching sink per run. To stream into your own
-/// sink instead, call [`run_streamed`](crate::run_streamed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceSpec {
-    /// No tracing: the engine drives a [`NullSink`]; the trace path does
-    /// not allocate.
-    #[default]
-    Off,
-    /// Collect every event into [`RunOutcome::trace`](crate::RunOutcome::trace).
-    Full,
-    /// Keep only the last `capacity` events — bounded-memory post-mortems
-    /// for `Degraded` or error outcomes.
-    Ring {
-        /// Events retained.
-        capacity: usize,
-    },
-}
-
-impl TraceSpec {
-    /// `true` unless the spec is [`TraceSpec::Off`].
-    pub fn is_on(&self) -> bool {
-        !matches!(self, TraceSpec::Off)
-    }
-}
-
 /// Engine-side wrapper around a sink: caches `enabled()` so the hot path
-/// pays one branch, and tallies [`TraceStats`] alongside emission.
+/// pays one branch.
 pub(crate) struct Recorder<'a> {
     sink: &'a mut dyn TraceSink,
     /// Cached `sink.enabled()`; emission sites may pre-check this to skip
     /// computing event fields (e.g. the per-round informed scan).
     pub on: bool,
-    /// Tallies of everything emitted through this recorder.
-    pub stats: TraceStats,
 }
 
 impl<'a> Recorder<'a> {
     pub fn new(sink: &'a mut dyn TraceSink) -> Self {
         let on = sink.enabled();
-        Recorder {
-            sink,
-            on,
-            stats: TraceStats::default(),
-        }
+        Recorder { sink, on }
     }
 
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
         if self.on {
-            self.stats.absorb(&event);
             self.sink.emit(event);
         }
     }
@@ -338,54 +256,6 @@ mod tests {
             .kind(),
             "rollup"
         );
-    }
-
-    #[test]
-    fn stats_tally_matches_absorb() {
-        let events = [
-            TraceEvent::Enqueue {
-                msg: 0,
-                from: 0,
-                to: 1,
-                bits: 0,
-                carries_source: true,
-            },
-            TraceEvent::Deliver(Delivery {
-                msg: 0,
-                step: 0,
-                from: 0,
-                to: 1,
-                arrival_port: 0,
-                bits: 0,
-                carries_source: true,
-            }),
-            TraceEvent::Wake {
-                node: 1,
-                step: 0,
-                msg: 0,
-            },
-            TraceEvent::Drop {
-                msg: 1,
-                from: 1,
-                to: 0,
-                fault: DropFault::Lost,
-            },
-        ];
-        let stats = TraceStats::tally(&events);
-        assert_eq!(stats.events, 4);
-        assert_eq!(stats.enqueued, 1);
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.wakes, 1);
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.corrupted, 0);
-    }
-
-    #[test]
-    fn off_spec_is_default_and_off() {
-        assert_eq!(TraceSpec::default(), TraceSpec::Off);
-        assert!(!TraceSpec::Off.is_on());
-        assert!(TraceSpec::Full.is_on());
-        assert!(TraceSpec::Ring { capacity: 4 }.is_on());
     }
 
     #[test]

@@ -42,10 +42,7 @@ impl TraceSink for NullSink {
     fn emit(&mut self, _event: TraceEvent) {}
 }
 
-/// Collects every event into a vector — the [`TraceSpec::Full`]
-/// materialisation and the handiest sink for tests.
-///
-/// [`TraceSpec::Full`]: crate::trace::TraceSpec::Full
+/// Collects every event into a vector — the handiest sink for tests.
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
     events: Vec<TraceEvent>,

@@ -5,7 +5,7 @@ use oraclesize_graph::families::{self, Family};
 use oraclesize_sim::engine::{run, run_with_sink, RunOutcome, SimConfig, SimError};
 use oraclesize_sim::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
 use oraclesize_sim::testkit::PerMessage;
-use oraclesize_sim::trace::{InvariantSink, TraceSpec};
+use oraclesize_sim::trace::{Delivery, InvariantSink, TraceEvent, VecSink};
 use oraclesize_sim::{advice_size, Advice, FaultPlan, SchedulerKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,6 +69,22 @@ fn checked_run(
     out
 }
 
+/// [`run_with_sink`] into a [`VecSink`]: the outcome and every event.
+fn traced(
+    g: &oraclesize_graph::PortGraph,
+    source: usize,
+    cfg: &SimConfig,
+) -> (RunOutcome, Vec<TraceEvent>) {
+    let mut sink = VecSink::new();
+    let advice = oraclesize_sim::testkit::no_advice(g.num_nodes());
+    let out = run_with_sink(g, source, &advice, &FloodOnce, cfg, &mut sink).unwrap();
+    (out, sink.into_events())
+}
+
+fn deliveries(trace: &[TraceEvent]) -> impl Iterator<Item = &Delivery> {
+    trace.iter().filter_map(TraceEvent::as_delivery)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -86,16 +102,14 @@ proptest! {
         let source = seed as usize % nodes;
         let cfg = SimConfig::broadcast()
             .with_scheduler(sched)
-            .with_synchronous(synchronous)
-            .capture_trace(TraceSpec::Full);
-        let advice = oraclesize_sim::testkit::no_advice(nodes);
-        let out = run(&g, source, &advice, &FloodOnce, &cfg).unwrap();
+            .with_synchronous(synchronous);
+        let (out, trace) = traced(&g, source, &cfg);
         prop_assert!(out.all_informed());
         // Deterministic count: deg(source) + Σ_{v≠source} (deg(v) − 1).
         let expected: usize = g.degree(source)
             + (0..nodes).filter(|&v| v != source).map(|v| g.degree(v) - 1).sum::<usize>();
         prop_assert_eq!(out.metrics.messages as usize, expected);
-        prop_assert_eq!(out.deliveries().count() as u64, out.metrics.steps);
+        prop_assert_eq!(deliveries(&trace).count() as u64, out.metrics.steps);
         let checked = checked_run(&g, source, &FloodOnce, &cfg).unwrap();
         prop_assert_eq!(checked.metrics, out.metrics);
     }
@@ -108,16 +122,13 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = families::random_connected(n, 0.3, &mut rng);
-        let cfg = SimConfig::broadcast()
-            .with_scheduler(sched)
-            .capture_trace(TraceSpec::Full);
-        let advice = oraclesize_sim::testkit::no_advice(n);
-        let out = run(&g, 0, &advice, &FloodOnce, &cfg).unwrap();
+        let cfg = SimConfig::broadcast().with_scheduler(sched);
+        let (_, trace) = traced(&g, 0, &cfg);
         // Replay the trace: a node can only send a source-carrying message
         // after the source or after receiving one.
         let mut informed = vec![false; n];
         informed[0] = true;
-        for d in out.deliveries() {
+        for d in deliveries(&trace) {
             if d.carries_source {
                 prop_assert!(informed[d.from], "uninformed {} sent M", d.from);
                 informed[d.to] = true;
@@ -134,13 +145,10 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let g = families::random_connected(n, 0.25, &mut rng);
-        let cfg = SimConfig::broadcast()
-            .with_scheduler(SchedulerKind::Random { seed })
-            .capture_trace(TraceSpec::Full);
-        let advice = oraclesize_sim::testkit::no_advice(n);
-        let a = run(&g, 0, &advice, &FloodOnce, &cfg).unwrap();
-        let b = run(&g, 0, &advice, &FloodOnce, &cfg).unwrap();
-        prop_assert_eq!(a.trace, b.trace);
+        let cfg = SimConfig::broadcast().with_scheduler(SchedulerKind::Random { seed });
+        let (a, a_trace) = traced(&g, 0, &cfg);
+        let (b, b_trace) = traced(&g, 0, &cfg);
+        prop_assert_eq!(a_trace, b_trace);
         prop_assert_eq!(a.metrics, b.metrics);
     }
 
@@ -190,12 +198,10 @@ proptest! {
         plan.crashes.insert(seed as usize % n, seed % 3);
         let cfg = SimConfig::broadcast()
             .with_scheduler(sched)
-            .with_faults(plan)
-            .capture_trace(TraceSpec::Full);
-        let advice = oraclesize_sim::testkit::no_advice(n);
-        let a = run(&g, 0, &advice, &FloodOnce, &cfg).unwrap();
-        let b = run(&g, 0, &advice, &FloodOnce, &cfg).unwrap();
-        prop_assert_eq!(a.trace, b.trace);
+            .with_faults(plan);
+        let (a, a_trace) = traced(&g, 0, &cfg);
+        let (b, b_trace) = traced(&g, 0, &cfg);
+        prop_assert_eq!(a_trace, b_trace);
         prop_assert_eq!(a.metrics, b.metrics);
         prop_assert_eq!(a.informed, b.informed);
         prop_assert_eq!(a.crashed, b.crashed);

@@ -18,7 +18,7 @@
 //! | [`lowerbound`] | adversary, counting bounds, trade-off experiments |
 //! | [`analysis`] | model fitting, statistics, table rendering |
 //! | [`runtime`] | worker pool + deterministic batch/sweep execution |
-//! | [`bench`] | experiment grids and the committed `BENCH_*.json` artifacts |
+//! | [`bench`](mod@bench) | experiment grids and the committed `BENCH_*.json` artifacts |
 //! | [`service`] | distributed sweep server/workers over a framed protocol |
 //!
 //! ## Quickstart
@@ -68,6 +68,6 @@ pub mod prelude {
     pub use oraclesize_sim::protocol::FloodOnce;
     pub use oraclesize_sim::{
         advice_size, run, run_streamed, Advice, Instance, Oracle, RunMetrics, SchedulerKind,
-        SimConfig, TaskMode, TraceSpec,
+        SimConfig, TaskMode,
     };
 }
