@@ -87,6 +87,7 @@ impl BitString {
 
     /// Number of bits in the string. This is the quantity summed by the
     /// oracle-size measure.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -141,6 +142,7 @@ impl BitString {
     }
 
     /// Returns bit `index`, or `None` past the end.
+    #[inline]
     pub fn get(&self, index: usize) -> Option<bool> {
         if index >= self.len {
             return None;
@@ -180,19 +182,25 @@ impl BitString {
             self.len += other.len;
             return;
         }
-        // Each byte of `other` straddles two bytes here: its low part fills
-        // the open byte, its high part carries into the next one. A final
-        // carry with no byte to land in is made of `other`'s zero tail bits.
+        let src = &other.bytes;
+        let Some((&last, _)) = src.split_last() else {
+            return;
+        };
+        // Each byte of `other` straddles two bytes here, so output byte
+        // `i` is the low part of `src[i]` over the high part of
+        // `src[i - 1]`. No byte depends on the one written before it, so
+        // the window loop vectorizes. The first byte fills the open byte;
+        // the last one's high part needs a byte only if the new length
+        // reaches into it (otherwise it is `other`'s zero tail bits).
         let open = self.bytes.len() - 1;
         self.len += other.len;
-        self.bytes.resize(self.len.div_ceil(8), 0);
-        let mut carry = 0;
-        for (dst, &b) in self.bytes[open..]
-            .iter_mut()
-            .zip(other.bytes.iter().chain([&0]))
-        {
-            *dst |= (b << shift) | carry;
-            carry = b >> (8 - shift);
+        self.bytes[open] |= src[0] << shift;
+        self.bytes.extend(
+            src.windows(2)
+                .map(|w| (w[1] << shift) | (w[0] >> (8 - shift))),
+        );
+        if self.bytes.len() < self.len.div_ceil(8) {
+            self.bytes.push(last >> (8 - shift));
         }
     }
 
@@ -202,6 +210,7 @@ impl BitString {
     }
 
     /// Creates a decoding cursor positioned at the first bit.
+    #[inline]
     pub fn reader(&self) -> BitReader<'_> {
         BitReader::new(self)
     }
@@ -214,6 +223,7 @@ impl BitString {
 
     /// The packed LSB-first byte buffer: bit `i` lives in byte `i / 8` at
     /// position `i % 8`. Bits at positions `≥ len` are zero.
+    #[inline]
     pub fn as_packed_bytes(&self) -> &[u8] {
         &self.bytes
     }

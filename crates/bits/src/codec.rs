@@ -142,6 +142,7 @@ impl Codec for EliasGamma {
         out.push_uint(reverse_low(v, n + 1), n + 1);
     }
 
+    #[inline]
     fn decode(&self, reader: &mut BitReader<'_>) -> Option<u64> {
         // An all-zero word (64 zeros, or zeros to the end) counts as 64.
         let n = reader.peek_word().trailing_zeros();
@@ -202,6 +203,7 @@ impl Codec for EliasDelta {
 
 /// The low `width` bits of `bits` in reverse order: MSB-first codes are
 /// written and read as one LSB-first integer through this.
+#[inline]
 fn reverse_low(bits: u64, width: u32) -> u64 {
     bits.reverse_bits().checked_shr(64 - width).unwrap_or(0)
 }

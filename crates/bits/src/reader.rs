@@ -32,11 +32,13 @@ impl<'a> BitReader<'a> {
     }
 
     /// Number of bits not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.s.len() - self.pos
     }
 
     /// Returns `true` if every bit has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
@@ -47,6 +49,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads one bit.
+    #[inline]
     pub fn read_bit(&mut self) -> Option<bool> {
         let b = self.s.get(self.pos)?;
         self.pos += 1;
@@ -62,6 +65,7 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `width > 64`.
+    #[inline]
     pub fn read_uint(&mut self, width: u32) -> Option<u64> {
         assert!(width <= 64, "width {width} exceeds u64");
         if self.remaining() < width as usize {
@@ -73,12 +77,14 @@ impl<'a> BitReader<'a> {
     }
 
     /// Peeks at the next bit without consuming it.
+    #[inline]
     pub fn peek_bit(&self) -> Option<bool> {
         self.s.get(self.pos)
     }
 
     /// The next `min(64, remaining)` bits as an integer, first bit least
     /// significant and zero beyond the end; consumes nothing.
+    #[inline]
     pub(crate) fn peek_word(&self) -> u64 {
         // The word starts at bit `pos % 8` of its first byte, so it spans at
         // most nine bytes: load them into one u128 window and shift. Bits

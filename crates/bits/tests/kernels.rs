@@ -295,8 +295,10 @@ proptest! {
     #[test]
     fn extend_from_matches_model(
         prefix in collection::vec(any::<bool>(), 64),
-        operand in collection::vec(any::<bool>(), 0..=200),
+        operand in collection::vec(any::<bool>(), 0..=1200),
     ) {
+        // Up to 150 bytes: long enough that a vectorized copy loop runs its
+        // body several times and then its tail.
         let right = BitString::from_bits(operand.iter().copied());
         for align in 0..64 {
             let mut fast = BitString::from_bits(prefix[..align].iter().copied());

@@ -20,16 +20,74 @@ use oraclesize_sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
 
 use crate::oracle::{Advice, Oracle};
 
-/// A decoded full map: `adj[v][p] = (neighbor, arrival_port)`, plus the
-/// source and the receiving node's own index.
+/// A decoded full map: the source, the receiving node's own index, and
+/// the port-labeled adjacency of the whole network as flat rows. Row `v`
+/// is `arcs[offsets[v]..offsets[v + 1]]`, and its entry `p` is
+/// `(neighbor, arrival_port)` behind `v`'s port `p`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullMap {
     /// Index of the node holding this advice.
     pub own_index: usize,
     /// Index of the source node.
     pub source: usize,
-    /// Port-labeled adjacency of the whole network.
-    pub adj: Vec<Vec<(usize, usize)>>,
+    /// `n + 1` row starts into `arcs`, the first 0 and the last
+    /// `arcs.len()`.
+    offsets: Vec<usize>,
+    /// Every node's row, in node order.
+    arcs: Vec<(usize, usize)>,
+}
+
+impl FullMap {
+    /// Number of nodes in the map.
+    pub fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Node `v`'s row: `(neighbor, arrival_port)` per port, in port order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= self.num_nodes()`.
+    pub fn row(&self, v: NodeId) -> &[(usize, usize)] {
+        &self.arcs[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// `v`'s child ports in the map's BFS tree from the source, which
+    /// explores each row in port order. Every node computes the same tree,
+    /// so the wakeup needs no coordination. The search stops once it has
+    /// expanded `v`'s row, since `v`'s children are fixed then; a node it
+    /// never reaches has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= self.num_nodes()`.
+    pub fn bfs_child_ports(&self, v: NodeId) -> Vec<Port> {
+        assert!(v < self.num_nodes(), "node {v} out of range");
+        let mut visited = vec![false; self.num_nodes()];
+        visited[self.source] = true;
+        // Decoding checked that the node count fits a `u32`.
+        let mut queue: Vec<u32> = Vec::with_capacity(self.num_nodes());
+        queue.push(self.source as u32);
+        let mut head = 0;
+        let mut children = Vec::new();
+        while let Some(&w) = queue.get(head) {
+            head += 1;
+            let own = w as usize == v;
+            for (p, &(u, _)) in self.row(w as usize).iter().enumerate() {
+                if !visited[u] {
+                    visited[u] = true;
+                    queue.push(u as u32);
+                    if own {
+                        children.push(p);
+                    }
+                }
+            }
+            if own {
+                break;
+            }
+        }
+        children
+    }
 }
 
 /// Encodes the whole network plus `own`/`source` indices:
@@ -71,8 +129,11 @@ fn with_own_index(own: NodeId, tail: &BitString) -> BitString {
     out
 }
 
-/// Decodes a map produced by [`encode_full_map`]. Returns `None` on
-/// malformed input.
+/// Decodes a map produced by [`encode_full_map`] into flat rows. Returns
+/// `None` on malformed input: an empty map, a node count above the bits
+/// that follow or above `u32::MAX` (no `PortGraph` is larger), a degree
+/// above `max_deg`, a neighbor or the own or source index `≥ n`, or bits
+/// left over.
 pub fn decode_full_map(advice: &BitString) -> Option<FullMap> {
     let mut r = advice.reader();
     let own = EliasGamma.decode(&mut r)? as usize;
@@ -82,27 +143,37 @@ pub fn decode_full_map(advice: &BitString) -> Option<FullMap> {
     // Every node's degree code takes at least one bit, so a header claiming
     // more nodes than bits remain is malformed (and cannot force a large
     // allocation below).
-    if n == 0 || n > r.remaining() as u64 {
+    if n == 0 || n > r.remaining() as u64 || n > u64::from(u32::MAX) {
         return None;
     }
-    let node_codec = FixedWidth::new(ceil_log2(n.max(2)).max(1));
-    let port_codec = FixedWidth::new(ceil_log2(max_deg.max(2)).max(1));
-    let mut adj = Vec::with_capacity(n as usize);
+    let node_w = ceil_log2(n.max(2)).max(1);
+    let port_w = ceil_log2(max_deg.max(2)).max(1);
+    let pair_w = node_w + port_w;
+    // Both vectors are sized from the bits that follow: each arc is one
+    // `pair_w`-bit pair, so no more arcs than that can follow.
+    let mut offsets = Vec::with_capacity(n as usize + 1);
+    offsets.push(0);
+    let mut arcs = Vec::with_capacity(r.remaining() / pair_w as usize);
     for _ in 0..n {
-        let deg = EliasGamma.decode(&mut r)? as usize;
-        if deg as u64 > max_deg {
+        let deg = EliasGamma.decode(&mut r)?;
+        if deg > max_deg {
             return None;
         }
-        let mut ports = Vec::with_capacity(deg);
         for _ in 0..deg {
-            let u = node_codec.decode(&mut r)? as usize;
-            let q = port_codec.decode(&mut r)? as usize;
-            if u >= n as usize {
+            // One read per pair while it fits a word (the port code is
+            // the pair's high part), two otherwise.
+            let (u, q) = if pair_w <= 64 {
+                let pair = r.read_uint(pair_w)?;
+                (pair & ((1 << node_w) - 1), pair >> node_w)
+            } else {
+                (r.read_uint(node_w)?, r.read_uint(port_w)?)
+            };
+            if u >= n {
                 return None;
             }
-            ports.push((u, q));
+            arcs.push((u as usize, q as usize));
         }
-        adj.push(ports);
+        offsets.push(arcs.len());
     }
     if own >= n as usize || source >= n as usize || !r.is_empty() {
         return None;
@@ -110,7 +181,8 @@ pub fn decode_full_map(advice: &BitString) -> Option<FullMap> {
     Some(FullMap {
         own_index: own,
         source,
-        adj,
+        offsets,
+        arcs,
     })
 }
 
@@ -132,29 +204,6 @@ impl Oracle for FullMapOracle {
     }
 }
 
-/// Deterministic BFS tree over a decoded map (port order), returning each
-/// node's child ports. All nodes compute the same tree, so the wakeup
-/// needs no coordination.
-pub fn map_bfs_child_ports(map: &FullMap) -> Vec<Vec<Port>> {
-    let n = map.adj.len();
-    let mut parent = vec![usize::MAX; n];
-    let mut visited = vec![false; n];
-    visited[map.source] = true;
-    let mut queue = std::collections::VecDeque::from([map.source]);
-    let mut children: Vec<Vec<Port>> = vec![Vec::new(); n];
-    while let Some(v) = queue.pop_front() {
-        for (p, &(u, _)) in map.adj[v].iter().enumerate() {
-            if !visited[u] {
-                visited[u] = true;
-                parent[u] = v;
-                children[v].push(p);
-                queue.push_back(u);
-            }
-        }
-    }
-    children
-}
-
 /// Wakeup from the full map: identical message pattern to
 /// [`TreeWakeup`](crate::wakeup::TreeWakeup) (`n − 1` messages), paid for
 /// with a far larger oracle.
@@ -166,7 +215,7 @@ pub struct MapWakeup;
 /// node a silent leaf, as in [`TreeWakeup`](crate::wakeup::TreeWakeup).
 fn map_child_ports(advice: &BitString, degree: usize) -> Option<Vec<Port>> {
     let mut ports = decode_full_map(advice)
-        .map(|map| map_bfs_child_ports(&map).swap_remove(map.own_index))
+        .map(|map| map.bfs_child_ports(map.own_index))
         .unwrap_or_default();
     ports.retain(|&p| p < degree);
     Some(ports)
@@ -189,7 +238,8 @@ impl Protocol for MapWakeup {
     // `separation` benchmark's set-up grew by a median 18 %: a per-message
     // run packs the full-map advice into a multi-MiB arena and frees it,
     // which raises glibc malloc's dynamic mmap threshold, and the next
-    // set-up's large allocations are cheaper for it.
+    // set-up's large allocations are cheaper for it. That was measured
+    // with the earlier nested-vector decoder, not the flat one above.
 }
 
 #[cfg(test)]
@@ -198,6 +248,7 @@ mod tests {
     use crate::oracle::advice_size;
     use crate::runner::execute;
     use oraclesize_graph::families::{self, Family};
+    use oraclesize_sim::protocol::Message;
     use oraclesize_sim::SimConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -211,11 +262,11 @@ mod tests {
             let map = decode_full_map(&enc).unwrap();
             assert_eq!(map.own_index, v);
             assert_eq!(map.source, 3);
-            assert_eq!(map.adj.len(), 12);
+            assert_eq!(map.num_nodes(), 12);
             for u in 0..12 {
-                assert_eq!(map.adj[u].len(), g.degree(u));
+                assert_eq!(map.row(u).len(), g.degree(u));
                 for p in 0..g.degree(u) {
-                    assert_eq!(map.adj[u][p], g.neighbor_via(u, p));
+                    assert_eq!(map.row(u)[p], g.neighbor_via(u, p));
                 }
             }
         }
@@ -229,15 +280,20 @@ mod tests {
         assert!(decode_full_map(&cut).is_none());
     }
 
-    #[test]
-    fn oracle_advice_is_the_single_node_encoding() {
-        let mut rng = StdRng::seed_from_u64(34);
+    /// One graph of every family at n = 17, and a randomly subdivided `K_9`.
+    fn every_family_and_a_subdivided_clique(seed: u64) -> Vec<PortGraph> {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut graphs: Vec<PortGraph> = Family::ALL
             .iter()
             .map(|fam| fam.build(17, &mut rng))
             .collect();
         graphs.push(oraclesize_graph::gadgets::random_subdivided_complete(9, 12, &mut rng).0);
-        for g in &graphs {
+        graphs
+    }
+
+    #[test]
+    fn oracle_advice_is_the_single_node_encoding() {
+        for g in &every_family_and_a_subdivided_clique(34) {
             let source = g.num_nodes() / 2;
             assert_ne!(source, 0);
             let advice = FullMapOracle.advise(g, source);
@@ -259,15 +315,64 @@ mod tests {
     }
 
     #[test]
+    fn map_decode_rejects_a_degree_the_body_cannot_hold() {
+        // A degree code is short however large the degree, so a forged
+        // degree must not size anything before its arcs are read.
+        let mut forged = BitString::new();
+        for header in [0, 0, 1, 1 << 40, 1 << 40] {
+            EliasGamma.encode(header, &mut forged);
+        }
+        forged.push_uint(0, 32);
+        assert!(decode_full_map(&forged).is_none());
+    }
+
+    /// A two-node map whose port code is `port_w` bits wide: node 0's one
+    /// port leads to node 1 at arrival port `q0`, node 1's back to 0.
+    fn forged_wide_map(max_deg: u64, port_w: u32, q0: u64) -> BitString {
+        let mut forged = BitString::new();
+        for header in [1, 0, 2, max_deg] {
+            EliasGamma.encode(header, &mut forged);
+        }
+        for (u, q) in [(1, q0), (0, 0)] {
+            EliasGamma.encode(1, &mut forged);
+            forged.push_uint(u, 1);
+            forged.push_uint(q, port_w);
+        }
+        forged
+    }
+
+    #[test]
+    fn map_decode_reads_pairs_wider_than_a_word() {
+        // One-bit node codes: a 63-bit port code makes a 64-bit pair, read
+        // at once; a 64-bit port code makes a 65-bit pair, read in two.
+        for (max_deg, port_w) in [((1u64 << 62) + 1, 63), ((1 << 63) + 1, 64)] {
+            let q = max_deg - 1;
+            let whole = forged_wide_map(max_deg, port_w, q);
+            let map = decode_full_map(&whole).unwrap();
+            assert_eq!((map.own_index, map.source), (1, 0));
+            assert_eq!(map.row(0), [(1, q as usize)], "port width {port_w}");
+            assert_eq!(map.row(1), [(0, 0)], "port width {port_w}");
+            assert_eq!(map.bfs_child_ports(0), [0]);
+            assert!(map.bfs_child_ports(1).is_empty());
+
+            let cut: BitString = whole.iter().take(whole.len() - 1).collect();
+            assert!(decode_full_map(&cut).is_none(), "port width {port_w}");
+            let mut extra = whole;
+            extra.push(false);
+            assert!(decode_full_map(&extra).is_none(), "port width {port_w}");
+        }
+    }
+
+    #[test]
     fn map_roundtrips_past_a_million_nodes() {
         let n = 1_000_405;
         let g = families::cycle(n);
         let map = decode_full_map(&encode_full_map(&g, 7, n - 1)).unwrap();
         assert_eq!((map.own_index, map.source), (n - 1, 7));
-        assert_eq!(map.adj.len(), n);
+        assert_eq!(map.num_nodes(), n);
         for v in [0, 1, n / 2, n - 1] {
             let expected: Vec<_> = (0..2).map(|p| g.neighbor_via(v, p)).collect();
-            assert_eq!(map.adj[v], expected, "node {v}");
+            assert_eq!(map.row(v), expected, "node {v}");
         }
     }
 
@@ -279,6 +384,38 @@ mod tests {
             let run = execute(&g, 0, &FullMapOracle, &MapWakeup, &SimConfig::wakeup()).unwrap();
             assert!(run.outcome.all_informed(), "{}", fam.name());
             assert_eq!(run.outcome.metrics.messages, g.num_nodes() as u64 - 1);
+        }
+    }
+
+    #[test]
+    fn map_wakeup_ports_follow_the_graphs_bfs_tree() {
+        // Both the map's BFS and `bfs_tree` explore in port order from a
+        // FIFO queue, so every node's sends are its tree children's ports.
+        for g in &every_family_and_a_subdivided_clique(35) {
+            for source in [0, g.num_nodes() / 2] {
+                let tree = oraclesize_graph::spanning::bfs_tree(g, source);
+                for v in 0..g.num_nodes() {
+                    let mut node = MapWakeup.create(NodeView {
+                        advice: encode_full_map(g, source, v),
+                        is_source: v == source,
+                        id: None,
+                        degree: g.degree(v),
+                    });
+                    let sends = match tree.parent(v) {
+                        None => node.on_start(),
+                        Some((_, _, arrival)) => node.on_receive(
+                            arrival,
+                            Message {
+                                carries_source: true,
+                                ..Message::empty()
+                            },
+                        ),
+                    };
+                    let ports: Vec<Port> = sends.iter().map(|s| s.port).collect();
+                    let children: Vec<Port> = tree.children(v).map(|(_, p)| p).collect();
+                    assert_eq!(ports, children, "node {v}, source {source}");
+                }
+            }
         }
     }
 
@@ -319,11 +456,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let g = families::random_connected(15, 0.3, &mut rng);
         let map = decode_full_map(&encode_full_map(&g, 4, 0)).unwrap();
-        let children = map_bfs_child_ports(&map);
         let mut covered = [false; 15];
         covered[4] = true;
-        for (v, ports) in children.iter().enumerate() {
-            for &p in ports {
+        for v in 0..15 {
+            for p in map.bfs_child_ports(v) {
                 let (u, _) = g.neighbor_via(v, p);
                 assert!(!covered[u], "node {u} covered twice");
                 covered[u] = true;

@@ -37,9 +37,10 @@ pub(crate) fn run_forward_once(
     let mut informed = BitSet::new(n);
     informed.set(source, true);
     // Nodes in wake order; each level is the range woken by the one
-    // before, so one buffer of capacity `n` serves the whole run.
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    order.push(source);
+    // before, so one buffer of capacity `n` serves the whole run. A graph
+    // holds at most `u32::MAX` nodes, so each id fits 4 bytes.
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    order.push(source as u32);
     let mut start = 0;
     let mut messages: u64 = 0;
     let mut rounds: u64 = 0;
@@ -48,11 +49,11 @@ pub(crate) fn run_forward_once(
         let end = order.len();
         let mut sent: u64 = 0;
         for i in start..end {
-            let v = order[i];
+            let v = order[i] as NodeId;
             let mut wake = |u: NodeId| {
                 if !informed.get(u) {
                     informed.set(u, true);
-                    order.push(u);
+                    order.push(u as u32);
                 }
             };
             match (rule.0)(&advice[v], g.degree(v)) {
