@@ -29,8 +29,8 @@ use crate::portgraph::{GraphError, NodeId, Port, PortGraph};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PortGraphBuilder {
-    // lint:allow(D005): incremental construction needs per-node growable
-    // port slots with gaps; build() flattens into the CSR PortGraph.
+    // Incremental construction needs per-node growable port slots with
+    // gaps; build() flattens them into the CSR PortGraph.
     // Slots hold `(neighbor, arrival port)` already narrowed to the
     // graph's `u32` layout.
     adj: Vec<Vec<Option<(u32, u32)>>>,

@@ -20,7 +20,7 @@ pub type Port = usize;
 /// The canonical orientation has `u < v` (by node id). The paper's edge
 /// weight `w(e) = min(port_u(e), port_v(e))` is exposed as
 /// [`EdgeRef::weight`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeRef {
     /// Smaller endpoint (by node id).
     pub u: NodeId,

@@ -100,9 +100,11 @@ impl ChaosPlan {
 /// The deliberate panic behind [`Injection::Panic`]. Lives here (not in
 /// the supervisor) so the one sanctioned panic site sits inside the chaos
 /// harness itself.
+#[expect(
+    clippy::panic,
+    reason = "the chaos harness exists to inject this panic; it only fires under a non-inert plan, inside catch_unwind"
+)]
 pub(crate) fn trigger_panic(cell: usize, attempt: u32) -> ! {
-    // lint:allow(P001): the chaos harness exists to inject this panic;
-    // it only fires under a non-inert plan, inside catch_unwind.
     panic!("chaos: injected panic at cell {cell}, attempt {attempt}")
 }
 

@@ -278,6 +278,10 @@ impl Pool {
         let cursor = AtomicUsize::new(0);
         // Each worker returns the chunks it claimed, in claim order, each
         // tagged with its index into the plan.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool is where parallelism lives: results merge by chunk index"
+        )]
         let claimed: Vec<Vec<(usize, Vec<T>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {

@@ -26,6 +26,9 @@
 //! against the committed artifact.
 
 #![warn(missing_docs)]
+// P002: socket and journal I/O failures surface as errors, not panics; a
+// panic kept on purpose carries an `#[expect]` with its reason.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod client;
 pub mod frame;

@@ -434,11 +434,12 @@ impl Server {
                     let conn = next_conn;
                     let state = Arc::clone(&self.state);
                     let config = Arc::clone(&self.config);
-                    // lint:allow(D003): connection handlers are I/O-bound
-                    // waiters, not compute parallelism; every engine cell
-                    // still runs inside a worker's runtime::pool, and
-                    // results merge through the OrderedCommitter in cell
-                    // order regardless of handler interleaving.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "connection handlers are I/O-bound waiters, not compute parallelism; \
+                                  every engine cell still runs inside a worker's runtime::pool, and \
+                                  results merge through the OrderedCommitter in cell order"
+                    )]
                     std::thread::spawn(move || handle(conn, stream, state, config));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

@@ -1,6 +1,11 @@
 //! End-to-end service tests: a real server and real workers on loopback,
 //! pinned against the local execution path byte for byte.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a server and its workers run on their own threads; artifacts merge by cell index"
+)]
+
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::mpsc;

@@ -44,6 +44,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// P001: the engine returns errors instead of panicking; a panic kept on
+// purpose carries an `#[expect]` with its reason.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod engine;
 pub mod faults;

@@ -100,12 +100,14 @@ impl FromIterator<BitString> for Advice {
             strings: vec![BitString::new()],
         };
         for s in iter {
+            #[expect(
+                clippy::expect_used,
+                reason = "there is at most one string per node, and a graph has at most u32::MAX nodes"
+            )]
             let slot = if s.is_empty() {
                 0
             } else {
                 advice.strings.push(s);
-                // lint:allow(P001): there is at most one string per node, and a
-                // graph has at most u32::MAX nodes.
                 u32::try_from(advice.strings.len() - 1).expect("at most u32::MAX nodes")
             };
             advice.slots.push(slot);

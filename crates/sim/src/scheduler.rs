@@ -63,10 +63,7 @@ impl SchedulerKind {
     }
 }
 
-/// Instantiated scheduler state. (The `Random` variant carries an RNG and
-/// dwarfs the others; a single scheduler exists per run, so the size skew
-/// is irrelevant.)
-#[allow(clippy::large_enum_variant)]
+/// Instantiated scheduler state.
 pub(crate) enum Scheduler {
     Fifo,
     Lifo,

@@ -9,10 +9,11 @@ use oraclesize::cli::{self, Command, ExperimentsArgs};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // lint:allow(D002): the wall clock lives at the binary edge only —
-    // the library never reads it, so reports and artifacts stay
-    // deterministic; the rate and timing lines are telemetry, not
-    // artifacts.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall clock lives at the binary edge only; the library never reads it, \
+                  and the rate and timing lines are telemetry, not artifacts"
+    )]
     let started = Instant::now();
     let parsed = cli::parse_args(&args);
     let sweep_runs = match &parsed {

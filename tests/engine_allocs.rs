@@ -20,6 +20,12 @@
 //! breaks the bound by a wide margin. DESIGN.md §12 records which engine
 //! functions a mutation was planted in and what each case then counted.
 
+#![expect(
+    clippy::disallowed_macros,
+    clippy::disallowed_types,
+    reason = "the allocator counts per thread, so parallel tests cannot see each other's allocations"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,7 +70,10 @@ fn note() {
     }
 }
 
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe impl; every method forwards to System"
+)]
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counting around each call
 // touches only const-initialised thread-locals, so it never allocates.
