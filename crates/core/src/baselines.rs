@@ -234,12 +234,18 @@ impl Protocol for MapWakeup {
     }
 
     // No `forward_once` override, on purpose: the scheme stays on the
-    // per-message path. On the kernel its runs were no faster, and the
-    // `separation` benchmark's set-up grew by a median 18 %: a per-message
-    // run packs the full-map advice into a multi-MiB arena and frees it,
-    // which raises glibc malloc's dynamic mmap threshold, and the next
-    // set-up's large allocations are cheaper for it. That was measured
-    // with the earlier nested-vector decoder, not the flat one above.
+    // per-message path. A per-message run packs the full-map advice into a
+    // multi-MiB `BitArena` and frees it, which raises glibc malloc's
+    // dynamic mmap threshold and keeps the next set-up's heap warm. With
+    // the flat decoder above, on `perf --workload separation --seed 2006
+    // --trace 0` (4 alternating 8-second runs per variant, 2 vCPUs):
+    // deleting the arena, each node cloning its string from `Advice`,
+    // raised `setup_s` from a median 0.00356 to 0.00513 s (+44 %, worse in
+    // 4 of 4, past the benchmark's 25 % bound), while `cells_per_s` went
+    // 528 → 647 and `sweep_s` 0.0112 → 0.0114 s. Giving this scheme the
+    // kernel on top read `setup_s` 0.00539 s and the same 647 cells/s:
+    // once the arena is gone the kernel adds no execution gain. (With the
+    // earlier nested-vector decoder the kernel alone cost 18 % of set-up.)
 }
 
 #[cfg(test)]

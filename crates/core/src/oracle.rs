@@ -31,10 +31,12 @@ impl Oracle for EmptyOracle {
 /// An oracle that truncates another oracle's advice to a global bit budget,
 /// dropping bits string-by-string from the last node backwards.
 ///
-/// Used by experiment T6/F3 to measure how message complexity degrades as
-/// the wakeup oracle is starved below `Θ(n log n)` bits. Truncation is the
-/// natural "adversarial budget cut": the protocol must cope with advice
-/// that decodes only partially.
+/// A robustness wrapper: cutting mid-string leaves advice that decodes
+/// only partially, and the schemes must stay legal and never panic on it
+/// (`truncated_advice_never_panics_schemes` in `crates/core/tests/props.rs`).
+/// Experiments T6/F3 starve the wakeup oracle with
+/// `lowerbound::truncation::StringBudgetOracle` instead, which cuts whole
+/// strings so each surviving string still decodes.
 #[derive(Debug, Clone)]
 pub struct TruncatedOracle<O> {
     inner: O,

@@ -6,13 +6,20 @@ use oraclesize_core::execute;
 use oraclesize_core::oracle::TruncatedOracle;
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_graph::families::{self, Family};
-use oraclesize_sim::{advice_size, Oracle, SchedulerKind, SimConfig, TaskMode};
+use oraclesize_sim::{advice_size, Oracle, SchedulerKind, SimConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn arb_family() -> impl Strategy<Value = Family> {
     proptest::sample::select(Family::ALL.to_vec())
+}
+
+/// A delivery model: synchronous rounds (`None`) half the time, else a
+/// seeded random scheduler.
+fn arb_delivery() -> impl Strategy<Value = Option<SchedulerKind>> {
+    (any::<bool>(), any::<u64>())
+        .prop_map(|(synchronous, seed)| (!synchronous).then_some(SchedulerKind::Random { seed }))
 }
 
 proptest! {
@@ -23,20 +30,17 @@ proptest! {
         fam in arb_family(),
         n in 4usize..64,
         seed in any::<u64>(),
-        sched_seed in any::<u64>(),
-        synchronous in any::<bool>(),
+        delivery in arb_delivery(),
         anonymous in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = fam.build(n, &mut rng);
         let nodes = g.num_nodes();
         let source = seed as usize % nodes;
-        let cfg = SimConfig::broadcast()
-            .with_mode(TaskMode::Wakeup)
-            .with_scheduler(SchedulerKind::Random { seed: sched_seed })
-            .with_synchronous(synchronous)
+        let mut cfg = SimConfig::wakeup()
             .with_anonymous(anonymous)
             .with_max_message_bits(0);
+        cfg.scheduler = delivery;
         let run = execute(&g, source, &SpanningTreeOracle::default(), &TreeWakeup, &cfg).unwrap();
         prop_assert!(run.outcome.all_informed());
         prop_assert_eq!(run.outcome.metrics.messages, (nodes - 1) as u64);
@@ -47,19 +51,17 @@ proptest! {
         fam in arb_family(),
         n in 4usize..64,
         seed in any::<u64>(),
-        sched_seed in any::<u64>(),
-        synchronous in any::<bool>(),
+        delivery in arb_delivery(),
         anonymous in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = fam.build(n, &mut rng);
         let nodes = g.num_nodes();
         let source = seed as usize % nodes;
-        let cfg = SimConfig::broadcast()
-            .with_scheduler(SchedulerKind::Random { seed: sched_seed })
-            .with_synchronous(synchronous)
+        let mut cfg = SimConfig::broadcast()
             .with_anonymous(anonymous)
             .with_max_message_bits(0);
+        cfg.scheduler = delivery;
         let run = execute(&g, source, &LightTreeOracle, &SchemeB, &cfg).unwrap();
         prop_assert!(run.outcome.all_informed());
         prop_assert!(run.oracle_bits <= 8 * nodes as u64,

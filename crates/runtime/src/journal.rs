@@ -32,6 +32,7 @@
 //! so there is no event stream to lose.
 
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use oraclesize_sim::faults::FaultCounts;
@@ -46,12 +47,14 @@ use crate::json::{self, Fields, Json};
 /// cell range: `oraclesize-journal v1 cells=<N> range=<LO>..<HI>`.
 const HEADER_PREFIX: &str = "oraclesize-journal v1 cells=";
 
-/// The exact header line (without newline) for a journal of `cells`
-/// cells, optionally restricted to the `[lo, hi)` segment.
-fn header_for(cells: usize, range: Option<(usize, usize)>) -> String {
-    match range {
-        None => format!("{HEADER_PREFIX}{cells}"),
-        Some((lo, hi)) => format!("{HEADER_PREFIX}{cells} range={lo}..{hi}"),
+/// The exact header line (without newline) for the `range` cells of a
+/// `cells`-cell sweep: the plain header for the whole sweep, the
+/// range-pinned segment header for any other range.
+fn header_for(cells: usize, range: &Range<usize>) -> String {
+    if *range == (0..cells) {
+        format!("{HEADER_PREFIX}{cells}")
+    } else {
+        format!("{HEADER_PREFIX}{cells} range={range:?}")
     }
 }
 
@@ -197,8 +200,8 @@ fn decode_record(line: &[u8]) -> Result<JournalRecord, String> {
     record_from_json(&j.ok_or("record: not canonical JSON")?, "record")
 }
 
-/// An open journal accepting appends. Create with [`Journal::create`]
-/// (fresh file) or via [`Journal::resume`] (replay then continue).
+/// An open journal accepting appends, from [`open`] (or, for a fresh
+/// whole-sweep file, [`Journal::create`]).
 #[derive(Debug)]
 pub struct Journal {
     file: std::fs::File,
@@ -213,90 +216,20 @@ impl Journal {
     ///
     /// Propagates filesystem errors (unwritable path, full disk).
     pub fn create(path: &Path, cells: usize) -> std::io::Result<Journal> {
-        Journal::create_with(path, cells, None)
+        Journal::create_with(path, &header_for(cells, &(0..cells)))
     }
 
-    /// Starts a fresh *segment* journal: one shard's checkpoints for the
-    /// `[lo, hi)` cells of a `cells`-cell sweep. Records carry sweep-wide
-    /// cell indices, and the header pins the range so a segment is never
-    /// replayed into the wrong shard.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (unwritable path, full disk).
-    pub fn create_segment(
-        path: &Path,
-        cells: usize,
-        lo: usize,
-        hi: usize,
-    ) -> std::io::Result<Journal> {
-        Journal::create_with(path, cells, Some((lo, hi)))
-    }
-
-    fn create_with(
-        path: &Path,
-        cells: usize,
-        range: Option<(usize, usize)>,
-    ) -> std::io::Result<Journal> {
+    fn create_with(path: &Path, header: &str) -> std::io::Result<Journal> {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir)?;
         }
         let mut file = std::fs::File::create(path)?;
-        file.write_all(format!("{}\n", header_for(cells, range)).as_bytes())?;
+        file.write_all(format!("{header}\n").as_bytes())?;
         file.sync_all()?;
         Ok(Journal {
             file,
             path: path.to_path_buf(),
         })
-    }
-
-    /// Loads the journal at `path` and reopens it for appending.
-    ///
-    /// The file is rewritten with exactly the records that survived
-    /// validation, so a torn final record (or any corrupt suffix) is
-    /// physically discarded before new appends land — appending after torn
-    /// bytes would corrupt every later record's framing.
-    ///
-    /// A missing file, or one whose header announces a different cell
-    /// count, yields an empty journal (with a warning in the latter case):
-    /// resuming against the wrong sweep must re-run everything rather than
-    /// replay records from a different grid.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the rewrite; a merely *corrupt*
-    /// journal is not an error.
-    pub fn resume(path: &Path, cells: usize) -> std::io::Result<(Journal, LoadedJournal)> {
-        Journal::resume_with(path, cells, None)
-    }
-
-    /// [`Journal::resume`] for a segment journal: loads, validates, and
-    /// rewrites the `[lo, hi)` shard's checkpoints, then reopens the file
-    /// for appends.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the rewrite.
-    pub fn resume_segment(
-        path: &Path,
-        cells: usize,
-        lo: usize,
-        hi: usize,
-    ) -> std::io::Result<(Journal, LoadedJournal)> {
-        Journal::resume_with(path, cells, Some((lo, hi)))
-    }
-
-    fn resume_with(
-        path: &Path,
-        cells: usize,
-        range: Option<(usize, usize)>,
-    ) -> std::io::Result<(Journal, LoadedJournal)> {
-        let loaded = load_with(path, cells, range)?;
-        let mut journal = Journal::create_with(path, cells, range)?;
-        for rec in &loaded.records {
-            journal.append(rec.cell, rec.seed, &rec.report)?;
-        }
-        Ok((journal, loaded))
     }
 
     /// Appends one completed-cell record and flushes it to disk.
@@ -318,54 +251,78 @@ impl Journal {
     }
 }
 
-/// Reads and validates the journal at `path` without opening it for
-/// appends. Missing file → empty journal; corrupt records → dropped with
-/// warnings; everything after the first framing error is discarded (the
-/// length prefixes downstream can no longer be trusted).
+/// Opens the journal at `path` for appends to the `range` cells of a
+/// `cells`-cell sweep, and returns it with the records to replay. Every
+/// checkpointing path (local sweeps, worker shards, the server's job
+/// journals) opens its journal here.
 ///
-/// # Errors
+/// The range picks the header: the plain one for the whole sweep
+/// (`0..cells`), a range-pinned segment header otherwise, so a segment is
+/// never replayed into the wrong shard. Without `resume` the file starts
+/// fresh. With it, the file is [loaded](load) first and the records whose
+/// seed is `seed(cell)` are returned for replay; every other record gets a
+/// warning and its cell re-runs. The file is then rewritten with exactly
+/// the replayed records, so a torn final record (or any corrupt suffix)
+/// is physically discarded before new appends land — appending after torn
+/// bytes would corrupt every later record's framing.
 ///
-/// Propagates filesystem read errors other than "not found".
-pub fn load(path: &Path, cells: usize) -> std::io::Result<LoadedJournal> {
-    load_with(path, cells, None)
-}
-
-/// [`load`] for a segment journal holding the `[lo, hi)` shard of a
-/// `cells`-cell sweep: the header must pin the same range, and records
-/// outside it are dropped with a warning.
-///
-/// # Errors
-///
-/// Propagates filesystem read errors other than "not found".
-pub fn load_segment(
+/// A filesystem error is a warning, never a failure: the sweep runs
+/// without checkpoints (`None`), replaying whatever loaded before it.
+pub fn open(
     path: &Path,
     cells: usize,
-    lo: usize,
-    hi: usize,
-) -> std::io::Result<LoadedJournal> {
-    load_with(path, cells, Some((lo, hi)))
-}
-
-/// Merges segment loads into one sweep-wide view: records sorted by cell
-/// (first occurrence wins on duplicates), warnings concatenated in input
-/// order. The sort is stable, so merging the segments of a sweep yields
-/// exactly the records a single whole-sweep journal would hold.
-pub fn merge_segments(segments: Vec<LoadedJournal>) -> LoadedJournal {
-    let mut out = LoadedJournal::default();
-    for seg in segments {
-        out.records.extend(seg.records);
-        out.warnings.extend(seg.warnings);
+    range: Range<usize>,
+    resume: bool,
+    seed: impl Fn(usize) -> u64,
+) -> (Option<Journal>, LoadedJournal) {
+    let header = header_for(cells, &range);
+    let mut loaded = LoadedJournal::default();
+    let reopen = || -> std::io::Result<Journal> {
+        if resume {
+            loaded = load(path, cells, range)?;
+            let LoadedJournal { records, warnings } = &mut loaded;
+            records.retain(|rec| {
+                let expected = seed(rec.cell);
+                if rec.seed != expected {
+                    warnings.push(format!(
+                        "journal {}: cell {} was journaled under seed {}, expected {expected}; \
+                         re-running it",
+                        path.display(),
+                        rec.cell,
+                        rec.seed
+                    ));
+                }
+                rec.seed == expected
+            });
+        }
+        let mut journal = Journal::create_with(path, &header)?;
+        for rec in &loaded.records {
+            journal.append(rec.cell, rec.seed, &rec.report)?;
+        }
+        Ok(journal)
+    };
+    match reopen() {
+        Ok(journal) => (Some(journal), loaded),
+        Err(e) => {
+            let display = path.display();
+            let warning = format!("journal {display}: {e}; running without checkpoints");
+            loaded.warnings.push(warning);
+            (None, loaded)
+        }
     }
-    out.records.sort_by_key(|r| r.cell);
-    out.records.dedup_by_key(|r| r.cell);
-    out
 }
 
-fn load_with(
-    path: &Path,
-    cells: usize,
-    range: Option<(usize, usize)>,
-) -> std::io::Result<LoadedJournal> {
+/// Reads and validates the journal of the `range` cells of a `cells`-cell
+/// sweep at `path`, without opening it for appends. The header must match
+/// the one [`open`] writes for that range. Missing file → empty journal;
+/// corrupt records and records outside the range → dropped with warnings;
+/// everything after the first framing error is discarded (the length
+/// prefixes downstream can no longer be trusted).
+///
+/// # Errors
+///
+/// Propagates filesystem read errors other than "not found".
+pub fn load(path: &Path, cells: usize, range: Range<usize>) -> std::io::Result<LoadedJournal> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -380,10 +337,11 @@ fn load_with(
             .push(format!("journal {display}: missing header; starting fresh"));
         return Ok(out);
     };
-    if header != header_for(cells, range).as_bytes() {
-        let shape = match range {
-            None => format!("a {cells}-cell sweep"),
-            Some((lo, hi)) => format!("segment {lo}..{hi} of a {cells}-cell sweep"),
+    if header != header_for(cells, &range).as_bytes() {
+        let shape = if range == (0..cells) {
+            format!("a {cells}-cell sweep")
+        } else {
+            format!("segment {range:?} of a {cells}-cell sweep")
         };
         out.warnings.push(format!(
             "journal {display}: header {:?} does not match {shape}; ignoring journal",
@@ -391,7 +349,6 @@ fn load_with(
         ));
         return Ok(out);
     }
-    let (lo, hi) = range.unwrap_or((0, cells));
     // Framing is by byte length and each record is UTF-8-checked on its
     // own, so a flipped byte costs one record, never the whole load.
     while !rest.is_empty() {
@@ -423,9 +380,9 @@ fn load_with(
         let line = &tail[..len];
         rest = after;
         match decode_record(line) {
-            Ok(rec) if rec.cell >= lo && rec.cell < hi => out.records.push(rec),
+            Ok(rec) if range.contains(&rec.cell) => out.records.push(rec),
             Ok(rec) => out.warnings.push(format!(
-                "journal {display}: record for cell {} outside cells {lo}..{hi}; dropping it",
+                "journal {display}: record for cell {} outside cells {range:?}; dropping it",
                 rec.cell
             )),
             Err(e) => out.warnings.push(format!(
@@ -435,6 +392,21 @@ fn load_with(
         }
     }
     Ok(out)
+}
+
+/// Merges segment loads into one sweep-wide view: records sorted by cell
+/// (first occurrence wins on duplicates), warnings concatenated in input
+/// order. The sort is stable, so merging the segments of a sweep yields
+/// exactly the records a single whole-sweep journal would hold.
+pub fn merge_segments(segments: Vec<LoadedJournal>) -> LoadedJournal {
+    let mut out = LoadedJournal::default();
+    for seg in segments {
+        out.records.extend(seg.records);
+        out.warnings.extend(seg.warnings);
+    }
+    out.records.sort_by_key(|r| r.cell);
+    out.records.dedup_by_key(|r| r.cell);
+    out
 }
 
 /// Splits off the first `\n`-terminated line.
@@ -500,7 +472,7 @@ mod tests {
         let mut j = Journal::create(&path, 4).unwrap();
         j.append(0, 100, &sample_report(0)).unwrap();
         j.append(2, 102, &err_report(2)).unwrap();
-        let loaded = load(&path, 4).unwrap();
+        let loaded = load(&path, 4, 0..4).unwrap();
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
         assert_eq!(loaded.records.len(), 2);
         assert_eq!(loaded.records[0].seed, 100);
@@ -510,7 +482,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty() {
-        let loaded = load(Path::new("/nonexistent/never/sweep.journal"), 3).unwrap();
+        let loaded = load(Path::new("/nonexistent/never/sweep.journal"), 3, 0..3).unwrap();
         assert!(loaded.records.is_empty());
         assert!(loaded.warnings.is_empty());
     }
@@ -520,7 +492,7 @@ mod tests {
         let path = temp_path("cellcount");
         let mut j = Journal::create(&path, 4).unwrap();
         j.append(0, 1, &sample_report(0)).unwrap();
-        let loaded = load(&path, 5).unwrap();
+        let loaded = load(&path, 5, 0..5).unwrap();
         assert!(loaded.records.is_empty());
         assert_eq!(loaded.warnings.len(), 1);
         assert!(
@@ -539,7 +511,7 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         // Tear 10 bytes off the final record, mid-JSON.
         std::fs::write(&path, &full[..full.len() - 10]).unwrap();
-        let loaded = load(&path, 4).unwrap();
+        let loaded = load(&path, 4, 0..4).unwrap();
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.records[0].cell, 0);
         assert_eq!(loaded.warnings.len(), 1);
@@ -561,7 +533,7 @@ mod tests {
         let tampered = text.replace("\"messages\": 12", "\"messages\": 13");
         assert_ne!(tampered, text, "tamper target must exist");
         std::fs::write(&path, tampered).unwrap();
-        let loaded = load(&path, 4).unwrap();
+        let loaded = load(&path, 4, 0..4).unwrap();
         assert!(loaded.records.is_empty());
         assert_eq!(loaded.warnings.len(), 1);
         assert!(
@@ -583,7 +555,7 @@ mod tests {
         let at = bytes.windows(9).position(|w| w == b"\"cell\": 1").unwrap();
         bytes[at + 2] ^= 0x80;
         std::fs::write(&path, bytes).unwrap();
-        let loaded = load(&path, 4).unwrap();
+        let loaded = load(&path, 4, 0..4).unwrap();
         let cells: Vec<usize> = loaded.records.iter().map(|r| r.cell).collect();
         assert_eq!(cells, [0, 2]);
         assert_eq!(loaded.warnings.len(), 1);
@@ -608,56 +580,116 @@ mod tests {
         let cut = line.find('é').unwrap() + 1;
         assert!(cut < len.parse().unwrap());
         std::fs::write(&path, format!("{header}\n{cut}\n{line}")).unwrap();
-        let loaded = load(&path, 2).unwrap();
+        let loaded = load(&path, 2, 0..2).unwrap();
         assert!(loaded.records.is_empty());
         assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
+    }
+
+    /// The cell's own index as its seed, as a sweep without spec seeds
+    /// journals it.
+    fn index_seed(cell: usize) -> u64 {
+        cell as u64
     }
 
     #[test]
     fn resume_rewrites_out_torn_tail() {
         let path = temp_path("rewrite");
         let mut j = Journal::create(&path, 4).unwrap();
-        j.append(0, 1, &sample_report(0)).unwrap();
-        j.append(1, 2, &sample_report(1)).unwrap();
+        j.append(0, 0, &sample_report(0)).unwrap();
+        j.append(1, 1, &sample_report(1)).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
-        let (mut journal, loaded) = Journal::resume(&path, 4).unwrap();
+        let (journal, loaded) = open(&path, 4, 0..4, true, index_seed);
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.warnings.len(), 1);
         // The rewritten file is clean: a second load sees one record and
         // no warnings, and appends continue from valid framing.
-        journal.append(3, 4, &err_report(3)).unwrap();
-        let again = load(&path, 4).unwrap();
+        journal.unwrap().append(3, 3, &err_report(3)).unwrap();
+        let again = load(&path, 4, 0..4).unwrap();
         assert!(again.warnings.is_empty(), "{:?}", again.warnings);
         assert_eq!(again.records.len(), 2);
     }
 
     #[test]
+    fn open_replays_only_records_under_the_expected_seed() {
+        let path = temp_path("seeds");
+        let mut j = Journal::create(&path, 4).unwrap();
+        for cell in 0..3 {
+            j.append(cell, cell as u64, &sample_report(cell)).unwrap();
+        }
+        // The spec now runs cell 1 under seed 99.
+        let seed = |cell: usize| if cell == 1 { 99 } else { cell as u64 };
+        let (journal, loaded) = open(&path, 4, 0..4, true, seed);
+        let replayed: Vec<usize> = loaded.records.iter().map(|r| r.cell).collect();
+        assert_eq!(replayed, [0, 2]);
+        assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
+        assert!(
+            loaded.warnings[0].contains("cell 1 was journaled under seed 1, expected 99"),
+            "{}",
+            loaded.warnings[0]
+        );
+        // The stale record is gone from the rewritten file.
+        drop(journal);
+        let again = load(&path, 4, 0..4).unwrap();
+        let kept: Vec<usize> = again.records.iter().map(|r| r.cell).collect();
+        assert_eq!(kept, [0, 2]);
+    }
+
+    #[test]
+    fn an_unwritable_path_runs_without_checkpoints() {
+        // A regular file where the journal's directory should be: no user,
+        // root included, can create the journal beneath it.
+        let blocker = temp_path("unwritable").with_file_name("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let path = blocker.join("sweep.journal");
+        for resume in [false, true] {
+            let (journal, loaded) = open(&path, 4, 0..4, resume, index_seed);
+            assert!(journal.is_none());
+            assert!(loaded.records.is_empty());
+            assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
+            assert!(
+                loaded.warnings[0].ends_with("; running without checkpoints"),
+                "{}",
+                loaded.warnings[0]
+            );
+        }
+    }
+
+    #[test]
     fn segment_roundtrip_and_range_validation() {
         let path = temp_path("segment");
-        let mut j = Journal::create_segment(&path, 8, 2, 5).unwrap();
+        let (j, _) = open(&path, 8, 2..5, false, index_seed);
+        let mut j = j.unwrap();
         j.append(2, 2, &sample_report(2)).unwrap();
         j.append(4, 4, &err_report(4)).unwrap();
-        let loaded = load_segment(&path, 8, 2, 5).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("oraclesize-journal v1 cells=8 range=2..5\n"));
+        let loaded = load(&path, 8, 2..5).unwrap();
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
         assert_eq!(loaded.records.len(), 2);
         // A whole-sweep load refuses the segment header…
-        let whole = load(&path, 8).unwrap();
+        let whole = load(&path, 8, 0..8).unwrap();
         assert!(whole.records.is_empty());
-        assert!(whole.warnings[0].contains("does not match"));
+        assert!(whole.warnings[0].contains("does not match a 8-cell sweep"));
         // …and so does a differently-ranged segment load.
-        let shifted = load_segment(&path, 8, 0, 5).unwrap();
+        let shifted = load(&path, 8, 0..5).unwrap();
         assert!(shifted.records.is_empty());
         assert!(shifted.warnings[0].contains("segment 0..5"));
+        // The whole range writes the plain header, and without resume
+        // the file starts fresh.
+        let (_, _) = open(&path, 8, 0..8, false, index_seed);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, "oraclesize-journal v1 cells=8\n");
     }
 
     #[test]
     fn segment_load_drops_out_of_range_records() {
         let path = temp_path("segment-range");
-        let mut j = Journal::create_segment(&path, 8, 2, 5).unwrap();
+        let (j, _) = open(&path, 8, 2..5, false, index_seed);
+        let mut j = j.unwrap();
         j.append(2, 2, &sample_report(2)).unwrap();
         j.append(7, 7, &sample_report(7)).unwrap();
-        let loaded = load_segment(&path, 8, 2, 5).unwrap();
+        let loaded = load(&path, 8, 2..5).unwrap();
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.records[0].cell, 2);
         assert!(loaded.warnings[0].contains("outside cells 2..5"));
@@ -674,18 +706,18 @@ mod tests {
         }
         let dir = whole_path.parent().unwrap().to_path_buf();
         let mut segs = Vec::new();
-        for (lo, hi) in [(0usize, 2usize), (2, 4), (4, 6)] {
-            let path = dir.join(format!("shard-{lo}-{hi}.journal"));
-            let mut j = Journal::create_segment(&path, 6, lo, hi).unwrap();
+        for range in [0..2, 2..4, 4..6] {
+            let path = dir.join(format!("shard-{range:?}.journal"));
+            let mut j = open(&path, 6, range.clone(), false, index_seed).0.unwrap();
             // Reverse order inside the shard: the merge re-sorts.
-            for cell in (lo..hi).rev() {
+            for cell in range.clone().rev() {
                 j.append(cell, cell as u64, &sample_report(cell)).unwrap();
             }
-            segs.push(load_segment(&path, 6, lo, hi).unwrap());
+            segs.push(load(&path, 6, range).unwrap());
         }
         let merged = merge_segments(segs);
         assert!(merged.warnings.is_empty(), "{:?}", merged.warnings);
-        assert_eq!(merged.records, load(&whole_path, 6).unwrap().records);
+        assert_eq!(merged.records, load(&whole_path, 6, 0..6).unwrap().records);
     }
 
     #[test]

@@ -759,12 +759,11 @@ mod tests {
     fn sim_config_lowering_matches_builders() {
         let spec = rich_spec();
         let cfg = spec.cells[0].sim_config().expect("config");
-        assert!(!cfg.synchronous);
-        assert_eq!(cfg.scheduler, SchedulerKind::Random { seed: 41 });
+        assert_eq!(cfg.scheduler, Some(SchedulerKind::Random { seed: 41 }));
         assert!(cfg.anonymous);
         assert_eq!(cfg.max_message_bits, Some(0));
         let cfg = spec.cells[1].sim_config().expect("config");
-        assert!(cfg.synchronous);
+        assert_eq!(cfg.scheduler, None);
         assert_eq!(cfg.max_quiescence_polls, 16);
         assert_eq!(cfg.faults.crashes.len(), 2);
         assert_eq!(cfg.faults.drop_prob, 0.3);

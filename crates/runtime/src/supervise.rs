@@ -15,7 +15,7 @@
 //! * **watchdog** — [`SuperviseConfig::cell_timeout`] caps each attempt's
 //!   step budget; a cell that exceeds it aborts with the engine's
 //!   `StepLimit` error instead of hanging the sweep,
-//! * **resume** — with a [journal](crate::journal) configured, completed
+//! * **resume** — with a [journal] configured, completed
 //!   cells are checkpointed as they finish and skipped on the next run.
 //!
 //! Dispatch goes through the pool ([`crate::pool`]): cells are grouped
@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::batch::{run_cell_report, RunReport, RunRequest};
 use crate::chaos::{ChaosPlan, Injection};
-use crate::journal::Journal;
+use crate::journal::{self, Journal};
 use crate::pool::{ChunkPlan, Pool, SchedStats};
 use crate::spec::SweepSpec;
 
@@ -338,11 +338,16 @@ pub fn run_cell_supervised(
 /// back the checkpoints of later-finished cells until it settles, so a
 /// hard kill may lose a few more checkpoints than completion-order
 /// appends would — a resume just re-runs those cells.
+///
+/// The committer is also where "only settled reports are journaled"
+/// holds, for the local executor and the sweep server alike: an `Err`
+/// report (an aborted cell) may be transient, so it is never appended
+/// and a resume re-runs the cell.
 pub struct OrderedCommitter {
     journal: Option<Journal>,
     /// Cells that settled ahead of the commit cursor; `Some` holds a
     /// record still owed to the journal, `None` means the cell produced
-    /// no append (resumed or aborted).
+    /// no append (resumed, interrupted or aborted).
     pending: BTreeMap<usize, Option<(u64, RunReport)>>,
     /// The next cell index the journal is waiting on.
     next: usize,
@@ -362,9 +367,13 @@ impl OrderedCommitter {
         }
     }
 
-    /// Marks `cell` settled (with its checkpoint record, if it earned
-    /// one) and flushes every record the cursor can now reach.
-    pub fn settle(&mut self, cell: usize, record: Option<(u64, RunReport)>) {
+    /// Marks `cell` settled with the report it ran to, if any, under
+    /// `seed`, and flushes every record the cursor can now reach. Only an
+    /// `Ok` report earns a checkpoint record.
+    pub fn settle(&mut self, cell: usize, record: Option<(u64, &RunReport)>) {
+        let record = record
+            .filter(|(_, report)| report.result.is_ok())
+            .map(|(seed, report)| (seed, report.clone()));
         self.pending.insert(cell, record);
         while let Some(entry) = self.pending.remove(&self.next) {
             if let Some((seed, report)) = entry {
@@ -393,69 +402,30 @@ impl OrderedCommitter {
 /// range; every report, journal record, seed and chaos decision still
 /// uses the sweep-wide cell index.
 ///
-/// Cells already present in the journal (matching seed, valid digest)
-/// return [`CellStatus::Resumed`] without executing; everything else runs
-/// through [`run_cell_supervised`] and — when it completes or degrades —
-/// is appended to the journal. Aborted cells are *not* journaled: their
-/// failure may be transient, so a resume re-runs them. A whole-sweep run
-/// writes the classic journal format; a proper shard writes a
-/// range-pinned segment (see
-/// [`Journal::create_segment`](crate::journal::Journal::create_segment))
-/// so segments from different shards can later be merged into exactly the
-/// records a single-journal run would have produced.
+/// The journal is opened with [`journal::open`] over the cells this run
+/// covers: a whole-sweep run writes the classic journal format, a proper
+/// shard a range-pinned segment, so segments from different shards can
+/// later be merged into exactly the records a single-journal run would
+/// have produced. Cells it replays (matching seed, valid digest) return
+/// [`CellStatus::Resumed`] without executing; everything else runs
+/// through [`run_cell_supervised`] and settles with the
+/// [`OrderedCommitter`], which journals it unless it aborted.
 ///
 /// Journal problems never fail the sweep; they surface as warnings and
 /// the sweep simply runs without checkpoints.
 pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOptions) -> SweepRun {
-    let total = requests.len();
-    let cells = opts.cells(total);
-    let (base, span) = (cells.start, cells.len());
-    let whole = span == total;
-    let mut warnings = Vec::new();
-    let mut done: Vec<Option<RunReport>> = (0..span).map(|_| None).collect();
-    let mut journal = None;
-    if let Some(path) = &opts.journal {
-        let opened = if opts.resume {
-            let resumed = if whole {
-                Journal::resume(path, total)
-            } else {
-                Journal::resume_segment(path, total, cells.start, cells.end)
-            };
-            resumed.map(|(j, loaded)| {
-                warnings.extend(loaded.warnings);
-                for rec in loaded.records {
-                    // The loader already bounds rec.cell to the shard.
-                    if !cells.contains(&rec.cell) {
-                        continue;
-                    }
-                    if rec.seed == opts.seed(rec.cell) {
-                        done[rec.cell - base] = Some(rec.report);
-                    } else {
-                        warnings.push(format!(
-                            "journal {}: cell {} was journaled under seed {}, expected {}; \
-                             re-running it",
-                            path.display(),
-                            rec.cell,
-                            rec.seed,
-                            opts.seed(rec.cell)
-                        ));
-                    }
-                }
-                j
-            })
-        } else if whole {
-            Journal::create(path, total)
-        } else {
-            Journal::create_segment(path, total, cells.start, cells.end)
-        };
-        match opened {
-            Ok(j) => journal = Some(j),
-            Err(e) => warnings.push(format!(
-                "journal {}: {e}; running without checkpoints",
-                path.display()
-            )),
-        }
+    let cells = opts.cells(requests.len());
+    let base = cells.start;
+    let (journal, loaded) = opts.journal.as_ref().map_or_else(Default::default, |path| {
+        journal::open(path, requests.len(), cells.clone(), opts.resume, |c| {
+            opts.seed(c)
+        })
+    });
+    let mut done: Vec<Option<RunReport>> = vec![None; cells.len()];
+    for rec in loaded.records {
+        done[rec.cell - base] = Some(rec.report);
     }
+    let mut warnings = loaded.warnings;
     let committer = Mutex::new(OrderedCommitter::new(journal, base));
     // Dispatch through the pool. Supervision wraps each *sub-task*
     // (cell) individually — the `catch_unwind`, retry loop, and watchdog
@@ -467,7 +437,7 @@ pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOp
     let (cells_out, sched): (Vec<SupervisedReport>, SchedStats) =
         pool.run_chunked(&plan, |local| {
             let cell = base + local;
-            let settle = |record: Option<(u64, RunReport)>| {
+            let settle = |record: Option<(u64, &RunReport)>| {
                 committer
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -493,12 +463,7 @@ pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOp
                 };
             }
             let sup = run_cell_supervised(cell, &requests[cell], &opts.supervise, &opts.chaos);
-            let record = matches!(
-                sup.status,
-                CellStatus::Completed | CellStatus::Degraded { .. }
-            )
-            .then(|| (opts.seed(cell), sup.report.clone()));
-            settle(record);
+            settle(Some((opts.seed(cell), &sup.report)));
             sup
         });
     warnings.extend(

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families;
-use oraclesize_runtime::journal::{load, load_segment, merge_segments};
+use oraclesize_runtime::journal::{load, merge_segments};
 use oraclesize_runtime::{
     run_supervised_batch, CellStatus, Journal, Pool, RunRequest, SweepOptions,
 };
@@ -61,7 +61,7 @@ fn shards_reproduce_the_whole_sweep_and_their_segments_merge() {
         assert!(run.warnings.is_empty(), "{:?}", run.warnings);
         assert_eq!(run.cells.len(), hi - lo);
         shard_reports.extend(run.reports());
-        let segment = load_segment(&path, reqs.len(), lo, hi).unwrap();
+        let segment = load(&path, reqs.len(), lo..hi).unwrap();
         // Records carry the sweep-wide cell and that cell's spec seed.
         let journaled: Vec<(usize, u64)> =
             segment.records.iter().map(|r| (r.cell, r.seed)).collect();
@@ -73,7 +73,7 @@ fn shards_reproduce_the_whole_sweep_and_their_segments_merge() {
     assert_eq!(shard_reports, whole.reports());
     // Merged segment records are the whole journal's records ...
     let merged = merge_segments(segments);
-    let reference = load(&whole_path, reqs.len()).unwrap();
+    let reference = load(&whole_path, reqs.len(), 0..reqs.len()).unwrap();
     assert!(merged.warnings.is_empty(), "{:?}", merged.warnings);
     assert_eq!(merged.records, reference.records);
     // ... and re-journaled they reproduce its bytes.

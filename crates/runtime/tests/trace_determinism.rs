@@ -31,18 +31,18 @@ fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> (Arc<Instance>
     let configs = (0..cells)
         .map(|cell| {
             let cell_seed = seed.wrapping_add(cell as u64);
-            SimConfig::broadcast()
-                .with_scheduler(match cell % 3 {
+            // Even cells: synchronous and faulty; odd cells: fault-free
+            // under a scheduler.
+            if cell % 2 == 0 {
+                SimConfig::broadcast()
+                    .with_faults(FaultPlan::message_faults(cell_seed, 0.1, 0.1, 0.2))
+            } else {
+                SimConfig::broadcast().with_scheduler(match cell % 3 {
                     0 => SchedulerKind::Fifo,
                     1 => SchedulerKind::Lifo,
                     _ => SchedulerKind::Random { seed: cell_seed },
                 })
-                .with_synchronous(cell % 2 == 0)
-                .with_faults(if cell % 2 == 0 {
-                    FaultPlan::message_faults(cell_seed, 0.1, 0.1, 0.2)
-                } else {
-                    FaultPlan::default()
-                })
+            }
         })
         .collect();
     (instance, configs)

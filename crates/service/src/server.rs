@@ -17,12 +17,15 @@
 //!
 //! # Failure / resume model
 //!
-//! With a journal directory configured the server checkpoints merged
-//! cells to `job-<digest>.journal` in cell order; a restarted server
-//! resumes a resubmitted job from that file (worker shard segments
+//! With a journal directory configured the server opens
+//! `job-<digest>.journal` with [`journal::open`], the call a local sweep
+//! uses, and checkpoints merged cells to it in cell order through the
+//! committer, which journals only `Ok` reports. A restarted server
+//! resumes a resubmitted job from that file and leases only the shards
+//! whose cells it lacks, aborted cells included (worker shard segments
 //! provide the finer-grained resume — see [`crate::worker`]). Duplicate
-//! results (a requeued shard finishing twice) are dropped first-wins,
-//! matching [`oraclesize_runtime::journal::merge_segments`] semantics.
+//! results (a requeued shard finishing twice) are dropped: the first
+//! result per cell wins.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -32,7 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
-use oraclesize_runtime::journal::{Journal, JournalRecord};
+use oraclesize_runtime::journal::{self, JournalRecord};
 use oraclesize_runtime::{ChunkPlan, Json, OrderedCommitter, RunReport, SweepSpec};
 
 use crate::proto::{recv, send, Message};
@@ -120,40 +123,23 @@ impl State {
             Ok(g) => g,
             Err(text) => return Message::Error { text },
         };
-        let mut results: Vec<Option<RunReport>> = vec![None; total];
-        let mut journal = None;
-        if let Some(dir) = &config.journal_dir {
-            let path = dir.join(format!("job-{job_id:016x}.journal"));
-            let opened = if resume {
-                Journal::resume(&path, total).map(|(j, loaded)| {
-                    for w in loaded.warnings {
-                        eprintln!("serve: {w}");
-                    }
-                    for rec in loaded.records {
-                        if rec.cell < total && rec.seed == spec.cells[rec.cell].seed {
-                            results[rec.cell] = Some(rec.report);
-                        }
-                    }
-                    j
-                })
-            } else {
-                Journal::create(&path, total)
-            };
-            match opened {
-                Ok(j) => journal = Some(j),
-                Err(e) => eprintln!(
-                    "serve: journal {}: {e}; running without checkpoints",
-                    path.display()
-                ),
-            }
+        let (journal, loaded) = config
+            .journal_dir
+            .as_ref()
+            .map_or_else(Default::default, |dir| {
+                let path = dir.join(format!("job-{job_id:016x}.journal"));
+                journal::open(&path, total, 0..total, resume, |cell| spec.cells[cell].seed)
+            });
+        for w in &loaded.warnings {
+            eprintln!("serve: {w}");
         }
+        let mut results: Vec<Option<RunReport>> = vec![None; total];
         let mut committer = OrderedCommitter::new(journal, 0);
-        for (cell, r) in results.iter().enumerate() {
-            if r.is_some() {
-                // Already durable in the rewritten journal — advance the
-                // cursor without re-appending.
-                committer.settle(cell, None);
-            }
+        for rec in loaded.records {
+            // Already durable in the rewritten journal — advance the
+            // cursor without re-appending.
+            committer.settle(rec.cell, None);
+            results[rec.cell] = Some(rec.report);
         }
         let pending: VecDeque<Shard> = ChunkPlan::from_costs(grid.costs(), config.workers_hint)
             .chunks()
@@ -228,8 +214,8 @@ impl State {
             if cell >= job.total || job.results[cell].is_some() {
                 continue;
             }
-            job.results[cell] = Some(rec.report.clone());
-            job.committer.settle(cell, Some((rec.seed, rec.report)));
+            job.committer.settle(cell, Some((rec.seed, &rec.report)));
+            job.results[cell] = Some(rec.report);
             job.done_cells += 1;
         }
         let reply = Message::Ack {

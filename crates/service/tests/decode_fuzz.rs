@@ -176,7 +176,7 @@ proptest! {
         }
         let (bytes, first) = mutate(std::fs::read(&path).unwrap(), &edits);
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = journal::load(&path, 8).unwrap();
+        let loaded = journal::load(&path, 8, 0..8).unwrap();
         let intact = ends.iter().filter(|&&end| end <= first).count();
         prop_assert!(loaded.records.len() >= intact);
         prop_assert_eq!(&loaded.records[..intact], &records[..intact]);
@@ -197,7 +197,7 @@ fn deep_nesting_is_refused_by_every_reader() {
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.extend_from_slice(format!("{}\n{deep}\n", deep.len()).as_bytes());
     std::fs::write(&path, bytes).unwrap();
-    let loaded = journal::load(&path, 1).unwrap();
+    let loaded = journal::load(&path, 1, 0..1).unwrap();
     assert!(loaded.records.is_empty());
     assert!(
         loaded.warnings[0].contains("corrupt record"),

@@ -12,7 +12,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use oraclesize_runtime::journal::fnv1a64;
+use oraclesize_runtime::journal::{self, fnv1a64};
 use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec, Json, SweepSpec};
 use oraclesize_service::frame::write_frame;
 use oraclesize_service::proto::{recv, send, Message};
@@ -175,18 +175,13 @@ fn killed_worker_is_requeued_and_resumed_byte_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn resubmitting_to_a_journaled_server_resumes_server_side() {
-    let spec = tiny_spec("svc-resub", 5);
-    let local = run_local(&spec, 1).unwrap();
-    let dir = temp_dir("resub");
-    // First pass populates the server's job journal…
-    assert_eq!(run_distributed(&spec, 1, Some(dir.clone())), local);
-    // …which the second server resumes: the job completes with zero
-    // pending shards, so the worker below only ever sees NoWork.
+/// Resubmits `spec` with `resume` to a fresh server on the job journals
+/// in `dir`, with one worker that keeps no segments of its own, and
+/// returns the artifact and the worker's outcome.
+fn resubmit(spec: &SweepSpec, dir: PathBuf) -> (String, WorkerOutcome) {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        journal_dir: Some(dir.clone()),
+        journal_dir: Some(dir),
         jobs: 1,
         workers_hint: 1,
     })
@@ -196,8 +191,22 @@ fn resubmitting_to_a_journaled_server_resumes_server_side() {
     let spec_text = spec.render();
     let submit_addr = addr.clone();
     let client = thread::spawn(move || submit(&submit_addr, &spec_text, true, 5));
-    let worker = worker_config(&addr, "w-idle", None);
-    let outcome = run_worker(&worker).expect("worker");
+    let outcome = run_worker(&worker_config(&addr, "w-resub", None)).expect("worker");
+    let artifact = client.join().unwrap().expect("submit");
+    server_thread.join().unwrap();
+    (artifact, outcome)
+}
+
+#[test]
+fn resubmitting_to_a_journaled_server_resumes_server_side() {
+    let spec = tiny_spec("svc-resub", 5);
+    let local = run_local(&spec, 1).unwrap();
+    let dir = temp_dir("resub");
+    // First pass populates the server's job journal…
+    assert_eq!(run_distributed(&spec, 1, Some(dir.clone())), local);
+    // …which the second server resumes: the job completes with zero
+    // pending shards, so the worker only ever sees NoWork.
+    let (artifact, outcome) = resubmit(&spec, dir.clone());
     assert_eq!(
         outcome,
         WorkerOutcome::Finished {
@@ -205,8 +214,34 @@ fn resubmitting_to_a_journaled_server_resumes_server_side() {
             cells: 0
         }
     );
-    assert_eq!(client.join().unwrap().expect("submit"), local);
-    server_thread.join().unwrap();
+    assert_eq!(artifact, local);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Aborted cells never reach the server's job journal, as they never
+/// reach a local run's: a restarted server re-runs them instead of
+/// replaying the failure.
+#[test]
+fn aborted_cells_are_not_journaled_and_rerun_after_a_restart() {
+    let mut spec = tiny_spec("svc-abort", 4);
+    spec.knobs.cell_timeout = Some(1);
+    let local = run_local(&spec, 1).unwrap();
+    let dir = temp_dir("abort");
+    assert_eq!(run_distributed(&spec, 1, Some(dir.clone())), local);
+    let path = dir.join(format!("job-{:016x}.journal", spec.digest()));
+    let loaded = journal::load(&path, 4, 0..4).unwrap();
+    assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
+    let failures = loaded.records.iter().filter(|r| r.report.result.is_err());
+    assert_eq!(failures.count(), 0, "{:?}", loaded.records);
+    // Every cell aborts at a one-step budget, so the journal is empty and
+    // the restarted server leases all four cells again.
+    assert!(loaded.records.is_empty());
+    let (artifact, outcome) = resubmit(&spec, dir.clone());
+    assert!(
+        matches!(outcome, WorkerOutcome::Finished { cells: 4, .. }),
+        "{outcome:?}"
+    );
+    assert_eq!(artifact, local);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -17,8 +17,8 @@ pub enum TaskMode {
 
 /// Execution configuration.
 ///
-/// The default is synchronous broadcast with FIFO delivery, no message-size
-/// limit, identities visible, and no faults. Configurations are
+/// The default is synchronous broadcast, no message-size limit,
+/// identities visible, and no faults. Configurations are
 /// built fluently from a base constructor — fields stay readable, but the
 /// struct is `#[non_exhaustive]`, so construction outside this crate goes
 /// through the `#[must_use]` builder methods:
@@ -30,19 +30,17 @@ pub enum TaskMode {
 /// let config = SimConfig::wakeup()
 ///     .with_scheduler(SchedulerKind::Lifo)
 ///     .with_max_steps(100_000);
-/// assert!(!config.synchronous);
+/// assert_eq!(config.scheduler, Some(SchedulerKind::Lifo));
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SimConfig {
     /// Task rules to enforce.
     pub mode: TaskMode,
-    /// `true`: round-based synchronous delivery (all messages sent in round
-    /// `r` arrive in round `r+1`). `false`: asynchronous — the
-    /// [`scheduler`](SimConfig::scheduler) picks each next delivery.
-    pub synchronous: bool,
-    /// Delivery order for asynchronous mode.
-    pub scheduler: SchedulerKind,
+    /// The delivery model. `None`: round-based synchronous delivery (all
+    /// messages sent in round `r` arrive in round `r+1`). `Some(kind)`:
+    /// asynchronous — the scheduler picks each next delivery.
+    pub scheduler: Option<SchedulerKind>,
     /// Abort after this many deliveries
     /// ([`SimError::StepLimit`](crate::engine::SimError::StepLimit)); guards
     /// against non-quiescent protocols.
@@ -69,8 +67,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             mode: TaskMode::Broadcast,
-            synchronous: true,
-            scheduler: SchedulerKind::Fifo,
+            scheduler: None,
             max_steps: 10_000_000,
             max_message_bits: None,
             anonymous: false,
@@ -102,16 +99,7 @@ impl SimConfig {
     /// Switches to asynchronous delivery under `scheduler`.
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.synchronous = false;
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Picks the delivery model directly: `true` for round-based
-    /// synchronous delivery, `false` for the configured scheduler.
-    #[must_use]
-    pub fn with_synchronous(mut self, synchronous: bool) -> Self {
-        self.synchronous = synchronous;
+        self.scheduler = Some(scheduler);
         self
     }
 
@@ -164,8 +152,7 @@ mod tests {
             .with_anonymous(true)
             .with_quiescence_polls(3);
         assert_eq!(cfg.mode, TaskMode::Wakeup);
-        assert!(!cfg.synchronous);
-        assert_eq!(cfg.scheduler, SchedulerKind::Lifo);
+        assert_eq!(cfg.scheduler, Some(SchedulerKind::Lifo));
         assert_eq!(cfg.max_steps, 5);
         assert_eq!(cfg.max_message_bits, Some(7));
         assert!(cfg.anonymous);

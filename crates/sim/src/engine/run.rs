@@ -81,7 +81,7 @@ pub fn run_with_sink(
         });
     }
 
-    if config.synchronous && config.faults.is_inert() && !sink.enabled() {
+    if config.scheduler.is_none() && config.faults.is_inert() && !sink.enabled() {
         if let Some(rule) = protocol.forward_once() {
             return run_forward_once(g, source, advice, rule, config.max_steps);
         }
@@ -125,7 +125,7 @@ pub fn run_with_sink(
         net.enqueue(v, sends, &mut pending)?;
     }
 
-    let mut scheduler: Scheduler = config.scheduler.instantiate();
+    let mut scheduler: Option<Scheduler> = config.scheduler.map(|kind| kind.instantiate());
     let mut steps: u64 = 0;
     let mut rounds: u64 = 0;
     let mut polls: u32 = 0;
@@ -134,7 +134,7 @@ pub fn run_with_sink(
         // Delivery loop: drain the network to quiescence.
         loop {
             if pending.is_empty() {
-                if config.synchronous && !next_round.is_empty() {
+                if scheduler.is_none() && !next_round.is_empty() {
                     if net.rec.on {
                         net.rec.emit(TraceEvent::Rollup(Rollup {
                             round: rounds,
@@ -159,10 +159,9 @@ pub fn run_with_sink(
                     limit: config.max_steps,
                 });
             }
-            let next = if config.synchronous {
-                pending.pop_front()
-            } else {
-                scheduler.take(&mut pending, |&i: &u32| net.slab.carries_source(i))
+            let next = match &mut scheduler {
+                None => pending.pop_front(),
+                Some(s) => s.take(&mut pending, |&i: &u32| net.slab.carries_source(i)),
             };
             let Some(slot) = next else {
                 // Unreachable given the nonempty check above; an empty pool
@@ -215,7 +214,7 @@ pub fn run_with_sink(
             }
 
             let sends = behaviors[to].on_receive(arrival_port, message);
-            let out = if config.synchronous {
+            let out = if scheduler.is_none() {
                 &mut next_round
             } else {
                 &mut pending

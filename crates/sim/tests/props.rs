@@ -26,6 +26,13 @@ fn arb_scheduler() -> impl Strategy<Value = SchedulerKind> {
     })
 }
 
+/// A delivery model: synchronous rounds (`None`) half the time, else a
+/// scheduler from [`arb_scheduler`].
+fn arb_delivery() -> impl Strategy<Value = Option<SchedulerKind>> {
+    (any::<bool>(), arb_scheduler())
+        .prop_map(|(synchronous, sched)| (!synchronous).then_some(sched))
+}
+
 fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
     (any::<u64>(), 0.0f64..0.9, 0.0f64..0.9, 0.0f64..0.9)
         .prop_map(|(seed, drop, dup, flip)| FaultPlan::message_faults(seed, drop, dup, flip))
@@ -93,16 +100,14 @@ proptest! {
         fam in arb_family(),
         n in 4usize..48,
         seed in any::<u64>(),
-        sched in arb_scheduler(),
-        synchronous in any::<bool>(),
+        delivery in arb_delivery(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = fam.build(n, &mut rng);
         let nodes = g.num_nodes();
         let source = seed as usize % nodes;
-        let cfg = SimConfig::broadcast()
-            .with_scheduler(sched)
-            .with_synchronous(synchronous);
+        let mut cfg = SimConfig::broadcast();
+        cfg.scheduler = delivery;
         let (out, trace) = traced(&g, source, &cfg);
         prop_assert!(out.all_informed());
         // Deterministic count: deg(source) + Σ_{v≠source} (deg(v) − 1).
@@ -157,19 +162,16 @@ proptest! {
         fam in arb_family(),
         n in 4usize..40,
         seed in any::<u64>(),
-        sched in arb_scheduler(),
+        delivery in arb_delivery(),
         plan in arb_fault_plan(),
-        synchronous in any::<bool>(),
     ) {
         // The documented RunMetrics invariants, under every scheduler and
         // arbitrary message-fault rates.
         let mut rng = StdRng::seed_from_u64(seed);
         let g = fam.build(n, &mut rng);
         let nodes = g.num_nodes();
-        let cfg = SimConfig::broadcast()
-            .with_scheduler(sched)
-            .with_synchronous(synchronous)
-            .with_faults(plan);
+        let mut cfg = SimConfig::broadcast().with_faults(plan);
+        cfg.scheduler = delivery;
         let advice = oraclesize_sim::testkit::no_advice(nodes);
         let source = seed as usize % nodes;
         let checked = checked_run(&g, source, &FloodOnce, &cfg).unwrap();

@@ -316,14 +316,7 @@ const RETRY: RetryBroadcast = RetryBroadcast { retries: 3 };
 
 #[test]
 fn flooding_allocates_a_constant_under_every_scheduler_sink_and_fault() {
-    let async_flood = |name, scheduler| {
-        flood(
-            name,
-            SimConfig::default()
-                .with_synchronous(false)
-                .with_scheduler(scheduler),
-        )
-    };
+    let async_flood = |name, scheduler| flood(name, SimConfig::default().with_scheduler(scheduler));
     let traced = |name, sink| Case {
         sink,
         ..flood(name, SimConfig::default())

@@ -240,7 +240,7 @@ fn every_other_run_creates_nodes() {
     };
     for config in [
         SimConfig::broadcast().with_scheduler(SchedulerKind::Fifo),
-        SimConfig::wakeup().with_synchronous(false),
+        SimConfig::wakeup().with_scheduler(SchedulerKind::Fifo),
         SimConfig::broadcast().with_faults(crash_only),
         SimConfig::wakeup().with_faults(advice_only),
     ] {
