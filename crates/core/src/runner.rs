@@ -1,10 +1,11 @@
 //! Convenience glue: compute advice, run the scheme, return both costs.
 //!
-//! [`execute`] is a thin wrapper over the workspace's one run facade,
-//! [`oraclesize_sim::run`]: it invokes the oracle first and reports the
-//! advice size alongside the outcome. For frozen, reusable instances (a
-//! sweep re-running the same advice under many seeds), build an
-//! [`oraclesize_sim::Instance`] once and call the facade directly.
+//! [`execute`] is a thin wrapper over the engine's
+//! [`run`](oraclesize_sim::engine::run()): it invokes the oracle first and
+//! reports the advice size alongside the outcome. For frozen, reusable
+//! instances (a sweep re-running the same advice under many seeds), build
+//! an [`oraclesize_sim::Instance`] once and pass its fields to the engine
+//! directly.
 
 use oraclesize_graph::{NodeId, PortGraph};
 use oraclesize_sim::engine::{run, RunOutcome, SimConfig, SimError};

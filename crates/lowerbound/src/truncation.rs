@@ -10,10 +10,11 @@
 
 use oraclesize_bits::lists::decode_port_list;
 use oraclesize_bits::BitString;
+use oraclesize_core::execute;
 use oraclesize_core::wakeup::SpanningTreeOracle;
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use oraclesize_sim::protocol::{ForwardOnce, NodeBehavior, NodeView, Protocol};
-use oraclesize_sim::{advice_size, Advice, Oracle, RunMetrics, SimConfig, SimError};
+use oraclesize_sim::{Advice, Oracle, RunMetrics, SimConfig, SimError};
 
 /// Cuts an inner oracle to a global bit budget by *whole strings*,
 /// cheapest-first: strings are kept in ascending order of length while the
@@ -136,20 +137,12 @@ pub fn tradeoff_curve(
         .iter()
         .map(|&budget_bits| {
             let oracle = StringBudgetOracle::new(inner, budget_bits);
-            let advice = oracle.advise(g, source);
-            let oracle_bits = advice_size(&advice);
-            let outcome = oraclesize_sim::engine::run(
-                g,
-                source,
-                &advice,
-                &FallbackWakeup,
-                &SimConfig::wakeup(),
-            )?;
-            debug_assert!(outcome.all_informed(), "fallback wakeup must complete");
+            let run = execute(g, source, &oracle, &FallbackWakeup, &SimConfig::wakeup())?;
+            debug_assert!(run.outcome.all_informed(), "fallback wakeup must complete");
             Ok(TradeoffPoint {
                 budget_bits,
-                oracle_bits,
-                metrics: outcome.metrics,
+                oracle_bits: run.oracle_bits,
+                metrics: run.outcome.metrics,
             })
         })
         .collect()
@@ -158,8 +151,8 @@ pub fn tradeoff_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oraclesize_core::execute;
     use oraclesize_graph::{families, gadgets};
+    use oraclesize_sim::advice_size;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -201,8 +201,7 @@ fn cell_outcome(inst: &Instance, outcome: RunOutcome) -> CellOutcome {
 
 /// Executes a single request on the calling thread, untraced. (To trace
 /// a cell, run its instance through
-/// [`run_streamed`](oraclesize_sim::run_streamed) with a sink of your
-/// choosing.)
+/// [`engine::run_with_sink`] with a sink of your choosing.)
 pub fn run_cell_report(cell: usize, request: &RunRequest) -> RunReport {
     let inst = &request.instance;
     let result = engine::run(

@@ -4,13 +4,15 @@
 //! Recovery code that is only ever exercised by real outages is recovery
 //! code that does not work. This module injects the three failures the
 //! supervision layer claims to survive — a worker panic at a chosen cell,
-//! a stall that trips the watchdog, and a torn journal write — so the
-//! proptests can drill the paths on every run.
+//! a kill mid-sweep, and a torn journal write — so the proptests can
+//! drill the paths on every run. (The watchdog needs no injection: a
+//! small [`cell_timeout`](crate::SuperviseConfig::cell_timeout) trips the
+//! engine's real step limit.)
 //!
 //! **Test-only API.** Nothing here belongs in production call sites: the
 //! only consumers are tests, the service worker's `--die-mid-shard`
 //! drill, and the supervision layer's injection hook. Plans are inert by default, and an
-//! inert plan costs two `BTreeMap` lookups per attempt.
+//! inert plan costs one `BTreeMap` lookup per attempt.
 //!
 //! Everything is keyed on `(cell, attempt)` — no randomness, no clocks —
 //! so an injected failure schedule is exactly reproducible, which is what
@@ -20,24 +22,11 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// What the harness does to one `(cell, attempt)` execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Injection {
-    /// Run the cell normally.
-    None,
-    /// Panic inside the worker (exercises `catch_unwind` isolation).
-    Panic,
-    /// Wedge the worker past the watchdog (exercises the timeout path).
-    Stall,
-}
-
 /// A deterministic failure schedule for one sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// cell → number of leading attempts that panic.
     panic_cells: BTreeMap<usize, u32>,
-    /// cell → number of leading attempts that stall.
-    stall_cells: BTreeMap<usize, u32>,
     /// Cells `>= die_at` never run: the "process killed mid-sweep"
     /// simulation the resume tests are built on.
     die_at: Option<usize>,
@@ -58,14 +47,6 @@ impl ChaosPlan {
         self
     }
 
-    /// The first `attempts` attempts of `cell` stall until the watchdog
-    /// fires.
-    #[must_use]
-    pub fn stall_at(mut self, cell: usize, attempts: u32) -> ChaosPlan {
-        self.stall_cells.insert(cell, attempts);
-        self
-    }
-
     /// Kill the sweep before `cell` runs: cells `>= cell` are marked
     /// `Aborted` without executing and the sweep reports itself
     /// interrupted. Resume with an inert plan to finish the job.
@@ -77,18 +58,13 @@ impl ChaosPlan {
 
     /// `true` iff this plan never interferes.
     pub fn is_inert(&self) -> bool {
-        self.panic_cells.is_empty() && self.stall_cells.is_empty() && self.die_at.is_none()
+        self.panic_cells.is_empty() && self.die_at.is_none()
     }
 
-    /// What happens to attempt `attempt` of `cell`.
-    pub fn injection(&self, cell: usize, attempt: u32) -> Injection {
-        if self.panic_cells.get(&cell).is_some_and(|&n| attempt < n) {
-            Injection::Panic
-        } else if self.stall_cells.get(&cell).is_some_and(|&n| attempt < n) {
-            Injection::Stall
-        } else {
-            Injection::None
-        }
+    /// `true` when attempt `attempt` of `cell` panics inside the worker
+    /// (exercising `catch_unwind` isolation).
+    pub fn panics(&self, cell: usize, attempt: u32) -> bool {
+        self.panic_cells.get(&cell).is_some_and(|&n| attempt < n)
     }
 
     /// `true` when the simulated kill point precedes `cell`.
@@ -97,7 +73,7 @@ impl ChaosPlan {
     }
 }
 
-/// The deliberate panic behind [`Injection::Panic`]. Lives here (not in
+/// The deliberate panic behind [`ChaosPlan::panics`]. Lives here (not in
 /// the supervisor) so the one sanctioned panic site sits inside the chaos
 /// harness itself.
 #[expect(
@@ -134,19 +110,17 @@ mod tests {
     fn inert_plan_injects_nothing() {
         let plan = ChaosPlan::new();
         assert!(plan.is_inert());
-        assert_eq!(plan.injection(0, 0), Injection::None);
+        assert!(!plan.panics(0, 0));
         assert!(!plan.dies_before(usize::MAX));
     }
 
     #[test]
     fn injections_expire_after_their_attempt_budget() {
-        let plan = ChaosPlan::new().panic_at(3, 2).stall_at(5, 1);
-        assert_eq!(plan.injection(3, 0), Injection::Panic);
-        assert_eq!(plan.injection(3, 1), Injection::Panic);
-        assert_eq!(plan.injection(3, 2), Injection::None);
-        assert_eq!(plan.injection(5, 0), Injection::Stall);
-        assert_eq!(plan.injection(5, 1), Injection::None);
-        assert_eq!(plan.injection(4, 0), Injection::None);
+        let plan = ChaosPlan::new().panic_at(3, 2);
+        assert!(plan.panics(3, 0));
+        assert!(plan.panics(3, 1));
+        assert!(!plan.panics(3, 2));
+        assert!(!plan.panics(4, 0));
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! so there is no event stream to lose.
 
 use std::io::Write;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use oraclesize_sim::faults::FaultCounts;
@@ -41,21 +40,11 @@ use oraclesize_sim::RunMetrics;
 use crate::batch::{CellOutcome, RunReport};
 use crate::json::{self, Fields, Json};
 
-/// Magic prefix of the header line; the suffix pins the cell count so a
-/// journal from a differently-shaped sweep is never silently replayed.
-/// Segment journals (one shard of a larger sweep) additionally pin their
-/// cell range: `oraclesize-journal v1 cells=<N> range=<LO>..<HI>`.
-const HEADER_PREFIX: &str = "oraclesize-journal v1 cells=";
-
-/// The exact header line (without newline) for the `range` cells of a
-/// `cells`-cell sweep: the plain header for the whole sweep, the
-/// range-pinned segment header for any other range.
-fn header_for(cells: usize, range: &Range<usize>) -> String {
-    if *range == (0..cells) {
-        format!("{HEADER_PREFIX}{cells}")
-    } else {
-        format!("{HEADER_PREFIX}{cells} range={range:?}")
-    }
+/// The exact header line (without newline) of a `cells`-cell sweep's
+/// journal; pinning the cell count means a journal from a differently
+/// shaped sweep is never silently replayed.
+fn header_for(cells: usize) -> String {
+    format!("oraclesize-journal v1 cells={cells}")
 }
 
 /// FNV-1a 64-bit hash — the record integrity digest. Not cryptographic;
@@ -201,7 +190,7 @@ fn decode_record(line: &[u8]) -> Result<JournalRecord, String> {
 }
 
 /// An open journal accepting appends, from [`open`] (or, for a fresh
-/// whole-sweep file, [`Journal::create`]).
+/// file, [`Journal::create`]).
 #[derive(Debug)]
 pub struct Journal {
     file: std::fs::File,
@@ -216,15 +205,11 @@ impl Journal {
     ///
     /// Propagates filesystem errors (unwritable path, full disk).
     pub fn create(path: &Path, cells: usize) -> std::io::Result<Journal> {
-        Journal::create_with(path, &header_for(cells, &(0..cells)))
-    }
-
-    fn create_with(path: &Path, header: &str) -> std::io::Result<Journal> {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir)?;
         }
         let mut file = std::fs::File::create(path)?;
-        file.write_all(format!("{header}\n").as_bytes())?;
+        file.write_all(format!("{}\n", header_for(cells)).as_bytes())?;
         file.sync_all()?;
         Ok(Journal {
             file,
@@ -251,35 +236,31 @@ impl Journal {
     }
 }
 
-/// Opens the journal at `path` for appends to the `range` cells of a
-/// `cells`-cell sweep, and returns it with the records to replay. Every
-/// checkpointing path (local sweeps, worker shards, the server's job
-/// journals) opens its journal here.
+/// Opens the journal at `path` for appends to a `cells`-cell sweep, and
+/// returns it with the records to replay. Every checkpointing path (local
+/// sweeps, worker shards, the server's job journals) opens its journal
+/// here.
 ///
-/// The range picks the header: the plain one for the whole sweep
-/// (`0..cells`), a range-pinned segment header otherwise, so a segment is
-/// never replayed into the wrong shard. Without `resume` the file starts
-/// fresh. With it, the file is [loaded](load) first and the records whose
-/// seed is `seed(cell)` are returned for replay; every other record gets a
-/// warning and its cell re-runs. The file is then rewritten with exactly
-/// the replayed records, so a torn final record (or any corrupt suffix)
-/// is physically discarded before new appends land — appending after torn
-/// bytes would corrupt every later record's framing.
+/// Without `resume` the file starts fresh. With it, the file is
+/// [loaded](load) first and the records whose seed is `seed(cell)` are
+/// returned for replay; every other record gets a warning and its cell
+/// re-runs. The file is then rewritten with exactly the replayed records,
+/// so a torn final record (or any corrupt suffix) is physically discarded
+/// before new appends land — appending after torn bytes would corrupt
+/// every later record's framing.
 ///
 /// A filesystem error is a warning, never a failure: the sweep runs
 /// without checkpoints (`None`), replaying whatever loaded before it.
 pub fn open(
     path: &Path,
     cells: usize,
-    range: Range<usize>,
     resume: bool,
     seed: impl Fn(usize) -> u64,
 ) -> (Option<Journal>, LoadedJournal) {
-    let header = header_for(cells, &range);
     let mut loaded = LoadedJournal::default();
-    let reopen = || -> std::io::Result<Journal> {
+    let mut reopen = || -> std::io::Result<Journal> {
         if resume {
-            loaded = load(path, cells, range)?;
+            loaded = load(path, cells)?;
             let LoadedJournal { records, warnings } = &mut loaded;
             records.retain(|rec| {
                 let expected = seed(rec.cell);
@@ -295,7 +276,7 @@ pub fn open(
                 rec.seed == expected
             });
         }
-        let mut journal = Journal::create_with(path, &header)?;
+        let mut journal = Journal::create(path, cells)?;
         for rec in &loaded.records {
             journal.append(rec.cell, rec.seed, &rec.report)?;
         }
@@ -312,17 +293,17 @@ pub fn open(
     }
 }
 
-/// Reads and validates the journal of the `range` cells of a `cells`-cell
-/// sweep at `path`, without opening it for appends. The header must match
-/// the one [`open`] writes for that range. Missing file → empty journal;
-/// corrupt records and records outside the range → dropped with warnings;
+/// Reads and validates the journal of a `cells`-cell sweep at `path`,
+/// without opening it for appends. The header must match the one [`open`]
+/// writes. Missing file → empty journal; corrupt records and records for
+/// cells `>= cells` → dropped with warnings;
 /// everything after the first framing error is discarded (the length
 /// prefixes downstream can no longer be trusted).
 ///
 /// # Errors
 ///
 /// Propagates filesystem read errors other than "not found".
-pub fn load(path: &Path, cells: usize, range: Range<usize>) -> std::io::Result<LoadedJournal> {
+pub fn load(path: &Path, cells: usize) -> std::io::Result<LoadedJournal> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -337,14 +318,9 @@ pub fn load(path: &Path, cells: usize, range: Range<usize>) -> std::io::Result<L
             .push(format!("journal {display}: missing header; starting fresh"));
         return Ok(out);
     };
-    if header != header_for(cells, &range).as_bytes() {
-        let shape = if range == (0..cells) {
-            format!("a {cells}-cell sweep")
-        } else {
-            format!("segment {range:?} of a {cells}-cell sweep")
-        };
+    if header != header_for(cells).as_bytes() {
         out.warnings.push(format!(
-            "journal {display}: header {:?} does not match {shape}; ignoring journal",
+            "journal {display}: header {:?} does not match a {cells}-cell sweep; ignoring journal",
             String::from_utf8_lossy(header)
         ));
         return Ok(out);
@@ -380,9 +356,9 @@ pub fn load(path: &Path, cells: usize, range: Range<usize>) -> std::io::Result<L
         let line = &tail[..len];
         rest = after;
         match decode_record(line) {
-            Ok(rec) if range.contains(&rec.cell) => out.records.push(rec),
+            Ok(rec) if rec.cell < cells => out.records.push(rec),
             Ok(rec) => out.warnings.push(format!(
-                "journal {display}: record for cell {} outside cells {range:?}; dropping it",
+                "journal {display}: record for cell {} outside cells 0..{cells}; dropping it",
                 rec.cell
             )),
             Err(e) => out.warnings.push(format!(
@@ -392,21 +368,6 @@ pub fn load(path: &Path, cells: usize, range: Range<usize>) -> std::io::Result<L
         }
     }
     Ok(out)
-}
-
-/// Merges segment loads into one sweep-wide view: records sorted by cell
-/// (first occurrence wins on duplicates), warnings concatenated in input
-/// order. The sort is stable, so merging the segments of a sweep yields
-/// exactly the records a single whole-sweep journal would hold.
-pub fn merge_segments(segments: Vec<LoadedJournal>) -> LoadedJournal {
-    let mut out = LoadedJournal::default();
-    for seg in segments {
-        out.records.extend(seg.records);
-        out.warnings.extend(seg.warnings);
-    }
-    out.records.sort_by_key(|r| r.cell);
-    out.records.dedup_by_key(|r| r.cell);
-    out
 }
 
 /// Splits off the first `\n`-terminated line.
@@ -472,7 +433,7 @@ mod tests {
         let mut j = Journal::create(&path, 4).unwrap();
         j.append(0, 100, &sample_report(0)).unwrap();
         j.append(2, 102, &err_report(2)).unwrap();
-        let loaded = load(&path, 4, 0..4).unwrap();
+        let loaded = load(&path, 4).unwrap();
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
         assert_eq!(loaded.records.len(), 2);
         assert_eq!(loaded.records[0].seed, 100);
@@ -482,7 +443,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty() {
-        let loaded = load(Path::new("/nonexistent/never/sweep.journal"), 3, 0..3).unwrap();
+        let loaded = load(Path::new("/nonexistent/never/sweep.journal"), 3).unwrap();
         assert!(loaded.records.is_empty());
         assert!(loaded.warnings.is_empty());
     }
@@ -492,7 +453,7 @@ mod tests {
         let path = temp_path("cellcount");
         let mut j = Journal::create(&path, 4).unwrap();
         j.append(0, 1, &sample_report(0)).unwrap();
-        let loaded = load(&path, 5, 0..5).unwrap();
+        let loaded = load(&path, 5).unwrap();
         assert!(loaded.records.is_empty());
         assert_eq!(loaded.warnings.len(), 1);
         assert!(
@@ -511,7 +472,7 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         // Tear 10 bytes off the final record, mid-JSON.
         std::fs::write(&path, &full[..full.len() - 10]).unwrap();
-        let loaded = load(&path, 4, 0..4).unwrap();
+        let loaded = load(&path, 4).unwrap();
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.records[0].cell, 0);
         assert_eq!(loaded.warnings.len(), 1);
@@ -533,7 +494,7 @@ mod tests {
         let tampered = text.replace("\"messages\": 12", "\"messages\": 13");
         assert_ne!(tampered, text, "tamper target must exist");
         std::fs::write(&path, tampered).unwrap();
-        let loaded = load(&path, 4, 0..4).unwrap();
+        let loaded = load(&path, 4).unwrap();
         assert!(loaded.records.is_empty());
         assert_eq!(loaded.warnings.len(), 1);
         assert!(
@@ -555,7 +516,7 @@ mod tests {
         let at = bytes.windows(9).position(|w| w == b"\"cell\": 1").unwrap();
         bytes[at + 2] ^= 0x80;
         std::fs::write(&path, bytes).unwrap();
-        let loaded = load(&path, 4, 0..4).unwrap();
+        let loaded = load(&path, 4).unwrap();
         let cells: Vec<usize> = loaded.records.iter().map(|r| r.cell).collect();
         assert_eq!(cells, [0, 2]);
         assert_eq!(loaded.warnings.len(), 1);
@@ -580,7 +541,7 @@ mod tests {
         let cut = line.find('é').unwrap() + 1;
         assert!(cut < len.parse().unwrap());
         std::fs::write(&path, format!("{header}\n{cut}\n{line}")).unwrap();
-        let loaded = load(&path, 2, 0..2).unwrap();
+        let loaded = load(&path, 2).unwrap();
         assert!(loaded.records.is_empty());
         assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
     }
@@ -599,13 +560,13 @@ mod tests {
         j.append(1, 1, &sample_report(1)).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
-        let (journal, loaded) = open(&path, 4, 0..4, true, index_seed);
+        let (journal, loaded) = open(&path, 4, true, index_seed);
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.warnings.len(), 1);
         // The rewritten file is clean: a second load sees one record and
         // no warnings, and appends continue from valid framing.
         journal.unwrap().append(3, 3, &err_report(3)).unwrap();
-        let again = load(&path, 4, 0..4).unwrap();
+        let again = load(&path, 4).unwrap();
         assert!(again.warnings.is_empty(), "{:?}", again.warnings);
         assert_eq!(again.records.len(), 2);
     }
@@ -619,7 +580,7 @@ mod tests {
         }
         // The spec now runs cell 1 under seed 99.
         let seed = |cell: usize| if cell == 1 { 99 } else { cell as u64 };
-        let (journal, loaded) = open(&path, 4, 0..4, true, seed);
+        let (journal, loaded) = open(&path, 4, true, seed);
         let replayed: Vec<usize> = loaded.records.iter().map(|r| r.cell).collect();
         assert_eq!(replayed, [0, 2]);
         assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
@@ -630,7 +591,7 @@ mod tests {
         );
         // The stale record is gone from the rewritten file.
         drop(journal);
-        let again = load(&path, 4, 0..4).unwrap();
+        let again = load(&path, 4).unwrap();
         let kept: Vec<usize> = again.records.iter().map(|r| r.cell).collect();
         assert_eq!(kept, [0, 2]);
     }
@@ -643,7 +604,7 @@ mod tests {
         std::fs::write(&blocker, b"not a directory").unwrap();
         let path = blocker.join("sweep.journal");
         for resume in [false, true] {
-            let (journal, loaded) = open(&path, 4, 0..4, resume, index_seed);
+            let (journal, loaded) = open(&path, 4, resume, index_seed);
             assert!(journal.is_none());
             assert!(loaded.records.is_empty());
             assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
@@ -656,92 +617,30 @@ mod tests {
     }
 
     #[test]
-    fn segment_roundtrip_and_range_validation() {
-        let path = temp_path("segment");
-        let (j, _) = open(&path, 8, 2..5, false, index_seed);
-        let mut j = j.unwrap();
+    fn open_without_resume_starts_fresh_under_the_header() {
+        let path = temp_path("fresh");
+        let mut j = Journal::create(&path, 8).unwrap();
         j.append(2, 2, &sample_report(2)).unwrap();
-        j.append(4, 4, &err_report(4)).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("oraclesize-journal v1 cells=8 range=2..5\n"));
-        let loaded = load(&path, 8, 2..5).unwrap();
-        assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
-        assert_eq!(loaded.records.len(), 2);
-        // A whole-sweep load refuses the segment header…
-        let whole = load(&path, 8, 0..8).unwrap();
-        assert!(whole.records.is_empty());
-        assert!(whole.warnings[0].contains("does not match a 8-cell sweep"));
-        // …and so does a differently-ranged segment load.
-        let shifted = load(&path, 8, 0..5).unwrap();
-        assert!(shifted.records.is_empty());
-        assert!(shifted.warnings[0].contains("segment 0..5"));
-        // The whole range writes the plain header, and without resume
-        // the file starts fresh.
-        let (_, _) = open(&path, 8, 0..8, false, index_seed);
+        let (_, loaded) = open(&path, 8, false, index_seed);
+        assert!(loaded.records.is_empty());
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "oraclesize-journal v1 cells=8\n");
     }
 
     #[test]
-    fn segment_load_drops_out_of_range_records() {
-        let path = temp_path("segment-range");
-        let (j, _) = open(&path, 8, 2..5, false, index_seed);
-        let mut j = j.unwrap();
+    fn load_drops_records_past_the_cell_count() {
+        let path = temp_path("past-the-end");
+        let mut j = Journal::create(&path, 8).unwrap();
         j.append(2, 2, &sample_report(2)).unwrap();
-        j.append(7, 7, &sample_report(7)).unwrap();
-        let loaded = load(&path, 8, 2..5).unwrap();
+        j.append(8, 8, &sample_report(8)).unwrap();
+        let loaded = load(&path, 8).unwrap();
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.records[0].cell, 2);
-        assert!(loaded.warnings[0].contains("outside cells 2..5"));
-    }
-
-    #[test]
-    fn merged_segments_match_a_whole_journal() {
-        let whole_path = temp_path("merge-whole");
-        let mut whole = Journal::create(&whole_path, 6).unwrap();
-        for cell in 0..6 {
-            whole
-                .append(cell, cell as u64, &sample_report(cell))
-                .unwrap();
-        }
-        let dir = whole_path.parent().unwrap().to_path_buf();
-        let mut segs = Vec::new();
-        for range in [0..2, 2..4, 4..6] {
-            let path = dir.join(format!("shard-{range:?}.journal"));
-            let mut j = open(&path, 6, range.clone(), false, index_seed).0.unwrap();
-            // Reverse order inside the shard: the merge re-sorts.
-            for cell in range.clone().rev() {
-                j.append(cell, cell as u64, &sample_report(cell)).unwrap();
-            }
-            segs.push(load(&path, 6, range).unwrap());
-        }
-        let merged = merge_segments(segs);
-        assert!(merged.warnings.is_empty(), "{:?}", merged.warnings);
-        assert_eq!(merged.records, load(&whole_path, 6, 0..6).unwrap().records);
-    }
-
-    #[test]
-    fn merge_keeps_first_record_per_cell() {
-        let a = LoadedJournal {
-            records: vec![JournalRecord {
-                cell: 1,
-                seed: 10,
-                report: sample_report(1),
-            }],
-            warnings: vec!["a".to_string()],
-        };
-        let b = LoadedJournal {
-            records: vec![JournalRecord {
-                cell: 1,
-                seed: 99,
-                report: err_report(1),
-            }],
-            warnings: vec!["b".to_string()],
-        };
-        let merged = merge_segments(vec![a, b]);
-        assert_eq!(merged.records.len(), 1);
-        assert_eq!(merged.records[0].seed, 10);
-        assert_eq!(merged.warnings, vec!["a".to_string(), "b".to_string()]);
+        assert!(
+            loaded.warnings[0].contains("cell 8 outside cells 0..8"),
+            "{:?}",
+            loaded.warnings
+        );
     }
 
     #[test]

@@ -33,10 +33,10 @@
 //!   resumable: completed cells are recorded as they finish and skipped
 //!   after a crash,
 //! * [`supervise`] — the one batch executor, [`run_supervised_batch`]:
-//!   panic isolation, bounded retries, a per-cell watchdog,
-//!   journal-backed resume, and shard ranges for service workers,
-//! * [`chaos`] — deterministic failure injection (worker panics, stalls,
-//!   torn journal writes) for tests only.
+//!   panic isolation, bounded retries, a per-cell watchdog, and
+//!   journal-backed resume,
+//! * [`chaos`] — deterministic failure injection (worker panics,
+//!   mid-sweep kills, torn journal writes) for tests only.
 //!
 //! # Determinism contract
 //!
@@ -47,12 +47,12 @@
 //! appended, and (c) [`Aggregate`] folds reports in cell order. The
 //! property tests in `tests/determinism.rs` pin this down.
 //!
-//! The contract extends across crash/resume boundaries and shards: a
-//! sweep killed at any cell and resumed any number of times, or split
-//! into shard ranges, yields the same reports — and therefore
-//! byte-identical merged artifacts — as an uninterrupted run
-//! (`tests/resume.rs`, `tests/shard.rs`, plus the bench crate's
-//! artifact-level proptests).
+//! The contract extends across crash/resume boundaries: a sweep killed at
+//! any cell and resumed any number of times yields the same reports — and
+//! therefore byte-identical merged artifacts — as an uninterrupted run
+//! (`tests/resume.rs`, plus the bench crate's artifact-level proptests).
+//! A service worker's shard is just a shorter request list, so the same
+//! holds for shard splits (the service crate's tests pin it).
 //!
 //! # Examples
 //!

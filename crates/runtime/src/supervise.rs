@@ -29,9 +29,9 @@
 //! in any claim order — a guarantee the tests and the CI
 //! determinism job diff, not a timing accident.
 //!
-//! The same executor runs a server-leased shard: [`SweepOptions::shard`]
-//! picks a sweep-wide cell range, and seeds, cost hints, reports and
-//! journal records all keep sweep-wide cell indices.
+//! A service worker runs a server-leased shard as a sweep of its own: it
+//! passes the leased slice of the requests (and of their seeds) and maps
+//! the returned cells back to sweep-wide indices itself.
 //!
 //! Every cell ends in a [`CellStatus`]: `Completed` (clean first
 //! attempt), `Resumed` (replayed from the journal), `Degraded { retries }`
@@ -42,13 +42,12 @@
 //! boundaries and supervision levels alike.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::batch::{run_cell_report, RunReport, RunRequest};
-use crate::chaos::{ChaosPlan, Injection};
+use crate::chaos::ChaosPlan;
 use crate::journal::{self, Journal};
 use crate::pool::{ChunkPlan, Pool, SchedStats};
 use crate::spec::SweepSpec;
@@ -106,27 +105,24 @@ pub struct SweepOptions {
     /// existing file).
     pub resume: bool,
     /// Per-cell seeds recorded in (and checked against) journal records,
-    /// indexed by sweep-wide cell; defaults to the cell index when
-    /// absent. A seed mismatch on resume re-runs the cell instead of
-    /// replaying a stale record.
+    /// indexed by cell; defaults to the cell index when absent. A seed
+    /// mismatch on resume re-runs the cell instead of replaying a stale
+    /// record.
     pub seeds: Option<Vec<u64>>,
     /// Failure injection (inert by default; see [`crate::chaos`]).
     pub chaos: ChaosPlan,
-    /// Per-cell cost hints, indexed by sweep-wide cell, used to size
-    /// chunks so cheap cells amortize scheduling overhead while expensive
-    /// cells get chunks of their own. `None` takes each request's
+    /// Per-cell cost hints, indexed by cell, used to size chunks so cheap
+    /// cells amortize scheduling overhead while expensive cells get
+    /// chunks of their own. `None` takes each request's
     /// [`RunRequest::cost_hint`].
     pub costs: Option<Vec<u64>>,
-    /// The sweep-wide cell range to run — a server-leased shard. `None`
-    /// runs every cell.
-    pub shard: Option<Range<usize>>,
 }
 
 impl SweepOptions {
     /// The run options a spec describes: the supervision policy from its
     /// knobs, and the per-cell seeds its journal records carry. This is
     /// the only place a spec becomes run options; callers add their
-    /// execution-only choices (journal, resume, chaos, shard) on top.
+    /// execution-only choices (journal, resume, chaos) on top.
     pub fn from_spec(spec: &SweepSpec) -> SweepOptions {
         SweepOptions {
             supervise: SuperviseConfig {
@@ -138,19 +134,7 @@ impl SweepOptions {
         }
     }
 
-    /// The cells a `total`-cell sweep runs under these options: the
-    /// shard range clamped to the sweep, or every cell.
-    fn cells(&self, total: usize) -> Range<usize> {
-        match &self.shard {
-            Some(r) => {
-                let end = r.end.min(total);
-                r.start.min(end)..end
-            }
-            None => 0..total,
-        }
-    }
-
-    /// The seed journal records carry for sweep-wide cell `cell`.
+    /// The seed journal records carry for cell `cell`.
     fn seed(&self, cell: usize) -> u64 {
         self.seeds
             .as_ref()
@@ -158,12 +142,12 @@ impl SweepOptions {
             .unwrap_or(cell as u64)
     }
 
-    /// The chunk plan for running `cells` of `requests` on `pool`, sized
-    /// by the cells' cost hints.
-    fn chunk_plan(&self, requests: &[RunRequest], cells: Range<usize>, pool: &Pool) -> ChunkPlan {
+    /// The chunk plan for running `requests` on `pool`, sized by the
+    /// cells' cost hints.
+    fn chunk_plan(&self, requests: &[RunRequest], pool: &Pool) -> ChunkPlan {
         let costs: Vec<u64> = match &self.costs {
-            Some(costs) if costs.len() == requests.len() => costs[cells].to_vec(),
-            _ => requests[cells].iter().map(RunRequest::cost_hint).collect(),
+            Some(costs) if costs.len() == requests.len() => costs.clone(),
+            _ => requests.iter().map(RunRequest::cost_hint).collect(),
         };
         ChunkPlan::from_costs(&costs, pool.threads())
     }
@@ -253,21 +237,6 @@ fn attempt_cell(
     chaos: &ChaosPlan,
     attempt: u32,
 ) -> RunReport {
-    match chaos.injection(cell, attempt) {
-        Injection::Stall => {
-            // A wedged worker never reports; the watchdog is what turns
-            // it into an observable failure. Synthesize that observation
-            // deterministically instead of actually wedging a thread.
-            return RunReport {
-                cell,
-                result: Err(format!(
-                    "watchdog: cell stalled past {} simulated steps",
-                    sup.cell_timeout.unwrap_or(0)
-                )),
-            };
-        }
-        Injection::Panic | Injection::None => {}
-    }
     let mut config = request.config.clone();
     if let Some(timeout) = sup.cell_timeout {
         config.max_steps = config.max_steps.min(timeout);
@@ -277,7 +246,7 @@ fn attempt_cell(
         protocol: Arc::clone(&request.protocol),
         config,
     };
-    let inject_panic = matches!(chaos.injection(cell, attempt), Injection::Panic);
+    let inject_panic = chaos.panics(cell, attempt);
     let caught = catch_unwind(AssertUnwindSafe(|| {
         if inject_panic {
             crate::chaos::trigger_panic(cell, attempt);
@@ -355,14 +324,13 @@ pub struct OrderedCommitter {
 }
 
 impl OrderedCommitter {
-    /// A committer whose cursor starts at `base` — the first cell of a
-    /// shard, or 0 for a whole sweep. Every cell from `base` upward must
+    /// A committer whose cursor starts at cell 0. Every cell must
     /// eventually settle for the cursor to advance past it.
-    pub fn new(journal: Option<Journal>, base: usize) -> Self {
+    pub fn new(journal: Option<Journal>) -> Self {
         OrderedCommitter {
             journal,
             pending: BTreeMap::new(),
-            next: base,
+            next: 0,
             warnings: Vec::new(),
         }
     }
@@ -397,86 +365,75 @@ impl OrderedCommitter {
 /// runtime's only batch executor: local sweeps, bench grids, the CLI and
 /// service workers all dispatch through it.
 ///
-/// `requests` is the whole sweep. With [`SweepOptions::shard`] set, only
-/// the cells in that range run and the returned cells cover just that
-/// range; every report, journal record, seed and chaos decision still
-/// uses the sweep-wide cell index.
+/// Cell `i` is `requests[i]`: every report, journal record, seed and
+/// chaos decision uses that index.
 ///
-/// The journal is opened with [`journal::open`] over the cells this run
-/// covers: a whole-sweep run writes the classic journal format, a proper
-/// shard a range-pinned segment, so segments from different shards can
-/// later be merged into exactly the records a single-journal run would
-/// have produced. Cells it replays (matching seed, valid digest) return
-/// [`CellStatus::Resumed`] without executing; everything else runs
-/// through [`run_cell_supervised`] and settles with the
-/// [`OrderedCommitter`], which journals it unless it aborted.
+/// The journal is opened with [`journal::open`]. Cells it replays
+/// (matching seed, valid digest) return [`CellStatus::Resumed`] without
+/// executing; everything else runs through [`run_cell_supervised`] and
+/// settles with the [`OrderedCommitter`], which journals it unless it
+/// aborted.
 ///
 /// Journal problems never fail the sweep; they surface as warnings and
 /// the sweep simply runs without checkpoints.
 pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOptions) -> SweepRun {
-    let cells = opts.cells(requests.len());
-    let base = cells.start;
     let (journal, loaded) = opts.journal.as_ref().map_or_else(Default::default, |path| {
-        journal::open(path, requests.len(), cells.clone(), opts.resume, |c| {
-            opts.seed(c)
-        })
+        journal::open(path, requests.len(), opts.resume, |c| opts.seed(c))
     });
-    let mut done: Vec<Option<RunReport>> = vec![None; cells.len()];
+    let mut done: Vec<Option<RunReport>> = vec![None; requests.len()];
     for rec in loaded.records {
-        done[rec.cell - base] = Some(rec.report);
+        done[rec.cell] = Some(rec.report);
     }
     let mut warnings = loaded.warnings;
-    let committer = Mutex::new(OrderedCommitter::new(journal, base));
+    let committer = Mutex::new(OrderedCommitter::new(journal));
     // Dispatch through the pool. Supervision wraps each *sub-task*
     // (cell) individually — the `catch_unwind`, retry loop, and watchdog
     // clamp all live inside this closure — so a panic or timeout in one
     // sub-task never retries or aborts the rest of its chunk. Every path
     // settles the cell with the committer so the commit cursor always
-    // reaches the end of the range.
-    let plan = opts.chunk_plan(requests, cells.clone(), pool);
-    let (cells_out, sched): (Vec<SupervisedReport>, SchedStats) =
-        pool.run_chunked(&plan, |local| {
-            let cell = base + local;
-            let settle = |record: Option<(u64, &RunReport)>| {
-                committer
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .settle(cell, record);
+    // reaches the end of the sweep.
+    let plan = opts.chunk_plan(requests, pool);
+    let (cells, sched): (Vec<SupervisedReport>, SchedStats) = pool.run_chunked(&plan, |cell| {
+        let settle = |record: Option<(u64, &RunReport)>| {
+            committer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .settle(cell, record);
+        };
+        if let Some(report) = &done[cell] {
+            settle(None);
+            return SupervisedReport {
+                report: report.clone(),
+                status: CellStatus::Resumed,
+                attempts: 0,
             };
-            if let Some(report) = &done[local] {
-                settle(None);
-                return SupervisedReport {
-                    report: report.clone(),
-                    status: CellStatus::Resumed,
-                    attempts: 0,
-                };
-            }
-            if opts.chaos.dies_before(cell) {
-                settle(None);
-                return SupervisedReport {
-                    report: RunReport {
-                        cell,
-                        result: Err("sweep interrupted before cell ran".to_string()),
-                    },
-                    status: CellStatus::Aborted,
-                    attempts: 0,
-                };
-            }
-            let sup = run_cell_supervised(cell, &requests[cell], &opts.supervise, &opts.chaos);
-            settle(Some((opts.seed(cell), &sup.report)));
-            sup
-        });
+        }
+        if opts.chaos.dies_before(cell) {
+            settle(None);
+            return SupervisedReport {
+                report: RunReport {
+                    cell,
+                    result: Err("sweep interrupted before cell ran".to_string()),
+                },
+                status: CellStatus::Aborted,
+                attempts: 0,
+            };
+        }
+        let sup = run_cell_supervised(cell, &requests[cell], &opts.supervise, &opts.chaos);
+        settle(Some((opts.seed(cell), &sup.report)));
+        sup
+    });
     warnings.extend(
         committer
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
             .warnings,
     );
-    let interrupted = cells_out
+    let interrupted = cells
         .iter()
         .any(|c| c.attempts == 0 && matches!(c.status, CellStatus::Aborted));
     SweepRun {
-        cells: cells_out,
+        cells,
         warnings,
         interrupted,
         sched,
@@ -517,7 +474,6 @@ mod tests {
         // Execution-only choices stay at their defaults.
         assert_eq!(opts.journal, None);
         assert!(!opts.resume);
-        assert_eq!(opts.shard, None);
         assert_eq!(opts.costs, None);
     }
 }

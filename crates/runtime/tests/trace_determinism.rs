@@ -14,9 +14,10 @@ use std::sync::Arc;
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::JsonlSink;
+use oraclesize_sim::engine::run_with_sink;
 use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::trace::InvariantSink;
-use oraclesize_sim::{run_streamed, FaultPlan, Instance, SchedulerKind, SimConfig};
+use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,7 +52,8 @@ fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> (Arc<Instance>
 /// The cell's trace as JSONL.
 fn render(cell: usize, instance: &Instance, config: &SimConfig) -> String {
     let mut sink = JsonlSink::new(cell as u64);
-    let _ = run_streamed(instance, &FloodOnce, config, &mut sink);
+    let (g, source, advice) = (&instance.graph, instance.source, &instance.advice);
+    let _ = run_with_sink(g, source, advice, &FloodOnce, config, &mut sink);
     sink.into_string()
 }
 
@@ -68,7 +70,8 @@ fn check_grid(instance: &Instance, configs: &[SimConfig]) -> String {
     let mut out = String::new();
     for (cell, config) in configs.iter().enumerate() {
         let mut checker = InvariantSink::new(instance.num_nodes(), instance.source, config.mode);
-        let result = run_streamed(instance, &FloodOnce, config, &mut checker);
+        let (g, source, advice) = (&instance.graph, instance.source, &instance.advice);
+        let result = run_with_sink(g, source, advice, &FloodOnce, config, &mut checker);
         if let Err(violation) = checker.verdict(result.is_ok()) {
             panic!("cell {cell}: {violation}");
         }

@@ -14,9 +14,10 @@
 //!   hints, leases shards to workers, requeues them when a worker dies,
 //!   and merges results in cell order through the runtime's
 //!   `OrderedCommitter`,
-//! * [`worker`] — runs shards through [`run_supervised_batch`] with a
-//!   shard range and per-shard segment journals, so a replacement worker
-//!   resumes a dead one's checkpoints,
+//! * [`worker`] — runs each leased shard as a sub-sweep of the leased
+//!   requests through [`run_supervised_batch`], with a per-shard segment
+//!   journal (deleted once the server acknowledges the shard), so a
+//!   replacement worker resumes a dead one's checkpoints,
 //! * [`client`] — submits a spec and polls until the merged artifact
 //!   comes back.
 //!

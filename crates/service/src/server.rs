@@ -128,13 +128,13 @@ impl State {
             .as_ref()
             .map_or_else(Default::default, |dir| {
                 let path = dir.join(format!("job-{job_id:016x}.journal"));
-                journal::open(&path, total, 0..total, resume, |cell| spec.cells[cell].seed)
+                journal::open(&path, total, resume, |cell| spec.cells[cell].seed)
             });
         for w in &loaded.warnings {
             eprintln!("serve: {w}");
         }
         let mut results: Vec<Option<RunReport>> = vec![None; total];
-        let mut committer = OrderedCommitter::new(journal, 0);
+        let mut committer = OrderedCommitter::new(journal);
         for rec in loaded.records {
             // Already durable in the rewritten journal — advance the
             // cursor without re-appending.

@@ -1,20 +1,23 @@
 //! The sweep worker: pulls shards from a server, runs them through the
 //! supervised runtime, and streams per-cell results back.
 //!
-//! A shard runs via [`run_supervised_batch`] over the whole grid with
-//! [`SweepOptions::shard`] set to the leased range, on top of the spec's
-//! own [`SweepOptions::from_spec`] lowering — so reports, journal
-//! records, and seeds all use global cell indices. It is the same
-//! executor and the same options a local sweep uses, which is what makes
-//! the server's merged artifact byte-identical to a local run.
+//! A leased shard `lo..hi` runs as a sweep of its own: the worker passes
+//! the leased slice of the grid's requests and of the spec's seeds to
+//! [`run_supervised_batch`], on top of the spec's own
+//! [`SweepOptions::from_spec`] lowering, and adds `lo` back to each
+//! returned cell before reporting it. It is the same executor and the
+//! same options a local sweep uses, which is what makes the server's
+//! merged artifact byte-identical to a local run.
 //!
 //! With a journal directory configured, each shard checkpoints to its
-//! own segment file (`job-<digest>-shard-<lo>-<hi>.journal`), always
-//! opened in resume mode: a fresh shard finds no file (an empty resume),
-//! while a shard requeued after a worker death finds its predecessor's
-//! partial segment and replays the completed cells instead of re-running
-//! them. Workers that share a journal directory therefore hand work off
-//! across deaths without coordination beyond the server's requeue.
+//! own segment file (`job-<digest>-shard-<lo>-<hi>.journal`, an ordinary
+//! journal of the shard's `hi - lo` cells), always opened in resume mode:
+//! a fresh shard finds no file (an empty resume), while a shard requeued
+//! after a worker death finds its predecessor's partial segment and
+//! replays the completed cells instead of re-running them. Workers that
+//! share a journal directory therefore hand work off across deaths
+//! without coordination beyond the server's requeue. Once the server
+//! acknowledges a shard's results the segment is deleted.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -22,7 +25,9 @@ use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
 use oraclesize_runtime::journal::JournalRecord;
-use oraclesize_runtime::{run_supervised_batch, ChaosPlan, Pool, SweepOptions, SweepSpec};
+use oraclesize_runtime::{
+    run_supervised_batch, ChaosPlan, Pool, RunReport, SweepOptions, SweepSpec,
+};
 
 use crate::connect_with_retries;
 use crate::proto::{recv, send, Message};
@@ -40,7 +45,8 @@ pub struct WorkerConfig {
     /// Idle poll interval in milliseconds.
     pub poll_ms: u64,
     /// Fault drill: run the Nth claimed shard (1-based) only up to its
-    /// midpoint, journal that progress, then stop without reporting —
+    /// midpoint (cell `lo + (hi - lo) / 2`), journal that progress, then
+    /// stop without reporting —
     /// the in-process stand-in for `kill -9` that the CI smoke job and
     /// the resume tests drive.
     pub die_mid_shard: Option<u64>,
@@ -132,6 +138,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     let Some((parsed, grid)) = cache.get(&job) else {
                         continue;
                     };
+                    // The range comes off the wire: check it before slicing.
                     if hi > grid.len() || lo > hi || total != grid.len() {
                         return Err(format!(
                             "shard {lo}..{hi} of {total} does not fit the {}-cell grid",
@@ -149,15 +156,15 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                         // empty journal, a requeued one replays its
                         // predecessor's checkpoints.
                         resume: true,
+                        seeds: Some(parsed.cells[lo..hi].iter().map(|c| c.seed).collect()),
                         chaos: if dying {
-                            ChaosPlan::new().die_before(lo + (hi - lo) / 2)
+                            ChaosPlan::new().die_before((hi - lo) / 2)
                         } else {
                             ChaosPlan::new()
                         },
-                        shard: Some(lo..hi),
                         ..SweepOptions::from_spec(parsed)
                     };
-                    let run = run_supervised_batch(&pool, grid.requests(), &opts);
+                    let run = run_supervised_batch(&pool, &grid.requests()[lo..hi], &opts);
                     for w in &run.warnings {
                         eprintln!("work[{}]: {w}", config.name);
                     }
@@ -174,10 +181,13 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     let records: Vec<JournalRecord> = run
                         .cells
                         .into_iter()
-                        .map(|c| JournalRecord {
-                            cell: c.report.cell,
-                            seed: parsed.cells[c.report.cell].seed,
-                            report: c.report,
+                        .map(|c| {
+                            let cell = lo + c.report.cell;
+                            JournalRecord {
+                                cell,
+                                seed: parsed.cells[cell].seed,
+                                report: RunReport { cell, ..c.report },
+                            }
                         })
                         .collect();
                     let result = Message::Result {
@@ -192,6 +202,12 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                         Ok(Message::Ack { .. }) => {}
                         Ok(Message::Error { text }) => return Err(text),
                         Ok(_) | Err(_) => continue 'session,
+                    }
+                    // The server holds these cells now; the segment is spent.
+                    if let Some(Err(e)) = opts.journal.as_ref().map(std::fs::remove_file) {
+                        if e.kind() != std::io::ErrorKind::NotFound {
+                            eprintln!("work[{}]: cannot delete finished segment: {e}", config.name);
+                        }
                     }
                     shards_done += 1;
                     cells_done += (hi - lo) as u64;

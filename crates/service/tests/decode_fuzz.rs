@@ -50,11 +50,8 @@ fn mutate(mut bytes: Vec<u8>, edits: &[Edit]) -> (Vec<u8>, usize) {
 fn sample_records() -> Vec<JournalRecord> {
     let spec = t10_spec();
     let grid = CellGrid::from_spec(&spec).unwrap();
-    let opts = SweepOptions {
-        shard: Some(0..3),
-        ..SweepOptions::from_spec(&spec)
-    };
-    let mut reports = run_supervised_batch(&Pool::new(1), grid.requests(), &opts).reports();
+    let opts = SweepOptions::from_spec(&spec);
+    let mut reports = run_supervised_batch(&Pool::new(1), &grid.requests()[..3], &opts).reports();
     reports.push(RunReport {
         cell: 3,
         result: Err("budget exhausted — ε ≤ 2⁻⁸ ✓".to_string()),
@@ -176,7 +173,7 @@ proptest! {
         }
         let (bytes, first) = mutate(std::fs::read(&path).unwrap(), &edits);
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = journal::load(&path, 8, 0..8).unwrap();
+        let loaded = journal::load(&path, 8).unwrap();
         let intact = ends.iter().filter(|&&end| end <= first).count();
         prop_assert!(loaded.records.len() >= intact);
         prop_assert_eq!(&loaded.records[..intact], &records[..intact]);
@@ -197,7 +194,7 @@ fn deep_nesting_is_refused_by_every_reader() {
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.extend_from_slice(format!("{}\n{deep}\n", deep.len()).as_bytes());
     std::fs::write(&path, bytes).unwrap();
-    let loaded = journal::load(&path, 1, 0..1).unwrap();
+    let loaded = journal::load(&path, 1).unwrap();
     assert!(loaded.records.is_empty());
     assert!(
         loaded.warnings[0].contains("corrupt record"),

@@ -22,6 +22,8 @@ use oraclesize_service::{
 use proptest::prelude::*;
 
 /// A small mixed sweep: two instances, two schemes, both task modes.
+/// Cell seeds differ from the cell indices, so a worker that journals or
+/// reports a shard-local index where a sweep-wide one belongs is caught.
 fn tiny_spec(name: &str, cells: usize) -> SweepSpec {
     let mut spec = SweepSpec::new(name, 2006);
     spec.instances.push(InstanceSpec {
@@ -52,7 +54,7 @@ fn tiny_spec(name: &str, cells: usize) -> SweepSpec {
             anonymous: false,
             max_message_bits: None,
             quiescence_polls: None,
-            seed: i as u64,
+            seed: 1000 + 7 * i as u64,
             faults: FaultSpec::default(),
         });
     }
@@ -127,17 +129,35 @@ fn three_workers_match_local_run() {
     assert_eq!(run_distributed(&spec, 3, None), local);
 }
 
+/// The worker segment journals in `dir`, with the `lo..hi` range each
+/// one's file name carries.
+fn segments(dir: &std::path::Path) -> Vec<(PathBuf, usize, usize)> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let Some((_, range)) = name.split_once("-shard-") else {
+            continue;
+        };
+        let (lo, hi) = range.trim_end_matches(".journal").split_once('-').unwrap();
+        found.push((path.clone(), lo.parse().unwrap(), hi.parse().unwrap()));
+    }
+    found
+}
+
 #[test]
 fn killed_worker_is_requeued_and_resumed_byte_identically() {
-    let spec = tiny_spec("svc-kill", 10);
+    let spec = tiny_spec("svc-kill", 24);
     let local = run_local(&spec, 2).unwrap();
     let dir = temp_dir("kill");
 
+    // One expected worker cuts the 24 cells into multi-cell shards, so the
+    // drill's midpoint lies past the shard's first cell.
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         journal_dir: Some(dir.clone()),
         jobs: 1,
-        workers_hint: 2,
+        workers_hint: 1,
     })
     .unwrap();
     let addr = server.local_addr().unwrap().to_string();
@@ -146,19 +166,27 @@ fn killed_worker_is_requeued_and_resumed_byte_identically() {
     let submit_addr = addr.clone();
     let client = thread::spawn(move || submit(&submit_addr, &spec_text, true, 5));
 
-    // Worker A claims the first shard, journals its first half, and
-    // "dies" (drops the connection without reporting).
+    // Worker A finishes the first shard, then claims the second, journals
+    // its first half, and "dies" (drops the connection without
+    // reporting). The second shard starts past cell 0, so its sweep-wide
+    // seeds differ from the shard-local ones.
     let mut doomed = worker_config(&addr, "w-doomed", Some(dir.clone()));
-    doomed.die_mid_shard = Some(1);
+    doomed.die_mid_shard = Some(2);
     let outcome = run_worker(&doomed).expect("doomed worker");
-    assert!(matches!(outcome, WorkerOutcome::Died { .. }), "{outcome:?}");
-    // Its partial segment journal is on disk for the successor.
-    let segments = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().contains("-shard-"))
-        .count();
-    assert!(segments > 0, "the dead worker left no segment journal");
+    assert_eq!(outcome, WorkerOutcome::Died { shards: 1 });
+    // Its partial segment journal is on disk for the successor: the
+    // shard's cells before the midpoint, each under its spec seed. The
+    // first shard's segment went when the server acknowledged it.
+    let left = segments(&dir);
+    assert_eq!(left.len(), 1, "{left:?}");
+    let (path, lo, hi) = &left[0];
+    assert!(*lo > 0 && hi - lo >= 2, "shard {lo}..{hi}");
+    let loaded = journal::load(path, hi - lo).unwrap();
+    assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
+    assert!(!loaded.records.is_empty(), "the drill journaled no record");
+    for rec in &loaded.records {
+        assert_eq!(rec.seed, spec.cells[lo + rec.cell].seed, "{rec:?}");
+    }
 
     // Worker B picks up the requeued shard (resuming A's checkpoints)
     // plus everything else.
@@ -172,7 +200,36 @@ fn killed_worker_is_requeued_and_resumed_byte_identically() {
     let artifact = client.join().unwrap().expect("submit");
     server_thread.join().unwrap();
     assert_eq!(artifact, local);
+    // Every acknowledged shard's segment is gone; the job journal stays.
+    assert_eq!(segments(&dir), []);
+    let job = dir.join(format!("job-{:016x}.journal", spec.digest()));
+    assert!(job.exists());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A lease whose range does not fit the job's grid is refused with an
+/// error before the worker slices anything.
+#[test]
+fn a_shard_past_the_grid_is_an_error_not_a_panic() {
+    let spec = tiny_spec("svc-bad-lease", 4);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        assert!(matches!(recv(&mut stream), Ok(Message::Want { .. })));
+        let lease = Message::Shard {
+            job: spec.digest(),
+            shard: 0,
+            lo: 2,
+            hi: 5,
+            total: 4,
+            spec: spec.to_json(),
+        };
+        send(&mut stream, &lease).unwrap();
+    });
+    let err = run_worker(&worker_config(&addr, "w-bad-lease", None)).unwrap_err();
+    assert_eq!(err, "shard 2..5 of 4 does not fit the 4-cell grid");
+    server.join().unwrap();
 }
 
 /// Resubmits `spec` with `resume` to a fresh server on the job journals
@@ -229,7 +286,7 @@ fn aborted_cells_are_not_journaled_and_rerun_after_a_restart() {
     let dir = temp_dir("abort");
     assert_eq!(run_distributed(&spec, 1, Some(dir.clone())), local);
     let path = dir.join(format!("job-{:016x}.journal", spec.digest()));
-    let loaded = journal::load(&path, 4, 0..4).unwrap();
+    let loaded = journal::load(&path, 4).unwrap();
     assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
     let failures = loaded.records.iter().filter(|r| r.report.result.is_err());
     assert_eq!(failures.count(), 0, "{:?}", loaded.records);

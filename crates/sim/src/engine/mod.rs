@@ -18,8 +18,9 @@
 //!   [`TraceSink`](crate::trace::TraceSink) as it goes.
 //!
 //! All public names are re-exported here, so `engine::run`,
-//! `engine::SimConfig`, … keep working exactly as before the split. The
-//! instance-level facade is [`crate::run`].
+//! `engine::SimConfig`, … keep working exactly as before the split.
+//! [`run()`] and [`run_with_sink`] are the engine's only entry points; an
+//! [`Instance`](crate::Instance) runs by passing them its fields.
 
 pub mod config;
 pub mod delivery;

@@ -3,9 +3,9 @@
 //!
 //! [`run_with_sink`] is the single underlying implementation; the caller
 //! picks the sink that receives the trace. [`run`] is it with a
-//! [`NullSink`], which traces nothing. Every other entry point in the
-//! workspace (`sim::run`, `core::execute`, `runtime::batch`) delegates
-//! here.
+//! [`NullSink`], which traces nothing. These two are the engine's only
+//! entry points: `core::execute`, `runtime::run_cell_report` and the
+//! `oraclesize trace` command all call one of them.
 
 use std::collections::VecDeque;
 

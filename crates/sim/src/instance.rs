@@ -1,14 +1,12 @@
-//! `Arc`-shared immutable problem instances, and the workspace's one
-//! run facade.
+//! `Arc`-shared immutable problem instances. To run a scheme on one,
+//! pass its fields to [`engine::run`](crate::engine::run()) (or
+//! [`engine::run_with_sink`](crate::engine::run_with_sink) to trace it).
 
 use std::sync::Arc;
 
 use oraclesize_graph::{NodeId, PortGraph};
 
-use crate::engine::{self, RunOutcome, SimConfig, SimError};
 use crate::oracle::{advice_size, Advice, Oracle};
-use crate::protocol::Protocol;
-use crate::trace::TraceSink;
 
 /// One immutable problem instance: a port-labeled graph, a source, and the
 /// advice an oracle assigned — built **once**, then shared by every cell
@@ -70,68 +68,10 @@ const _: fn() = || {
     assert_send_sync::<Instance>();
 };
 
-/// Executes `protocol` on a frozen [`Instance`] — the workspace's single
-/// run facade.
-///
-/// Every higher-level entry point reduces to this call:
-/// `oraclesize_core::execute` builds the instance from an oracle first;
-/// `oraclesize_runtime::run_supervised_batch` fans instances out across a
-/// worker pool; the engine-level [`engine::run`](crate::engine::run::run) is the
-/// same executor without the instance wrapper. It traces nothing; to
-/// stream events into a sink, use [`run_streamed`].
-///
-/// # Errors
-///
-/// See [`SimError`]. Any error aborts the run immediately.
-///
-/// # Panics
-///
-/// Panics if `instance.source` is out of range for the instance's graph
-/// (unreachable for instances built by [`Instance::build`] from an
-/// in-range source).
-pub fn run(
-    instance: &Instance,
-    protocol: &dyn Protocol,
-    config: &SimConfig,
-) -> Result<RunOutcome, SimError> {
-    engine::run::run(
-        &instance.graph,
-        instance.source,
-        &instance.advice,
-        protocol,
-        config,
-    )
-}
-
-/// [`run`], streaming trace events into a caller-supplied sink. The
-/// caller keeps the sink when the run aborts, so a bounded sink doubles as
-/// an error post-mortem buffer.
-///
-/// # Errors / Panics
-///
-/// As [`run`].
-pub fn run_streamed(
-    instance: &Instance,
-    protocol: &dyn Protocol,
-    config: &SimConfig,
-    sink: &mut dyn TraceSink,
-) -> Result<RunOutcome, SimError> {
-    engine::run::run_with_sink(
-        &instance.graph,
-        instance.source,
-        &instance.advice,
-        protocol,
-        config,
-        sink,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::FloodOnce;
     use crate::testkit::no_advice;
-    use crate::trace::{TraceEvent, VecSink};
     use oraclesize_graph::families;
 
     struct NoAdviceOracle;
@@ -150,31 +90,5 @@ mod tests {
         assert_eq!(inst.num_nodes(), 6);
         // The graph is shared, not copied.
         assert!(Arc::ptr_eq(&g, &inst.graph));
-    }
-
-    #[test]
-    fn facade_matches_engine_run() {
-        let g = Arc::new(families::cycle(5));
-        let inst = Instance::with_advice(Arc::clone(&g), 0, no_advice(5));
-        let config = SimConfig::default();
-        let via_facade = run(&inst, &FloodOnce, &config).unwrap();
-        let via_engine = engine::run::run(&g, 0, &inst.advice, &FloodOnce, &config).unwrap();
-        assert_eq!(via_facade.metrics, via_engine.metrics);
-        assert!(via_facade.all_informed());
-    }
-
-    #[test]
-    fn streamed_facade_fills_external_sink() {
-        let g = Arc::new(families::cycle(4));
-        let inst = Instance::with_advice(Arc::clone(&g), 0, no_advice(4));
-        let config = SimConfig::default();
-        let mut sink = VecSink::new();
-        let out = run_streamed(&inst, &FloodOnce, &config, &mut sink).unwrap();
-        let delivered = sink.events().iter().filter_map(TraceEvent::as_delivery);
-        assert_eq!(delivered.count() as u64, out.metrics.steps);
-        // Tracing changes nothing the untraced facade reports.
-        let untraced = run(&inst, &FloodOnce, &config).unwrap();
-        assert_eq!(untraced.metrics, out.metrics);
-        assert_eq!(untraced.informed, out.informed);
     }
 }

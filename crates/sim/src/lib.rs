@@ -13,9 +13,10 @@
 //! * [`oracle`] — the [`Oracle`] trait assigning per-node advice, the
 //!   [`Advice`] slot table it returns, and the paper's oracle-size
 //!   accounting,
-//! * [`instance`] — frozen `Arc`-shared problem instances and the
-//!   workspace's one run facade, [`run`],
-//! * [`engine`] — the executor, with **synchronous** (round-based) and
+//! * [`instance`] — frozen `Arc`-shared problem instances,
+//! * [`engine`] — the executor, [`engine::run`](engine::run()) (untraced)
+//!   and [`engine::run_with_sink`] (streaming a trace into a caller's
+//!   sink), with **synchronous** (round-based) and
 //!   **asynchronous** (adversarially scheduled) delivery, mechanical
 //!   enforcement of the *wakeup rule* (non-source nodes stay silent until
 //!   informed), informedness tracking (the source message piggybacks on any
@@ -34,12 +35,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use oraclesize_sim::engine;
 //! use oraclesize_sim::prelude::*;
 //! use oraclesize_graph::families;
 //!
 //! let g = Arc::new(families::cycle(5));
-//! let instance = Instance::with_advice(g, 0, Advice::empty(5));
-//! let outcome = run(&instance, &FloodOnce, &SimConfig::default()).unwrap();
+//! let inst = Instance::with_advice(g, 0, Advice::empty(5));
+//! let config = SimConfig::default();
+//! let outcome = engine::run(&inst.graph, inst.source, &inst.advice, &FloodOnce, &config).unwrap();
 //! assert!(outcome.all_informed());
 //! ```
 
@@ -62,7 +65,7 @@ pub mod trace;
 pub use engine::{Completion, RunOutcome, SimConfig, SimError, TaskMode};
 pub use faults::{AdviceAdversary, FaultCounts, FaultPlan};
 pub use history::{History, HistoryProtocol};
-pub use instance::{run, run_streamed, Instance};
+pub use instance::Instance;
 pub use metrics::RunMetrics;
 pub use oracle::{advice_size, Advice, Oracle};
 pub use protocol::{ForwardOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};
@@ -77,7 +80,7 @@ pub use trace::{TraceEvent, TraceSink};
 pub mod prelude {
     pub use crate::engine::{Completion, RunOutcome, SimConfig, SimError, TaskMode};
     pub use crate::faults::FaultPlan;
-    pub use crate::instance::{run, run_streamed, Instance};
+    pub use crate::instance::Instance;
     pub use crate::metrics::RunMetrics;
     pub use crate::oracle::{advice_size, Advice, Oracle};
     pub use crate::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol};

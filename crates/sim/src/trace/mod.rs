@@ -2,9 +2,8 @@
 //! first-divergence comparison.
 //!
 //! A trace is whatever the caller's sink makes of the engine's event
-//! stream: [`run_with_sink`](crate::engine::run_with_sink) and
-//! [`run_streamed`](crate::run_streamed) take the sink as an argument, and
-//! [`run`](crate::engine::run()) drives a [`NullSink`]. The pieces:
+//! stream: [`run_with_sink`](crate::engine::run_with_sink) takes the sink
+//! as an argument, and [`run`](crate::engine::run()) drives a [`NullSink`]. The pieces:
 //!
 //! * [`TraceEvent`] — the taxonomy: message lifecycle ([`Enqueue`]
 //!   → [`Deliver`]/[`Drop`], with [`Corrupt`] and [`Wake`] annotations),

@@ -58,9 +58,10 @@ use oraclesize_runtime::{
     SchedStats, SchedulerSpec, SweepOptions, SweepSpec,
 };
 use oraclesize_service::{Server, ServerConfig, WorkerConfig, WorkerOutcome};
+use oraclesize_sim::engine::run_with_sink;
 use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::trace::diff_lines;
-use oraclesize_sim::{run_streamed, SchedulerKind, SimConfig};
+use oraclesize_sim::{SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1125,10 +1126,13 @@ fn run_trace(args: &TraceArgs) -> Result<String, String> {
     let cell = [("trace".to_string(), args.cell.seed)];
     let grid = CellGrid::from_spec(&lower_cells("trace", &args.cell, args.drop, cell)?)?;
     let request = &grid.requests()[0];
-    let g = &request.instance.graph;
+    let inst = &request.instance;
+    let g = &inst.graph;
     let mut sink = JsonlSink::new(0);
-    let outcome = run_streamed(
-        &request.instance,
+    let outcome = run_with_sink(
+        g,
+        inst.source,
+        &inst.advice,
         request.protocol.as_ref(),
         &request.config,
         &mut sink,

@@ -67,7 +67,6 @@ pub mod prelude {
     pub use oraclesize_runtime::{run_supervised_batch, JsonlSink, Pool, RunRequest, SweepOptions};
     pub use oraclesize_sim::protocol::FloodOnce;
     pub use oraclesize_sim::{
-        advice_size, run, run_streamed, Advice, Instance, Oracle, RunMetrics, SchedulerKind,
-        SimConfig, TaskMode,
+        advice_size, Advice, Instance, Oracle, RunMetrics, SchedulerKind, SimConfig, TaskMode,
     };
 }
