@@ -25,14 +25,14 @@ use oraclesize_lowerbound::discovery::{
     all_edges, AdaptiveNeighborStrategy, DiscoveryStrategy, RandomStrategy, SequentialStrategy,
 };
 use oraclesize_lowerbound::truncation::tradeoff_curve;
-use oraclesize_runtime::spec::to_ppm;
+use oraclesize_runtime::spec::{grid_json, to_ppm};
 use oraclesize_runtime::{AdviceSpec, CellSpec, FaultSpec, InstanceSpec, SchedulerSpec, SweepSpec};
 use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::{advice_size, Oracle, SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::grid::{emit_json, CellGrid, ExpOptions};
+use crate::grid::{emit_json, run_grid, ExpOptions, GridRun};
 use crate::harness::{size_sweep, Report, MASTER_SEED, SWEEP_FAMILIES};
 
 /// Runs one experiment under the invocation's options.
@@ -621,23 +621,12 @@ pub fn t10_robustness_matrix(opts: &ExpOptions) -> Result<String, String> {
     let mut report =
         Report::new("T10 — upper bounds hold async, anonymous, bounded messages (§1.3)");
     let spec = t10_spec();
-    let grid = CellGrid::from_spec(&spec)?;
-    let mut meta = Vec::new();
-    for kind in SchedulerKind::sweep(MASTER_SEED) {
-        for anonymous in [false, true] {
-            meta.push(("tree-wakeup", kind, anonymous));
-            meta.push(("scheme-b", kind, anonymous));
-        }
-    }
-    let sweep = grid.dispatch(&spec, opts);
-    if sweep.interrupted {
-        return Err(format!(
-            "t10 interrupted mid-sweep; resume from the journal to finish ({})",
-            sweep.summary()
-        ));
-    }
-    let reports = sweep.reports();
-    emit_json(opts, "t10", grid.to_json(&reports))?;
+    let GridRun {
+        grid,
+        sweep,
+        reports,
+    } = run_grid(&spec, opts)?;
+    emit_json(opts, "t10", grid_json(grid.labels(), &reports))?;
 
     let mut table = Table::new([
         "scheme",
@@ -648,17 +637,18 @@ pub fn t10_robustness_matrix(opts: &ExpOptions) -> Result<String, String> {
         "max payload bits",
     ]);
     let mut ok = true;
-    for ((scheme, kind, anonymous), r) in meta.iter().zip(&reports) {
+    for (cell, r) in spec.cells.iter().zip(&reports) {
         let out = r.outcome().expect("t10 cells run");
         ok &= out.completed
-            && match *scheme {
+            && match cell.scheme.as_str() {
                 "tree-wakeup" => out.metrics.messages == 127,
                 _ => out.metrics.messages <= scheme_b_message_bound(128),
             };
+        let scheduler = cell.scheduler.as_ref().expect("t10 cells name a scheduler");
         table.row([
-            scheme.to_string(),
-            kind.name().to_string(),
-            anonymous.to_string(),
+            cell.scheme.clone(),
+            scheduler.kind.clone(),
+            cell.anonymous.to_string(),
             out.completed.to_string(),
             out.metrics.messages.to_string(),
             out.metrics.max_message_bits.to_string(),
@@ -1460,17 +1450,8 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     // detects the corruption and pays messages (flooding) instead of
     // coverage. The engine corrupts a private copy of the shared advice,
     // so one instance serves every cell.
-    let corruption_spec = t20_corruption_spec();
-    let corruption = CellGrid::from_spec(&corruption_spec)?;
-    let n = corruption.requests()[0].instance.graph.num_nodes() as u64;
-    let corruption_sweep = corruption.dispatch(&corruption_spec, opts);
-    if corruption_sweep.interrupted {
-        return Err(format!(
-            "t20 corruption sweep interrupted; resume from the journal to finish ({})",
-            corruption_sweep.summary()
-        ));
-    }
-    let corruption_reports = corruption_sweep.reports();
+    let corruption_run = run_grid(&t20_corruption_spec(), opts)?;
+    let n = corruption_run.grid.requests()[0].instance.graph.num_nodes() as u64;
 
     let mut table = Table::new([
         "corruption",
@@ -1481,7 +1462,7 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
         "overhead vs n-1",
     ]);
     let mut healed_everywhere = true;
-    let mut chunks = corruption_reports.chunks(trials as usize);
+    let mut chunks = corruption_run.reports.chunks(trials as usize);
     for rate in T20_RATES {
         for robust in [false, true] {
             let chunk = chunks.next().expect("grid covers the matrix");
@@ -1528,16 +1509,7 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     // Sweep 2: message-drop rate × retry budget × trial. Acks double the
     // fault-free cost; each retry multiplies the per-edge survival
     // probability.
-    let drop_spec = t20_drops_spec();
-    let drop_grid = CellGrid::from_spec(&drop_spec)?;
-    let drop_sweep = drop_grid.dispatch(&drop_spec, opts);
-    if drop_sweep.interrupted {
-        return Err(format!(
-            "t20 drop sweep interrupted; resume from the journal to finish ({})",
-            drop_sweep.summary()
-        ));
-    }
-    let drop_reports = drop_sweep.reports();
+    let drops_run = run_grid(&t20_drops_spec(), opts)?;
 
     let mut drops = Table::new([
         "drop rate",
@@ -1547,7 +1519,7 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
         "mean messages",
     ]);
     let mut retries_recovered = true;
-    let mut chunks = drop_reports.chunks(trials as usize);
+    let mut chunks = drops_run.reports.chunks(trials as usize);
     for rate in T20_DROP_RATES {
         for (label, retries) in T20_RETRY_SCHEMES {
             let chunk = chunks.next().expect("grid covers the matrix");
@@ -1590,19 +1562,11 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
         .iter()
         .map(|c| c.faults.crashes.len())
         .collect();
-    let crash_grid = CellGrid::from_spec(&crash_spec)?;
-    let crash_sweep = crash_grid.dispatch(&crash_spec, opts);
-    if crash_sweep.interrupted {
-        return Err(format!(
-            "t20 crash sweep interrupted; resume from the journal to finish ({})",
-            crash_sweep.summary()
-        ));
-    }
-    let crash_reports = crash_sweep.reports();
+    let crash_run = run_grid(&crash_spec, opts)?;
 
     let mut crashes = Table::new(["crashes", "completed", "informed survivors", "messages"]);
     let mut survivors_informed = true;
-    for ((budget, crashed), r) in T20_BUDGETS.iter().zip(&crash_sizes).zip(&crash_reports) {
+    for ((budget, crashed), r) in T20_BUDGETS.iter().zip(&crash_sizes).zip(&crash_run.reports) {
         let out = r.outcome().expect("wakeup runs");
         // Dead relays are advice corruption in disguise: the tree routes
         // through them, so survivors behind a crashed parent stay asleep
@@ -1633,24 +1597,25 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     });
     report.block(&crashes.to_markdown());
 
+    let json = |run: &GridRun| grid_json(run.grid.labels(), &run.reports);
     emit_json(
         opts,
         "t20",
         oraclesize_runtime::Json::obj()
-            .field("corruption", corruption.to_json(&corruption_reports))
-            .field("drops", drop_grid.to_json(&drop_reports))
-            .field("crashes", crash_grid.to_json(&crash_reports)),
+            .field("corruption", json(&corruption_run))
+            .field("drops", json(&drops_run))
+            .field("crashes", json(&crash_run)),
     )?;
-    for sweep in [&corruption_sweep, &drop_sweep, &crash_sweep] {
-        for warning in &sweep.warnings {
+    for run in [&corruption_run, &drops_run, &crash_run] {
+        for warning in &run.sweep.warnings {
             report.para(&format!("_warning: {warning}_"));
         }
     }
     report.para(&format!(
         "_corruption {}; drops {}; crashes {}_",
-        corruption_sweep.summary(),
-        drop_sweep.summary(),
-        crash_sweep.summary()
+        corruption_run.sweep.summary(),
+        drops_run.sweep.summary(),
+        crash_run.sweep.summary()
     ));
     Ok(report.render())
 }
@@ -1849,22 +1814,12 @@ pub fn scale_curve(opts: &ExpOptions) -> Result<String, String> {
     let mut report =
         Report::new("SCALE — engine scaling on subdivided cliques (Theorem 2.2 graphs)");
     let spec = scale_spec(opts.large);
-    let grid = CellGrid::from_spec(&spec)?;
-    let mut meta = Vec::new();
-    for b in scale_orders(opts.large) {
-        let nodes = subdivided_clique_nodes(b);
-        meta.push(("tree-wakeup", b, nodes));
-        meta.push(("flood", b, nodes));
-    }
-    let sweep = grid.dispatch(&spec, opts);
-    if sweep.interrupted {
-        return Err(format!(
-            "scale interrupted mid-sweep; resume from the journal to finish ({})",
-            sweep.summary()
-        ));
-    }
-    let reports = sweep.reports();
-    emit_json(opts, "scale", grid.to_json(&reports))?;
+    let GridRun {
+        grid,
+        sweep,
+        reports,
+    } = run_grid(&spec, opts)?;
+    emit_json(opts, "scale", grid_json(grid.labels(), &reports))?;
 
     let mut table = Table::new([
         "scheme",
@@ -1876,16 +1831,17 @@ pub fn scale_curve(opts: &ExpOptions) -> Result<String, String> {
         "steps bucket",
     ]);
     let mut ok = true;
-    for ((scheme, b, nodes), r) in meta.iter().zip(&reports) {
+    for ((cell, request), r) in spec.cells.iter().zip(grid.requests()).zip(&reports) {
         let out = r.outcome().expect("scale cells run");
+        let nodes = request.instance.graph.num_nodes() as u64;
         ok &= out.completed
-            && match *scheme {
-                "tree-wakeup" => out.metrics.messages == *nodes as u64 - 1,
-                _ => out.metrics.messages >= *nodes as u64 - 1,
+            && match cell.scheme.as_str() {
+                "tree-wakeup" => out.metrics.messages == nodes - 1,
+                _ => out.metrics.messages >= nodes - 1,
             };
         table.row([
-            scheme.to_string(),
-            b.to_string(),
+            cell.scheme.clone(),
+            spec.instances[cell.instance as usize].n.to_string(),
             nodes.to_string(),
             out.oracle_bits.to_string(),
             out.metrics.messages.to_string(),
@@ -1917,10 +1873,10 @@ mod tests {
 
     #[test]
     fn t10_job_identity_is_unchanged() {
-        // A spec's digest is its job id in the sweep service; specs that
-        // never set a scheduling knob keep the id they had when the spec
-        // format still carried one.
-        assert_eq!(t10_spec().digest(), 0x4d57_1f79_c313_81b1);
+        // A spec's digest is its job id in the sweep service, so any
+        // change to the canonical render shows here. A spec without a
+        // watchdog renders `"knobs": {}`.
+        assert_eq!(t10_spec().digest(), 0x55d5_70ea_b977_082c);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! An experiment here is a *grid of cells* described by a [`SweepSpec`]:
 //! each cell names one `(instance, scheme, config)` combination,
-//! [`CellGrid::from_spec`] materializes them, and [`CellGrid::dispatch`]
-//! hands the whole grid to [`run_supervised_batch`] with the options
+//! [`CellGrid::from_spec`] materializes them, and [`run_grid`] hands the
+//! whole grid to [`run_supervised_batch`] with the options
 //! [`SweepOptions::from_spec`] lowers from the spec. The
 //! pool executes cells on `--threads` workers while the grid keeps cell
 //! order — reports, tables, and the emitted `BENCH_T*.json` artifacts are
@@ -19,7 +19,7 @@ use oraclesize_core::robust::{RetryBroadcast, RobustTreeWakeup, RobustWakeupOrac
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_graph::families::{self, Family};
 use oraclesize_graph::PortGraph;
-use oraclesize_runtime::spec::{artifact_json, from_ppm, grid_json};
+use oraclesize_runtime::spec::{artifact_json, from_ppm};
 use oraclesize_runtime::{
     run_supervised_batch, ChaosPlan, Json, Pool, RunReport, RunRequest, SchedStats, SweepOptions,
     SweepRun, SweepSpec,
@@ -188,34 +188,56 @@ impl CellGrid {
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
     }
+}
 
-    /// Dispatches this grid — built from `spec` — across the options'
-    /// pool under the spec's run options: cells already checkpointed in
-    /// `<journal_dir>/<spec name>.journal` are skipped on resume, and every
-    /// newly completed cell is checkpointed when the journal's in-order
-    /// cursor reaches it. Reports come back in cell order.
-    pub fn dispatch(&self, spec: &SweepSpec, opts: &ExpOptions) -> SweepRun {
-        let sweep_opts = SweepOptions {
-            journal: opts
-                .journal_dir
-                .as_ref()
-                .map(|dir| dir.join(format!("{}.journal", spec.name))),
-            resume: opts.resume,
-            chaos: opts.chaos.clone(),
-            ..SweepOptions::from_spec(spec)
-        };
-        let run = run_supervised_batch(&opts.pool(), &self.requests, &sweep_opts);
-        opts.record_stats(&run.sched);
-        run
-    }
+/// One grid run to completion: the lowered grid, its sweep (warnings and
+/// outcome summary for the report footer) and the reports, in cell order.
+pub struct GridRun {
+    /// The grid the spec lowered to.
+    pub grid: CellGrid,
+    /// The supervised sweep that ran it.
+    pub sweep: SweepRun,
+    /// The sweep's reports, in cell order.
+    pub reports: Vec<RunReport>,
+}
 
-    /// Renders this grid's reports as a deterministic JSON fragment:
-    /// one labeled record per cell plus an aggregate, all folded in cell
-    /// order. Delegates to [`grid_json`], the single renderer shared with
-    /// the sweep service's merged artifacts.
-    pub fn to_json(&self, reports: &[RunReport]) -> Json {
-        grid_json(&self.labels, reports)
+/// Lowers `spec` and runs it across the options' pool under the spec's
+/// run options: cells already checkpointed in
+/// `<journal_dir>/<spec name>.journal` are skipped on resume, every newly
+/// completed cell is checkpointed when the journal's in-order cursor
+/// reaches it, and the dispatch's scheduling telemetry joins the
+/// options' tally.
+///
+/// # Errors
+///
+/// Returns the lowering error for a bad spec, and refuses an interrupted
+/// sweep: some cells never ran, so no artifact may be published from it.
+pub fn run_grid(spec: &SweepSpec, opts: &ExpOptions) -> Result<GridRun, String> {
+    let grid = CellGrid::from_spec(spec)?;
+    let sweep_opts = SweepOptions {
+        journal: opts
+            .journal_dir
+            .as_ref()
+            .map(|dir| dir.join(format!("{}.journal", spec.name))),
+        resume: opts.resume,
+        chaos: opts.chaos.clone(),
+        ..SweepOptions::from_spec(spec)
+    };
+    let sweep = run_supervised_batch(&opts.pool(), &grid.requests, &sweep_opts);
+    opts.record_stats(&sweep.sched);
+    if sweep.interrupted {
+        return Err(format!(
+            "{} interrupted mid-sweep; resume from the journal to finish ({})",
+            spec.name,
+            sweep.summary()
+        ));
     }
+    let reports = sweep.reports();
+    Ok(GridRun {
+        grid,
+        sweep,
+        reports,
+    })
 }
 
 /// Builds a named graph family. Beyond [`Family::ALL`] two spec-only
@@ -320,6 +342,7 @@ pub fn emit_json(opts: &ExpOptions, id: &str, body: Json) -> Result<Option<PathB
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oraclesize_runtime::spec::grid_json;
     use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec};
 
     fn tiny_spec() -> SweepSpec {
@@ -350,13 +373,10 @@ mod tests {
         spec
     }
 
-    /// Lowers and dispatches the tiny spec, returning the grid and its
-    /// reports.
-    fn tiny_run(opts: &ExpOptions) -> (CellGrid, Vec<RunReport>) {
-        let spec = tiny_spec();
-        let grid = CellGrid::from_spec(&spec).expect("tiny spec materializes");
-        let reports = grid.dispatch(&spec, opts).reports();
-        (grid, reports)
+    /// Runs the tiny spec, returning its labeled JSON fragment.
+    fn tiny_json(opts: &ExpOptions) -> Json {
+        let run = run_grid(&tiny_spec(), opts).expect("tiny spec runs");
+        grid_json(run.grid.labels(), &run.reports)
     }
 
     #[test]
@@ -477,20 +497,18 @@ mod tests {
 
     #[test]
     fn grid_json_is_thread_count_invariant() {
-        let (grid, serial) = tiny_run(&ExpOptions::default());
-        let (_, threaded) = tiny_run(&ExpOptions {
+        let serial = tiny_json(&ExpOptions::default());
+        let threaded = tiny_json(&ExpOptions {
             threads: 4,
             ..Default::default()
         });
-        let serial = grid.to_json(&serial);
-        assert_eq!(serial.render(), grid.to_json(&threaded).render());
+        assert_eq!(serial.render(), threaded.render());
         assert!(oraclesize_runtime::json::parse(&serial.render()).is_some());
     }
 
     #[test]
     fn emit_json_respects_unset_dir() {
-        let (grid, reports) = tiny_run(&ExpOptions::default());
-        let json = grid.to_json(&reports);
+        let json = tiny_json(&ExpOptions::default());
         assert_eq!(emit_json(&ExpOptions::default(), "t0", json), Ok(None));
     }
 
@@ -501,8 +519,7 @@ mod tests {
             json_dir: Some(dir.clone()),
             ..Default::default()
         };
-        let (grid, reports) = tiny_run(&opts);
-        let json = grid.to_json(&reports);
+        let json = tiny_json(&opts);
         let path = emit_json(&opts, "t0", json).expect("emit").expect("path");
         assert_eq!(path.file_name().unwrap(), "BENCH_T0.json");
         let body = std::fs::read_to_string(&path).unwrap();
@@ -521,31 +538,40 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_checkpoints_under_the_spec_name_and_resumes() {
+    fn run_grid_checkpoints_under_the_spec_name_and_resumes() {
         let dir = std::env::temp_dir().join(format!("oraclesize-grid-sup-{}", std::process::id()));
         let spec = tiny_spec();
-        let grid = CellGrid::from_spec(&spec).expect("tiny spec materializes");
-        let (_, baseline) = tiny_run(&ExpOptions::default());
-        let killed = grid.dispatch(
+        let baseline = run_grid(&spec, &ExpOptions::default()).expect("clean run");
+        let err = run_grid(
             &spec,
             &ExpOptions {
                 journal_dir: Some(dir.clone()),
                 chaos: ChaosPlan::new().die_before(2),
                 ..Default::default()
             },
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "t0 interrupted mid-sweep; resume from the journal to finish \
+             (outcomes: 2 completed, 0 resumed, 2 aborted)"
         );
-        assert!(killed.interrupted);
         assert!(dir.join("t0.journal").exists());
-        let resumed = grid.dispatch(
+        let resumed = run_grid(
             &spec,
             &ExpOptions {
                 journal_dir: Some(dir.clone()),
                 resume: true,
                 ..Default::default()
             },
+        )
+        .expect("resumed run finishes");
+        assert_eq!(resumed.reports, baseline.reports);
+        assert_eq!(
+            resumed.sweep.summary(),
+            "outcomes: 2 completed, 2 resumed, 0 aborted"
         );
-        assert!(!resumed.interrupted);
-        assert_eq!(resumed.reports(), baseline);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

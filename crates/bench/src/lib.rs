@@ -18,9 +18,19 @@
 //! | T9 | Remark after Thm 2.2 — the `c/(c+1)` threshold |
 //! | T10 | §1.3 — robustness matrix (async × anonymous × 0-bit messages) |
 //! | T11 | encoding ablation (continuation-pairs vs Elias vs unary) |
+//! | T12 | §1.2 — gossip with tree advice |
+//! | T13 | §1.1 — what radius-ρ knowledge of the network costs in bits |
+//! | T14 | §4 — exploration by a mobile agent with advice |
+//! | T15 | §1.2 — BFS-tree and MST construction with advice |
+//! | T16 | §4 — knowledge vs messages vs time |
+//! | T17 | port-numbering sensitivity of the oracle sizes |
+//! | T18 | §1.1 — leader election: a flag bit + tree vs FloodMax |
+//! | T19 | §4 — spanner construction: knowledge vs stretch |
+//! | T20 | fault injection: brittle vs self-healing schemes |
 //! | F1 | size-vs-n series with growth-model fits (CSV) |
 //! | F2 | messages-vs-n series (CSV) |
 //! | F3 | advice-budget trade-off curve (CSV) |
+//! | SCALE | Thm 2.2 graphs — wakeup on subdivided cliques up to `n ≈ 10⁶` |
 //!
 //! Run `cargo run --release --bin oraclesize -- experiments all` to
 //! regenerate everything, or pass a list of ids (`t1 t7 f2`); the ids and

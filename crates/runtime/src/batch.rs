@@ -229,7 +229,7 @@ mod tests {
     use oraclesize_sim::protocol::FloodOnce;
     use oraclesize_sim::SimConfig;
 
-    /// A plain serial-or-pooled sweep: supervised with no retries and no
+    /// A plain serial-or-pooled sweep: supervised with no watchdog and no
     /// journal.
     fn sweep(pool: &Pool, requests: &[RunRequest]) -> Vec<RunReport> {
         run_supervised_batch(pool, requests, &SweepOptions::default()).reports()

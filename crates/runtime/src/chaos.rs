@@ -12,21 +12,21 @@
 //! **Test-only API.** Nothing here belongs in production call sites: the
 //! only consumers are tests, the service worker's `--die-mid-shard`
 //! drill, and the supervision layer's injection hook. Plans are inert by default, and an
-//! inert plan costs one `BTreeMap` lookup per attempt.
+//! inert plan costs one `BTreeSet` lookup per cell.
 //!
-//! Everything is keyed on `(cell, attempt)` — no randomness, no clocks —
+//! Everything is keyed on the cell index — no randomness, no clocks —
 //! so an injected failure schedule is exactly reproducible, which is what
 //! lets the kill/resume proptests assert byte-identical artifacts.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::path::Path;
 
 /// A deterministic failure schedule for one sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosPlan {
-    /// cell → number of leading attempts that panic.
-    panic_cells: BTreeMap<usize, u32>,
+    /// Cells that panic when they run.
+    panic_cells: BTreeSet<usize>,
     /// Cells `>= die_at` never run: the "process killed mid-sweep"
     /// simulation the resume tests are built on.
     die_at: Option<usize>,
@@ -38,12 +38,11 @@ impl ChaosPlan {
         ChaosPlan::default()
     }
 
-    /// The first `attempts` attempts of `cell` panic; later attempts run
-    /// clean — pair with a retry budget to exercise
-    /// `Degraded { retries }` recovery.
+    /// `cell` panics when it runs; the supervisor turns the panic into
+    /// an `Aborted` report for that cell alone.
     #[must_use]
-    pub fn panic_at(mut self, cell: usize, attempts: u32) -> ChaosPlan {
-        self.panic_cells.insert(cell, attempts);
+    pub fn panic_at(mut self, cell: usize) -> ChaosPlan {
+        self.panic_cells.insert(cell);
         self
     }
 
@@ -61,10 +60,10 @@ impl ChaosPlan {
         self.panic_cells.is_empty() && self.die_at.is_none()
     }
 
-    /// `true` when attempt `attempt` of `cell` panics inside the worker
-    /// (exercising `catch_unwind` isolation).
-    pub fn panics(&self, cell: usize, attempt: u32) -> bool {
-        self.panic_cells.get(&cell).is_some_and(|&n| attempt < n)
+    /// `true` when `cell` panics inside the worker (exercising
+    /// `catch_unwind` isolation).
+    pub fn panics(&self, cell: usize) -> bool {
+        self.panic_cells.contains(&cell)
     }
 
     /// `true` when the simulated kill point precedes `cell`.
@@ -80,8 +79,8 @@ impl ChaosPlan {
     clippy::panic,
     reason = "the chaos harness exists to inject this panic; it only fires under a non-inert plan, inside catch_unwind"
 )]
-pub(crate) fn trigger_panic(cell: usize, attempt: u32) -> ! {
-    panic!("chaos: injected panic at cell {cell}, attempt {attempt}")
+pub(crate) fn trigger_panic(cell: usize) -> ! {
+    panic!("chaos: injected panic at cell {cell}")
 }
 
 /// Simulates a torn final write by cutting `bytes` bytes off the end of
@@ -110,17 +109,15 @@ mod tests {
     fn inert_plan_injects_nothing() {
         let plan = ChaosPlan::new();
         assert!(plan.is_inert());
-        assert!(!plan.panics(0, 0));
+        assert!(!plan.panics(0));
         assert!(!plan.dies_before(usize::MAX));
     }
 
     #[test]
-    fn injections_expire_after_their_attempt_budget() {
-        let plan = ChaosPlan::new().panic_at(3, 2);
-        assert!(plan.panics(3, 0));
-        assert!(plan.panics(3, 1));
-        assert!(!plan.panics(3, 2));
-        assert!(!plan.panics(4, 0));
+    fn injections_hit_only_their_cell() {
+        let plan = ChaosPlan::new().panic_at(3);
+        assert!(plan.panics(3));
+        assert!(!plan.panics(4));
     }
 
     #[test]

@@ -379,13 +379,8 @@ impl<'a> Fields<'a> {
         self.req(key, found)
     }
 
-    /// A required unsigned integer that fits a `u32` (a retry or poll
+    /// An optional unsigned integer that fits a `u32` (a retry or poll
     /// budget).
-    pub fn u32(&self, key: &str) -> Result<u32, String> {
-        self.req(key, self.opt_u32(key))
-    }
-
-    /// An optional unsigned integer that fits a `u32`.
     pub fn opt_u32(&self, key: &str) -> Result<Option<u32>, String> {
         self.opt(key, "an unsigned 32-bit integer", |j| {
             u32::try_from(j.as_u64()?).ok()

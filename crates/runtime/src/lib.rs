@@ -33,8 +33,8 @@
 //!   resumable: completed cells are recorded as they finish and skipped
 //!   after a crash,
 //! * [`supervise`] — the one batch executor, [`run_supervised_batch`]:
-//!   panic isolation, bounded retries, a per-cell watchdog, and
-//!   journal-backed resume,
+//!   panic isolation, a per-cell watchdog, and journal-backed resume;
+//!   each cell runs once,
 //! * [`chaos`] — deterministic failure injection (worker panics,
 //!   mid-sweep kills, torn journal writes) for tests only.
 //!

@@ -307,8 +307,6 @@ impl AdviceSpec {
 /// Supervision knobs shared by a whole sweep.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KnobSpec {
-    /// Retry budget for failed cells.
-    pub max_retries: u32,
     /// Per-cell watchdog step budget.
     pub cell_timeout: Option<u64>,
 }
@@ -330,7 +328,7 @@ impl SweepSpec {
     pub fn to_json(&self) -> Json {
         let instances: Vec<Json> = self.instances.iter().map(instance_json).collect();
         let cells: Vec<Json> = self.cells.iter().map(cell_json).collect();
-        let mut knobs = Json::obj().field("max_retries", self.knobs.max_retries);
+        let mut knobs = Json::obj();
         if let Some(t) = self.knobs.cell_timeout {
             knobs = knobs.field("cell_timeout", t);
         }
@@ -539,7 +537,6 @@ fn fault_from_json(f: Fields) -> Result<FaultSpec, String> {
 fn knobs_from_json(j: &Json) -> Result<KnobSpec, String> {
     let f = Fields::new(j, "knobs")?;
     f.end(KnobSpec {
-        max_retries: f.u32("max_retries")?,
         cell_timeout: f.opt_u64("cell_timeout")?,
     })
 }
@@ -656,7 +653,6 @@ mod tests {
             },
         });
         spec.knobs = KnobSpec {
-            max_retries: 2,
             cell_timeout: Some(100_000),
         };
         spec
@@ -700,11 +696,6 @@ mod tests {
         let rendered = rich_spec().render();
         for (from, to, path) in [
             (
-                "\"max_retries\": 2",
-                "\"max_retries\": 4294967297",
-                "knobs.max_retries",
-            ),
-            (
                 "\"quiescence_polls\": 16",
                 "\"quiescence_polls\": 4294967312",
                 "cells[1].quiescence_polls",
@@ -720,10 +711,10 @@ mod tests {
             assert_eq!(err, format!("{path}: expected an unsigned 32-bit integer"));
         }
         // u32::MAX itself still fits.
-        let max = rendered.replace("\"max_retries\": 2", "\"max_retries\": 4294967295");
+        let max = rendered.replace("\"retries\": 2", "\"retries\": 4294967295");
         assert_eq!(
-            SweepSpec::parse(&max).map(|s| s.knobs.max_retries),
-            Ok(u32::MAX)
+            SweepSpec::parse(&max).map(|s| s.cells[1].retries),
+            Ok(Some(u32::MAX))
         );
     }
 
@@ -735,6 +726,16 @@ mod tests {
         );
         let err = SweepSpec::parse(&rendered).unwrap_err();
         assert_eq!(err, "knobs: unknown field \"chunk\"");
+    }
+
+    #[test]
+    fn the_retired_max_retries_knob_is_rejected() {
+        let rendered = rich_spec().render().replace(
+            "\"cell_timeout\": 100000",
+            "\"max_retries\": 2, \"cell_timeout\": 100000",
+        );
+        let err = SweepSpec::parse(&rendered).unwrap_err();
+        assert_eq!(err, "knobs: unknown field \"max_retries\"");
     }
 
     #[test]

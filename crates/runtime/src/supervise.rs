@@ -1,28 +1,29 @@
 //! The supervision layer: the runtime's one batch executor,
-//! [`run_supervised_batch`], with panic isolation, bounded retries, a
-//! per-cell watchdog, and journal-backed resume.
+//! [`run_supervised_batch`], with panic isolation, a per-cell watchdog,
+//! and journal-backed resume.
 //!
 //! A bare pool dispatch assumes every cell runs to a report; a panicking
 //! protocol or a runaway cell would take the whole sweep down with it.
 //! [`run_supervised_batch`] wraps each cell in a failure model:
 //!
-//! * **panic isolation** — each attempt runs under `catch_unwind`; a
-//!   panic becomes an `Err("panic: …")` report for that attempt instead
-//!   of unwinding through the pool,
-//! * **bounded retries** — a failed attempt (panic or engine abort) is
-//!   re-run up to [`SuperviseConfig::max_retries`] times, at once: no
-//!   clock is read, so supervised runs stay replayable,
-//! * **watchdog** — [`SuperviseConfig::cell_timeout`] caps each attempt's
+//! * **panic isolation** — each cell runs under `catch_unwind`; a panic
+//!   becomes an `Err("panic: …")` report for that cell instead of
+//!   unwinding through the pool,
+//! * **watchdog** — [`SuperviseConfig::cell_timeout`] caps each cell's
 //!   step budget; a cell that exceeds it aborts with the engine's
 //!   `StepLimit` error instead of hanging the sweep,
 //! * **resume** — with a [journal] configured, completed
 //!   cells are checkpointed as they finish and skipped on the next run.
 //!
+//! A cell runs once. Every cell is a seeded, self-contained engine run,
+//! so running a failed cell again would reach the same panic, the same
+//! engine abort or the same step limit: there is nothing to retry.
+//!
 //! Dispatch goes through the pool ([`crate::pool`]): cells are grouped
 //! into chunks sized by the requests' cost hints, but supervision is
-//! strictly **per sub-task** — isolation, retries, and the watchdog wrap
-//! each cell inside a chunk individually, so one failing cell never
-//! drags its chunk-mates into a retry. Journal records stay per-cell and
+//! strictly **per sub-task** — isolation and the watchdog wrap each cell
+//! inside a chunk individually, so one failing cell never aborts its
+//! chunk-mates. Journal records stay per-cell and
 //! are committed **in cell order** through an in-order committer:
 //! out-of-order completions buffer until every lower-indexed cell has
 //! settled, so the journal's bytes are identical at any thread count and
@@ -33,13 +34,12 @@
 //! passes the leased slice of the requests (and of their seeds) and maps
 //! the returned cells back to sweep-wide indices itself.
 //!
-//! Every cell ends in a [`CellStatus`]: `Completed` (clean first
-//! attempt), `Resumed` (replayed from the journal), `Degraded { retries }`
-//! (recovered after failures), or `Aborted` (retry budget exhausted).
-//! The *reports* are those of [`run_cell_report`] whenever the cells
-//! themselves are deterministic — retries re-run the same pure function
-//! — so merged artifacts stay byte-identical across crash/resume
-//! boundaries and supervision levels alike.
+//! Every cell ends in a [`CellStatus`]: `Completed` (ran to an `Ok`
+//! report), `Resumed` (replayed from the journal), or `Aborted` (failed,
+//! or never ran because the sweep was interrupted). The *reports* are
+//! those of [`run_cell_report`] whenever the cells themselves are
+//! deterministic, so merged artifacts stay byte-identical across
+//! crash/resume boundaries and supervision levels alike.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,26 +55,19 @@ use crate::spec::SweepSpec;
 /// How one cell of a supervised sweep concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStatus {
-    /// Ran cleanly on the first attempt.
+    /// Ran to an `Ok` report.
     Completed,
     /// Skipped: replayed from the checkpoint journal.
     Resumed,
-    /// Recovered after one or more failed attempts.
-    Degraded {
-        /// Failed attempts before the one that succeeded.
-        retries: u32,
-    },
-    /// Every attempt failed (or the sweep was interrupted before the
-    /// cell ran); the report carries the last error.
+    /// The cell failed (or the sweep was interrupted before it ran); the
+    /// report carries the error.
     Aborted,
 }
 
-/// Retry and watchdog policy for supervised execution.
+/// Watchdog policy for supervised execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperviseConfig {
-    /// Failed attempts re-run at most this many times (0 = fail fast).
-    pub max_retries: u32,
-    /// Per-attempt step budget: each attempt's `max_steps` is clamped to
+    /// Per-cell step budget: each cell's `max_steps` is clamped to
     /// this, so a runaway cell aborts with the engine's `StepLimit`
     /// instead of hanging the sweep. `None` leaves the request's own
     /// budget in force.
@@ -89,14 +82,15 @@ pub struct SupervisedReport {
     pub report: RunReport,
     /// How the cell concluded.
     pub status: CellStatus,
-    /// Attempts actually executed (0 for `Resumed` cells).
+    /// 1 for a cell that ran; 0 for a `Resumed` cell or one the sweep
+    /// never reached.
     pub attempts: u32,
 }
 
 /// Everything a supervised sweep needs beyond the requests themselves.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Retry / watchdog policy.
+    /// Watchdog policy.
     pub supervise: SuperviseConfig,
     /// Checkpoint journal path; `None` disables checkpointing.
     pub journal: Option<PathBuf>,
@@ -119,14 +113,13 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// The run options a spec describes: the supervision policy from its
-    /// knobs, and the per-cell seeds its journal records carry. This is
-    /// the only place a spec becomes run options; callers add their
+    /// The run options a spec describes: the watchdog from its knobs, and
+    /// the per-cell seeds its journal records carry. This is the only
+    /// place a spec becomes run options; callers add their
     /// execution-only choices (journal, resume, chaos) on top.
     pub fn from_spec(spec: &SweepSpec) -> SweepOptions {
         SweepOptions {
             supervise: SuperviseConfig {
-                max_retries: spec.knobs.max_retries,
                 cell_timeout: spec.knobs.cell_timeout,
             },
             seeds: Some(spec.cells.iter().map(|c| c.seed).collect()),
@@ -176,45 +169,16 @@ impl SweepRun {
         self.cells.iter().map(|c| c.report.clone()).collect()
     }
 
-    /// `true` when any cell ended [`CellStatus::Aborted`].
-    pub fn any_aborted(&self) -> bool {
-        self.cells
-            .iter()
-            .any(|c| matches!(c.status, CellStatus::Aborted))
-    }
-
-    /// `true` when any cell needed retries to complete.
-    pub fn any_degraded(&self) -> bool {
-        self.cells
-            .iter()
-            .any(|c| matches!(c.status, CellStatus::Degraded { .. }))
-    }
-
     /// One deterministic footer line, e.g.
-    /// `outcomes: 5 completed, 2 resumed, 1 degraded (3 retries), 0 aborted`.
+    /// `outcomes: 5 completed, 2 resumed, 1 aborted`.
     pub fn summary(&self) -> String {
-        let mut completed = 0usize;
-        let mut resumed = 0usize;
-        let mut degraded = 0usize;
-        let mut retries = 0u64;
-        let mut aborted = 0usize;
-        for c in &self.cells {
-            match c.status {
-                CellStatus::Completed => completed += 1,
-                CellStatus::Resumed => resumed += 1,
-                CellStatus::Degraded { retries: r } => {
-                    degraded += 1;
-                    retries += u64::from(r);
-                }
-                CellStatus::Aborted => aborted += 1,
-            }
-        }
-        let degraded = if degraded > 0 {
-            format!("{degraded} degraded ({retries} retries)")
-        } else {
-            "0 degraded".to_string()
-        };
-        format!("outcomes: {completed} completed, {resumed} resumed, {degraded}, {aborted} aborted")
+        let count = |status| self.cells.iter().filter(|c| c.status == status).count();
+        format!(
+            "outcomes: {} completed, {} resumed, {} aborted",
+            count(CellStatus::Completed),
+            count(CellStatus::Resumed),
+            count(CellStatus::Aborted)
+        )
     }
 }
 
@@ -228,15 +192,14 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt of one cell with the watchdog applied and panics
-/// contained.
-fn attempt_cell(
+/// Executes one cell under the supervision policy: the watchdog caps its
+/// step budget and a panic becomes an `Err("panic: …")` report.
+pub fn run_cell_supervised(
     cell: usize,
     request: &RunRequest,
     sup: &SuperviseConfig,
     chaos: &ChaosPlan,
-    attempt: u32,
-) -> RunReport {
+) -> SupervisedReport {
     let mut config = request.config.clone();
     if let Some(timeout) = sup.cell_timeout {
         config.max_steps = config.max_steps.min(timeout);
@@ -246,55 +209,25 @@ fn attempt_cell(
         protocol: Arc::clone(&request.protocol),
         config,
     };
-    let inject_panic = chaos.panics(cell, attempt);
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        if inject_panic {
-            crate::chaos::trigger_panic(cell, attempt);
+        if chaos.panics(cell) {
+            crate::chaos::trigger_panic(cell);
         }
         run_cell_report(cell, &request)
     }));
-    match caught {
-        Ok(report) => report,
-        Err(payload) => RunReport {
-            cell,
-            result: Err(format!("panic: {}", panic_text(payload.as_ref()))),
-        },
-    }
-}
-
-/// Executes one cell under the full supervision policy: watchdog-capped
-/// attempts, panic isolation and bounded retries.
-pub fn run_cell_supervised(
-    cell: usize,
-    request: &RunRequest,
-    sup: &SuperviseConfig,
-    chaos: &ChaosPlan,
-) -> SupervisedReport {
-    let mut attempt = 0u32;
-    loop {
-        let report = attempt_cell(cell, request, sup, chaos, attempt);
-        attempt += 1;
-        if report.result.is_ok() {
-            let status = if attempt == 1 {
-                CellStatus::Completed
-            } else {
-                CellStatus::Degraded {
-                    retries: attempt - 1,
-                }
-            };
-            return SupervisedReport {
-                report,
-                status,
-                attempts: attempt,
-            };
-        }
-        if attempt > sup.max_retries {
-            return SupervisedReport {
-                report,
-                status: CellStatus::Aborted,
-                attempts: attempt,
-            };
-        }
+    let report = caught.unwrap_or_else(|payload| RunReport {
+        cell,
+        result: Err(format!("panic: {}", panic_text(payload.as_ref()))),
+    });
+    let status = if report.result.is_ok() {
+        CellStatus::Completed
+    } else {
+        CellStatus::Aborted
+    };
+    SupervisedReport {
+        report,
+        status,
+        attempts: 1,
     }
 }
 
@@ -387,9 +320,9 @@ pub fn run_supervised_batch(pool: &Pool, requests: &[RunRequest], opts: &SweepOp
     let mut warnings = loaded.warnings;
     let committer = Mutex::new(OrderedCommitter::new(journal));
     // Dispatch through the pool. Supervision wraps each *sub-task*
-    // (cell) individually — the `catch_unwind`, retry loop, and watchdog
-    // clamp all live inside this closure — so a panic or timeout in one
-    // sub-task never retries or aborts the rest of its chunk. Every path
+    // (cell) individually — the `catch_unwind` and the watchdog clamp
+    // live inside this closure — so a panic or timeout in one sub-task
+    // never aborts the rest of its chunk. Every path
     // settles the cell with the committer so the commit cursor always
     // reaches the end of the sweep.
     let plan = opts.chunk_plan(requests, pool);
@@ -464,11 +397,9 @@ mod tests {
             });
         }
         spec.knobs = KnobSpec {
-            max_retries: 2,
             cell_timeout: Some(100_000),
         };
         let opts = SweepOptions::from_spec(&spec);
-        assert_eq!(opts.supervise.max_retries, 2);
         assert_eq!(opts.supervise.cell_timeout, Some(100_000));
         assert_eq!(opts.seeds, Some(vec![7, 3, 11]));
         // Execution-only choices stay at their defaults.

@@ -46,7 +46,7 @@ fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
         .collect()
 }
 
-/// The sweep's reports at the executor's defaults: no retries, no
+/// The sweep's reports at the executor's defaults: no watchdog, no
 /// journal, cost-hinted chunks.
 fn sweep(pool: &Pool, requests: &[RunRequest]) -> Vec<RunReport> {
     run_supervised_batch(pool, requests, &SweepOptions::default()).reports()

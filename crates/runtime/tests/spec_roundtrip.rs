@@ -128,24 +128,18 @@ fn specs() -> impl Strategy<Value = SweepSpec> {
         names(),
         any::<u64>(),
         collection::vec(instances(), 1..4),
-        any::<u32>(),
         option_of(any::<u64>()),
     )
-        .prop_flat_map(
-            |(name, master_seed, instance_list, max_retries, cell_timeout)| {
-                let count = instance_list.len() as u64;
-                collection::vec(cells(count), 1..6).prop_map(move |cell_list| {
-                    let mut spec = SweepSpec::new(name.clone(), master_seed);
-                    spec.instances = instance_list.clone();
-                    spec.cells = cell_list;
-                    spec.knobs = KnobSpec {
-                        max_retries,
-                        cell_timeout,
-                    };
-                    spec
-                })
-            },
-        )
+        .prop_flat_map(|(name, master_seed, instance_list, cell_timeout)| {
+            let count = instance_list.len() as u64;
+            collection::vec(cells(count), 1..6).prop_map(move |cell_list| {
+                let mut spec = SweepSpec::new(name.clone(), master_seed);
+                spec.instances = instance_list.clone();
+                spec.cells = cell_list;
+                spec.knobs = KnobSpec { cell_timeout };
+                spec
+            })
+        })
 }
 
 proptest! {

@@ -7,7 +7,9 @@
 //! [`SweepOptions::from_spec`] lowering, and adds `lo` back to each
 //! returned cell before reporting it. It is the same executor and the
 //! same options a local sweep uses, which is what makes the server's
-//! merged artifact byte-identical to a local run.
+//! merged artifact byte-identical to a local run. The worker keeps one
+//! lowered grid, the current job's: a shard of another job replaces it,
+//! so a worker serving many jobs holds one job's graphs and advice.
 //!
 //! With a journal directory configured, each shard checkpoints to its
 //! own segment file (`job-<digest>-shard-<lo>-<hi>.journal`, an ordinary
@@ -19,7 +21,6 @@
 //! without coordination beyond the server's requeue. Once the server
 //! acknowledges a shard's results the segment is deleted.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -81,7 +82,8 @@ pub enum WorkerOutcome {
 /// done, rejects a request, or sends a spec this build cannot lower.
 pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
     let pool = Pool::new(config.threads.max(1));
-    let mut cache: BTreeMap<u64, (SweepSpec, CellGrid)> = BTreeMap::new();
+    // The job being served, lowered once for all of its shards.
+    let mut current: Option<(u64, SweepSpec, CellGrid)> = None;
     let mut shards_done = 0u64;
     let mut cells_done = 0u64;
     let mut claimed = 0u64;
@@ -128,15 +130,19 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     spec,
                 } => {
                     let (lo, hi, total) = (lo as usize, hi as usize, total as usize);
-                    if let std::collections::btree_map::Entry::Vacant(slot) = cache.entry(job) {
-                        let parsed = SweepSpec::from_json(&spec)
-                            .map_err(|e| format!("server sent a bad spec: {e}"))?;
-                        let grid = CellGrid::from_spec(&parsed)
-                            .map_err(|e| format!("cannot lower job {job:016x}: {e}"))?;
-                        slot.insert((parsed, grid));
-                    }
-                    let Some((parsed, grid)) = cache.get(&job) else {
-                        continue;
+                    // A shard of another job drops the previous job's grid
+                    // (its graphs and advice) before lowering its own spec,
+                    // so a long-lived worker holds one job's grid at most.
+                    let (_, parsed, grid) = match current.take() {
+                        Some(entry) if entry.0 == job => current.insert(entry),
+                        stale => {
+                            drop(stale);
+                            let parsed = SweepSpec::from_json(&spec)
+                                .map_err(|e| format!("server sent a bad spec: {e}"))?;
+                            let grid = CellGrid::from_spec(&parsed)
+                                .map_err(|e| format!("cannot lower job {job:016x}: {e}"))?;
+                            current.insert((job, parsed, grid))
+                        }
                     };
                     // The range comes off the wire: check it before slicing.
                     if hi > grid.len() || lo > hi || total != grid.len() {

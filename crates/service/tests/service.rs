@@ -129,6 +129,42 @@ fn three_workers_match_local_run() {
     assert_eq!(run_distributed(&spec, 3, None), local);
 }
 
+/// One long-lived worker serves two jobs submitted together: it keeps
+/// only the job it is serving and lowers the other job's spec when that
+/// job's first shard arrives. The two grids differ in size, so a worker
+/// that ran a shard against the wrong job's grid would fail the lease's
+/// size check. Both artifacts equal the local path's.
+#[test]
+fn one_worker_serves_two_jobs_byte_identically() {
+    let specs = [tiny_spec("svc-job-a", 5), tiny_spec("svc-job-b", 7)];
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        journal_dir: None,
+        jobs: 2,
+        workers_hint: 2,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+    let clients: Vec<_> = specs
+        .iter()
+        .map(|spec| {
+            let (addr, text) = (addr.clone(), spec.render());
+            thread::spawn(move || submit(&addr, &text, true, 5))
+        })
+        .collect();
+    let outcome = run_worker(&worker_config(&addr, "w-two-jobs", None)).expect("worker");
+    assert!(
+        matches!(outcome, WorkerOutcome::Finished { cells: 12, .. }),
+        "{outcome:?}"
+    );
+    for (spec, client) in specs.iter().zip(clients) {
+        let artifact = client.join().unwrap().expect("submit");
+        assert_eq!(artifact, run_local(spec, 1).unwrap(), "{}", spec.name);
+    }
+    server_thread.join().unwrap();
+}
+
 /// The worker segment journals in `dir`, with the `lo..hi` range each
 /// one's file name carries.
 fn segments(dir: &std::path::Path) -> Vec<(PathBuf, usize, usize)> {

@@ -289,12 +289,10 @@ pub struct SweepArgs {
     /// Resume from the journal (skip checkpointed cells) instead of
     /// starting fresh.
     pub resume: bool,
-    /// Failed cells are re-run up to this many times.
-    pub max_retries: u32,
     /// Per-cell watchdog step budget; `None` leaves the engine default.
     pub cell_timeout: Option<u64>,
-    /// Exit zero even when cells degraded (needed retries, or finished
-    /// with uninformed nodes under faults).
+    /// Exit zero even when cells degraded (finished with uninformed
+    /// nodes under faults).
     pub allow_degraded: bool,
 }
 
@@ -450,7 +448,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         Some("sweep") => {
             let (mut runs, mut threads, mut drop) = (16, 1, 0.0);
-            let (mut journal, mut resume, mut max_retries) = (None, false, 0);
+            let (mut journal, mut resume) = (None, false);
             let (mut cell_timeout, mut allow_degraded) = (None, false);
             let cell = cell_flags(&mut it, "sweep", 64, |flag, it| {
                 match flag {
@@ -459,7 +457,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--drop" => drop = drop_prob(it)?,
                     "--journal" => journal = Some(value(it, "--journal")?.clone()),
                     "--resume" => resume = true,
-                    "--max-retries" => max_retries = int(it, "--max-retries")?,
                     "--cell-timeout" => {
                         cell_timeout = Some(parsed(it, "--cell-timeout", "a step count")?);
                     }
@@ -479,7 +476,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 drop,
                 journal,
                 resume,
-                max_retries,
                 cell_timeout,
                 allow_degraded,
             }))
@@ -646,7 +642,7 @@ pub fn usage() -> String {
          \x20 oraclesize sweep --task broadcast|wakeup|flood [--runs <k>]\n\
          \x20                [--threads <t>] [--drop <p>] [--family <family>]\n\
          \x20                [--n <size>] [--scheduler <s>] [--seed <u64>]\n\
-         \x20                [--journal <file>] [--resume] [--max-retries <k>]\n\
+         \x20                [--journal <file>] [--resume]\n\
          \x20                [--cell-timeout <steps>] [--allow-degraded]\n\
          \x20 oraclesize trace --task broadcast|wakeup|flood [--family <family>]\n\
          \x20                [--n <size>] [--source <node>] [--scheduler <s>]\n\
@@ -685,8 +681,8 @@ pub fn run_command(cmd: &Command) -> Result<String, String> {
 
 /// Like [`run_command`], but also reports whether the run is *healthy*:
 /// `false` means the report is valid yet the process should exit nonzero
-/// — a sweep finished with degraded cells (retries were needed, or faults
-/// left nodes uninformed) and `--allow-degraded` was not passed.
+/// — a sweep finished with degraded cells (faults left nodes uninformed)
+/// and `--allow-degraded` was not passed.
 ///
 /// # Errors
 ///
@@ -975,7 +971,6 @@ pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
     });
     let mut spec = lower_cells("sweep", &args.cell, args.drop, seeds)?;
     spec.knobs = KnobSpec {
-        max_retries: args.max_retries,
         cell_timeout: args.cell_timeout,
     };
     Ok(spec)
@@ -1045,7 +1040,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let grid = CellGrid::from_spec(&spec)?;
     let g = &grid.requests()[0].instance.graph;
 
-    // The spec's knobs carry the retry/watchdog flags, and its
+    // The spec's knobs carry the watchdog flag, and its
     // per-cell seeds land in journal records, so a resume against a
     // different `--seed` re-runs cells instead of replaying them.
     let sweep_opts = SweepOptions {
@@ -1112,7 +1107,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     // diffing. (Runs/sec is appended by the binary, which owns the wall
     // clock; the library never reads it.)
     let _ = writeln!(out, "throughput:   {}", sweep.sched.footer(None));
-    let healthy = !sweep.any_degraded() && agg.completed == cells;
+    let healthy = agg.completed == cells;
     Ok((out, healthy || args.allow_degraded))
 }
 
@@ -1452,8 +1447,6 @@ mod tests {
             "--journal",
             "ckpt.journal",
             "--resume",
-            "--max-retries",
-            "2",
             "--cell-timeout",
             "5000",
             "--allow-degraded",
@@ -1470,7 +1463,6 @@ mod tests {
         assert_eq!(a.cell.seed, 11);
         assert_eq!(a.journal.as_deref(), Some("ckpt.journal"));
         assert!(a.resume);
-        assert_eq!(a.max_retries, 2);
         assert_eq!(a.cell_timeout, Some(5000));
         assert!(a.allow_degraded);
     }
@@ -1481,11 +1473,16 @@ mod tests {
         assert!(parse_args(&args(&["sweep", "--task", "gossip"])).is_err());
         assert!(parse_args(&args(&["sweep", "--task", "flood", "--drop", "1.5"])).is_err());
         assert!(parse_args(&args(&["sweep", "--task", "flood", "--runs", "0"])).is_err());
-        assert!(parse_args(&args(&["sweep", "--task", "flood", "--max-retries", "x"])).is_err());
+        assert!(parse_args(&args(&["sweep", "--task", "flood", "--cell-timeout", "x"])).is_err());
         // Chunk sizes come from cost hints; there is no knob.
         assert_eq!(
             parse_args(&args(&["sweep", "--task", "flood", "--chunk", "1"])).unwrap_err(),
             "unknown flag \"--chunk\""
+        );
+        // A cell runs once: a deterministic cell retried fails the same way.
+        assert_eq!(
+            parse_args(&args(&["sweep", "--task", "flood", "--max-retries", "2"])).unwrap_err(),
+            "unknown flag \"--max-retries\""
         );
         // --resume without a journal has nothing to resume from.
         assert!(parse_args(&args(&["sweep", "--task", "flood", "--resume"])).is_err());
@@ -1718,8 +1715,8 @@ mod tests {
             "0.25",
             "--seed",
             "100",
-            "--max-retries",
-            "2",
+            "--cell-timeout",
+            "5000",
         ]))
         .unwrap();
         let Command::Sweep(a) = cmd else {
@@ -1750,7 +1747,7 @@ mod tests {
             assert_eq!(cell.faults.drop_ppm, 250_000);
             assert_eq!(cell.quiescence_polls, Some(16));
         }
-        assert_eq!(spec.knobs.max_retries, 2);
+        assert_eq!(spec.knobs.cell_timeout, Some(5000));
         // The lowered spec survives the wire format losslessly.
         assert_eq!(SweepSpec::parse(&spec.render()).unwrap(), spec);
 
@@ -1781,7 +1778,10 @@ mod tests {
         assert!(u.contains("--out"), "usage missing --out");
         assert!(u.contains("--journal"), "usage missing --journal");
         assert!(u.contains("--resume"), "usage missing --resume");
-        assert!(u.contains("--max-retries"), "usage missing --max-retries");
+        assert!(
+            !u.contains("--max-retries"),
+            "usage still lists --max-retries"
+        );
         assert!(u.contains("--cell-timeout"), "usage missing --cell-timeout");
         assert!(
             u.contains("--allow-degraded"),
