@@ -1,7 +1,9 @@
 //! The submitting client: sends a spec, polls until done, returns the
 //! merged artifact bytes.
-
-use std::time::Duration;
+//!
+//! The server answers each `Poll` when the job next merges a shard (or
+//! at once when it is done), so the client loops without sleeping and
+//! prints one progress line per merged shard.
 
 use oraclesize_runtime::SweepSpec;
 
@@ -9,8 +11,9 @@ use crate::connect_with_retries;
 use crate::proto::{recv, send, Message};
 
 /// Submits a rendered [`SweepSpec`] to the server at `addr` and polls
-/// every `poll_ms` milliseconds until the merged artifact arrives.
-/// `resume` lets the server prefill from its job journal.
+/// until the merged artifact arrives. `resume` lets the server prefill
+/// from its job journal. `poll_ms` is the pause between connect attempts
+/// while the server is not yet listening; polls themselves do not sleep.
 ///
 /// The returned string is the artifact file's exact contents —
 /// byte-identical to what a local run of the same spec writes.
@@ -52,7 +55,6 @@ pub fn submit(addr: &str, spec_text: &str, resume: bool, poll_ms: u64) -> Result
             }
             Message::Status { done, total, .. } => {
                 eprintln!("submit: job {job:016x} running: {done}/{total} cells");
-                std::thread::sleep(Duration::from_millis(poll_ms.max(1)));
             }
             Message::Error { text } => return Err(text),
             other => return Err(format!("unexpected message kind {}", other.kind())),

@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   "OSWP" (Oracle Size Wire Protocol)
-//! 4       2     version frame format version; this build speaks 2
+//! 4       2     version frame format version; this build speaks 3
 //! 6       2     kind    message kind (see [`crate::proto`])
 //! 8       4     len     payload length in bytes (capped at 64 MiB)
 //! 12      8     digest  FNV-1a 64 of the payload
@@ -23,7 +23,9 @@
 //! for loopback and trusted lab networks.
 //!
 //! Version 2 ships result records as journal records (with their report
-//! digests). A frame goes out in one `write`: a header write then a
+//! digests). Version 3 sends a lease's spec only when the worker's job
+//! changes and gives `NoWork` no fields, since it only means "shut
+//! down". A frame goes out in one `write`: a header write then a
 //! payload write would stall on Nagle's algorithm and delayed ACKs.
 
 use std::io::{self, Read, Write};
@@ -34,7 +36,7 @@ use oraclesize_runtime::journal::fnv1a64;
 pub const MAGIC: [u8; 4] = *b"OSWP";
 
 /// The frame format version this build writes and accepts.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Hard cap on payload size. Far above any real sweep message (a
 /// 10⁵-cell result batch renders in the low tens of megabytes) while

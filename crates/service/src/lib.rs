@@ -13,13 +13,14 @@
 //! * [`server`] — admits jobs, shards grids by the pool's cost
 //!   hints, leases shards to workers, requeues them when a worker dies,
 //!   and merges results in cell order through the runtime's
-//!   `OrderedCommitter`,
+//!   `OrderedCommitter`; its handlers wait on a condition variable, so
+//!   `Want` and `Poll` are answered when there is news, not on a timer,
 //! * [`worker`] — runs each leased shard as a sub-sweep of the leased
 //!   requests through [`run_supervised_batch`], with a per-shard segment
 //!   journal (deleted once the server acknowledges the shard), so a
 //!   replacement worker resumes a dead one's checkpoints,
 //! * [`client`] — submits a spec and polls until the merged artifact
-//!   comes back.
+//!   comes back, one answer per merged shard.
 //!
 //! The byte-identity contract is pinned by this crate's integration
 //! tests (local vs 1 worker vs 3 workers vs kill-and-resume) and by the

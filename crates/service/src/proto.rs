@@ -20,6 +20,12 @@
 //! | 9 | [`Message::Ack`] | server → worker |
 //! | 10 | [`Message::Error`] | server → anyone |
 //!
+//! The server answers only when there is news: it holds a `Poll` until
+//! the job merges another shard and a `Want` until a shard is pending
+//! (see [`crate::server`]), so neither peer sleeps between requests.
+//! `NoWork` only means "shut down", and a `Shard` carries its job's spec
+//! only when the connection's job changes.
+//!
 //! Result records are checkpoint-journal records, encoded and decoded by
 //! [`journal::record_json`] / [`journal::record_from_json`]: a cell
 //! result has one codec on disk and on the wire, digest included. It is
@@ -52,13 +58,15 @@ pub enum Message {
         /// Total cells in the sweep.
         cells: u64,
     },
-    /// Ask for a job's progress.
+    /// Ask for a job's progress. The server answers when the job next
+    /// merges a shard, or at once when the job is done or unknown, so a
+    /// client loops on `Poll` without sleeping.
     Poll {
         /// Job id.
         job: u64,
     },
-    /// Progress snapshot; `artifact` is present exactly when `state` is
-    /// `"done"`.
+    /// Progress snapshot, sent once per merged shard while the job
+    /// runs; `artifact` is present exactly when `state` is `"done"`.
     Status {
         /// Job id.
         job: u64,
@@ -72,14 +80,16 @@ pub enum Message {
         /// run's `BENCH_<NAME>.json`.
         artifact: Option<String>,
     },
-    /// A worker asking for a shard.
+    /// A worker asking for a shard. The server holds the answer until
+    /// a shard is pending or it has finished its jobs.
     Want {
         /// Worker name, for the server's log line.
         worker: String,
     },
     /// A shard lease: run cells `[lo, hi)` of job `job`'s `total`-cell
-    /// grid. The spec travels with the first lease so workers need no
-    /// side channel; they cache it per job afterwards.
+    /// grid. The spec travels with a lease whose job differs from the
+    /// job of the connection's previous lease, so workers need no side
+    /// channel; a worker caches the one job it is serving.
     Shard {
         /// Job id.
         job: u64,
@@ -91,15 +101,12 @@ pub enum Message {
         hi: u64,
         /// Total cells in the sweep.
         total: u64,
-        /// The job's spec JSON.
-        spec: Json,
+        /// The job's spec JSON, present on a connection's first lease
+        /// of this job since a lease of another.
+        spec: Option<Json>,
     },
-    /// No shard available right now; `done` means the server has
-    /// finished its configured job count and the worker should exit.
-    NoWork {
-        /// `true`: shut down; `false`: poll again later.
-        done: bool,
-    },
+    /// The server has finished its configured job count: shut down.
+    NoWork,
     /// A completed shard's per-cell results.
     Result {
         /// Job id.
@@ -135,7 +142,7 @@ impl Message {
             Message::Status { .. } => 4,
             Message::Want { .. } => 5,
             Message::Shard { .. } => 6,
-            Message::NoWork { .. } => 7,
+            Message::NoWork => 7,
             Message::Result { .. } => 8,
             Message::Ack { .. } => 9,
             Message::Error { .. } => 10,
@@ -177,14 +184,19 @@ impl Message {
                 hi,
                 total,
                 spec,
-            } => Json::obj()
-                .field("job", *job)
-                .field("shard", *shard)
-                .field("lo", *lo)
-                .field("hi", *hi)
-                .field("total", *total)
-                .field("spec", spec.clone()),
-            Message::NoWork { done } => Json::obj().field("done", *done),
+            } => {
+                let mut j = Json::obj()
+                    .field("job", *job)
+                    .field("shard", *shard)
+                    .field("lo", *lo)
+                    .field("hi", *hi)
+                    .field("total", *total);
+                if let Some(spec) = spec {
+                    j = j.field("spec", spec.clone());
+                }
+                j
+            }
+            Message::NoWork => Json::obj(),
             Message::Result {
                 job,
                 shard,
@@ -245,11 +257,9 @@ impl Message {
                 lo: f.u64("lo")?,
                 hi: f.u64("hi")?,
                 total: f.u64("total")?,
-                spec: f.value("spec")?.clone(),
+                spec: f.opt_value("spec").cloned(),
             },
-            7 => Message::NoWork {
-                done: f.bool("done")?,
-            },
+            7 => Message::NoWork,
             8 => Message::Result {
                 job: f.u64("job")?,
                 shard: f.u64("shard")?,
@@ -312,5 +322,41 @@ mod tests {
         assert_eq!(err, "unknown frame kind 99");
         let err = Message::decode(1, b"not json").unwrap_err();
         assert_eq!(err, "payload is not canonical JSON");
+        let err = Message::decode(7, b"{\"done\": true}").unwrap_err();
+        assert_eq!(err, "payload: unknown field \"done\"");
+    }
+
+    #[test]
+    fn a_spec_less_shard_and_a_field_less_no_work_round_trip() {
+        let shard = Message::Shard {
+            job: 9,
+            shard: 1,
+            lo: 4,
+            hi: 8,
+            total: 16,
+            spec: None,
+        };
+        for (msg, payload) in [
+            (
+                shard,
+                "{\"job\": 9, \"shard\": 1, \"lo\": 4, \"hi\": 8, \"total\": 16}",
+            ),
+            (Message::NoWork, "{}"),
+        ] {
+            assert_eq!(msg.to_json().render(), payload);
+            let mut buf = Vec::new();
+            send(&mut buf, &msg).unwrap();
+            assert_eq!(recv(&mut buf.as_slice()).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn a_version_2_frame_is_refused() {
+        let mut buf = Vec::new();
+        send(&mut buf, &Message::NoWork).unwrap();
+        buf[4..6].copy_from_slice(&2u16.to_be_bytes());
+        let err = recv(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "frame version 2 (this build speaks 3)");
     }
 }

@@ -8,12 +8,14 @@
 //! [`CellGrid::from_spec`]), cut into contiguous shards with
 //! [`ChunkPlan::from_costs`] (the same cost hints the local pool
 //! chunks by), and queued. Workers pull shards with `Want`, run them, and
-//! return per-cell results; a shard whose connection drops before its
-//! `Result` arrives is requeued at the front of the queue, so a killed
-//! worker delays a sweep but never loses it. Results merge by sweep-wide
-//! cell index through the runtime's [`OrderedCommitter`] — completion
-//! order never touches the artifact, which is rendered by the same
-//! [`crate::render_artifact`] path a local run uses.
+//! return per-cell results. A lease carries the job's spec only when its
+//! job differs from the job of the connection's previous lease, which is
+//! the one lowered grid a worker caches. A shard whose connection drops
+//! before its `Result` arrives is requeued at the front of the queue, so
+//! a killed worker delays a sweep but never loses it. Results merge by
+//! sweep-wide cell index through the runtime's [`OrderedCommitter`] —
+//! completion order never touches the artifact, which is rendered by the
+//! same [`crate::render_artifact`] path a local run uses.
 //!
 //! # Failure / resume model
 //!
@@ -26,13 +28,22 @@
 //! provide the finer-grained resume — see [`crate::worker`]). Duplicate
 //! results (a requeued shard finishing twice) are dropped: the first
 //! result per cell wins.
+//!
+//! # Waiting
+//!
+//! Nothing polls on a timer. Every connection handler waits on one
+//! [`Condvar`] beside the state mutex, notified after each submit, merge
+//! and requeue: a `Want` waits until some job has a pending shard (or
+//! the server has finished its jobs, answered with `NoWork`), and a
+//! `Poll` waits until its job merges another shard. [`Server::run`]
+//! blocks in `accept`; the handler that delivers the last artifact
+//! wakes it with one connection to the listener's own address.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use oraclesize_bench::grid::CellGrid;
 use oraclesize_runtime::journal::{self, JournalRecord};
@@ -79,18 +90,15 @@ struct Job {
     delivered: bool,
 }
 
-/// Shared server state; every connection handler funnels through this
-/// mutex, so merges are serialized and deterministic per arrival order
-/// (the artifact itself is arrival-order independent by construction).
+/// Server state; every connection handler funnels through one mutex
+/// around it, so merges are serialized and deterministic per arrival
+/// order (the artifact itself is arrival-order independent by
+/// construction).
 struct State {
     jobs: BTreeMap<u64, Job>,
     completed_jobs: usize,
     delivered_jobs: usize,
     target_jobs: usize,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl State {
@@ -180,8 +188,10 @@ impl State {
         }
     }
 
-    /// Leases the next pending shard to connection `conn`.
-    fn lease(&mut self, conn: u64) -> Message {
+    /// Leases the next pending shard to connection `conn`, with the
+    /// job's spec when the job differs from `last_job`, the job of the
+    /// connection's previous lease. `NoWork` when nothing is pending.
+    fn lease(&mut self, conn: u64, last_job: &mut Option<u64>) -> Message {
         for (&job_id, job) in self.jobs.iter_mut() {
             if let Some(shard) = job.pending.pop_front() {
                 let reply = Message::Shard {
@@ -190,15 +200,14 @@ impl State {
                     lo: shard.lo as u64,
                     hi: shard.hi as u64,
                     total: job.total as u64,
-                    spec: job.spec.to_json(),
+                    spec: (*last_job != Some(job_id)).then(|| job.spec.to_json()),
                 };
+                *last_job = Some(job_id);
                 job.leased.push((conn, shard));
                 return reply;
             }
         }
-        Message::NoWork {
-            done: self.finished(),
-        }
+        Message::NoWork
     }
 
     /// Merges a returned shard's records (first result per cell wins).
@@ -264,12 +273,15 @@ impl State {
         }
     }
 
-    fn mark_delivered(&mut self, job_id: u64) {
-        if let Some(job) = self.jobs.get_mut(&job_id) {
-            if !job.delivered {
+    /// Marks a job delivered; `true` when this delivered the last job.
+    fn mark_delivered(&mut self, job_id: u64) -> bool {
+        match self.jobs.get_mut(&job_id) {
+            Some(job) if !job.delivered => {
                 job.delivered = true;
                 self.delivered_jobs += 1;
+                self.delivered()
             }
+            _ => false,
         }
     }
 
@@ -296,27 +308,6 @@ impl State {
             }
         }
     }
-
-    /// One protocol exchange; the second value is a job to mark
-    /// delivered once the reply lands.
-    fn reply(&mut self, conn: u64, msg: Message, config: &ServerConfig) -> (Message, Option<u64>) {
-        match msg {
-            Message::Submit { spec, resume } => (self.submit(&spec, resume, config), None),
-            Message::Poll { job } => self.status(job),
-            Message::Want { .. } => (self.lease(conn), None),
-            Message::Result {
-                job,
-                shard,
-                records,
-            } => (self.merge(conn, job, shard, records), None),
-            other => (
-                Message::Error {
-                    text: format!("unexpected message kind {}", other.kind()),
-                },
-                None,
-            ),
-        }
-    }
 }
 
 /// Renders the artifact once every cell has merged. Returns `true` when
@@ -334,9 +325,99 @@ fn finalize_if_done(job: &mut Job, job_id: u64) -> bool {
     true
 }
 
+/// What every connection handler shares: the state, the condition
+/// variable its waiters sleep on, and the address that wakes `accept`.
+struct Shared {
+    state: Mutex<State>,
+    changed: Condvar,
+    config: ServerConfig,
+    wake: SocketAddr,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on [`Shared::changed`] while `blocked` holds.
+    fn wait_while<'a>(
+        &self,
+        state: MutexGuard<'a, State>,
+        blocked: impl FnMut(&mut State) -> bool,
+    ) -> MutexGuard<'a, State> {
+        self.changed
+            .wait_while(state, blocked)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One protocol exchange. `last_job` is the job of the connection's
+    /// previous lease; the second value is a job to mark delivered once
+    /// the reply lands.
+    fn reply(&self, conn: u64, msg: Message, last_job: &mut Option<u64>) -> (Message, Option<u64>) {
+        let mut state = self.lock();
+        match msg {
+            Message::Submit { spec, resume } => {
+                let reply = state.submit(&spec, resume, &self.config);
+                self.changed.notify_all();
+                (reply, None)
+            }
+            Message::Poll { job } => {
+                // Answer at the job's next merge, or at once when it is
+                // done or unknown.
+                let seen = state.jobs.get(&job).map(|j| j.done_cells);
+                let state = self.wait_while(state, |s| {
+                    s.jobs
+                        .get(&job)
+                        .is_some_and(|j| j.artifact.is_none() && Some(j.done_cells) == seen)
+                });
+                state.status(job)
+            }
+            Message::Want { .. } => {
+                let mut state = self.wait_while(state, |s| {
+                    !s.finished() && s.jobs.values().all(|j| j.pending.is_empty())
+                });
+                (state.lease(conn, last_job), None)
+            }
+            Message::Result {
+                job,
+                shard,
+                records,
+            } => {
+                let reply = state.merge(conn, job, shard, records);
+                self.changed.notify_all();
+                (reply, None)
+            }
+            other => (
+                Message::Error {
+                    text: format!("unexpected message kind {}", other.kind()),
+                },
+                None,
+            ),
+        }
+    }
+
+    /// Marks `job_id` delivered; the call that delivers the last job
+    /// wakes [`Server::run`] out of `accept`.
+    fn deliver(&self, job_id: u64) {
+        if self.lock().mark_delivered(job_id) {
+            // An error means the listener is already closed: `accept`
+            // returned another connection, saw every job delivered and
+            // stopped.
+            drop(TcpStream::connect(self.wake));
+        }
+    }
+
+    /// Requeues every shard the closed connection still held.
+    fn release(&self, conn: u64) {
+        self.lock().release(conn);
+        self.changed.notify_all();
+    }
+}
+
 /// Serves one connection (a worker, a submitting client, or both in
-/// turn — the protocol is stateless per frame).
-fn handle(conn: u64, mut stream: TcpStream, state: Arc<Mutex<State>>, config: Arc<ServerConfig>) {
+/// turn). Its only state is the job of its previous lease.
+fn handle(conn: u64, mut stream: TcpStream, shared: Arc<Shared>) {
+    let mut last_job = None;
     // EOF is the normal end of a session; any other recv error (a frame
     // or record that fails to decode) is logged. Either way the loop ends
     // and the leases come back.
@@ -350,23 +431,22 @@ fn handle(conn: u64, mut stream: TcpStream, state: Arc<Mutex<State>>, config: Ar
                 break;
             }
         };
-        let (reply, delivered) = lock(&state).reply(conn, msg, &config);
+        let (reply, delivered) = shared.reply(conn, msg, &mut last_job);
         if send(&mut stream, &reply).is_err() {
             break;
         }
         if let Some(job_id) = delivered {
-            lock(&state).mark_delivered(job_id);
+            shared.deliver(job_id);
         }
     }
-    lock(&state).release(conn);
+    shared.release(conn);
 }
 
 /// A bound sweep server. [`Server::run`] accepts connections until the
 /// configured number of jobs has been served and delivered.
 pub struct Server {
     listener: TcpListener,
-    state: Arc<Mutex<State>>,
-    config: Arc<ServerConfig>,
+    shared: Arc<Shared>,
 }
 
 impl Server {
@@ -378,6 +458,15 @@ impl Server {
     /// Propagates bind errors.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        // The address that wakes `accept`: the bound one, or loopback at
+        // the same port when bound to every interface.
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let state = State {
             jobs: BTreeMap::new(),
             completed_jobs: 0,
@@ -386,8 +475,12 @@ impl Server {
         };
         Ok(Server {
             listener,
-            state: Arc::new(Mutex::new(state)),
-            config: Arc::new(config),
+            shared: Arc::new(Shared {
+                state: Mutex::new(state),
+                changed: Condvar::new(),
+                config,
+                wake,
+            }),
         })
     }
 
@@ -408,34 +501,22 @@ impl Server {
     /// Propagates listener errors; per-connection errors only end that
     /// connection (releasing its shard leases).
     pub fn run(self) -> io::Result<()> {
-        // Nonblocking accept so the loop can observe "all jobs
-        // delivered" and stop; connection I/O itself stays blocking.
-        self.listener.set_nonblocking(true)?;
         let mut next_conn = 0u64;
         loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    next_conn += 1;
-                    let conn = next_conn;
-                    let state = Arc::clone(&self.state);
-                    let config = Arc::clone(&self.config);
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "connection handlers are I/O-bound waiters, not compute parallelism; \
-                                  every engine cell still runs inside a worker's runtime::pool, and \
-                                  results merge through the OrderedCommitter in cell order"
-                    )]
-                    std::thread::spawn(move || handle(conn, stream, state, config));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if lock(&self.state).delivered() {
-                        return Ok(());
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
+            let (stream, _peer) = self.listener.accept()?;
+            if self.shared.lock().delivered() {
+                return Ok(());
             }
+            next_conn += 1;
+            let conn = next_conn;
+            let shared = Arc::clone(&self.shared);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "connection handlers are I/O-bound waiters, not compute parallelism; \
+                          every engine cell still runs inside a worker's runtime::pool, and \
+                          results merge through the OrderedCommitter in cell order"
+            )]
+            std::thread::spawn(move || handle(conn, stream, shared));
         }
     }
 }

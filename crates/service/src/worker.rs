@@ -9,7 +9,14 @@
 //! same options a local sweep uses, which is what makes the server's
 //! merged artifact byte-identical to a local run. The worker keeps one
 //! lowered grid, the current job's: a shard of another job replaces it,
-//! so a worker serving many jobs holds one job's graphs and advice.
+//! so a worker serving many jobs holds one job's graphs and advice. The
+//! server sends a job's spec only with a lease whose job differs from
+//! the connection's previous one, which is exactly when this cache
+//! misses.
+//!
+//! A `Want` is answered when a shard is pending, so the worker never
+//! sleeps between leases; `NoWork` means the server has finished its
+//! jobs and the worker exits.
 //!
 //! With a journal directory configured, each shard checkpoints to its
 //! own segment file (`job-<digest>-shard-<lo>-<hi>.journal`, an ordinary
@@ -22,7 +29,6 @@
 //! acknowledges a shard's results the segment is deleted.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
 use oraclesize_runtime::journal::JournalRecord;
@@ -43,7 +49,9 @@ pub struct WorkerConfig {
     /// Directory for per-shard segment journals; share it between
     /// workers (and their replacements) to get crash handoff.
     pub journal_dir: Option<PathBuf>,
-    /// Idle poll interval in milliseconds.
+    /// Pause in milliseconds between connect attempts while the server
+    /// is not yet listening. The worker never waits for work on a timer:
+    /// the server answers `Want` when a shard is pending.
     pub poll_ms: u64,
     /// Fault drill: run the Nth claimed shard (1-based) only up to its
     /// midpoint (cell `lo + (hi - lo) / 2`), journal that progress, then
@@ -91,8 +99,8 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
     'session: loop {
         sessions += 1;
         // After the first session, a dead server most likely finished
-        // its job budget and exited between two of our polls — shut
-        // down quietly rather than erroring a completed sweep.
+        // its job budget and exited while we were between requests —
+        // shut down quietly rather than erroring a completed sweep.
         if sessions > 5 {
             return Ok(WorkerOutcome::Finished {
                 shards: shards_done,
@@ -133,9 +141,14 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     // A shard of another job drops the previous job's grid
                     // (its graphs and advice) before lowering its own spec,
                     // so a long-lived worker holds one job's grid at most.
-                    let (_, parsed, grid) = match current.take() {
-                        Some(entry) if entry.0 == job => current.insert(entry),
-                        stale => {
+                    let (_, parsed, grid) = match (current.take(), spec) {
+                        (Some(entry), _) if entry.0 == job => current.insert(entry),
+                        (_, None) => {
+                            return Err(format!(
+                                "server leased shard {shard} of job {job:016x} without its spec"
+                            ))
+                        }
+                        (stale, Some(spec)) => {
                             drop(stale);
                             let parsed = SweepSpec::from_json(&spec)
                                 .map_err(|e| format!("server sent a bad spec: {e}"))?;
@@ -218,14 +231,11 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     shards_done += 1;
                     cells_done += (hi - lo) as u64;
                 }
-                Message::NoWork { done: true } => {
+                Message::NoWork => {
                     return Ok(WorkerOutcome::Finished {
                         shards: shards_done,
                         cells: cells_done,
                     })
-                }
-                Message::NoWork { done: false } => {
-                    std::thread::sleep(Duration::from_millis(config.poll_ms.max(1)));
                 }
                 Message::Error { text } => return Err(text),
                 other => {

@@ -98,9 +98,17 @@ fn every_message() -> Vec<Message> {
             lo: 0,
             hi: 4,
             total: 16,
-            spec,
+            spec: Some(spec),
         },
-        Message::NoWork { done: false },
+        Message::Shard {
+            job: 9,
+            shard: 3,
+            lo: 4,
+            hi: 8,
+            total: 16,
+            spec: None,
+        },
+        Message::NoWork,
         Message::Result {
             job: 9,
             shard: 2,
@@ -138,7 +146,7 @@ proptest! {
     /// Damaged frame streams and damaged payloads decode to an error or
     /// to some message, never to a panic.
     #[test]
-    fn frames_and_messages_never_panic(which in 0usize..11, edits in edits()) {
+    fn frames_and_messages_never_panic(which in 0usize..12, edits in edits()) {
         let msg = &every_message()[which];
         let mut framed = Vec::new();
         send(&mut framed, msg).unwrap();

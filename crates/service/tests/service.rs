@@ -12,8 +12,9 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
+use oraclesize_bench::grid::CellGrid;
 use oraclesize_runtime::journal::{self, fnv1a64};
-use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec, Json, SweepSpec};
+use oraclesize_runtime::{CellSpec, ChunkPlan, FaultSpec, InstanceSpec, Json, SweepSpec};
 use oraclesize_service::frame::write_frame;
 use oraclesize_service::proto::{recv, send, Message};
 use oraclesize_service::{
@@ -243,29 +244,56 @@ fn killed_worker_is_requeued_and_resumed_byte_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A lease whose range does not fit the job's grid is refused with an
-/// error before the worker slices anything.
-#[test]
-fn a_shard_past_the_grid_is_an_error_not_a_panic() {
-    let spec = tiny_spec("svc-bad-lease", 4);
+/// Serves `lease` to a worker's first `Want` from a raw listener and
+/// returns the worker's error.
+fn lease_error(lease: Message) -> String {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         assert!(matches!(recv(&mut stream), Ok(Message::Want { .. })));
-        let lease = Message::Shard {
-            job: spec.digest(),
-            shard: 0,
-            lo: 2,
-            hi: 5,
-            total: 4,
-            spec: spec.to_json(),
-        };
         send(&mut stream, &lease).unwrap();
     });
     let err = run_worker(&worker_config(&addr, "w-bad-lease", None)).unwrap_err();
-    assert_eq!(err, "shard 2..5 of 4 does not fit the 4-cell grid");
     server.join().unwrap();
+    err
+}
+
+/// A lease whose range does not fit the job's grid is refused with an
+/// error before the worker slices anything.
+#[test]
+fn a_shard_past_the_grid_is_an_error_not_a_panic() {
+    let spec = tiny_spec("svc-bad-lease", 4);
+    let lease = Message::Shard {
+        job: spec.digest(),
+        shard: 0,
+        lo: 2,
+        hi: 5,
+        total: 4,
+        spec: Some(spec.to_json()),
+    };
+    assert_eq!(
+        lease_error(lease),
+        "shard 2..5 of 4 does not fit the 4-cell grid"
+    );
+}
+
+/// A first lease of a job without the job's spec leaves the worker
+/// nothing to run: a protocol error, reported, not a panic.
+#[test]
+fn a_spec_less_lease_of_an_unknown_job_is_an_error_not_a_panic() {
+    let lease = Message::Shard {
+        job: 0xab,
+        shard: 3,
+        lo: 0,
+        hi: 2,
+        total: 4,
+        spec: None,
+    };
+    assert_eq!(
+        lease_error(lease),
+        "server leased shard 3 of job 00000000000000ab without its spec"
+    );
 }
 
 /// Resubmits `spec` with `resume` to a fresh server on the job journals
@@ -338,6 +366,24 @@ fn aborted_cells_are_not_journaled_and_rerun_after_a_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One `Want` exchange on a raw protocol connection.
+fn want(stream: &mut TcpStream) -> Message {
+    let want = Message::Want {
+        worker: "raw".to_string(),
+    };
+    send(stream, &want).unwrap();
+    recv(stream).unwrap()
+}
+
+/// Leases one shard on a raw connection: its job and whether the lease
+/// carried the spec.
+fn lease(stream: &mut TcpStream) -> (u64, bool) {
+    match want(stream) {
+        Message::Shard { job, spec, .. } => (job, spec.is_some()),
+        other => panic!("expected a shard, got kind {}", other.kind()),
+    }
+}
+
 /// A `Result` frame holding a corrupt record ends the connection, and
 /// the server re-leases the shard instead of dropping its cells.
 #[test]
@@ -357,17 +403,12 @@ fn corrupt_result_record_requeues_the_shard() {
     let (spec_text, submit_addr) = (spec.render(), addr.clone());
     let client = thread::spawn(move || done_tx.send(submit(&submit_addr, &spec_text, true, 5)));
 
-    // Lease a shard by hand, then return it with a malformed report.
+    // Lease a shard by hand (the server holds the `Want` until the job
+    // is admitted), then return it with a malformed report.
     let mut stream = TcpStream::connect(&addr).unwrap();
-    let (job, shard, lo) = loop {
-        let want = Message::Want {
-            worker: "raw".to_string(),
-        };
-        send(&mut stream, &want).unwrap();
-        match recv(&mut stream).unwrap() {
-            Message::Shard { job, shard, lo, .. } => break (job, shard, lo),
-            _ => thread::sleep(Duration::from_millis(5)),
-        }
+    let (job, shard, lo) = match want(&mut stream) {
+        Message::Shard { job, shard, lo, .. } => (job, shard, lo),
+        other => panic!("expected a shard, got kind {}", other.kind()),
     };
     let body = Json::obj().field("ok", 5u64);
     let record = Json::obj()
@@ -391,6 +432,119 @@ fn corrupt_result_record_requeues_the_shard() {
     assert_eq!(artifact.expect("submit"), local);
     client.join().unwrap().unwrap();
     worker.join().unwrap().expect("worker");
+    server_thread.join().unwrap();
+}
+
+/// A lease carries the spec exactly when the connection's job changes,
+/// including back to a job it served before: a worker caches one job.
+/// The switch back is driven by a requeue, so the lease order is fixed.
+#[test]
+fn the_spec_travels_again_after_a_job_switch() {
+    let specs = [tiny_spec("svc-switch-a", 6), tiny_spec("svc-switch-b", 7)];
+    let (a, b) = if specs[0].digest() < specs[1].digest() {
+        (&specs[0], &specs[1])
+    } else {
+        (&specs[1], &specs[0])
+    };
+    let shards = |spec: &SweepSpec| {
+        let grid = CellGrid::from_spec(spec).unwrap();
+        ChunkPlan::from_costs(grid.costs(), 1).chunks().len()
+    };
+    let (a_shards, b_shards) = (shards(a), shards(b));
+    assert!(a_shards >= 2 && b_shards >= 2, "{a_shards} and {b_shards}");
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        journal_dir: None,
+        jobs: 2,
+        workers_hint: 1,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+    // Admit both jobs before any lease; the server leases the job with
+    // the lower digest first.
+    let mut client = TcpStream::connect(&addr).unwrap();
+    for spec in [a, b] {
+        let submit = Message::Submit {
+            spec: spec.to_json(),
+            resume: false,
+        };
+        send(&mut client, &submit).unwrap();
+        assert!(matches!(recv(&mut client), Ok(Message::Accepted { .. })));
+    }
+    let (a_id, b_id) = (a.digest(), b.digest());
+
+    // R2 takes A's first shard; R1 takes the rest of A and B's first.
+    let mut r2 = TcpStream::connect(&addr).unwrap();
+    assert_eq!(lease(&mut r2), (a_id, true));
+    let mut r1 = TcpStream::connect(&addr).unwrap();
+    let mut r1_leases: Vec<(u64, bool)> = (0..a_shards).map(|_| lease(&mut r1)).collect();
+    // R3 drains B, so nothing is pending until R2's shard comes back.
+    let mut r3 = TcpStream::connect(&addr).unwrap();
+    for _ in 1..b_shards {
+        assert_eq!(lease(&mut r3).0, b_id);
+    }
+    // R2 disconnects: its shard of A is requeued, which answers R1's
+    // waiting `Want`, and the lease carries A's spec again.
+    drop(r2);
+    r1_leases.push(lease(&mut r1));
+    let mut expected = vec![(a_id, true)];
+    expected.extend((2..a_shards).map(|_| (a_id, false)));
+    expected.extend([(b_id, true), (a_id, true)]);
+    assert_eq!(r1_leases, expected);
+
+    // Every lease comes back when its connection drops; a real worker
+    // then finishes both jobs, and submitting again attaches to them.
+    drop((r1, r3, client));
+    let clients: Vec<_> = [a, b]
+        .iter()
+        .map(|spec| {
+            let (addr, text) = (addr.clone(), spec.render());
+            thread::spawn(move || submit(&addr, &text, false, 5))
+        })
+        .collect();
+    let outcome = run_worker(&worker_config(&addr, "w-switch", None)).expect("worker");
+    assert!(
+        matches!(outcome, WorkerOutcome::Finished { cells: 13, .. }),
+        "{outcome:?}"
+    );
+    for (spec, client) in [a, b].into_iter().zip(clients) {
+        assert_eq!(client.join().unwrap().unwrap(), run_local(spec, 1).unwrap());
+    }
+    server_thread.join().unwrap();
+}
+
+/// The worker and the client are answered when there is news, not on
+/// their connect-retry pause: with a one-minute pause the job still
+/// finishes in seconds.
+#[test]
+fn job_latency_does_not_depend_on_the_poll_interval() {
+    let spec = tiny_spec("svc-no-sleep", 6);
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        journal_dir: None,
+        jobs: 1,
+        workers_hint: 1,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+    let mut config = worker_config(&addr, "w-patient", None);
+    config.poll_ms = 60_000;
+    let worker = thread::spawn(move || run_worker(&config));
+    let (done_tx, done_rx) = mpsc::channel();
+    let spec_text = spec.render();
+    let client = thread::spawn(move || done_tx.send(submit(&addr, &spec_text, true, 60_000)));
+    let artifact = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the artifact arrives without waiting out a poll interval");
+    assert_eq!(artifact.expect("submit"), run_local(&spec, 1).unwrap());
+    client.join().unwrap().unwrap();
+    let outcome = worker.join().unwrap().expect("worker");
+    assert!(
+        matches!(outcome, WorkerOutcome::Finished { cells: 6, .. }),
+        "{outcome:?}"
+    );
     server_thread.join().unwrap();
 }
 

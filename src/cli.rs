@@ -219,8 +219,6 @@ pub struct WorkArgs {
     pub journal_dir: Option<String>,
     /// Fault drill: abandon the Nth claimed shard half-journaled.
     pub die_mid_shard: Option<u64>,
-    /// Idle poll interval in milliseconds.
-    pub poll_ms: u64,
     /// Worker name for server logs.
     pub name: String,
 }
@@ -235,8 +233,6 @@ pub struct SubmitArgs {
     pub spec: String,
     /// Write the artifact here instead of returning it on stdout.
     pub out: Option<String>,
-    /// Poll interval in milliseconds.
-    pub poll_ms: u64,
     /// Skip server-side journal resume and recompute every cell.
     pub fresh: bool,
 }
@@ -577,7 +573,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 threads: 2,
                 journal_dir: None,
                 die_mid_shard: None,
-                poll_ms: 50,
                 name: "worker".to_string(),
             };
             each_flag(&mut it, |flag, it| {
@@ -589,7 +584,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         0 => return Err("--die-mid-shard counts claimed shards from 1".into()),
                         k => a.die_mid_shard = Some(k),
                     },
-                    "--poll-ms" => a.poll_ms = int(it, "--poll-ms")?,
                     "--name" => a.name = value(it, "--name")?.clone(),
                     _ => return Ok(false),
                 }
@@ -599,13 +593,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         Some("submit") => {
             let (mut connect, mut spec, mut out) = ("127.0.0.1:7401".to_string(), None, None);
-            let (mut poll_ms, mut fresh) = (100, false);
+            let mut fresh = false;
             each_flag(&mut it, |flag, it| {
                 match flag {
                     "--connect" => connect = value(it, "--connect")?.clone(),
                     "--spec" => spec = Some(value(it, "--spec")?.clone()),
                     "--out" => out = Some(value(it, "--out")?.clone()),
-                    "--poll-ms" => poll_ms = int(it, "--poll-ms")?,
                     "--fresh" => fresh = true,
                     _ => return Ok(false),
                 }
@@ -615,7 +608,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 connect,
                 spec: spec.ok_or("submit requires --spec".to_string())?,
                 out,
-                poll_ms,
                 fresh,
             }))
         }
@@ -656,9 +648,9 @@ pub fn usage() -> String {
          \x20                [--jobs <k>] [--workers <k>]\n\
          \x20 oraclesize work [--connect <host:port>] [--threads <t>]\n\
          \x20                [--journal-dir <dir>] [--die-mid-shard <k>]\n\
-         \x20                [--poll-ms <ms>] [--name <worker>]\n\
+         \x20                [--name <worker>]\n\
          \x20 oraclesize submit --spec <file.json> [--connect <host:port>]\n\
-         \x20                [--out <file.json>] [--poll-ms <ms>] [--fresh]\n\
+         \x20                [--out <file.json>] [--fresh]\n\
          \x20 oraclesize list\n\n\
          TASKS:    {}\nFAMILIES: {}\nEXPERIMENTS: {}\nSPECS:    {}\n",
         names(&SPECS, "|"),
@@ -787,13 +779,18 @@ fn run_serve(args: &ServeArgs) -> Result<String, String> {
     Ok(format!("served {} job(s) on {addr}\n", args.jobs))
 }
 
+/// Pause between connect attempts while `work` and `submit` wait for a
+/// server to start listening (50 attempts). Once connected, neither side
+/// waits on a timer: the server answers when there is news.
+const CONNECT_PAUSE_MS: u64 = 100;
+
 /// Runs one sweep worker until the server signals shutdown.
 fn run_work(args: &WorkArgs) -> Result<String, String> {
     let outcome = oraclesize_service::run_worker(&WorkerConfig {
         connect: args.connect.clone(),
         threads: args.threads,
         journal_dir: args.journal_dir.as_ref().map(std::path::PathBuf::from),
-        poll_ms: args.poll_ms,
+        poll_ms: CONNECT_PAUSE_MS,
         die_mid_shard: args.die_mid_shard,
         name: args.name.clone(),
     })?;
@@ -814,7 +811,7 @@ fn run_work(args: &WorkArgs) -> Result<String, String> {
 fn run_submit(args: &SubmitArgs) -> Result<String, String> {
     let text = std::fs::read_to_string(&args.spec)
         .map_err(|e| format!("cannot read {:?}: {e}", args.spec))?;
-    let artifact = oraclesize_service::submit(&args.connect, &text, !args.fresh, args.poll_ms)?;
+    let artifact = oraclesize_service::submit(&args.connect, &text, !args.fresh, CONNECT_PAUSE_MS)?;
     match &args.out {
         Some(path) => {
             if let Some(dir) = std::path::Path::new(path)
@@ -1628,8 +1625,6 @@ mod tests {
             "8",
             "--die-mid-shard",
             "2",
-            "--poll-ms",
-            "25",
             "--name",
             "w-a",
         ]))
@@ -1641,7 +1636,6 @@ mod tests {
                 threads: 8,
                 journal_dir: None,
                 die_mid_shard: Some(2),
-                poll_ms: 25,
                 name: "w-a".to_string(),
             })
         );
@@ -1660,7 +1654,6 @@ mod tests {
                 connect: "127.0.0.1:7401".to_string(),
                 spec: "t10.json".to_string(),
                 out: Some("merged.json".to_string()),
-                poll_ms: 100,
                 fresh: true,
             })
         );
