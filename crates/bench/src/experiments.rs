@@ -27,8 +27,12 @@ use oraclesize_lowerbound::discovery::{
 use oraclesize_lowerbound::truncation::tradeoff_curve;
 use oraclesize_runtime::spec::{grid_json, to_ppm};
 use oraclesize_runtime::{AdviceSpec, CellSpec, FaultSpec, InstanceSpec, SchedulerSpec, SweepSpec};
+use oraclesize_sim::engine::run_with_sink;
 use oraclesize_sim::protocol::FloodOnce;
-use oraclesize_sim::{advice_size, Oracle, SchedulerKind, SimConfig};
+use oraclesize_sim::trace::Phase;
+use oraclesize_sim::{
+    advice_size, Oracle, Protocol, SchedulerKind, SimConfig, TraceEvent, TraceSink,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1021,62 +1025,79 @@ pub fn t15_construction() -> String {
     report.render()
 }
 
+/// The round of a run's last first informing delivery: the round in
+/// which its last node woke. Rounds count from 0, the round that delivers
+/// the source's own sends; [`RunMetrics::rounds`](oraclesize_sim::RunMetrics)
+/// is instead the round of the last delivery of any kind.
+#[derive(Debug, Default)]
+struct WakeRound {
+    round: u64,
+    last_wake: u64,
+}
+
+impl TraceSink for WakeRound {
+    fn emit(&mut self, event: TraceEvent) {
+        match event {
+            TraceEvent::PhaseStart {
+                phase: Phase::Round(round),
+            } => self.round = round,
+            TraceEvent::Wake { .. } => self.last_wake = self.round,
+            _ => {}
+        }
+    }
+}
+
 /// T16 — the time/knowledge/messages triangle (Conclusion §4: "tradeoffs
 /// between the amount of knowledge … and the efficiency (in terms of time
 /// or message complexity)").
 pub fn t16_time_knowledge() -> String {
     let mut report = Report::new("T16 — knowledge vs messages vs time (Conclusion §4)");
     let mut rng = rng_for(16);
-    let mut table = Table::new(["family", "n", "scheme", "oracle bits", "messages", "rounds"]);
-    for fam in [Family::Grid, Family::RandomSparse, Family::Complete] {
-        let g = fam.build(100, &mut rng);
-        let nodes = g.num_nodes();
-        let mut push = |name: &str, bits: u64, msgs: u64, rounds: u64| {
-            table.row([
-                fam.name().to_string(),
-                nodes.to_string(),
-                name.to_string(),
-                bits.to_string(),
-                msgs.to_string(),
-                rounds.to_string(),
-            ]);
-        };
-        let flood = execute(&g, 0, &EmptyOracle, &FloodOnce, &SimConfig::default()).expect("runs");
-        push(
-            "flooding",
-            flood.oracle_bits,
-            flood.outcome.metrics.messages,
-            flood.outcome.metrics.rounds,
-        );
-        let wakeup = execute(
-            &g,
-            0,
+    let mut table = Table::new([
+        "family",
+        "n",
+        "scheme",
+        "oracle bits",
+        "messages",
+        "wake round",
+    ]);
+    let schemes: [(&str, &dyn Oracle, &dyn Protocol, SimConfig); 3] = [
+        ("flooding", &EmptyOracle, &FloodOnce, SimConfig::default()),
+        (
+            "tree-wakeup",
             &SpanningTreeOracle::default(),
             &TreeWakeup,
-            &SimConfig::wakeup(),
-        )
-        .expect("runs");
-        push(
-            "tree-wakeup",
-            wakeup.oracle_bits,
-            wakeup.outcome.metrics.messages,
-            wakeup.outcome.metrics.rounds,
-        );
-        let scheme_b =
-            execute(&g, 0, &LightTreeOracle, &SchemeB, &SimConfig::default()).expect("runs");
-        push(
-            "scheme-b",
-            scheme_b.oracle_bits,
-            scheme_b.outcome.metrics.messages,
-            scheme_b.outcome.metrics.rounds,
-        );
+            SimConfig::wakeup(),
+        ),
+        ("scheme-b", &LightTreeOracle, &SchemeB, SimConfig::default()),
+    ];
+    for fam in [Family::Grid, Family::RandomSparse, Family::Complete] {
+        let g = fam.build(100, &mut rng);
+        for (name, oracle, protocol, config) in &schemes {
+            let advice = oracle.advise(&g, 0);
+            let mut wake = WakeRound::default();
+            let outcome =
+                run_with_sink(&g, 0, &advice, *protocol, config, &mut wake).expect("runs");
+            table.row([
+                fam.name().to_string(),
+                g.num_nodes().to_string(),
+                name.to_string(),
+                advice_size(&advice).to_string(),
+                outcome.metrics.messages.to_string(),
+                wake.last_wake.to_string(),
+            ]);
+        }
     }
     report.para(
-        "Flooding is time-optimal (eccentricity rounds) but message-maximal; the \
-         tree schemes are message-optimal but pay tree-depth rounds — BFS trees \
-         keep that near the eccentricity, while the light tree of Scheme B can be \
-         deeper. Knowledge, messages and time form a genuine triangle, the \
-         trade-off space the conclusion proposes to map with oracles.",
+        "The wake round is the round in which the last node is first informed, \
+         counting from round 0, which delivers the source's own sends. Flooding \
+         wakes every node soonest (the source's eccentricity minus one) but is \
+         message-maximal. BFS-tree wakeup ties it on time with n − 1 messages, \
+         since a BFS tree is as deep as the source's eccentricity, and pays \
+         O(n log n) advice bits. Scheme B's light tree needs O(n) bits but can be \
+         far deeper: on K_100 it is a path, and the last node wakes in round 98. \
+         Knowledge, messages and time form a genuine triangle, the trade-off \
+         space the conclusion proposes to map with oracles.",
     );
     report.block(&table.to_markdown());
     report.render()

@@ -130,15 +130,79 @@ impl BitString {
         if width == 0 {
             return;
         }
-        // The value shifted to the current bit offset spans at most 71 bits,
-        // so one u128 window covers every byte it touches.
-        let first = self.len / 8;
-        let window = ((value as u128) << (self.len % 8)).to_le_bytes();
+        // The open byte's bits below the value, shifted to their offset,
+        // span at most 71 bits: one u128 window.
+        let shift = self.len % 8;
+        let open = if shift == 0 { 0 } else { self.pop_open_byte() };
+        let window = (u128::from(open) | (u128::from(value) << shift)).to_le_bytes();
         self.len += width as usize;
-        self.bytes.resize(self.len.div_ceil(8), 0);
-        for (dst, src) in self.bytes[first..].iter_mut().zip(window) {
-            *dst |= src;
+        let end = self.len.div_ceil(8);
+        // Storing the whole window and cutting it back is one fixed-size
+        // copy. Take that path only where it cannot grow the buffer, so the
+        // allocations stay those of appending exactly the bytes needed.
+        if self.bytes.capacity() - self.bytes.len() >= window.len() {
+            self.bytes.extend_from_slice(&window);
+            self.bytes.truncate(end);
+        } else {
+            let stored = self.bytes.len();
+            self.bytes.extend_from_slice(&window[..end - stored]);
         }
+    }
+
+    /// Appends every value of `values` in `width` bits, least significant
+    /// first: the bits of [`push_uint`](Self::push_uint) on each in turn,
+    /// gathered in a 64-bit word and stored a word at a time.
+    ///
+    /// ```
+    /// use oraclesize_bits::BitString;
+    /// let mut s = BitString::parse("1").unwrap();
+    /// s.push_uint_run(&[0b01, 0b11, 0b10], 2);
+    /// assert_eq!(s.to_string(), "1101101");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`, or if some value does not fit in `width`
+    /// bits. Every value is checked before any bit is written.
+    pub fn push_uint_run(&mut self, values: &[u64], width: u32) {
+        assert!(width <= 64, "width {width} exceeds u64");
+        if width < 64 {
+            if let Some(value) = values.iter().find(|&&v| v >> width != 0) {
+                panic!("value {value} does not fit in {width} bits");
+            }
+        }
+        let end = self.len + values.len() * width as usize;
+        let mut fill = (self.len % 8) as u32;
+        let mut word = if fill == 0 {
+            0
+        } else {
+            u64::from(self.pop_open_byte())
+        };
+        self.bytes.reserve(end.div_ceil(8) - self.bytes.len());
+        for &value in values {
+            // `fill < 64` bits are pending in `word`.
+            word |= value << fill;
+            fill += width;
+            if fill >= 64 {
+                self.bytes.extend_from_slice(&word.to_le_bytes());
+                fill -= 64;
+                // The value's top `fill` bits did not fit the stored word.
+                word = if fill == 0 {
+                    0
+                } else {
+                    value >> (width - fill)
+                };
+            }
+        }
+        self.len = end;
+        self.bytes
+            .extend_from_slice(&word.to_le_bytes()[..fill.div_ceil(8) as usize]);
+    }
+
+    /// Removes and returns the partly filled last byte; its bits join the
+    /// next append's window. Call only when `len % 8 != 0`.
+    fn pop_open_byte(&mut self) -> u8 {
+        self.bytes.pop().unwrap_or(0)
     }
 
     /// Returns bit `index`, or `None` past the end.

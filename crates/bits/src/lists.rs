@@ -39,17 +39,16 @@ use crate::numeric::{bits_to_represent, ceil_log2};
 /// ```
 pub fn encode_port_list(ports: &[u64], n: u64) -> BitString {
     assert!(n > 0, "network must have at least one node");
-    let mut out = BitString::new();
     if ports.is_empty() {
-        return out;
+        return BitString::new();
+    }
+    if let Some(p) = ports.iter().find(|&&p| p >= n) {
+        panic!("port {p} out of range for n={n}");
     }
     let width = ceil_log2(n).max(1);
+    let mut out = BitString::new();
     encode_doubled_header(width as u64, &mut out);
-    let fixed = FixedWidth::new(width);
-    for &p in ports {
-        assert!(p < n, "port {p} out of range for n={n}");
-        fixed.encode(p, &mut out);
-    }
+    out.push_uint_run(ports, width);
     out
 }
 

@@ -279,6 +279,32 @@ proptest! {
     }
 
     #[test]
+    fn uint_runs_match_model(
+        prefix in collection::vec(any::<bool>(), 64),
+        raw in collection::vec(any::<u64>(), 0..=10),
+    ) {
+        // Up to ten values of up to 64 bits: a run crosses several words,
+        // written by the word-level run writer and by one `push_uint` per
+        // value.
+        for align in 0..64 {
+            for width in 0..=64u32 {
+                let mask = FixedWidth::new(width).max_value();
+                let values: Vec<u64> = raw.iter().map(|&v| v & mask).collect();
+                let mut run = BitString::from_bits(prefix[..align].iter().copied());
+                let mut singles = run.clone();
+                let mut serial = prefix[..align].to_vec();
+                run.push_uint_run(&values, width);
+                for &v in &values {
+                    singles.push_uint(v, width);
+                    model::push_uint(&mut serial, v, width);
+                }
+                check(&run, &serial)?;
+                check(&singles, &serial)?;
+            }
+        }
+    }
+
+    #[test]
     fn read_uint_matches_model(bits in collection::vec(any::<bool>(), 0..=160)) {
         let s = BitString::from_bits(bits.iter().copied());
         for align in 0..64.min(bits.len() + 1) {
@@ -375,4 +401,10 @@ fn gamma_zero_run_guard() {
         assert_eq!(got, want);
         assert_eq!(got.is_some(), ok);
     }
+}
+
+#[test]
+#[should_panic(expected = "does not fit in 3 bits")]
+fn uint_run_rejects_a_value_too_wide() {
+    BitString::new().push_uint_run(&[1, 8, 2], 3);
 }

@@ -433,13 +433,76 @@ impl PortGraph {
 
     /// Checks every structural invariant of the model.
     ///
+    /// A valid graph is accepted by one pass that reads a single mate word
+    /// per arc. Only when it rejects does a scan in node order run to name
+    /// the first violation, so the verdict and the error are that scan's
+    /// alone.
+    ///
     /// # Errors
     ///
     /// The first violation found: asymmetric port maps, self-loops,
     /// parallel edges, out-of-range references, or duplicate labels.
     pub fn validate(&self) -> Result<(), GraphError> {
+        check_size(Some(self.num_nodes()), Some(self.targets.len()))?;
+        if !self.arcs_accepted() {
+            self.first_arc_violation()?;
+        }
+        match first_duplicate_label(&self.labels) {
+            Some(label) => Err(GraphError::DuplicateLabel { label }),
+            None => Ok(()),
+        }
+    }
+
+    /// `true` iff every arc passes [`first_arc_violation`]'s checks,
+    /// without reading the mate's back port.
+    ///
+    /// Each arc `(v, p)` with target `u` and back port `q` must have
+    /// `u < n`, `u ≠ v`, no earlier arc of `v` to `u`, `q < deg(u)`, and
+    /// `targets[offsets[u] + q] == v`. The node-order scan also demands
+    /// `back_ports[offsets[u] + q] == p`; that check is implied.
+    ///
+    /// *Lemma.* If every arc passes, every back port is correct. Let arc
+    /// `a = (v, p)` have mate `b = (u, q)`, and let `p' = back_ports[b]`.
+    /// Arc `b` passes too, so its target is `v` and the entry at `v`'s
+    /// port `p'` targets `u`. So `v` reaches `u` through both `p` and `p'`.
+    /// The parallel-edge check gives `v`'s row no repeated target, so
+    /// `p' = p`. Hence this pass accepts exactly when the node-order scan
+    /// finds no arc violation.
+    ///
+    /// The arithmetic cannot wrap: `from_csr` asserts non-decreasing
+    /// offsets, so `uhi - ulo` is `deg(u)`, and `q < deg(u)` keeps
+    /// `ulo + q` below `uhi`.
+    ///
+    /// [`first_arc_violation`]: Self::first_arc_violation
+    fn arcs_accepted(&self) -> bool {
+        let (offsets, targets) = (&self.offsets[..], &self.targets[..]);
+        // `seen_at[u] == v` marks u as already adjacent to v, as in the
+        // node-order scan.
+        let mut seen_at = vec![u32::MAX; self.num_nodes()];
+        for (v, row) in (0u32..).zip(offsets.windows(2)) {
+            let span = widen(row[0])..widen(row[1]);
+            for (&u, &q) in targets[span.clone()].iter().zip(&self.back_ports[span]) {
+                let Some(seen) = seen_at.get_mut(widen(u)) else {
+                    return false;
+                };
+                if u == v || *seen == v {
+                    return false;
+                }
+                *seen = v;
+                let (ulo, uhi) = (offsets[widen(u)], offsets[widen(u) + 1]);
+                if q >= uhi - ulo || targets[widen(ulo + q)] != v {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The first arc violation in node order, port order within a node:
+    /// the diagnosis [`validate`](Self::validate) reports when
+    /// [`arcs_accepted`](Self::arcs_accepted) rejects.
+    fn first_arc_violation(&self) -> Result<(), GraphError> {
         let n = self.num_nodes();
-        check_size(Some(n), Some(self.targets.len()))?;
         // `seen_at[u] == v` marks u as already adjacent to the node v being
         // scanned — an O(m) parallel-edge check with the same first-violation
         // order a per-node set would report. Node ids stay below `u32::MAX`,
@@ -469,10 +532,7 @@ impl PortGraph {
                 }
             }
         }
-        match first_duplicate_label(&self.labels) {
-            Some(label) => Err(GraphError::DuplicateLabel { label }),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Replaces all labels. Used by experiments that re-label nodes `1..=n`

@@ -175,10 +175,83 @@ impl RootedTree {
     /// [`root`](RootedTree::root): every non-root has a parent edge present
     /// in `g`, ports are consistent, and every node reaches the root.
     ///
+    /// A valid tree is accepted by one walk down from the root. Only when
+    /// it rejects does the node-order pass run to name the first defect,
+    /// so the verdict and the message are that pass's alone.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first defect.
     pub fn validate(&self, g: &PortGraph) -> Result<(), String> {
+        if self.walk_accepts(g) {
+            return Ok(());
+        }
+        self.first_defect(g)
+    }
+
+    /// `true` iff [`first_defect`](Self::first_defect) returns `Ok`, found
+    /// by one walk down from the root.
+    ///
+    /// The walk follows child entry `(c, pp)` of `v` only when `c`'s link
+    /// is `(v, pp, pc)`. On each followed entry it checks that `v`'s graph
+    /// port `pp` leads to `c`, arriving at port `pc`. Every visited row's
+    /// ports must strictly increase. It accepts iff it reaches all `n`
+    /// nodes.
+    ///
+    /// *No revisits.* A row's ports are distinct and a link names one
+    /// parent and port, so a node is pushed at most once per visit of its
+    /// parent, and the root's link names none. Each node is therefore
+    /// pushed at most once, and a count replaces a `reached` array.
+    ///
+    /// *Acceptance implies `Ok`.* Every non-root was reached from the
+    /// parent its link names, through a checked graph edge. That parent's
+    /// row is sorted, so the binary search finds the entry. The node-order
+    /// pass's walk follows the same entries and reaches all `n` nodes.
+    ///
+    /// *`Ok` implies acceptance.* This walk follows the entries that
+    /// pass's walk follows, whose edges it checked. Its binary searches
+    /// found all `n − 1` child entries, each at its own index, and a
+    /// binary search finds every key of a row of distinct keys only if
+    /// the row is sorted: the searches for adjacent indices part at a
+    /// probe of one of the two, which orders their keys.
+    fn walk_accepts(&self, g: &PortGraph) -> bool {
+        let n = self.num_nodes();
+        if n != g.num_nodes() || self.links.get(self.root).map(|l| l.0) != Some(NO_PARENT) {
+            return false;
+        }
+        let Ok(root) = u32::try_from(self.root) else {
+            return false;
+        };
+        let mut stack = vec![root];
+        let mut reached = 1;
+        while let Some(v) = stack.pop() {
+            let (targets, arrivals) = g.row(widen(v));
+            let row = self.children.row(widen(v));
+            if !row.windows(2).all(|w| w[0].1 < w[1].1) {
+                return false;
+            }
+            for &(c, pp) in row {
+                let Some(&(p, q, pc)) = self.links.get(widen(c)) else {
+                    return false;
+                };
+                if (p, q) != (v, pp) {
+                    continue;
+                }
+                let i = widen(pp);
+                if targets.get(i) != Some(&c) || arrivals.get(i) != Some(&pc) {
+                    return false;
+                }
+                reached += 1;
+                stack.push(c);
+            }
+        }
+        reached == n
+    }
+
+    /// The first defect in node order: the diagnosis
+    /// [`validate`](Self::validate) reports when
+    /// [`walk_accepts`](Self::walk_accepts) rejects.
+    fn first_defect(&self, g: &PortGraph) -> Result<(), String> {
         let n = self.num_nodes();
         if n != g.num_nodes() {
             return Err(format!("tree spans {n} nodes, graph has {}", g.num_nodes()));
@@ -614,6 +687,107 @@ mod tests {
         t.links[3] = (2, 1, 0);
         t.children = CsrRows::from_pairs(4, [(0, (1, 0)), (2, (3, 1)), (3, (2, 0))]);
         assert_eq!(t.validate(&g), Err("cycle reached from node 2".to_string()));
+    }
+
+    /// One random in-range corruption of a valid tree: every index stays
+    /// below its bound, so the node-order pass diagnoses it without
+    /// panicking.
+    fn corrupt(t: &mut RootedTree, g: &PortGraph, rng: &mut StdRng) {
+        let n = t.num_nodes();
+        let node = |rng: &mut StdRng| rng.gen_range(0..n);
+        let port = |rng: &mut StdRng, v: usize| rng.gen_range(0..g.degree(v)) as u32;
+        // A row with at least `len` entries, if the tree has one.
+        let row_with = |t: &RootedTree, rng: &mut StdRng, len: usize| {
+            let start = rng.gen_range(0..n);
+            (0..n)
+                .map(|i| (start + i) % n)
+                .find(|&v| t.children.row(v).len() >= len)
+        };
+        match rng.gen_range(0..6) {
+            0 => {
+                // Re-point a link to a random node and ports.
+                let (c, p) = (node(rng), node(rng));
+                t.links[c] = (p as u32, port(rng, p), port(rng, c));
+            }
+            1 => {
+                // Change one port of a link.
+                let c = node(rng);
+                let (p, pp, pc) = t.links[c];
+                if p != NO_PARENT {
+                    t.links[c] = if rng.gen_bool(0.5) {
+                        (p, port(rng, widen(p)), pc)
+                    } else {
+                        (p, pp, port(rng, c))
+                    };
+                }
+            }
+            2 => {
+                // Change the port of a child entry.
+                if let Some(v) = row_with(t, rng, 1) {
+                    let new_port = port(rng, v);
+                    let row = t.children.row_mut(v);
+                    let i = rng.gen_range(0..row.len());
+                    row[i].1 = new_port;
+                }
+            }
+            3 => {
+                // Reorder a row: swap two of its entries.
+                if let Some(v) = row_with(t, rng, 2) {
+                    let row = t.children.row_mut(v);
+                    let (i, j) = (rng.gen_range(0..row.len()), rng.gen_range(0..row.len()));
+                    row.swap(i, j);
+                }
+            }
+            4 => {
+                // Duplicate an entry over another, in any rows.
+                if let (Some(a), Some(b)) = (row_with(t, rng, 1), row_with(t, rng, 1)) {
+                    let entry = t.children.row(a)[rng.gen_range(0..t.children.row(a).len())];
+                    let row = t.children.row_mut(b);
+                    let i = rng.gen_range(0..row.len());
+                    row[i] = entry;
+                }
+            }
+            _ => {
+                // A 2-cycle: a node's parent takes the node as its parent,
+                // over the same graph edge.
+                let c = node(rng);
+                let (p, pp, pc) = t.links[c];
+                if p != NO_PARENT {
+                    t.links[widen(p)] = (c as u32, pc, pp);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_accepts_exactly_when_the_node_order_pass_does() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let (mut accepted, mut rejected) = (0, 0);
+        for round in 0..2000 {
+            let fam = families::Family::ALL[round % families::Family::ALL.len()];
+            let g = fam.build(rng.gen_range(4..30), &mut rng);
+            let alg = TreeAlgorithm::ALL[rng.gen_range(0..TreeAlgorithm::ALL.len())];
+            let root = rng.gen_range(0..g.num_nodes());
+            let mut t = alg.build(&g, root, &mut rng);
+            assert!(t.walk_accepts(&g), "{} on {}", alg.name(), fam.name());
+            corrupt(&mut t, &g, &mut rng);
+            let verdict = t.first_defect(&g);
+            assert_eq!(
+                t.walk_accepts(&g),
+                verdict.is_ok(),
+                "{} on {}: {verdict:?}",
+                alg.name(),
+                fam.name()
+            );
+            assert_eq!(t.validate(&g), verdict);
+            if verdict.is_ok() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        // Both verdicts occur, so both directions of the equivalence ran.
+        assert!(accepted > 100 && rejected > 1000, "{accepted} / {rejected}");
     }
 
     #[test]

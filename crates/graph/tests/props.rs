@@ -314,7 +314,7 @@ proptest! {
     fn csr_reports_the_same_first_violation_as_nested_semantics(
         n in 2usize..24,
         seed in any::<u64>(),
-        kind in 0usize..5,
+        kind in 0usize..7,
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
         let mut adj = arb_nested_adjacency(n, 0.5, seed);
@@ -341,6 +341,25 @@ proptest! {
                 let (u, _) = adj[v][(p + 1) % adj[v].len()];
                 prop_assume!(u != adj[v][p].0);
                 adj[v][p].0 = u;
+            }
+            4 => {
+                // Redirect the back port to another valid port of the same
+                // neighbor: every back port stays in range.
+                let (u, q) = adj[v][p];
+                let deg = adj[u].len();
+                prop_assume!(deg >= 2);
+                adj[v][p].1 = (q + 1 + rng.gen_range(0..deg - 1)) % deg;
+            }
+            5 => {
+                // Swap two back ports of one node: in range, and each one
+                // now names a port of the wrong neighbor.
+                let deg = adj[v].len();
+                prop_assume!(deg >= 2);
+                let p2 = (p + 1 + rng.gen_range(0..deg - 1)) % deg;
+                prop_assume!(adj[v][p].1 != adj[v][p2].1);
+                let (q, q2) = (adj[v][p].1, adj[v][p2].1);
+                adj[v][p].1 = q2;
+                adj[v][p2].1 = q;
             }
             _ => labels[v] = labels[(v + 1) % n],          // duplicate label
         }
