@@ -267,6 +267,12 @@ impl RootedTree {
                 continue;
             }
             let p = widen(p);
+            if p >= n {
+                return Err(format!("parent {p} of node {v} out of range"));
+            }
+            if widen(pp) >= g.degree(p) {
+                return Err(format!("port {pp} of tree edge {{{p},{v}}} out of range"));
+            }
             if g.neighbor_via(p, widen(pp)) != (v, widen(pc)) {
                 return Err(format!("ports of tree edge {{{p},{v}}} inconsistent"));
             }
@@ -289,7 +295,9 @@ impl RootedTree {
         let mut stack = vec![narrow("node id", self.root).map_err(|e| e.to_string())?];
         while let Some(v) = stack.pop() {
             for &(c, pp) in self.children.row(widen(v)) {
-                let (p, q, _) = self.links[widen(c)];
+                let Some(&(p, q, _)) = self.links.get(widen(c)) else {
+                    return Err(format!("child list of {v} names node {c} out of range"));
+                };
                 if !reached[widen(c)] && (p, q) == (v, pp) {
                     reached[widen(c)] = true;
                     stack.push(c);
@@ -689,10 +697,10 @@ mod tests {
         assert_eq!(t.validate(&g), Err("cycle reached from node 2".to_string()));
     }
 
-    /// One random in-range corruption of a valid tree: every index stays
-    /// below its bound, so the node-order pass diagnoses it without
-    /// panicking.
-    fn corrupt(t: &mut RootedTree, g: &PortGraph, rng: &mut StdRng) {
+    /// One random corruption of a valid tree. The first six kinds keep
+    /// every index below its bound; the last three put a child entry, a
+    /// parent or a parent's port out of range, and return `true`.
+    fn corrupt(t: &mut RootedTree, g: &PortGraph, rng: &mut StdRng) -> bool {
         let n = t.num_nodes();
         let node = |rng: &mut StdRng| rng.gen_range(0..n);
         let port = |rng: &mut StdRng, v: usize| rng.gen_range(0..g.degree(v)) as u32;
@@ -703,7 +711,7 @@ mod tests {
                 .map(|i| (start + i) % n)
                 .find(|&v| t.children.row(v).len() >= len)
         };
-        match rng.gen_range(0..6) {
+        match rng.gen_range(0..9) {
             0 => {
                 // Re-point a link to a random node and ports.
                 let (c, p) = (node(rng), node(rng));
@@ -747,7 +755,7 @@ mod tests {
                     row[i] = entry;
                 }
             }
-            _ => {
+            5 => {
                 // A 2-cycle: a node's parent takes the node as its parent,
                 // over the same graph edge.
                 let c = node(rng);
@@ -756,7 +764,33 @@ mod tests {
                     t.links[widen(p)] = (c as u32, pc, pp);
                 }
             }
+            6 => {
+                // A row gains a last entry, at a port no link names, for a
+                // node past the last. Every link still finds its entry, so
+                // only the walk down meets this one.
+                let mut pairs: Vec<(usize, (u32, u32))> = (0..n)
+                    .flat_map(|v| t.children.row(v).iter().map(move |&e| (v, e)))
+                    .collect();
+                pairs.push((node(rng), (rng.gen_range(n..n + 3) as u32, u32::MAX)));
+                t.children = CsrRows::from_pairs(n, pairs);
+                return true;
+            }
+            7 => {
+                // A link names a parent past the last node.
+                t.links[node(rng)].0 = rng.gen_range(n..n + 3) as u32;
+                return true;
+            }
+            _ => {
+                // A link names a port past its parent's degree.
+                let c = node(rng);
+                let p = t.links[c].0;
+                let p = if p == NO_PARENT { node(rng) as u32 } else { p };
+                let degree = g.degree(widen(p));
+                t.links[c] = (p, rng.gen_range(degree..degree + 3) as u32, 0);
+                return true;
+            }
         }
+        false
     }
 
     #[test]
@@ -770,8 +804,9 @@ mod tests {
             let root = rng.gen_range(0..g.num_nodes());
             let mut t = alg.build(&g, root, &mut rng);
             assert!(t.walk_accepts(&g), "{} on {}", alg.name(), fam.name());
-            corrupt(&mut t, &g, &mut rng);
+            let out_of_range = corrupt(&mut t, &g, &mut rng);
             let verdict = t.first_defect(&g);
+            assert!(!out_of_range || verdict.is_err(), "{verdict:?}");
             assert_eq!(
                 t.walk_accepts(&g),
                 verdict.is_ok(),
