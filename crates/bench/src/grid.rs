@@ -19,7 +19,7 @@ use oraclesize_core::robust::{RetryBroadcast, RobustTreeWakeup, RobustWakeupOrac
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_graph::families::{self, Family};
 use oraclesize_graph::PortGraph;
-use oraclesize_runtime::spec::{artifact_json, from_ppm};
+use oraclesize_runtime::spec::{artifact_json, from_ppm, AdviceSpec};
 use oraclesize_runtime::{
     run_supervised_batch, ChaosPlan, Json, Pool, RunReport, RunRequest, SchedStats, SweepOptions,
     SweepRun, SweepSpec,
@@ -156,6 +156,22 @@ impl CellGrid {
             };
             let config = cell.sim_config().map_err(|e| format!("cells[{i}]: {e}"))?;
             let instance = Arc::clone(&instances[cell.instance as usize]);
+            // A garbage string is allocated whole before its bits are
+            // drawn, so its length meets the same u32 index limit as the
+            // graph: a client cannot make a worker allocate without bound.
+            if let AdviceSpec::Garbage { bits, .. } = cell.faults.advice {
+                let nodes = instance.graph.num_nodes() as u64;
+                if bits
+                    .checked_mul(nodes)
+                    .is_none_or(|total| total > u64::from(u32::MAX))
+                {
+                    return Err(format!(
+                        "cells[{i}].faults.advice.bits: {bits} bits on each of {nodes} nodes \
+                         exceed the u32 index limit {}",
+                        u32::MAX
+                    ));
+                }
+            }
             grid.add_cell(
                 cell.label.clone(),
                 RunRequest::new(instance, protocol, config),
@@ -462,6 +478,35 @@ mod tests {
             err,
             "instances[0].p_ppm: 2000000 exceeds 1000000 (probability 1)"
         );
+
+        // A garbage length is bounded like a graph size, before anything
+        // is allocated for it.
+        let mut spec = tiny_spec();
+        spec.cells[1].faults.advice = AdviceSpec::Garbage {
+            prob_ppm: 1_000_000,
+            bits: u64::MAX,
+        };
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "cells[1].faults.advice.bits: 18446744073709551615 bits on each of 6 nodes \
+             exceed the u32 index limit 4294967295"
+        );
+        spec.cells[1].faults.advice = AdviceSpec::Garbage {
+            prob_ppm: 0,
+            bits: 715_827_883,
+        };
+        let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            "cells[1].faults.advice.bits: 715827883 bits on each of 6 nodes \
+             exceed the u32 index limit 4294967295"
+        );
+        spec.cells[1].faults.advice = AdviceSpec::Garbage {
+            prob_ppm: 0,
+            bits: 715_827_882,
+        };
+        assert!(CellGrid::from_spec(&spec).is_ok(), "6 × 715827882 fits");
 
         let mut spec = tiny_spec();
         spec.cells[2].scheme = "telepathy".to_string();

@@ -9,16 +9,14 @@
 
 use std::collections::VecDeque;
 
-use oraclesize_bits::{BitSet, BitString};
+use oraclesize_bits::BitSet;
 use oraclesize_graph::{NodeId, Port, PortGraph};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::engine::config::{SimConfig, TaskMode};
 use crate::engine::outcome::SimError;
-use crate::faults::AdviceAdversary;
 use crate::metrics::RunMetrics;
-use crate::oracle::Advice;
 use crate::protocol::{Message, Outgoing};
 use crate::trace::{DropFault, MsgId, Recorder, TraceEvent, TraceSink};
 
@@ -147,25 +145,21 @@ pub(crate) struct NetState<'a> {
 
 impl<'a> NetState<'a> {
     /// Fresh state: only the source is informed; zero-budget crash nodes
-    /// are dead from the start. An inert fault plan takes no RNG and the
-    /// run is bit-for-bit identical to a fault-free execution.
+    /// are dead from the start. `fault_rng` is the plan's RNG after the
+    /// advice adversary's draws, or `None` for an inert plan, whose run is
+    /// bit-for-bit identical to a fault-free execution.
     pub fn new(
         g: &'a PortGraph,
         config: &'a SimConfig,
         source: NodeId,
         sink: &'a mut dyn TraceSink,
+        fault_rng: Option<StdRng>,
     ) -> Self {
         let n = g.num_nodes();
-        let plan = &config.faults;
-        let fault_rng = if plan.is_inert() {
-            None
-        } else {
-            Some(StdRng::seed_from_u64(plan.seed))
-        };
         let mut informed = BitSet::new(n);
         informed.set(source, true);
         let mut crashed = BitSet::new(n);
-        for (&v, &budget) in &plan.crashes {
+        for (&v, &budget) in &config.faults.crashes {
             if budget == 0 && v < n {
                 crashed.set(v, true);
             }
@@ -182,23 +176,6 @@ impl<'a> NetState<'a> {
             next_msg: 0,
             rec: Recorder::new(sink),
         }
-    }
-
-    /// Applies the advice-corruption adversary, returning the mutated
-    /// advice if the plan has an active fault RNG and an adversary. Must be
-    /// called before any [`enqueue`](NetState::enqueue) so the RNG stream
-    /// matches the documented draw order (advice first, then in-flight
-    /// faults). [`AdviceAdversary::None`] draws nothing, so skipping it
-    /// (and the copy of every string) leaves that stream unchanged; an
-    /// inert adversary such as `FlipBits { prob: 0 }` still draws.
-    pub fn corrupt_advice(&mut self, advice: &Advice) -> Option<Vec<BitString>> {
-        if self.config.faults.advice == AdviceAdversary::None {
-            return None;
-        }
-        let rng = self.fault_rng.as_mut()?;
-        let mut mutated: Vec<BitString> = advice.iter().cloned().collect();
-        self.metrics.faults.advice_mutations = self.config.faults.advice.corrupt(&mut mutated, rng);
-        Some(mutated)
     }
 
     /// Removes the in-flight message in slab slot `idx` for delivery.

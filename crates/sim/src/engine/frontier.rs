@@ -1,16 +1,19 @@
-//! The forward-once frontier kernel: a synchronous, fault-free, untraced
-//! run of a [`ForwardOnce`] scheme, computed level by level without
-//! instantiating a single node.
+//! The forward-once frontier kernel: a synchronous, untraced run of a
+//! [`ForwardOnce`] scheme with no transport faults, computed level by
+//! level without instantiating a single node.
 //!
 //! [`run_with_sink`](crate::engine::run_with_sink) takes this path when
-//! the config is synchronous, the fault plan is inert, the sink is
-//! disabled and the protocol returns a rule. Under those conditions a
-//! forward-once run is a breadth-first expansion: the nodes woken by the
-//! round-`r` deliveries are exactly the new nodes behind the ports the
-//! level-`r` nodes send on, and each of them sends once, one round later.
-//! Every message carries the source message (only informed nodes send),
-//! none carries payload, and no delivery is lost or duplicated — so the
-//! outcome is the per-message engine's, field for field.
+//! the config is synchronous, the fault plan drops, duplicates, flips and
+//! crashes nothing, the sink is disabled and the protocol returns a rule.
+//! The plan's advice adversary, if any, has already corrupted the table
+//! this kernel reads. Under those conditions a forward-once run is a
+//! breadth-first expansion: the nodes woken by the round-`r` deliveries
+//! are exactly the new nodes behind the ports the level-`r` nodes send
+//! on, and each of them sends once, one round later. Every message
+//! carries the source message (only informed nodes send), none carries
+//! payload, and no delivery is lost or duplicated — so the outcome is the
+//! per-message engine's, field for field, apart from the advice
+//! mutations the caller adds.
 
 use oraclesize_bits::BitSet;
 use oraclesize_graph::{NodeId, PortGraph};

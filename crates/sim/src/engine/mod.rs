@@ -9,8 +9,8 @@
 //!   out of the send queue; a clone happens only when a duplication fault
 //!   manufactures an extra delivery);
 //! * `frontier` — the forward-once frontier kernel that synchronous,
-//!   fault-free, untraced runs of flood-like schemes take instead of the
-//!   per-message loop;
+//!   untraced runs of flood-like schemes without transport faults take
+//!   instead of the per-message loop;
 //! * [`outcome`] — what came back: [`RunOutcome`], [`Completion`], and
 //!   the [`SimError`] abort reasons;
 //! * [`run`](mod@run) — the driver loop tying them together, emitting

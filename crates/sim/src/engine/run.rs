@@ -11,11 +11,14 @@ use std::collections::VecDeque;
 
 use oraclesize_bits::BitArena;
 use oraclesize_graph::{NodeId, PortGraph};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::engine::config::SimConfig;
 use crate::engine::delivery::{InFlight, NetState};
 use crate::engine::frontier::run_forward_once;
 use crate::engine::outcome::{RunOutcome, SimError};
+use crate::faults::AdviceAdversary;
 use crate::oracle::Advice;
 use crate::protocol::{NodeBehavior, NodeView, Protocol};
 use crate::scheduler::Scheduler;
@@ -59,11 +62,14 @@ pub fn run(
 ///
 /// # Frontier kernel
 ///
-/// A synchronous run under an inert fault plan, into a disabled sink, of a
-/// protocol with a [`ForwardOnce`](crate::protocol::ForwardOnce) rule
-/// never calls [`Protocol::create`]: the frontier kernel computes the same
-/// [`RunOutcome`] level by level (DESIGN.md §11). Every other run takes
-/// the per-message path.
+/// A synchronous run into a disabled sink, of a protocol with a
+/// [`ForwardOnce`](crate::protocol::ForwardOnce) rule, under a plan with
+/// [no transport faults](crate::FaultPlan::transport_is_inert), never
+/// calls [`Protocol::create`]: the frontier kernel computes the same
+/// [`RunOutcome`] level by level (DESIGN.md §11). The advice adversary may
+/// be anything: it corrupts the table once, before either path starts,
+/// and the kernel reads the corrupted table. Every other run takes the
+/// per-message path.
 pub fn run_with_sink(
     g: &PortGraph,
     source: NodeId,
@@ -81,20 +87,34 @@ pub fn run_with_sink(
         });
     }
 
-    if config.scheduler.is_none() && config.faults.is_inert() && !sink.enabled() {
+    // The advice adversary acts before the first send, so both paths run
+    // on the table it leaves. It draws first from the plan's one RNG, and
+    // in-flight faults continue the same stream. `None` draws nothing.
+    let plan = &config.faults;
+    let mut fault_rng = (!plan.is_inert()).then(|| StdRng::seed_from_u64(plan.seed));
+    let corrupted = match fault_rng.as_mut() {
+        Some(rng) if plan.advice != AdviceAdversary::None => Some(plan.advice.corrupt(advice, rng)),
+        _ => None,
+    };
+    let (advice, advice_mutations) = match &corrupted {
+        Some((table, mutations)) => (table, *mutations),
+        None => (advice, 0),
+    };
+
+    if config.scheduler.is_none() && plan.transport_is_inert() && !sink.enabled() {
         if let Some(rule) = protocol.forward_once() {
-            return run_forward_once(g, source, advice, rule, config.max_steps);
+            let mut outcome = run_forward_once(g, source, advice, rule, config.max_steps)?;
+            outcome.metrics.faults.advice_mutations = advice_mutations;
+            return Ok(outcome);
         }
     }
 
-    let mut net = NetState::new(g, config, source, sink);
+    let mut net = NetState::new(g, config, source, sink, fault_rng);
+    net.metrics.faults.advice_mutations = advice_mutations;
     // One contiguous buffer for all n advice strings (SoA layout,
     // DESIGN.md §11) instead of n separately-allocated clones; node views
     // materialise their own string from their arena span.
-    let advice = match net.corrupt_advice(advice) {
-        Some(corrupted) => BitArena::from_strings(&corrupted),
-        None => BitArena::from_strings(advice),
-    };
+    let advice = BitArena::from_strings(advice);
 
     let mut behaviors: Vec<Box<dyn NodeBehavior>> = (0..n)
         .map(|v| {

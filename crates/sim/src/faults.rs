@@ -16,9 +16,14 @@
 //!
 //! All randomness comes from a single `StdRng` seeded with
 //! [`FaultPlan::seed`], so a run with the same plan, graph, and scheduler
-//! is bit-for-bit reproducible. A plan that [is inert](FaultPlan::is_inert)
-//! makes the engine skip the fault path entirely: metrics and traces are
-//! identical to a fault-free run.
+//! is bit-for-bit reproducible. The adversary draws first, building the
+//! corrupted table in one set-up step that both engine paths share; the
+//! in-flight faults continue the same stream. A plan that
+//! [is inert](FaultPlan::is_inert) makes the engine skip the fault path
+//! entirely: metrics and traces are identical to a fault-free run. A plan
+//! whose [transport is inert](FaultPlan::transport_is_inert) leaves a run
+//! on the corrupted table otherwise fault-free, so a forward-once scheme
+//! still takes the engine's frontier kernel.
 
 use std::collections::BTreeMap;
 
@@ -26,6 +31,8 @@ use oraclesize_bits::BitString;
 use oraclesize_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+use crate::oracle::Advice;
 
 /// How the adversary mutates the oracle's advice before the run.
 ///
@@ -79,61 +86,92 @@ impl AdviceAdversary {
         }
     }
 
-    /// Applies the adversary in place, returning the number of mutations
+    /// The corrupted table, built in one pass, and the number of mutations
     /// (flipped bits, truncated/replaced strings, or swaps).
-    pub fn corrupt(&self, advice: &mut [BitString], rng: &mut StdRng) -> u64 {
-        match *self {
-            AdviceAdversary::None => 0,
+    ///
+    /// Draws from `rng` in node order: `FlipBits` one `gen_bool` per
+    /// advice bit, `Garbage` one per node and then one per bit of each
+    /// replacement; `Truncate`, `SwapPair` and `None` draw nothing. The
+    /// bits are gathered a word at a time, but the draws are those of the
+    /// bit-by-bit model, so the stream after the call is the same too.
+    pub fn corrupt(&self, advice: &Advice, rng: &mut StdRng) -> (Advice, u64) {
+        let mut mutations = 0;
+        let table = match *self {
+            AdviceAdversary::None => advice.clone(),
             AdviceAdversary::FlipBits { prob } => {
-                let mut flips = 0;
-                for a in advice.iter_mut() {
-                    let mutated: Vec<bool> = a
-                        .iter()
-                        .map(|bit| {
-                            if rng.gen_bool(prob.clamp(0.0, 1.0)) {
-                                flips += 1;
-                                !bit
-                            } else {
-                                bit
-                            }
-                        })
-                        .collect();
-                    *a = BitString::from_bits(mutated);
-                }
-                flips
+                let prob = prob.clamp(0.0, 1.0);
+                advice
+                    .iter()
+                    .map(|a| {
+                        let mut out = BitString::with_capacity(a.len());
+                        let mut reader = a.reader();
+                        while !reader.is_empty() {
+                            let width = reader.remaining().min(64) as u32;
+                            let word = reader.read_uint(width).unwrap_or_default();
+                            let flips = draw_word(rng, prob, width);
+                            mutations += u64::from(flips.count_ones());
+                            out.push_uint(word ^ flips, width);
+                        }
+                        out
+                    })
+                    .collect()
             }
             AdviceAdversary::Truncate { keep } => {
                 let keep = keep.clamp(0.0, 1.0);
-                let mut cuts = 0;
-                for a in advice.iter_mut() {
-                    let new_len = (keep * a.len() as f64).ceil() as usize;
-                    if new_len < a.len() {
-                        *a = BitString::from_bits(a.iter().take(new_len));
-                        cuts += 1;
-                    }
-                }
-                cuts
+                advice
+                    .iter()
+                    .map(|a| {
+                        let new_len = (keep * a.len() as f64).ceil() as usize;
+                        if new_len < a.len() {
+                            mutations += 1;
+                            let bytes = &a.as_packed_bytes()[..new_len.div_ceil(8)];
+                            BitString::from_packed(bytes.to_vec(), new_len)
+                        } else {
+                            a.clone()
+                        }
+                    })
+                    .collect()
             }
             AdviceAdversary::SwapPair { a, b } => {
-                if a != b && a < advice.len() && b < advice.len() && advice[a] != advice[b] {
-                    advice.swap(a, b);
-                    1
+                let n = advice.len();
+                if a != b && a < n && b < n && advice[a] != advice[b] {
+                    mutations = 1;
+                    let mut strings: Vec<BitString> = advice.iter().cloned().collect();
+                    strings.swap(a, b);
+                    strings.into()
                 } else {
-                    0
+                    advice.clone()
                 }
             }
             AdviceAdversary::Garbage { prob, bits } => {
-                let mut replaced = 0;
-                for a in advice.iter_mut() {
-                    if rng.gen_bool(prob.clamp(0.0, 1.0)) {
-                        *a = BitString::from_bits((0..bits).map(|_| rng.gen_bool(0.5)));
-                        replaced += 1;
-                    }
-                }
-                replaced
+                let prob = prob.clamp(0.0, 1.0);
+                advice
+                    .iter()
+                    .map(|a| {
+                        if !rng.gen_bool(prob) {
+                            return a.clone();
+                        }
+                        mutations += 1;
+                        let mut out = BitString::with_capacity(bits);
+                        let mut left = bits;
+                        while left > 0 {
+                            let width = left.min(64);
+                            out.push_uint(draw_word(rng, 0.5, width as u32), width as u32);
+                            left -= width;
+                        }
+                        out
+                    })
+                    .collect()
             }
-        }
+        };
+        (table, mutations)
     }
+}
+
+/// A `width`-bit word whose bit `i` is the `i`-th of `width` successive
+/// `gen_bool(prob)` draws.
+fn draw_word(rng: &mut StdRng, prob: f64, width: u32) -> u64 {
+    (0..width).fold(0, |word, i| word | u64::from(rng.gen_bool(prob)) << i)
 }
 
 /// A complete, seeded description of the faults injected into one run.
@@ -199,11 +237,18 @@ impl FaultPlan {
     /// `true` iff this plan can never inject any fault; the engine then
     /// guarantees metrics and trace identical to a fault-free run.
     pub fn is_inert(&self) -> bool {
+        self.transport_is_inert() && self.advice.is_inert()
+    }
+
+    /// `true` iff no message is ever dropped, duplicated or bit-flipped
+    /// and no node crashes, whatever the advice adversary does. Advice
+    /// corruption happens before the first send, so such a run is a
+    /// fault-free run on the corrupted table.
+    pub fn transport_is_inert(&self) -> bool {
         self.drop_prob <= 0.0
             && self.duplicate_prob <= 0.0
             && self.bit_flip_prob <= 0.0
             && self.crashes.is_empty()
-            && self.advice.is_inert()
     }
 }
 
@@ -258,15 +303,170 @@ impl FaultCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run, SimConfig};
+    use crate::metrics::RunMetrics;
+    use crate::protocol::FloodOnce;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
-    fn advice_fixture() -> Vec<BitString> {
-        vec![
+    fn advice_fixture() -> Advice {
+        [
             BitString::parse("10110010").unwrap(),
             BitString::parse("0101").unwrap(),
             BitString::new(),
             BitString::parse("111000111000").unwrap(),
         ]
+        .into_iter()
+        .collect()
+    }
+
+    /// The adversaries as they were first written: in place, one bit at a
+    /// time. The word-at-a-time [`AdviceAdversary::corrupt`] must return
+    /// what this returns and leave the RNG where this leaves it.
+    fn bit_serial(adversary: AdviceAdversary, advice: &mut [BitString], rng: &mut StdRng) -> u64 {
+        match adversary {
+            AdviceAdversary::None => 0,
+            AdviceAdversary::FlipBits { prob } => {
+                let mut flips = 0;
+                for a in advice.iter_mut() {
+                    let mutated: Vec<bool> = a
+                        .iter()
+                        .map(|bit| {
+                            if rng.gen_bool(prob.clamp(0.0, 1.0)) {
+                                flips += 1;
+                                !bit
+                            } else {
+                                bit
+                            }
+                        })
+                        .collect();
+                    *a = BitString::from_bits(mutated);
+                }
+                flips
+            }
+            AdviceAdversary::Truncate { keep } => {
+                let keep = keep.clamp(0.0, 1.0);
+                let mut cuts = 0;
+                for a in advice.iter_mut() {
+                    let new_len = (keep * a.len() as f64).ceil() as usize;
+                    if new_len < a.len() {
+                        *a = BitString::from_bits(a.iter().take(new_len));
+                        cuts += 1;
+                    }
+                }
+                cuts
+            }
+            AdviceAdversary::SwapPair { a, b } => {
+                if a != b && a < advice.len() && b < advice.len() && advice[a] != advice[b] {
+                    advice.swap(a, b);
+                    1
+                } else {
+                    0
+                }
+            }
+            AdviceAdversary::Garbage { prob, bits } => {
+                let mut replaced = 0;
+                for a in advice.iter_mut() {
+                    if rng.gen_bool(prob.clamp(0.0, 1.0)) {
+                        *a = BitString::from_bits((0..bits).map(|_| rng.gen_bool(0.5)));
+                        replaced += 1;
+                    }
+                }
+                replaced
+            }
+        }
+    }
+
+    /// String lengths around the byte and word boundaries.
+    const LENGTHS: [usize; 8] = [0, 1, 7, 8, 63, 64, 65, 130];
+
+    #[test]
+    fn word_at_a_time_matches_the_bit_serial_model() {
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Every length once, in a seeded order, with random bits.
+            let mut lengths = LENGTHS;
+            lengths.shuffle(&mut rng);
+            let strings: Vec<BitString> = lengths
+                .iter()
+                .map(|&len| BitString::from_bits((0..len).map(|_| rng.gen_bool(0.5))))
+                .collect();
+            let n = strings.len();
+            let prob = match seed % 5 {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 1.5,
+                _ => rng.gen_range(0.0..1.0),
+            };
+            let adversaries = [
+                AdviceAdversary::None,
+                AdviceAdversary::FlipBits { prob },
+                AdviceAdversary::Truncate { keep: prob },
+                AdviceAdversary::SwapPair {
+                    a: rng.gen_range(0..n + 2),
+                    b: rng.gen_range(0..n + 2),
+                },
+                AdviceAdversary::Garbage {
+                    prob,
+                    bits: LENGTHS[rng.gen_range(0..LENGTHS.len())],
+                },
+            ];
+            for adversary in adversaries {
+                let stream = rng.next_u64();
+                let mut model_rng = StdRng::seed_from_u64(stream);
+                let mut model = strings.clone();
+                let model_count = bit_serial(adversary, &mut model, &mut model_rng);
+                let mut word_rng = StdRng::seed_from_u64(stream);
+                let (table, count) =
+                    adversary.corrupt(&Advice::from(strings.clone()), &mut word_rng);
+                assert_eq!(table, Advice::from(model), "seed {seed}: {adversary:?}");
+                assert_eq!(count, model_count, "seed {seed}: {adversary:?}");
+                assert_eq!(
+                    word_rng.next_u64(),
+                    model_rng.next_u64(),
+                    "seed {seed}: {adversary:?} left the stream elsewhere"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn advice_draws_come_before_the_in_flight_draws() {
+        // Garbage draws per node and per replacement bit, then the drop
+        // fault draws per send from where the adversary left the stream.
+        // On a sparse graph each drop changes who is reached, so the counts
+        // follow the stream; a freshly seeded one drops the source's two
+        // sends. The figures are the ones the bit-serial adversary gave.
+        let g = oraclesize_graph::families::grid(3, 4);
+        let advice: Advice = (0..12)
+            .map(|v| BitString::from_bits((0..5 * v).map(|i| i % 3 == 0)))
+            .collect();
+        let config = SimConfig::broadcast().with_faults(FaultPlan {
+            seed: 2006,
+            drop_prob: 0.2,
+            advice: AdviceAdversary::Garbage {
+                prob: 0.5,
+                bits: 70,
+            },
+            ..FaultPlan::default()
+        });
+        let out = run(&g, 0, &advice, &FloodOnce, &config).unwrap();
+        assert_eq!(
+            out.metrics,
+            RunMetrics {
+                messages: 21,
+                informed_messages: 21,
+                rounds: 4,
+                steps: 14,
+                informed_nodes: 11,
+                faults: FaultCounts {
+                    dropped: 7,
+                    advice_mutations: 9,
+                    ..FaultCounts::default()
+                },
+                ..RunMetrics::default()
+            }
+        );
     }
 
     #[test]
@@ -289,7 +489,10 @@ mod tests {
             ..Default::default()
         };
         assert!(!crash.is_inert());
-        assert!(!FaultPlan::advice_only(1, AdviceAdversary::SwapPair { a: 0, b: 1 }).is_inert());
+        assert!(!crash.transport_is_inert());
+        let advice_only = FaultPlan::advice_only(1, AdviceAdversary::SwapPair { a: 0, b: 1 });
+        assert!(!advice_only.is_inert());
+        assert!(advice_only.transport_is_inert());
     }
 
     #[test]
@@ -301,24 +504,20 @@ mod tests {
                 bits: 16,
             },
         ] {
-            let mut a = advice_fixture();
-            let mut b = advice_fixture();
-            let na = adversary.corrupt(&mut a, &mut StdRng::seed_from_u64(42));
-            let nb = adversary.corrupt(&mut b, &mut StdRng::seed_from_u64(42));
+            let (a, na) = adversary.corrupt(&advice_fixture(), &mut StdRng::seed_from_u64(42));
+            let (b, nb) = adversary.corrupt(&advice_fixture(), &mut StdRng::seed_from_u64(42));
             assert_eq!(a, b);
             assert_eq!(na, nb);
-            let mut c = advice_fixture();
-            adversary.corrupt(&mut c, &mut StdRng::seed_from_u64(43));
+            let (c, _) = adversary.corrupt(&advice_fixture(), &mut StdRng::seed_from_u64(43));
             assert_ne!(a, c, "{adversary:?}: different seeds should differ");
         }
     }
 
     #[test]
     fn flip_all_inverts_every_bit() {
-        let mut advice = advice_fixture();
         let original = advice_fixture();
-        let flips = AdviceAdversary::FlipBits { prob: 1.0 }
-            .corrupt(&mut advice, &mut StdRng::seed_from_u64(0));
+        let (advice, flips) = AdviceAdversary::FlipBits { prob: 1.0 }
+            .corrupt(&original, &mut StdRng::seed_from_u64(0));
         let total_bits: usize = original.iter().map(|a| a.len()).sum();
         assert_eq!(flips as usize, total_bits);
         for (a, o) in advice.iter().zip(&original) {
@@ -331,9 +530,8 @@ mod tests {
 
     #[test]
     fn truncate_halves_lengths() {
-        let mut advice = advice_fixture();
-        let cuts = AdviceAdversary::Truncate { keep: 0.5 }
-            .corrupt(&mut advice, &mut StdRng::seed_from_u64(0));
+        let (advice, cuts) = AdviceAdversary::Truncate { keep: 0.5 }
+            .corrupt(&advice_fixture(), &mut StdRng::seed_from_u64(0));
         assert_eq!(cuts, 3); // the empty string cannot shrink
         assert_eq!(advice[0].len(), 4);
         assert_eq!(advice[1].len(), 2);
@@ -345,29 +543,26 @@ mod tests {
 
     #[test]
     fn swap_pair_exchanges_and_reports_once() {
-        let mut advice = advice_fixture();
-        let adversary = AdviceAdversary::SwapPair { a: 0, b: 3 };
-        let n = adversary.corrupt(&mut advice, &mut StdRng::seed_from_u64(0));
-        assert_eq!(n, 1);
         let original = advice_fixture();
+        let adversary = AdviceAdversary::SwapPair { a: 0, b: 3 };
+        let (advice, n) = adversary.corrupt(&original, &mut StdRng::seed_from_u64(0));
+        assert_eq!(n, 1);
         assert_eq!(advice[0], original[3]);
         assert_eq!(advice[3], original[0]);
         // Out-of-range nodes are ignored rather than panicking.
-        let mut advice = advice_fixture();
-        let n = AdviceAdversary::SwapPair { a: 0, b: 99 }
-            .corrupt(&mut advice, &mut StdRng::seed_from_u64(0));
+        let (advice, n) = AdviceAdversary::SwapPair { a: 0, b: 99 }
+            .corrupt(&original, &mut StdRng::seed_from_u64(0));
         assert_eq!(n, 0);
-        assert_eq!(advice, advice_fixture());
+        assert_eq!(advice, original);
     }
 
     #[test]
     fn garbage_at_rate_one_replaces_everything() {
-        let mut advice = advice_fixture();
-        let n = AdviceAdversary::Garbage {
+        let (advice, n) = AdviceAdversary::Garbage {
             prob: 1.0,
             bits: 24,
         }
-        .corrupt(&mut advice, &mut StdRng::seed_from_u64(9));
+        .corrupt(&advice_fixture(), &mut StdRng::seed_from_u64(9));
         assert_eq!(n, 4);
         assert!(advice.iter().all(|a| a.len() == 24));
     }

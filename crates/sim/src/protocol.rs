@@ -119,9 +119,9 @@ pub trait Protocol {
     }
 
     /// The scheme's forward-once rule, if it has one (see [`ForwardOnce`]).
-    /// A protocol that returns a rule lets synchronous, fault-free,
-    /// untraced runs skip [`create`](Protocol::create) and take the
-    /// engine's frontier kernel. The default, `None`, keeps every run on
+    /// A protocol that returns a rule lets synchronous, untraced runs
+    /// without transport faults skip [`create`](Protocol::create) and take
+    /// the engine's frontier kernel. The default, `None`, keeps every run on
     /// the per-message path.
     fn forward_once(&self) -> Option<ForwardOnce> {
         None

@@ -1,14 +1,15 @@
 //! Integration: the engine's forward-once frontier kernel.
 //!
-//! Synchronous, fault-free, untraced runs of the forward-once schemes —
-//! flooding, tree-wakeup, fallback wakeup and robust tree-wakeup — skip
-//! node creation and take the frontier kernel. Its outcome must equal the
-//! per-message engine's field for field — on every graph family and the
-//! subdivided clique, with correct, misrooted, garbage and empty advice
-//! (and checksummed advice for the robust scheme, so its rule takes both
-//! the port-list and the flooding branch), in both tasks, with and
-//! without identities, and when the step budget runs out — and every
-//! other run must keep creating nodes.
+//! Synchronous, untraced runs of the forward-once schemes — flooding,
+//! tree-wakeup, fallback wakeup and robust tree-wakeup — with no
+//! transport faults skip node creation and take the frontier kernel. Its
+//! outcome must equal the per-message engine's field for field — on every
+//! graph family and the subdivided clique, with correct, misrooted,
+//! garbage and empty advice (and checksummed advice for the robust
+//! scheme, so its rule takes both the port-list and the flooding branch),
+//! under every advice adversary, in both tasks, with and without
+//! identities, and when the step budget runs out — and every other run
+//! must keep creating nodes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -76,6 +77,25 @@ fn advice(kind: AdviceKind, g: &PortGraph, source: NodeId, rng: &mut StdRng) -> 
     }
 }
 
+/// The advice adversary of a case: kind `0..5` in declaration order, with
+/// `prob` as its probability or kept fraction. A swapped pair and a
+/// garbage length are drawn from `rng`; the pair may name the same node.
+fn adversary(kind: usize, prob: f64, nodes: usize, rng: &mut StdRng) -> AdviceAdversary {
+    match kind {
+        0 => AdviceAdversary::None,
+        1 => AdviceAdversary::FlipBits { prob },
+        2 => AdviceAdversary::Truncate { keep: prob },
+        3 => AdviceAdversary::SwapPair {
+            a: rng.gen_range(0..nodes),
+            b: rng.gen_range(0..nodes),
+        },
+        _ => AdviceAdversary::Garbage {
+            prob,
+            bits: rng.gen_range(0..80),
+        },
+    }
+}
+
 /// The delivery budget of a case, relative to the run's total deliveries.
 #[derive(Debug, Clone, Copy)]
 enum Budget {
@@ -109,6 +129,9 @@ proptest! {
         anonymous in any::<bool>(),
         budget in proptest::sample::select(BUDGETS.to_vec()),
         cut in 0.0f64..1.0,
+        adversary_kind in 0usize..5,
+        adversary_prob in 0.0f64..1.0,
+        fault_seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         // `None` stands for the SCALE experiment's subdivided clique.
@@ -121,6 +144,12 @@ proptest! {
             let source = rng.gen_range(0..nodes);
             let advice = advice(advice_kind, &g, source, &mut rng);
             let checksummed = RobustWakeupOracle::default().advise(&g, source);
+            // Advice corruption only: no message is dropped, duplicated or
+            // flipped and no node crashes, so the kernel still runs.
+            let plan = FaultPlan::advice_only(
+                fault_seed,
+                adversary(adversary_kind, adversary_prob, nodes, &mut rng),
+            );
             let runs: [(&dyn Protocol, &Advice); 5] = [
                 (&FloodOnce, &advice),
                 (&TreeWakeup, &advice),
@@ -130,7 +159,7 @@ proptest! {
             ];
             for (scheme, advice) in runs {
                 for base in [SimConfig::broadcast(), SimConfig::wakeup()] {
-                    let mut config = base.with_anonymous(anonymous);
+                    let mut config = base.with_anonymous(anonymous).with_faults(plan.clone());
                     let per_message = PerMessage(scheme);
                     let total = run(&g, source, advice, &per_message, &config)
                         .map_or(0, |out| out.metrics.steps);
@@ -145,7 +174,8 @@ proptest! {
                     prop_assert_eq!(
                         kernel.as_ref().map(fields),
                         reference.as_ref().map(fields),
-                        "{} {} {:?} on {}", scheme.name(), nodes, config.mode, name
+                        "{} {} {:?} on {} under {:?}",
+                        scheme.name(), nodes, config.mode, name, plan.advice
                     );
 
                     let mut checker = InvariantSink::new(nodes, source, config.mode);
@@ -182,7 +212,8 @@ impl<P: Protocol> Protocol for CreatePanics<P> {
 }
 
 /// Whether a run of every panicking forward-once scheme reaches `create`;
-/// a run that does not must complete.
+/// a run that does not must succeed, and complete unless its advice was
+/// corrupted.
 fn reaches_create(config: &SimConfig, sink: &mut dyn TraceSink) -> bool {
     let g = oraclesize::graph::families::complete_rotational(6);
     let advice = SpanningTreeOracle::default().advise(&g, 0);
@@ -200,7 +231,10 @@ fn reaches_create(config: &SimConfig, sink: &mut dyn TraceSink) -> bool {
             })) {
                 Err(_) => true,
                 Ok(run) => {
-                    assert!(run.unwrap().all_informed(), "{}", scheme.name());
+                    let out = run.unwrap();
+                    if config.faults.advice == AdviceAdversary::None {
+                        assert!(out.all_informed(), "{}", scheme.name());
+                    }
                     false
                 }
             }
@@ -213,6 +247,14 @@ fn reaches_create(config: &SimConfig, sink: &mut dyn TraceSink) -> bool {
     reached[0]
 }
 
+/// Advice corruption alone: a fault-free run on another table.
+fn advice_only() -> FaultPlan {
+    FaultPlan {
+        advice: AdviceAdversary::Truncate { keep: 0.5 },
+        ..FaultPlan::default()
+    }
+}
+
 #[test]
 fn sync_inert_untraced_runs_never_create_nodes() {
     for config in [
@@ -223,6 +265,7 @@ fn sync_inert_untraced_runs_never_create_nodes() {
             seed: 99,
             ..FaultPlan::default()
         }),
+        SimConfig::wakeup().with_faults(advice_only()),
     ] {
         assert!(!reaches_create(&config, &mut NullSink), "{config:?}");
     }
@@ -234,15 +277,20 @@ fn every_other_run_creates_nodes() {
         crashes: [(3, 1)].into(),
         ..FaultPlan::default()
     };
-    let advice_only = FaultPlan {
-        advice: AdviceAdversary::Truncate { keep: 0.5 },
-        ..FaultPlan::default()
+    let advice_and_drop = FaultPlan {
+        drop_prob: 0.1,
+        ..advice_only()
+    };
+    let advice_and_crash = FaultPlan {
+        crashes: [(3, 1)].into(),
+        ..advice_only()
     };
     for config in [
         SimConfig::broadcast().with_scheduler(SchedulerKind::Fifo),
         SimConfig::wakeup().with_scheduler(SchedulerKind::Fifo),
         SimConfig::broadcast().with_faults(crash_only),
-        SimConfig::wakeup().with_faults(advice_only),
+        SimConfig::wakeup().with_faults(advice_and_drop),
+        SimConfig::wakeup().with_faults(advice_and_crash),
     ] {
         assert!(reaches_create(&config, &mut NullSink), "{config:?}");
     }
